@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .errors import (BoundsError, DomainError, IncompleteInputError,
                      ModelError, PreconditionError, ProvenanceError,
                      ResolutionError, SchemaError, SchwingerLabError)
-from .lattice import (Grid, Isometry, TestFunction, apply_isometry, fourier,
-                      gaussian_packet, inverse_fourier, positive_time_part,
+from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
+                      gaussian_packet, positive_time_part,
                       positive_time_support, site_indicator, sobolev_norm)
 from .partitions import (Partition, bell_number, cumulants_from_moments,
                          enumerate_capped_partitions, enumerate_partitions,

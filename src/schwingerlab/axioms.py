@@ -134,47 +134,42 @@ def check_normalization_neutrality(G: SchwingerFunctional,
     return _report("normalization_neutrality", worst, tol, "<=", config_digest, details)
 
 
+def _difference_psd(check_id: str, G, fs: Sequence[TestFunction],
+                    partners: Sequence[TestFunction], tolerance: float | None,
+                    config_digest: str) -> CheckReport:
+    """PSD check of M_ij = Gamma(f_i - partners_j)."""
+    tol = DEFAULT_TOLERANCES[check_id] if tolerance is None else tolerance
+    lo, hi = _GRAM_SIZE_RANGE
+    if not lo <= len(fs) <= hi:
+        raise PreconditionError(f"need {lo}..{hi} functions, got {len(fs)}")
+    M = np.array([[G.evaluate(f - p) for p in partners] for f in fs],
+                 dtype=np.complex128)
+    details: dict = {"size": len(fs)}
+    witness = _psd_witness(M, details)
+    return _report(check_id, witness, tol, ">=", config_digest, details)
+
+
 def check_reflection_positivity(G: SchwingerFunctional,
                                 fs: Sequence[TestFunction],
                                 tolerance: float | None = None,
                                 config_digest: str = "") -> CheckReport:
     """PSD of M_ij = Gamma(f_i - R f_j) for positive-time supported f."""
-    tol = DEFAULT_TOLERANCES["reflection_positivity"] if tolerance is None else tolerance
-    lo, hi = _GRAM_SIZE_RANGE
-    if not lo <= len(fs) <= hi:
-        raise PreconditionError(f"need {lo}..{hi} functions, got {len(fs)}")
     for idx, f in enumerate(fs):
         if not positive_time_support(f):
             raise PreconditionError(
                 f"test function {idx} is not supported on positive times"
             )
     reflected = [apply_isometry(f, Isometry.time_reflection()) for f in fs]
-    n = len(fs)
-    M = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = G.evaluate(fs[i] - reflected[j])
-    details: dict = {"size": n}
-    witness = _psd_witness(M, details)
-    return _report("reflection_positivity", witness, tol, ">=", config_digest, details)
+    return _difference_psd("reflection_positivity", G, fs, reflected,
+                           tolerance, config_digest)
 
 
 def check_stochastic_positivity(G, fs: Sequence[TestFunction],
                                 tolerance: float | None = None,
                                 config_digest: str = "") -> CheckReport:
     """PSD of M_ij = Gamma(f_i - f_j): Gamma as a characteristic functional."""
-    tol = DEFAULT_TOLERANCES["stochastic_positivity"] if tolerance is None else tolerance
-    lo, hi = _GRAM_SIZE_RANGE
-    if not lo <= len(fs) <= hi:
-        raise PreconditionError(f"need {lo}..{hi} functions, got {len(fs)}")
-    n = len(fs)
-    M = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = G.evaluate(fs[i] - fs[j])
-    details: dict = {"size": n}
-    witness = _psd_witness(M, details)
-    return _report("stochastic_positivity", witness, tol, ">=", config_digest, details)
+    return _difference_psd("stochastic_positivity", G, fs, fs,
+                           tolerance, config_digest)
 
 
 def check_euclidean_invariance(G, fs: Sequence[TestFunction],

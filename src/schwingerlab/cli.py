@@ -5,7 +5,6 @@ Commands:
   moments     moment/cumulant table for a model and test-function recipe
   experiment  run an experiment spec (dispatches on its experiment_id)
   sample      dump Monte Carlo field samples
-  refine      run a refinement spec (shorthand for a refinement experiment)
 
 Exit codes: 0 pass, 1 check failure, 2 input/schema error, 3 numerical
 precision failure.  Machine-readable JSON and a human summary are always
@@ -39,10 +38,12 @@ DEFAULT_GRID = "2,32,0.25"
 
 
 def _parse_grid(text: str) -> Grid:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise SchemaError(f"--grid must be 'd,n_per_axis,spacing', got {text!r}")
-    return Grid(int(parts[0]), int(parts[1]), float(parts[2]))
+    try:
+        d, n, spacing = text.split(",")
+        d, n, spacing = int(d), int(n), float(spacing)
+    except ValueError:
+        raise SchemaError(f"--grid must be 'd,n_per_axis,spacing', got {text!r}") from None
+    return Grid(d, n, spacing)
 
 
 def _load_tolerances(path: str | None) -> dict:
@@ -200,27 +201,6 @@ def cmd_sample(args) -> int:
     return EXIT_PASS
 
 
-def cmd_refine(args) -> int:
-    doc = read_json(args.spec)
-    if doc.get("experiment_id") not in (None, "refinement"):
-        raise SchemaError("refine expects a refinement spec")
-    doc["experiment_id"] = "refinement"
-    overrides = _load_tolerances(args.tolerance_file)
-    if overrides:
-        merged = dict(doc.get("tolerances", {}))
-        merged.update(overrides)
-        doc["tolerances"] = merged
-    spec = ExperimentSpec.from_dict(doc)
-    report = run_experiment(spec)
-    human = [f"refinement: {'pass' if report.passed else 'FAIL'}",
-             f"spec digest: {report.spec_digest}"]
-    for key, val in report.values.items():
-        human.append(f"  {key} = {val}")
-    _emit(Path(args.out), "refinement", report.as_dict(), human, args.format)
-    _write_refinement_csv(Path(args.out), report)
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schwingerlab",
@@ -262,11 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=16)
     common(p)
     p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("refine", help="run a refinement spec")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=cmd_refine)
     return parser
 
 

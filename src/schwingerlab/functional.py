@@ -20,14 +20,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from . import partitions
 from .errors import BoundsError, DomainError, ModelError, SchemaError
 from .lattice import Grid, TestFunction, sobolev_norm
-from .propagator import DEFAULT_MASS_FLOOR_SQ, SpectralMeasure, spectral_two_point
+from .propagator import (DEFAULT_MASS_FLOOR_SQ, SpectralMeasure,
+                         spectral_two_point, two_point_sums)
 from .serialize import read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
@@ -47,12 +49,30 @@ class SchwingerFunctional:
     def evaluate(self, f: TestFunction, z: complex = 1.0) -> complex:
         raise NotImplementedError
 
-    def leaves(self) -> Iterator[tuple[float, "QuasiFree"]]:
-        """Flattened (path weight, leaf) pairs."""
+    def leaves(self) -> tuple[tuple[float, "QuasiFree"], ...]:
+        """Flattened (path weight, leaf) pairs, in tree order.
+
+        A path weight is the product of the mixture weights on the way to
+        the leaf, taken innermost first; the sampler's component choice and
+        the cluster check read these bits.
+        """
         raise NotImplementedError
 
     def depth(self) -> int:
         raise NotImplementedError
+
+    @cached_property
+    def _atom_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Leaf path weights (L,), the distinct atom masses squared in
+        ascending order (M,), and the leaf x mass atom-weight matrix (L, M)."""
+        leaves = self.leaves()
+        masses = sorted({m2 for _, leaf in leaves for m2, _ in leaf.rho.atoms})
+        column = {m2: j for j, m2 in enumerate(masses)}
+        atoms = np.zeros((len(leaves), len(masses)))
+        for row, (_, leaf) in enumerate(leaves):
+            for m2, aw in leaf.rho.atoms:
+                atoms[row, column[m2]] = aw
+        return np.array([w for w, _ in leaves]), np.array(masses), atoms
 
 
 @dataclass(frozen=True)
@@ -67,7 +87,7 @@ class QuasiFree(SchwingerFunctional):
         return complex(np.exp(-0.5 * zz * zz * s2))
 
     def leaves(self):
-        yield (1.0, self)
+        return ((1.0, self),)
 
     def depth(self) -> int:
         return 1
@@ -88,9 +108,12 @@ class Mixture(SchwingerFunctional):
         return complex(sum(w * child.evaluate(f, z) for w, child in self.children))
 
     def leaves(self):
-        for w, child in self.children:
-            for wl, leaf in child.leaves():
-                yield (w * wl, leaf)
+        return self._leaves
+
+    @cached_property
+    def _leaves(self):
+        return tuple((w * wl, leaf) for w, child in self.children
+                     for wl, leaf in child.leaves())
 
     def depth(self) -> int:
         return 1 + max(child.depth() for _, child in self.children)
@@ -98,20 +121,8 @@ class Mixture(SchwingerFunctional):
 
 def envelope(children: Sequence[tuple[float, SchwingerFunctional]]) -> Mixture:
     """Validated convex mixture of functionals (weights sum to 1)."""
-    kids = tuple((float(w), g) for w, g in children)
-    if not kids:
-        raise ModelError("mixture needs at least one child")
-    for w, g in kids:
-        if w < 0:
-            raise ModelError(f"mixture weight must be >= 0, got {w}")
-        if not isinstance(g, SchwingerFunctional):
-            raise ModelError(f"mixture child must be a functional, got {type(g).__name__}")
-    total = math.fsum(w for w, _ in kids)
-    if abs(total - 1.0) > 1e-12:
-        raise ModelError(f"mixture weights sum to {total!r}, expected 1")
-    node = Mixture(kids)
-    if node.depth() > MAX_TREE_DEPTH:
-        raise ModelError(f"tree depth {node.depth()} exceeds bound {MAX_TREE_DEPTH}")
+    node = Mixture(tuple((float(w), g) for w, g in children))
+    validate_model(node)
     return node
 
 
@@ -122,15 +133,15 @@ def validate_model(G: SchwingerFunctional, max_depth: int = MAX_TREE_DEPTH) -> N
     if isinstance(G, Mixture):
         if not G.children:
             raise ModelError("mixture needs at least one child")
+        for w, child in G.children:
+            if not (math.isfinite(w) and w >= 0):
+                raise ModelError(f"mixture weight must be finite and >= 0, got {w}")
+            validate_model(child, max_depth)
         total = math.fsum(w for w, _ in G.children)
         if abs(total - 1.0) > 1e-12:
             raise ModelError(f"mixture weights sum to {total!r}, expected 1")
         if G.depth() > max_depth:
             raise ModelError(f"tree depth {G.depth()} exceeds bound {max_depth}")
-        for w, child in G.children:
-            if w < 0:
-                raise ModelError(f"mixture weight must be >= 0, got {w}")
-            validate_model(child, max_depth)
         return
     raise ModelError(f"unknown node type {type(G).__name__}")
 
@@ -150,30 +161,26 @@ def _check_moment_order(n: int, cap: int) -> None:
 
 
 def _leaf_grams(G: SchwingerFunctional,
-                fs: Sequence[TestFunction]) -> list[tuple[float, np.ndarray]]:
+                fs: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n)."""
+    weights, masses, atoms = G._atom_table
     n = len(fs)
-    out = []
-    for w, leaf in G.leaves():
-        gram = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(i, n):
-                val = spectral_two_point(fs[i], fs[j], leaf.rho)
-                gram[i, j] = val
-                gram[j, i] = val  # bilinear form is symmetric
-        out.append((w, gram))
-    return out
+    sums = np.empty((n, n, len(masses)), dtype=np.complex128)
+    for i in range(n):
+        for j in range(i, n):
+            sums[i, j] = sums[j, i] = two_point_sums(fs[i], fs[j], masses)
+    grid = fs[0].grid
+    return weights, np.einsum("lm,ijm->lij", atoms, sums) / grid.extent ** grid.d
 
 
-def _pairing_sum(gram: np.ndarray, key: tuple[int, ...]) -> complex:
-    # Wick sum over the positions named by `key` (1-based global indices).
-    m = len(key)
-    if m % 2 == 1:
-        return 0j
-    total = 0j
-    for pairing in partitions.pairings(m):
-        prod = complex(1.0)
+def _pairing_sum(grams: np.ndarray, key: tuple[int, ...]) -> np.ndarray:
+    # Wick sum over the even number of positions named by `key` (1-based
+    # global indices), for every leaf at once.
+    total = np.zeros(len(grams), dtype=np.complex128)
+    for pairing in partitions.pairings(len(key)):
+        prod = np.ones(len(grams), dtype=np.complex128)
         for a, b in pairing.blocks:
-            prod *= gram[key[a - 1] - 1, key[b - 1] - 1]
+            prod *= grams[:, key[a - 1] - 1, key[b - 1] - 1]
         total += prod
     return total
 
@@ -188,25 +195,22 @@ def moment_analytic(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> compl
     _check_moment_order(n, MAX_MOMENT_ORDER)
     if n % 2 == 1:
         return 0j
-    key = tuple(range(1, n + 1))
-    total = 0j
-    for w, gram in _leaf_grams(G, fs):
-        total += w * _pairing_sum(gram, key)
-    return complex(total)
+    weights, grams = _leaf_grams(G, fs)
+    return complex(weights @ _pairing_sum(grams, tuple(range(1, n + 1))))
 
 
 def _moment_table(G: SchwingerFunctional,
                   fs: Sequence[TestFunction]) -> dict[tuple[int, ...], complex]:
     """Moments of every nonempty sub-collection of fs, keyed by sorted tuples."""
     n = len(fs)
-    grams = _leaf_grams(G, fs)
+    weights, grams = _leaf_grams(G, fs)
     table: dict[tuple[int, ...], complex] = {}
     for r in range(1, n + 1):
         for key in itertools.combinations(range(1, n + 1), r):
             if r % 2 == 1:
                 table[key] = 0j
             else:
-                table[key] = complex(sum(w * _pairing_sum(g, key) for w, g in grams))
+                table[key] = complex(weights @ _pairing_sum(grams, key))
     return table
 
 

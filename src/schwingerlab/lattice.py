@@ -51,8 +51,9 @@ class Grid:
                 f"n_per_axis={n} exceeds the desk-scale cap "
                 f"{_AXIS_CAPS[self.d]} for d={self.d}"
             )
-        if not (isinstance(self.spacing, (int, float)) and self.spacing > 0):
-            raise DomainError(f"spacing must be > 0, got {self.spacing}")
+        if not (isinstance(self.spacing, (int, float))
+                and math.isfinite(self.spacing) and self.spacing > 0):
+            raise DomainError(f"spacing must be finite and > 0, got {self.spacing}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -218,16 +219,6 @@ class TestFunction:
         return math.sqrt(self.inner(self).real)
 
 
-def fourier(f: TestFunction) -> TestFunction:
-    """Momentum-space samples of f as a TestFunction on the dual grid."""
-    return TestFunction(f.grid, f.hat, copy=True)
-
-
-def inverse_fourier(g: TestFunction) -> TestFunction:
-    vals = np.fft.ifftn(g.values) / g.grid.cell
-    return TestFunction(g.grid, vals, copy=False)
-
-
 def gaussian_packet(grid: Grid, center, width: float, momentum=None) -> TestFunction:
     """Periodized Gaussian envelope times plane wave, unit discrete L2 norm.
 
@@ -387,36 +378,3 @@ def positive_time_part(f: TestFunction, renormalize: bool = True) -> TestFunctio
             raise DomainError("function has no support at positive times")
         out = (1.0 / norm) * out
     return out
-
-
-def save_test_function(f: TestFunction, path) -> None:
-    """Flat text record: header (d, n_per_axis, spacing) + row-major re/im pairs."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("testfunction v1\n")
-        fh.write(
-            f"d={f.grid.d} n_per_axis={f.grid.n_per_axis} "
-            f"spacing={float(f.grid.spacing)!r}\n"
-        )
-        for z in f.values.ravel(order="C"):
-            fh.write(f"{float(z.real)!r} {float(z.imag)!r}\n")
-
-
-def load_test_function(path) -> TestFunction:
-    with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().strip()
-        if magic != "testfunction v1":
-            raise SchemaError(f"not a testfunction file: bad header {magic!r}")
-        fields = dict(tok.split("=", 1) for tok in fh.readline().split())
-        try:
-            grid = Grid(int(fields["d"]), int(fields["n_per_axis"]),
-                        float(fields["spacing"]))
-        except KeyError as exc:
-            raise SchemaError(f"testfunction header missing {exc.args[0]!r}") from None
-        flat = np.empty(grid.volume, dtype=np.complex128)
-        for i in range(grid.volume):
-            line = fh.readline()
-            if not line:
-                raise SchemaError(f"testfunction file truncated at value {i}")
-            re_s, im_s = line.split()
-            flat[i] = complex(float(re_s), float(im_s))
-    return TestFunction(grid, flat.reshape(grid.shape), copy=False)

@@ -16,6 +16,7 @@ mass-regularized Sobolev norm for real f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,8 +28,6 @@ from .lattice import Grid, TestFunction, momentum_symbol
 # Guards the massless infrared divergence; models set their own, larger
 # floor implicitly through the smallest atom they carry.
 DEFAULT_MASS_FLOOR_SQ = 1e-6
-
-_MERGE_REL_TOL = 0.0  # atoms merge only on exact mass-squared equality
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,8 @@ class SpectralMeasure:
         merged: dict[float, float] = {}
         for pair in self.atoms:
             m2, w = float(pair[0]), float(pair[1])
+            if not (math.isfinite(m2) and math.isfinite(w)):
+                raise DomainError(f"atom ({m2}, {w}) must be finite")
             if m2 < self.mass_floor_sq:
                 raise DomainError(
                     f"atom m2={m2} below the infrared floor {self.mass_floor_sq}"
@@ -101,36 +102,39 @@ class SpectralMeasure:
         return SpectralMeasure(((float(m2), 1.0),), mass_floor_sq)
 
 
-def _check_pair(f: TestFunction, g: TestFunction) -> None:
+def two_point_sums(f: TestFunction, g: TestFunction, masses_sq: Sequence[float],
+                   symbol: str = "lattice") -> np.ndarray:
+    """sum_k f^(-k) g^(k) / (khat^2 + m2) for every m2 in masses_sq at once.
+
+    The one copy of the momentum sum: S2_m(f, g) is this sum times L^-d.
+    Each mass's row is summed on its own, so its value has the same bits
+    whichever other masses share the call.
+    """
     if f.grid != g.grid:
         raise DomainError("two-point function needs both arguments on one grid")
-
-
-def _check_mass(m2: float, mass_floor_sq: float) -> None:
-    if m2 < mass_floor_sq:
-        raise DomainError(f"m2={m2} below the infrared floor {mass_floor_sq}")
+    w = momentum_symbol(f.grid, symbol).ravel()
+    # the only (masses x sites) temporary: denominators, then terms in place
+    terms = np.empty((len(masses_sq), w.size), dtype=np.complex128)
+    np.add(np.asarray(masses_sq, dtype=np.float64)[:, None], w, out=terms)
+    np.divide((f.hat_neg * g.hat).ravel(), terms, out=terms)
+    return terms.sum(axis=1)
 
 
 def free_two_point(f: TestFunction, g: TestFunction, m2: float,
                    symbol: str = "lattice",
                    mass_floor_sq: float = DEFAULT_MASS_FLOOR_SQ) -> complex:
     """Free massive two-point function S2_m(f, g); bilinear, symmetric."""
-    _check_pair(f, g)
-    _check_mass(m2, mass_floor_sq)
-    w = momentum_symbol(f.grid, symbol)
-    s = np.sum(f.hat_neg * g.hat / (w + m2))
-    return complex(s / f.grid.extent ** f.grid.d)
+    return spectral_two_point(f, g, SpectralMeasure.delta(m2, mass_floor_sq), symbol)
 
 
 def spectral_two_point(f: TestFunction, g: TestFunction, rho: SpectralMeasure,
                        symbol: str = "lattice") -> complex:
     """Spectral superposition sum_atoms weight * S2_m(f, g); linear in rho."""
-    _check_pair(f, g)
-    w = momentum_symbol(f.grid, symbol)
-    cross = f.hat_neg * g.hat
-    total = 0j
-    for m2, weight in rho.atoms:
-        total += weight * np.sum(cross / (w + m2))
+    masses, weights = zip(*rho.atoms)
+    terms = np.array(weights) * two_point_sums(f, g, masses, symbol)
+    # a running sum in atom order, not np.sum's pairwise order: evaluate's
+    # bits, and every witness built on them, depend on it
+    total = np.cumsum(terms)[-1]
     return complex(total / f.grid.extent ** f.grid.d)
 
 
@@ -141,7 +145,8 @@ def covariance_kernel(grid: Grid, m2: float, symbol: str = "lattice",
     Indexed by lattice displacement in FFT layout; real, even, maximal at
     zero displacement.  Satisfies a^(2d) sum_{x,y} f(x) C(x-y) g(y) = S2(f,g).
     """
-    _check_mass(m2, mass_floor_sq)
+    if m2 < mass_floor_sq:
+        raise DomainError(f"m2={m2} below the infrared floor {mass_floor_sq}")
     w = momentum_symbol(grid, symbol)
     ker = np.fft.ifftn(1.0 / (w + m2)).real / grid.cell
     return ker

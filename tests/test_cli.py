@@ -61,6 +61,26 @@ def test_verify_malformed_weights_uses_schema_exit(tmp_path):
     assert main(["verify", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def _nan_weight_model():
+    return {"kind": "mixture", "children": [
+        {"weight": float("nan"), "model": {"kind": "quasifree", "atoms": [[1.0, 1.0]]}},
+        {"weight": 1.0, "model": {"kind": "quasifree", "atoms": [[4.0, 1.0]]}},
+    ]}
+
+
+@pytest.mark.parametrize("model,grid", [
+    (_nan_weight_model(), "2,32,0.25"),
+    ({"kind": "quasifree", "atoms": [[float("nan"), 1.0]]}, "2,32,0.25"),
+    ({"kind": "quasifree", "atoms": [[1.0, 1.0]]}, "2,32,abc"),
+    ({"kind": "quasifree", "atoms": [[1.0, 1.0]]}, "2,32,inf"),
+], ids=["nan_weight", "nan_atom", "grid_abc", "grid_inf"])
+def test_nonfinite_or_malformed_input_is_schema_error(tmp_path, model, grid):
+    path = tmp_path / "model.json"
+    write_json(path, {"format": "schwinger-model", "version": 1, "model": model})
+    assert main(["verify", str(path), "--grid", grid,
+                 "--out", str(tmp_path / "o")]) == 2
+
+
 def test_verify_unknown_tolerance_key_is_schema_error(model_file, tmp_path):
     tol = tmp_path / "tols.json"
     write_json(tol, {"reflekshun_positivity": 1e-9})
@@ -127,25 +147,27 @@ def test_experiment_command(tmp_path):
 def test_refine_command_rejects_two_levels(tmp_path):
     spec = tmp_path / "ref.json"
     write_json(spec, {
+        "experiment_id": "refinement",
         "grid": {"d": 1, "n_per_axis": 16, "spacing": 1.0},
         "params": {"d": 1, "extent": 16.0, "levels": [16, 32],
                    "masses_sq": [1.0],
                    "packet": {"center": [8.0], "width": 2.0}},
     })
-    assert main(["refine", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert main(["experiment", str(spec), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_refine_command_passes(tmp_path):
     spec = tmp_path / "ref.json"
     write_json(spec, {
+        "experiment_id": "refinement",
         "grid": {"d": 1, "n_per_axis": 16, "spacing": 1.0},
         "params": {"d": 1, "extent": 16.0, "levels": [16, 32, 64],
                    "masses_sq": [1.0],
                    "packet": {"center": [8.0], "width": 2.0}},
     })
     out = tmp_path / "out"
-    assert main(["refine", str(spec), "--out", str(out)]) == 0
-    assert json.loads((out / "refinement.json").read_text())["passed"]
+    assert main(["experiment", str(spec), "--out", str(out)]) == 0
+    assert json.loads((out / "experiment.json").read_text())["passed"]
 
 
 def test_sample_command_writes_reproducible_dump(model_file, tmp_path):
@@ -180,13 +202,14 @@ def test_rerun_outputs_are_byte_identical_across_processes(model_file, tmp_path)
 def test_refine_writes_curves_csv(tmp_path):
     spec = tmp_path / "ref.json"
     write_json(spec, {
+        "experiment_id": "refinement",
         "grid": {"d": 1, "n_per_axis": 16, "spacing": 1.0},
         "params": {"d": 1, "extent": 16.0, "levels": [16, 32, 64],
                    "masses_sq": [1.0],
                    "packet": {"center": [8.0], "width": 2.0}},
     })
     out = tmp_path / "out"
-    assert main(["refine", str(spec), "--out", str(out)]) == 0
+    assert main(["experiment", str(spec), "--out", str(out)]) == 0
     lines = (out / "curves.csv").read_text().strip().splitlines()
     assert lines[0] == "level,two_point,connected_fourth,rotation_defect"
     assert len(lines) == 4

@@ -15,7 +15,9 @@ from schwingerlab import (BoundsError, ModelError, Mixture, QuasiFree,
                           moment_numeric, regularity_certificate, save_model,
                           sobolev_norm, spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
-from schwingerlab.fixtures import random_real_function, rng_from_seed
+from schwingerlab.fixtures import (random_model_tree, random_real_function,
+                                   rng_from_seed)
+from schwingerlab.lattice import Grid
 from schwingerlab.functional import MAX_TREE_DEPTH, min_mass_sq, validate_model
 from schwingerlab.partitions import pairings
 
@@ -124,6 +126,45 @@ def test_mixture_moments_are_weight_linear(grid_2d):
     mix = envelope([(0.3, g1), (0.7, g2)])
     want = 0.3 * moment_analytic(g1, fs) + 0.7 * moment_analytic(g2, fs)
     assert moment_analytic(mix, fs) == pytest.approx(want, rel=1e-14)
+
+
+def recursive_leaves(G):
+    """Depth-first (path weight, leaf) pairs, inner weight products first."""
+    if isinstance(G, QuasiFree):
+        yield (1.0, G)
+        return
+    for w, child in G.children:
+        for wl, leaf in recursive_leaves(child):
+            yield (w * wl, leaf)
+
+
+def leaf_table_models():
+    rng = rng_from_seed(127)
+    trees = [random_model_tree(rng, max_depth=3) for _ in range(6)]
+    shared = envelope([   # two leaves share the mass 2.0
+        (0.3, QuasiFree(SpectralMeasure(((2.0, 0.6), (5.0, 0.4))))),
+        (0.7, envelope([(0.5, QuasiFree(SpectralMeasure.delta(2.0))),
+                        (0.5, QuasiFree(SpectralMeasure(((1.0, 0.2), (2.0, 0.8)))))])),
+    ])
+    # depth 4, so association shows: 0.1 * (0.2 * 0.3) != (0.1 * 0.2) * 0.3
+    deep = QuasiFree(SpectralMeasure.delta(1.5))
+    for w, m2 in ((0.3, 2.5), (0.2, 3.5), (0.1, 4.5)):
+        deep = envelope([(w, deep), (1.0 - w, QuasiFree(SpectralMeasure.delta(m2)))])
+    unnormalized = Mixture(((0.5, nested_mixture()),
+                            (0.9, QuasiFree(SpectralMeasure.delta(3.0)))))
+    return trees + [shared, deep, unnormalized]
+
+
+@pytest.mark.parametrize("model", leaf_table_models(), ids=[
+    *(f"random_tree{i}" for i in range(6)), "shared_mass", "depth4", "unnormalized"])
+def test_leaf_table_matches_per_leaf_two_point(model):
+    assert model.leaves() == tuple(recursive_leaves(model))
+    grid = Grid(2, 16, 0.5)
+    rng = rng_from_seed(131)
+    f, g = (random_real_function(grid, rng) for _ in range(2))
+    want = sum(w * spectral_two_point(f, g, leaf.rho)
+               for w, leaf in recursive_leaves(model))
+    assert moment_analytic(model, [f, g]) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_moment_order_cap():

@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schwingerlab import (DomainError, Grid, Isometry, ResolutionError,
-                          TestFunction, apply_isometry, fourier,
-                          gaussian_packet, inverse_fourier,
+                          TestFunction, apply_isometry, gaussian_packet,
                           positive_time_part, positive_time_support,
                           site_indicator, sobolev_norm)
-from schwingerlab.lattice import (load_test_function, reflect_momentum,
-                                  save_test_function)
+from schwingerlab.lattice import reflect_momentum
 from schwingerlab import free_two_point
 from schwingerlab.fixtures import random_real_function, rng_from_seed
 
@@ -145,12 +143,6 @@ def test_parseval_with_stated_weights(grid_2d):
     pos = grid_2d.cell * np.sum(np.abs(f.values) ** 2)
     mom = np.sum(np.abs(f.hat) ** 2) / grid_2d.extent ** grid_2d.d
     assert pos == pytest.approx(mom, rel=1e-12)
-
-
-def test_fourier_roundtrip_identity(grid_2d):
-    f = random_complex_function(grid_2d, 13)
-    back = inverse_fourier(fourier(f))
-    assert np.allclose(back.values, f.values, rtol=1e-12, atol=1e-14)
 
 
 def test_fourier_intertwines_translation_with_phase(grid_1d):
@@ -291,19 +283,6 @@ def test_positive_time_part_needs_some_support(grid_2d):
         positive_time_part(TestFunction(grid_2d, vals))
 
 
-# ---------------------------------------------------------------------------
-# File round-trip
-# ---------------------------------------------------------------------------
-
-def test_test_function_file_roundtrip_exact(tmp_path, grid_2d_small):
-    f = random_complex_function(grid_2d_small, 59)
-    path = tmp_path / "probe.tf"
-    save_test_function(f, path)
-    back = load_test_function(path)
-    assert back.grid == f.grid
-    assert np.array_equal(back.values, f.values)
-
-
 def test_test_function_values_are_immutable(grid_1d):
     f = TestFunction(grid_1d, np.ones(grid_1d.shape))
     with pytest.raises(ValueError):
@@ -325,9 +304,3 @@ def test_rotations_have_order_four_in_3d():
         for _ in range(4):
             out = apply_isometry(out, Isometry.rotation(*plane))
         assert np.array_equal(out.values, f.values)
-
-
-def test_fourier_roundtrip_other_direction(grid_2d_small):
-    g = random_complex_function(grid_2d_small, 73)
-    back = fourier(inverse_fourier(g))
-    assert np.allclose(back.values, g.values, rtol=1e-12, atol=1e-14)
