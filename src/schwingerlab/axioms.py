@@ -57,6 +57,9 @@ QUASI_FREE_CLASSIFICATION_TOL = 1e-9
 
 _GRAM_SIZE_RANGE = (2, 12)
 
+# Test-set sizes of the suite's reflection, stochastic and invariance checks
+REFLECTION_COUNT, STOCHASTIC_COUNT, INVARIANCE_COUNT = 8, 8, 3
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -288,10 +291,6 @@ def check_cluster_defect(G: SchwingerFunctional, f: TestFunction,
 class SuiteConfig:
     grid: Grid
     seed: int = 7
-    reflection_count: int = 8
-    stochastic_count: int = 8
-    invariance_count: int = 3
-    cluster_separations: tuple[int, ...] = ()
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def resolved_tolerances(self) -> dict[str, float]:
@@ -324,9 +323,9 @@ def suite_digest(G: SchwingerFunctional, config: SuiteConfig) -> str:
         "model": model_to_dict(G),
         "grid": config.grid.as_dict(),
         "seed": config.seed,
-        "counts": [config.reflection_count, config.stochastic_count,
-                   config.invariance_count],
-        "cluster_separations": list(config.cluster_separations),
+        "counts": [REFLECTION_COUNT, STOCHASTIC_COUNT, INVARIANCE_COUNT],
+        # separations follow from the grid; the empty entry keeps digests stable
+        "cluster_separations": [],
         "tolerances": {k: float(v) for k, v in sorted(config.tolerances.items())},
     })
 
@@ -339,10 +338,9 @@ def run_axiom_suite(G: SchwingerFunctional, config: SuiteConfig) -> SuiteResult:
 
     rng = rng_from_seed(config.seed)
     neutral_set = [random_real_function(grid, rng) for _ in range(4)]
-    rp_set = [random_positive_time_function(grid, rng)
-              for _ in range(config.reflection_count)]
-    sp_set = [random_real_function(grid, rng) for _ in range(config.stochastic_count)]
-    inv_set = [random_real_function(grid, rng) for _ in range(config.invariance_count)]
+    rp_set = [random_positive_time_function(grid, rng) for _ in range(REFLECTION_COUNT)]
+    sp_set = [random_real_function(grid, rng) for _ in range(STOCHASTIC_COUNT)]
+    inv_set = [random_real_function(grid, rng) for _ in range(INVARIANCE_COUNT)]
 
     reports = [
         check_normalization_neutrality(
@@ -355,8 +353,8 @@ def run_axiom_suite(G: SchwingerFunctional, config: SuiteConfig) -> SuiteResult:
             G, inv_set, point_group(grid), tols["euclidean_invariance"], digest),
     ]
 
-    seps = config.cluster_separations or tuple(
-        range(4, grid.n_per_axis // 4 + 1, 4)) or (grid.n_per_axis // 4,)
+    # cluster separations: 4, 8, ... sites up to N/4
+    seps = tuple(range(4, grid.n_per_axis // 4 + 1, 4)) or (grid.n_per_axis // 4,)
     base = (grid.n_per_axis // 4,) + (grid.n_per_axis // 2,) * (grid.d - 1)
     probe_f = site_indicator(grid, base)
     probe_g = site_indicator(grid, base)

@@ -25,9 +25,10 @@ from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment
 from .functional import (MAX_MOMENT_ORDER, NUMERIC_MOMENT_CAP,
                          NUMERIC_TOLERANCE_SCHEDULE, cumulant, load_model,
                          model_to_dict, moment_analytic, moment_numeric)
-from .lattice import Grid, gaussian_packet
+from .lattice import Grid, packet_from_doc
 from .montecarlo import sample_stream, write_samples
-from .serialize import canonical_digest, read_json, require_keys, write_json
+from .serialize import (canonical_digest, json_number, read_json, require_keys,
+                        write_json)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -52,6 +53,8 @@ def _load_tolerances(path: str | None) -> dict:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: tolerance file must be an object")
+    for key, value in doc.items():
+        json_number(value, f"{path}: {key}")
     return doc
 
 
@@ -84,18 +87,13 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILURE
 
 
-def _recipe_functions(grid: Grid, path: str, n: int):
-    doc = read_json(path)
+def _recipe_functions(grid: Grid, doc, n: int):
     require_keys(doc, ["functions"], (), "recipe")
     entries = doc["functions"]
     if not isinstance(entries, list) or not entries:
         raise SchemaError("recipe.functions must be a nonempty list")
-    fs = []
-    for i, entry in enumerate(entries):
-        require_keys(entry, ["center", "width"], ["momentum"],
-                     f"recipe.functions[{i}]")
-        fs.append(gaussian_packet(grid, entry["center"], float(entry["width"]),
-                                  entry.get("momentum")))
+    fs = [packet_from_doc(grid, entry, f"recipe.functions[{i}]")
+          for i, entry in enumerate(entries)]
     while len(fs) < n:  # a single recipe entry probes equal-argument moments
         fs.append(fs[-1])
     return fs[:n]
@@ -112,14 +110,16 @@ def cmd_moments(args) -> int:
                  "tolerance overrides")
     for key, val in overrides.items():
         schedule[int(key.removeprefix("numeric_n"))] = float(val)
+    recipe = read_json(args.recipe)
+    functions = _recipe_functions(grid, recipe, args.order)
     digest = canonical_digest({"model": model_to_dict(model),
                                "grid": grid.as_dict(),
-                               "recipe": read_json(args.recipe),
+                               "recipe": recipe,
                                "order": args.order})
     rows = []
     precision_ok = True
     for n in range(1, args.order + 1):
-        fs = _recipe_functions(grid, args.recipe, n)
+        fs = functions[:n]
         analytic = moment_analytic(model, fs)
         connected = cumulant(model, fs)
         row = {"order": n,
@@ -157,21 +157,18 @@ def _write_refinement_csv(out_dir: Path, report) -> None:
     # convergence/defect curves for external plotting
     vals = report.values
     rows = ["level,two_point,connected_fourth,rotation_defect"]
-    defects = vals["rotation_defects"] or [""] * len(vals["levels"])
+    defects = [repr(r) for r in vals["rotation_defects"]] or [""] * len(vals["levels"])
     for lvl, s2, s4t, rot in zip(vals["levels"], vals["two_point"],
                                  vals["connected_fourth"], defects):
-        rows.append(f"{lvl},{s2!r},{s4t!r},{rot!r}" if rot != "" else
-                    f"{lvl},{s2!r},{s4t!r},")
+        rows.append(f"{lvl},{s2!r},{s4t!r},{rot}")
     (out_dir / "curves.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
 
 
 def cmd_experiment(args) -> int:
     doc = read_json(args.spec)
     overrides = _load_tolerances(args.tolerance_file)
-    if overrides:
-        merged = dict(doc.get("tolerances", {}))
-        merged.update(overrides)
-        doc["tolerances"] = merged
+    if overrides and isinstance(doc, dict) and isinstance(doc.get("tolerances", {}), dict):
+        doc["tolerances"] = {**doc.get("tolerances", {}), **overrides}
     spec = ExperimentSpec.from_dict(doc)
     report = run_experiment(spec)
     human = [f"experiment {report.experiment_id}: "

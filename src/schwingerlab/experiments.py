@@ -42,11 +42,10 @@ import numpy as np
 from .errors import DomainError, SchemaError
 from .functional import (QuasiFree, SchwingerFunctional, cumulant,
                          cumulant_scale, envelope, gaussianize, moment_analytic)
-from .lattice import Grid, TestFunction, gaussian_packet
+from .lattice import Grid, TestFunction, gaussian_packet, packet_from_doc
 from .montecarlo import estimate_fourth_cumulant, pair_values
-from .propagator import (DEFAULT_MASS_FLOOR_SQ, SpectralMeasure,
-                         free_two_point, spectral_two_point)
-from .serialize import canonical_digest, require_keys
+from .propagator import SpectralMeasure, free_two_point, spectral_two_point
+from .serialize import canonical_digest, json_number, require_keys
 
 EXPERIMENT_IDS = ("two_mass_fourth_cumulant", "iteration", "refinement")
 
@@ -85,9 +84,15 @@ class ExperimentSpec:
             raise SchemaError(
                 f"experiment_id must be one of {EXPERIMENT_IDS}, got {exp_id!r}"
             )
+        Grid.from_dict(doc["grid"])  # checked here: refinement never builds it
+        tolerances = doc.get("tolerances", {})
+        if not (isinstance(doc["params"], dict) and isinstance(tolerances, dict)):
+            raise SchemaError("experiment spec params and tolerances must be objects")
+        for key, value in tolerances.items():
+            json_number(value, f"experiment spec.tolerances.{key}")
         return ExperimentSpec(exp_id, dict(doc["grid"]), dict(doc["params"]),
-                              int(doc.get("seed", 0)),
-                              dict(doc.get("tolerances", {})))
+                              int(json_number(doc.get("seed", 0), "experiment spec.seed")),
+                              dict(tolerances))
 
 
 @dataclass(frozen=True)
@@ -104,18 +109,17 @@ class ExperimentReport:
                 "notes": list(self.notes)}
 
 
-def _packet_from_doc(grid: Grid, doc: dict, ctx: str) -> TestFunction:
-    require_keys(doc, ["center", "width"], ["momentum"], ctx)
-    return gaussian_packet(grid, doc["center"], float(doc["width"]),
-                           doc.get("momentum"))
+def _numbers(values, ctx: str) -> list[float]:
+    if not isinstance(values, list):
+        raise SchemaError(f"{ctx} must be a list of numbers, got {values!r}")
+    return [float(json_number(v, f"{ctx}[{i}]")) for i, v in enumerate(values)]
 
 
-def two_mass_mixture(m1_sq: float, m2_sq: float, w: float = 0.5,
-                     mass_floor_sq: float = DEFAULT_MASS_FLOOR_SQ) -> SchwingerFunctional:
+def two_mass_mixture(m1_sq: float, m2_sq: float, w: float = 0.5) -> SchwingerFunctional:
     """Mixture w * Gaussian(m1) + (1-w) * Gaussian(m2) of single-mass leaves."""
     return envelope([
-        (w, QuasiFree(SpectralMeasure.delta(m1_sq, mass_floor_sq))),
-        (1.0 - w, QuasiFree(SpectralMeasure.delta(m2_sq, mass_floor_sq))),
+        (w, QuasiFree(SpectralMeasure.delta(m1_sq))),
+        (1.0 - w, QuasiFree(SpectralMeasure.delta(m2_sq))),
     ])
 
 
@@ -132,20 +136,17 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
     require_keys(spec.tolerances, [], ["closed_form_rel", "degenerate_scale"],
                  "two_mass tolerances")
     grid = Grid.from_dict(spec.grid)
-    masses = spec.params["masses_sq"]
+    masses = _numbers(spec.params["masses_sq"], "two_mass masses_sq")
     if len(masses) != 2:
         raise SchemaError(f"masses_sq must have two entries, got {masses!r}")
-    m1_sq, m2_sq = float(masses[0]), float(masses[1])
-    for m2v in (m1_sq, m2_sq):
-        if m2v < DEFAULT_MASS_FLOOR_SQ:
-            raise DomainError(f"mass-squared {m2v} below the infrared floor")
-    w = float(spec.params.get("weight", 0.5))
+    m1_sq, m2_sq = masses
+    w = float(json_number(spec.params.get("weight", 0.5), "two_mass weight"))
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"mixture weight must be in [0,1], got {w}")
-    mc_samples = int(spec.params.get("mc_samples", 0))
-    f = _packet_from_doc(grid, spec.params["packet"], "two_mass packet")
+    mc_samples = int(json_number(spec.params.get("mc_samples", 0), "two_mass mc_samples"))
+    f = packet_from_doc(grid, spec.params["packet"], "two_mass packet")
 
-    model = two_mass_mixture(m1_sq, m2_sq, w)
+    model = two_mass_mixture(m1_sq, m2_sq, w)  # DomainError below the floor
     route_a = cumulant(model, [f] * 4).real
     scale = cumulant_scale(model, [f] * 4)
 
@@ -201,19 +202,20 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
                  ["two_point_rel", "closed_form_rel", "nonzero_scale"],
                  "iteration tolerances")
     grid = Grid.from_dict(spec.grid)
+    if not isinstance(spec.params["families"], list):
+        raise SchemaError("iteration families must be a list")
     families = [SpectralMeasure.from_pairs(pairs) for pairs in spec.params["families"]]
-    lam = [float(v) for v in spec.params["lambda_weights"]]
+    lam = _numbers(spec.params["lambda_weights"], "iteration lambda_weights")
     if len(lam) != len(families):
         raise SchemaError("lambda_weights and families must have equal length")
     if len(families) < 2:
         raise SchemaError("iteration needs at least two families")
-    f = _packet_from_doc(grid, spec.params["packet"], "iteration packet")
+    f = packet_from_doc(grid, spec.params["packet"], "iteration packet")
 
     # first step: per-family mixtures over single-mass leaves;
     # second step: gaussianize each; third step: mix with lambda.
     first_step = [
-        envelope([(pw, QuasiFree(SpectralMeasure.delta(m2, rho.mass_floor_sq)))
-                  for m2, pw in rho.atoms])
+        envelope([(pw, QuasiFree(SpectralMeasure.delta(m2))) for m2, pw in rho.atoms])
         for rho in families
     ]
     children = [gaussianize(gamma) for gamma in first_step]
@@ -225,7 +227,7 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
         for m2, pw in rho.atoms:
             conv_atoms[m2] = conv_atoms.get(m2, 0.0) + lw * pw
     conv = SpectralMeasure(tuple(sorted(conv_atoms.items())))
-    one_step = envelope([(pw, QuasiFree(SpectralMeasure.delta(m2, conv.mass_floor_sq)))
+    one_step = envelope([(pw, QuasiFree(SpectralMeasure.delta(m2)))
                          for m2, pw in conv.atoms])
 
     two_point_tol = float(spec.tolerances.get("two_point_rel", 1e-12))
@@ -290,27 +292,25 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
     require_keys(spec.params, ["d", "extent", "levels", "masses_sq", "packet"],
                  ["weights"], "refinement params")
     require_keys(spec.tolerances, [], ["min_order"], "refinement tolerances")
-    d = int(spec.params["d"])
-    extent = float(spec.params["extent"])
-    levels = [int(n) for n in spec.params["levels"]]
+    d = int(json_number(spec.params["d"], "refinement d"))
+    extent = float(json_number(spec.params["extent"], "refinement extent"))
+    levels = [int(n) for n in _numbers(spec.params["levels"], "refinement levels")]
     if len(levels) < 3:
         raise SchemaError(f"refinement needs >= 3 grid levels, got {len(levels)}")
     if any(b != 2 * a for a, b in zip(levels, levels[1:])):
         raise SchemaError(f"levels must double: {levels}")
-    masses = [float(m) for m in spec.params["masses_sq"]]
-    weights = [float(w) for w in spec.params.get("weights", [])]
+    masses = _numbers(spec.params["masses_sq"], "refinement masses_sq")
+    weights = _numbers(spec.params.get("weights", []), "refinement weights")
     if weights and len(weights) != len(masses):
         raise SchemaError("weights and masses_sq must have equal length")
     if not weights:
         weights = [1.0 / len(masses)] * len(masses)
-    pdoc = dict(spec.params["packet"])
-    require_keys(pdoc, ["center", "width"], ["momentum"], "refinement packet")
+    pdoc = spec.params["packet"]
 
     s2_vals, s4t_vals, rot_defects = [], [], []
     for n in levels:
         grid = Grid(d, n, extent / n)
-        f = gaussian_packet(grid, pdoc["center"], float(pdoc["width"]),
-                            pdoc.get("momentum"))
+        f = packet_from_doc(grid, pdoc, "refinement packet")
         model = envelope([(w, QuasiFree(SpectralMeasure.delta(m)))
                           for w, m in zip(weights, masses)])
         s2_vals.append(moment_analytic(model, [f, f]).real)

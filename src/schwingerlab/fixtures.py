@@ -57,7 +57,7 @@ def random_positive_time_function(grid: Grid,
     real = TestFunction(grid, packet.values.real)
     if real.l2_norm() < 1e-12:
         real = TestFunction(grid, packet.values.imag)
-    return positive_time_part(real, renormalize=True)
+    return positive_time_part(real)
 
 
 def fixture_packet(grid: Grid) -> TestFunction:

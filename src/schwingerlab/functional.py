@@ -28,15 +28,17 @@ import numpy as np
 from . import partitions
 from .errors import BoundsError, DomainError, ModelError, SchemaError
 from .lattice import Grid, TestFunction, sobolev_norm
-from .propagator import (DEFAULT_MASS_FLOOR_SQ, SpectralMeasure,
-                         spectral_two_point, two_point_sums)
-from .serialize import read_json, require_keys, write_json
+from .propagator import SpectralMeasure, spectral_two_point, two_point_sums
+from .serialize import json_number, read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
 MAX_MOMENT_ORDER = 8
 NUMERIC_MOMENT_CAP = 4
 REGULARITY_C_CEILING = 1.0
 GROWTH_K_CEILING = 4.0
+# default_z_grid: rings of 8 points each in |z| <= Z_GRID_RADIUS
+Z_GRID_RINGS = 8
+Z_GRID_RADIUS = 4.0
 
 # Finite-difference agreement expected of the extrapolated stencil,
 # relative to the moment scale.
@@ -126,7 +128,7 @@ def envelope(children: Sequence[tuple[float, SchwingerFunctional]]) -> Mixture:
     return node
 
 
-def validate_model(G: SchwingerFunctional, max_depth: int = MAX_TREE_DEPTH) -> None:
+def validate_model(G: SchwingerFunctional) -> None:
     """Check every structural invariant of a tree; raise ModelError if violated."""
     if isinstance(G, QuasiFree):
         return
@@ -136,12 +138,12 @@ def validate_model(G: SchwingerFunctional, max_depth: int = MAX_TREE_DEPTH) -> N
         for w, child in G.children:
             if not (math.isfinite(w) and w >= 0):
                 raise ModelError(f"mixture weight must be finite and >= 0, got {w}")
-            validate_model(child, max_depth)
+            validate_model(child)
         total = math.fsum(w for w, _ in G.children)
         if abs(total - 1.0) > 1e-12:
             raise ModelError(f"mixture weights sum to {total!r}, expected 1")
-        if G.depth() > max_depth:
-            raise ModelError(f"tree depth {G.depth()} exceeds bound {max_depth}")
+        if G.depth() > MAX_TREE_DEPTH:
+            raise ModelError(f"tree depth {G.depth()} exceeds bound {MAX_TREE_DEPTH}")
         return
     raise ModelError(f"unknown node type {type(G).__name__}")
 
@@ -233,10 +235,7 @@ def cumulant_scale(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> float:
     total = 0.0
     for part in partitions.enumerate_partitions(n):
         coeff = math.factorial(part.size - 1)
-        prod = 1.0
-        for block in part.blocks:
-            prod *= abs(table[block])
-        total += coeff * prod
+        total += coeff * math.prod(abs(table[block]) for block in part.blocks)
     return float(total)
 
 
@@ -278,30 +277,19 @@ def moment_numeric(G: SchwingerFunctional,
             combo = TestFunction.zeros(fs[0].grid)
             for s, h, f in zip(signs, steps, fs):
                 combo = combo + (s * h) * f
-            term = G.evaluate(combo, 1.0)
-            parity = 1.0
-            for s in signs:
-                parity *= s
-            acc += parity * term
-        denom = 1.0
-        for h in steps:
-            denom *= 2.0 * h
-        return acc / denom
+            acc += math.prod(signs) * G.evaluate(combo, 1.0)
+        return acc / math.prod(2.0 * h for h in steps)
 
     d_2h = stencil(2.0 * h0)
     d_h = stencil(h0)
     d_h2 = stencil(h0 / 2.0)
     extrap_coarse = (4.0 * d_h - d_2h) / 3.0
     extrap_fine = (4.0 * d_h2 - d_h) / 3.0
-    value = extrap_fine / (1j ** n)
     disagreement = abs(extrap_fine - extrap_coarse)
-    nscale = 1.0
-    for nu in norms:
-        nscale *= nu
     tol = NUMERIC_TOLERANCE_SCHEDULE[n]
-    warn = disagreement > tol * max(abs(extrap_fine), 1e-3 * nscale)
+    warn = disagreement > tol * max(abs(extrap_fine), 1e-3 * math.prod(norms))
     phase = 1j ** n
-    return NumericMoment(complex(value),
+    return NumericMoment(complex(extrap_fine / phase),
                          (complex(d_2h / phase), complex(d_h / phase),
                           complex(d_h2 / phase)),
                          float(disagreement), bool(warn))
@@ -321,13 +309,10 @@ def gaussianize(G: SchwingerFunctional) -> QuasiFree:
     if isinstance(G, QuasiFree):
         return G
     acc: dict[float, float] = {}
-    floor = math.inf
     for w, leaf in G.leaves():
-        floor = min(floor, leaf.rho.mass_floor_sq)
         for m2, aw in leaf.rho.atoms:
             acc[m2] = acc.get(m2, 0.0) + w * aw
-    atoms = tuple(sorted(acc.items()))
-    return QuasiFree(SpectralMeasure(atoms, floor))
+    return QuasiFree(SpectralMeasure(tuple(sorted(acc.items()))))
 
 
 @dataclass(frozen=True)
@@ -352,26 +337,19 @@ class RegularityCertificate:
     bound: RegularityBound
     worst_z: complex
     samples: int
-    ceiling: float
 
 
-def default_z_grid(count: int = 64, radius: float = 4.0) -> list[complex]:
-    """Rings of sample points in |z| <= radius, real and imaginary axes included."""
-    per_ring = 8
-    rings = max(1, count // per_ring)
-    pts = []
-    for r_idx in range(rings):
-        r = radius * (r_idx + 1) / rings
-        for a_idx in range(per_ring):
-            theta = 2.0 * math.pi * a_idx / per_ring
-            pts.append(complex(r * math.cos(theta), r * math.sin(theta)))
-    return pts
+def default_z_grid() -> list[complex]:
+    """Rings of sample points in |z| <= Z_GRID_RADIUS, real and imaginary
+    axes included."""
+    radii = [Z_GRID_RADIUS * (i + 1) / Z_GRID_RINGS for i in range(Z_GRID_RINGS)]
+    angles = [2.0 * math.pi * a / 8 for a in range(8)]
+    return [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in angles]
 
 
-def regularity_certificate(G: SchwingerFunctional, f: TestFunction,
-                           z_points: Sequence[complex] | None = None,
-                           ceiling: float = REGULARITY_C_CEILING) -> RegularityCertificate:
-    """Certify |Gamma(z f)| <= exp(C |z|^2 |f|^2) on a z-grid, C minimal.
+def regularity_certificate(G: SchwingerFunctional,
+                           f: TestFunction) -> RegularityCertificate:
+    """Certify |Gamma(z f)| <= exp(C |z|^2 |f|^2) on default_z_grid, C minimal.
 
     The norm is the Sobolev norm at the model's own floor mass; for
     mixtures the certified C never exceeds the worst leaf's C (convexity).
@@ -383,8 +361,8 @@ def regularity_certificate(G: SchwingerFunctional, f: TestFunction,
     nu2 = sobolev_norm(f, floor) ** 2
     if nu2 == 0.0:
         bound = RegularityBound("sobolev_minus1_floor", 1e-15, 2.0, 2.0)
-        return RegularityCertificate(True, bound, 0j, 0, ceiling)
-    pts = list(default_z_grid() if z_points is None else z_points)
+        return RegularityCertificate(True, bound, 0j, 0)
+    pts = default_z_grid()
     best = -math.inf
     worst = 0j
     for z in pts:
@@ -397,7 +375,7 @@ def regularity_certificate(G: SchwingerFunctional, f: TestFunction,
             best, worst = c, z
     constant = max(best, 1e-15)
     bound = RegularityBound("sobolev_minus1_floor", constant, 2.0, 2.0)
-    return RegularityCertificate(constant <= ceiling, bound, worst, len(pts), ceiling)
+    return RegularityCertificate(constant <= REGULARITY_C_CEILING, bound, worst, len(pts))
 
 
 @dataclass(frozen=True)
@@ -406,13 +384,11 @@ class GrowthReport:
 
     passed: bool
     k: float
-    ceiling: float
     per_order: tuple[tuple[int, float], ...]
 
 
 def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
-                        trials: int = 6, seed: int = 0,
-                        ceiling: float = GROWTH_K_CEILING) -> GrowthReport:
+                        trials: int = 6, seed: int = 0) -> GrowthReport:
     """Find the smallest K with |S_n| <= K^(n+1) sqrt(n!) on random probes.
 
     Probes are random real functions of unit norm in the model's floor
@@ -429,17 +405,15 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     for n in range(1, n_max + 1):
         k_n = 0.0
         for _ in range(trials):
-            fs = []
-            for _ in range(n):
-                f = random_real_function(grid, rng)
-                fs.append((1.0 / sobolev_norm(f, floor)) * f)
+            fs = [(1.0 / sobolev_norm(f, floor)) * f
+                  for f in (random_real_function(grid, rng) for _ in range(n))]
             mag = abs(moment_analytic(G, fs))
             if mag > 0:
                 k_req = (mag / math.sqrt(math.factorial(n))) ** (1.0 / (n + 1))
                 k_n = max(k_n, k_req)
         rows.append((n, k_n))
         worst = max(worst, k_n)
-    return GrowthReport(worst <= ceiling, worst, ceiling, tuple(rows))
+    return GrowthReport(worst <= GROWTH_K_CEILING, worst, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +437,14 @@ def model_to_dict(G: SchwingerFunctional) -> dict:
     raise ModelError(f"unknown node type {type(G).__name__}")
 
 
-def model_from_dict(doc: dict, mass_floor_sq: float = DEFAULT_MASS_FLOOR_SQ,
-                    ctx: str = "model") -> SchwingerFunctional:
+def model_from_dict(doc: dict, ctx: str = "model") -> SchwingerFunctional:
     require_keys(doc, ["kind"], ["atoms", "children"], ctx)
     kind = doc["kind"]
     if kind == "quasifree":
         require_keys(doc, ["kind", "atoms"], (), ctx)
         try:
-            rho = SpectralMeasure.from_pairs(doc["atoms"], mass_floor_sq)
-        except DomainError as exc:
+            rho = SpectralMeasure.from_pairs(doc["atoms"])
+        except (DomainError, SchemaError) as exc:
             raise SchemaError(f"{ctx}.atoms: {exc}") from None
         return QuasiFree(rho)
     if kind == "mixture":
@@ -483,8 +456,8 @@ def model_from_dict(doc: dict, mass_floor_sq: float = DEFAULT_MASS_FLOOR_SQ,
         for i, entry in enumerate(children):
             ectx = f"{ctx}.children[{i}]"
             require_keys(entry, ["weight", "model"], (), ectx)
-            kids.append((float(entry["weight"]),
-                         model_from_dict(entry["model"], mass_floor_sq, ectx + ".model")))
+            kids.append((float(json_number(entry["weight"], ectx + ".weight")),
+                         model_from_dict(entry["model"], ectx + ".model")))
         try:
             return envelope(kids)
         except ModelError as exc:
@@ -497,7 +470,7 @@ def save_model(G: SchwingerFunctional, path) -> None:
                       "model": model_to_dict(G)})
 
 
-def load_model(path, mass_floor_sq: float = DEFAULT_MASS_FLOOR_SQ) -> SchwingerFunctional:
+def load_model(path) -> SchwingerFunctional:
     doc = read_json(path)
     require_keys(doc, ["format", "version", "model"], (), str(path))
     if doc["format"] != MODEL_FORMAT or doc["version"] != MODEL_VERSION:
@@ -505,4 +478,4 @@ def load_model(path, mass_floor_sq: float = DEFAULT_MASS_FLOOR_SQ) -> SchwingerF
             f"{path}: expected {MODEL_FORMAT} v{MODEL_VERSION}, "
             f"got {doc.get('format')!r} v{doc.get('version')!r}"
         )
-    return model_from_dict(doc["model"], mass_floor_sq)
+    return model_from_dict(doc["model"])

@@ -8,8 +8,8 @@ Conventions (used consistently by the whole package):
 * Discrete Fourier transform  f^(k) = a^d sum_x exp(-i k.x) f(x)  on the
   momentum grid k = (2 pi / L) * integer mode vector.  Parseval then reads
   a^d sum_x |f|^2 = L^-d sum_k |f^|^2.
-* The lattice momentum symbol is  khat^2 = sum_i (2/a)^2 sin^2(k_i a / 2);
-  the continuum symbol k^2 is kept behind a switch for refinement studies.
+* The one momentum symbol is  khat^2 = sum_i (2/a)^2 sin^2(k_i a / 2);
+  refinement studies approach the continuum k^2 by shrinking the spacing.
 * Time is axis 0.  Time reflection is the *link* reflection through the
   plane between the t=0 and t=-a slices, i.e. site index n_0 -> N-1-n_0.
   With that placement the free lattice covariance is exactly reflection
@@ -24,7 +24,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, SchemaError
+from .errors import DomainError, ResolutionError
+from .serialize import json_number, require_keys
 
 TIME_AXIS = 0
 REALITY_TOL = 1e-14
@@ -89,15 +90,10 @@ class Grid:
 
     @staticmethod
     def from_dict(doc: dict) -> "Grid":
-        if not isinstance(doc, dict):
-            raise SchemaError(f"grid must be an object, got {type(doc).__name__}")
-        unknown = set(doc) - {"d", "n_per_axis", "spacing"}
-        if unknown:
-            raise SchemaError(f"unknown grid key(s): {sorted(unknown)}")
-        try:
-            return Grid(int(doc["d"]), int(doc["n_per_axis"]), float(doc["spacing"]))
-        except KeyError as exc:
-            raise SchemaError(f"grid is missing key {exc.args[0]!r}") from None
+        require_keys(doc, ["d", "n_per_axis", "spacing"], (), "grid")
+        return Grid(int(json_number(doc["d"], "grid.d")),
+                    int(json_number(doc["n_per_axis"], "grid.n_per_axis")),
+                    float(json_number(doc["spacing"], "grid.spacing")))
 
 
 @lru_cache(maxsize=64)
@@ -111,31 +107,11 @@ def lattice_symbol(grid: Grid) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def continuum_symbol(grid: Grid) -> np.ndarray:
-    """k^2 on the FFT-ordered momentum grid, modes folded to (-pi/a, pi/a]."""
-    n, a = grid.n_per_axis, grid.spacing
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=a)
-    s1 = k1 ** 2
-    out = reduce(np.add.outer, [s1] * grid.d) if grid.d > 1 else s1.copy()
-    out.setflags(write=False)
-    return out
-
-
-def momentum_symbol(grid: Grid, symbol: str = "lattice") -> np.ndarray:
-    if symbol == "lattice":
-        return lattice_symbol(grid)
-    if symbol == "continuum":
-        return continuum_symbol(grid)
-    raise DomainError(f"unknown momentum symbol {symbol!r}")
-
-
 def reflect_momentum(arr: np.ndarray) -> np.ndarray:
     """Index map k -> -k (mod the Brillouin zone) on an FFT-ordered array."""
-    out = arr
     for ax in range(arr.ndim):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
+        arr = _negate_axis(arr, ax)
+    return arr
 
 
 class TestFunction:
@@ -258,6 +234,21 @@ def gaussian_packet(grid: Grid, center, width: float, momentum=None) -> TestFunc
     return TestFunction(grid, vals / norm, copy=False)
 
 
+def packet_from_doc(grid: Grid, doc: dict, ctx: str) -> TestFunction:
+    """gaussian_packet from a {center, width, momentum?} document, checked."""
+    require_keys(doc, ["center", "width"], ["momentum"], ctx)
+
+    def numbers(key):
+        value = doc[key]
+        if isinstance(value, list):
+            return [json_number(v, f"{ctx}.{key}[{i}]") for i, v in enumerate(value)]
+        return json_number(value, f"{ctx}.{key}")
+
+    momentum = None if doc.get("momentum") is None else numbers("momentum")
+    return gaussian_packet(grid, numbers("center"),
+                           float(json_number(doc["width"], f"{ctx}.width")), momentum)
+
+
 def site_indicator(grid: Grid, site) -> TestFunction:
     """Unit-norm function supported on a single site (maximal localization)."""
     idx = tuple(int(s) % grid.n_per_axis for s in np.atleast_1d(site))
@@ -268,7 +259,7 @@ def site_indicator(grid: Grid, site) -> TestFunction:
     return TestFunction(grid, vals, copy=False)
 
 
-def sobolev_norm(f: TestFunction, m2: float, symbol: str = "lattice") -> float:
+def sobolev_norm(f: TestFunction, m2: float) -> float:
     """Mass-regularized Sobolev norm  sqrt( L^-d sum_k |f^|^2 / (khat^2+m2) ).
 
     Equals sqrt(S2(f,f)) of the free mass-m2 two-point function for real f.
@@ -277,7 +268,7 @@ def sobolev_norm(f: TestFunction, m2: float, symbol: str = "lattice") -> float:
         raise DomainError(
             f"sobolev_norm needs m2 > 0 (zero mode diverges at m2=0), got {m2}"
         )
-    w = momentum_symbol(f.grid, symbol)
+    w = lattice_symbol(f.grid)
     val = float(np.sum(np.abs(f.hat) ** 2 / (w + m2))) / f.grid.extent ** f.grid.d
     return math.sqrt(val)
 
@@ -352,8 +343,9 @@ def apply_isometry(f: TestFunction, iso: Isometry) -> TestFunction:
     return TestFunction(g, out, copy=True)
 
 
-def positive_time_support(f: TestFunction, tol: float = REALITY_TOL) -> bool:
-    """True iff f vanishes (|.| <= tol) on every slice with signed time < a/2.
+def positive_time_support(f: TestFunction) -> bool:
+    """True iff f vanishes (|.| <= REALITY_TOL) on every slice with signed
+    time < a/2.
 
     With the link-reflection placement this confines the support to the
     strictly positive time slices t in {a, ..., (N/2-1) a}.
@@ -363,18 +355,17 @@ def positive_time_support(f: TestFunction, tol: float = REALITY_TOL) -> bool:
     if not mask.any():
         return True
     worst = float(np.max(np.abs(f.values[mask])))
-    return worst <= tol
+    return worst <= REALITY_TOL
 
 
-def positive_time_part(f: TestFunction, renormalize: bool = True) -> TestFunction:
-    """Project f onto the positive-time slices (gate for reflection tests)."""
+def positive_time_part(f: TestFunction) -> TestFunction:
+    """Project f onto the positive-time slices and renormalize to unit norm
+    (gate for reflection tests)."""
     t = f.grid.signed_axis_coordinates()
     keep = t >= f.grid.spacing / 2
     vals = f.values * keep.reshape((-1,) + (1,) * (f.grid.d - 1))
     out = TestFunction(f.grid, vals, copy=False)
-    if renormalize:
-        norm = out.l2_norm()
-        if norm == 0.0:
-            raise DomainError("function has no support at positive times")
-        out = (1.0 / norm) * out
-    return out
+    norm = out.l2_norm()
+    if norm == 0.0:
+        raise DomainError("function has no support at positive times")
+    return (1.0 / norm) * out

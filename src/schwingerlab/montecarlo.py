@@ -15,6 +15,7 @@ scheduled.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -25,8 +26,8 @@ from .errors import BoundsError, DomainError, ProvenanceError, SchemaError
 from .fixtures import rng_from_seed
 from .functional import QuasiFree, SchwingerFunctional, model_to_dict
 from .lattice import Grid, TestFunction, lattice_symbol
-from .propagator import DEFAULT_MASS_FLOOR_SQ, SpectralMeasure
-from .serialize import canonical_digest
+from .propagator import SpectralMeasure
+from .serialize import canonical_digest, json_number, require_keys
 
 MAX_ESTIMATE_ORDER = 6
 
@@ -66,33 +67,23 @@ def model_digest(G: SchwingerFunctional, grid: Grid) -> str:
     return canonical_digest({"model": model_to_dict(G), "grid": grid.as_dict()})
 
 
-def _draw_free_values(grid: Grid, m2: float, rng: np.random.Generator) -> np.ndarray:
-    # Exact spectral draw: phi = IFFT( FFT(white) / sqrt(a^d (khat^2+m2)) ).
-    # White noise is real, the symbol is even, so phi is real up to roundoff.
-    white = rng.standard_normal(grid.shape)
-    amp = 1.0 / np.sqrt(grid.cell * (lattice_symbol(grid) + m2))
-    return np.fft.ifftn(np.fft.fftn(white) * amp).real
-
-
 def _draw_leaf_values(grid: Grid, rho: SpectralMeasure,
                       rng: np.random.Generator) -> np.ndarray:
     # Generalized free field: independent per-atom fields added with sqrt
-    # weights realizes the covariance sum_j w_j (khat^2 + m_j^2)^-1.
+    # weights realizes the covariance sum_j w_j (khat^2 + m_j^2)^-1.  Each
+    # is an exact spectral draw, IFFT( FFT(white) / sqrt(a^d (khat^2+m2)) ):
+    # white noise is real and the symbol even, so it is real up to roundoff.
     out = np.zeros(grid.shape)
     for m2, w in rho.atoms:
-        out += math.sqrt(w) * _draw_free_values(grid, m2, rng)
+        white = rng.standard_normal(grid.shape)
+        amp = 1.0 / np.sqrt(grid.cell * (lattice_symbol(grid) + m2))
+        out += math.sqrt(w) * np.fft.ifftn(np.fft.fftn(white) * amp).real
     return out
 
 
-def sample_free_field(grid: Grid, m2: float, seed: int, index: int = 0,
-                      mass_floor_sq: float = DEFAULT_MASS_FLOOR_SQ) -> FieldSample:
+def sample_free_field(grid: Grid, m2: float, seed: int, index: int = 0) -> FieldSample:
     """One draw of the free massive Gaussian field, covariance (khat^2+m2)^-1."""
-    if m2 < mass_floor_sq:
-        raise DomainError(f"m2={m2} below the infrared floor {mass_floor_sq}")
-    rng = rng_from_seed(seed, index)
-    values = _draw_free_values(grid, m2, rng)
-    digest = model_digest(QuasiFree(SpectralMeasure.delta(m2, mass_floor_sq)), grid)
-    return FieldSample(grid, values, Provenance(digest, seed, index, 0))
+    return sample_mixture_field(QuasiFree(SpectralMeasure.delta(m2)), grid, seed, index)
 
 
 def sample_mixture_field(G: SchwingerFunctional, grid: Grid, seed: int,
@@ -118,9 +109,9 @@ def sample_mixture_field(G: SchwingerFunctional, grid: Grid, seed: int,
 
 
 def sample_stream(G: SchwingerFunctional, grid: Grid, seed: int,
-                  count: int, start: int = 0) -> Iterator[FieldSample]:
+                  count: int) -> Iterator[FieldSample]:
     digest = model_digest(G, grid)
-    for index in range(start, start + count):
+    for index in range(count):
         yield sample_mixture_field(G, grid, seed, index, _digest=digest)
 
 
@@ -213,23 +204,35 @@ def write_samples(path, samples: Sequence[FieldSample]) -> None:
             fh.write("\n")
 
 
+def _record_fields(line: str, keys: Sequence[str], ctx: str) -> dict:
+    # "key=value" tokens; every value but the model digest is a number
+    fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
+    require_keys(fields, keys, (), ctx)
+    try:
+        return {k: v if k == "model_digest" else json_number(json.loads(v), f"{ctx} {k}")
+                for k, v in fields.items()}
+    except json.JSONDecodeError:
+        raise SchemaError(f"{ctx}: malformed number in {line.strip()!r}") from None
+
+
 def read_samples(path) -> list[FieldSample]:
     with open(path, "r", encoding="ascii") as fh:
         if fh.readline().strip() != "fieldsamples v1":
             raise SchemaError(f"{path}: not a fieldsamples file")
-        header = dict(tok.split("=", 1) for tok in fh.readline().split())
+        header = _record_fields(fh.readline(), ("model_digest", "d", "n_per_axis",
+                                                "spacing", "seed", "count"),
+                                f"{path} header")
         grid = Grid(int(header["d"]), int(header["n_per_axis"]),
                     float(header["spacing"]))
-        seed = int(header["seed"])
-        count = int(header["count"])
         out = []
-        for _ in range(count):
-            meta = dict(tok.split("=", 1) for tok in fh.readline().split()[1:])
+        for _ in range(int(header["count"])):
+            meta = _record_fields(fh.readline(), ("index", "component"),
+                                  f"{path} sample record")
             row = np.array(fh.readline().split(), dtype=np.float64)
             if row.size != grid.volume:
                 raise SchemaError(f"{path}: truncated sample record")
             out.append(FieldSample(
                 grid, row.reshape(grid.shape),
-                Provenance(header["model_digest"], seed,
+                Provenance(header["model_digest"], int(header["seed"]),
                            int(meta["index"]), int(meta["component"]))))
     return out

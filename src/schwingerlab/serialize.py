@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Iterable
 
 from .errors import SchemaError
@@ -30,6 +31,14 @@ def require_keys(doc, required: Iterable[str], optional: Iterable[str] = (),
     for key in required:
         if key not in doc:
             raise SchemaError(f"{ctx} is missing required key {key!r}")
+
+
+def json_number(value, ctx: str):
+    """`value` if it is a finite JSON number, else a SchemaError naming `ctx`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))):
+        raise SchemaError(f"{ctx} must be a finite number, got {value!r}")
+    return value
 
 
 def write_json(path, obj) -> None:

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schwingerlab import QuasiFree, SpectralMeasure, save_model
 from schwingerlab.cli import main
@@ -73,12 +78,117 @@ def _nan_weight_model():
     ({"kind": "quasifree", "atoms": [[float("nan"), 1.0]]}, "2,32,0.25"),
     ({"kind": "quasifree", "atoms": [[1.0, 1.0]]}, "2,32,abc"),
     ({"kind": "quasifree", "atoms": [[1.0, 1.0]]}, "2,32,inf"),
-], ids=["nan_weight", "nan_atom", "grid_abc", "grid_inf"])
+    ({"kind": "mixture", "children": [
+        {"weight": "abc", "model": {"kind": "quasifree", "atoms": [[1.0, 1.0]]}},
+        {"weight": 1.0, "model": {"kind": "quasifree", "atoms": [[4.0, 1.0]]}},
+    ]}, "2,32,0.25"),
+    ({"kind": "quasifree", "atoms": [["x", 1.0]]}, "2,32,0.25"),
+    ({"kind": "quasifree", "atoms": [1.0]}, "2,32,0.25"),
+    ({"kind": "quasifree", "atoms": 1.0}, "2,32,0.25"),
+], ids=["nan_weight", "nan_atom", "grid_abc", "grid_inf", "string_weight",
+        "string_atom", "bare_number_atom", "atoms_not_a_list"])
 def test_nonfinite_or_malformed_input_is_schema_error(tmp_path, model, grid):
     path = tmp_path / "model.json"
     write_json(path, {"format": "schwinger-model", "version": 1, "model": model})
     assert main(["verify", str(path), "--grid", grid,
                  "--out", str(tmp_path / "o")]) == 2
+
+
+_GRID = {"d": 2, "n_per_axis": 32, "spacing": 0.25}
+_PACKET = {"center": [4.0, 4.0], "width": 1.0, "momentum": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("name,doc,argv", [
+    ("recipe.json", {"functions": [{"center": [4.0, 4.0], "width": "wide"}]},
+     ["moments", "{model}", "--recipe", "{doc}"]),
+    ("spec.json", {"experiment_id": "two_mass_fourth_cumulant", "seed": "x",
+                   "grid": _GRID, "params": {"masses_sq": [1.0, 4.0], "packet": _PACKET}},
+     ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "two_mass_fourth_cumulant",
+                   "grid": {"d": "two", "n_per_axis": 32, "spacing": 0.25},
+                   "params": {"masses_sq": [1.0, 4.0], "packet": _PACKET}},
+     ["experiment", "{doc}"]),
+    ("tols.json", {"cluster": "big"},
+     ["verify", "{model}", "--tolerance-file", "{doc}"]),
+], ids=["recipe_width", "spec_seed", "spec_grid_d", "tolerance_value"])
+def test_malformed_number_is_schema_error(model_file, tmp_path, capsys,
+                                          name, doc, argv):
+    path = tmp_path / name
+    write_json(path, doc)
+    argv = [a.format(model=model_file, doc=path) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "schema error:" in capsys.readouterr().err
+
+
+def _numeric_paths(doc, path=()):
+    """Key paths of every number in a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path] if type(doc) in (int, float) else []
+    return [p for key, value in items for p in _numeric_paths(value, path + (key,))]
+
+
+_MODEL_DOC = {"format": "schwinger-model", "version": 1, "model": {
+    "kind": "mixture", "children": [
+        {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [[1.0, 1.0]]}},
+        {"weight": 0.5, "model": {"kind": "quasifree",
+                                  "atoms": [[4.0, 0.6], [2.0, 0.4]]}}]}}
+# (valid document, the CLI arguments that read it as {doc}); {model} and
+# {recipe} name valid files
+_DOCUMENTS = [
+    (_MODEL_DOC, ["verify", "{doc}"]),
+    ({"functions": [_PACKET]},
+     ["moments", "{model}", "--recipe", "{doc}", "--order", "2"]),
+    ({"experiment_id": "two_mass_fourth_cumulant", "grid": _GRID, "seed": 3,
+      "params": {"masses_sq": [1.0, 4.0], "weight": 0.5, "mc_samples": 0,
+                 "packet": _PACKET},
+      "tolerances": {"closed_form_rel": 1e-10}}, ["experiment", "{doc}"]),
+    ({"experiment_id": "iteration", "grid": _GRID,
+      "params": {"families": [[[1.0, 0.5], [4.0, 0.5]], [[2.0, 0.5], [9.0, 0.5]]],
+                 "lambda_weights": [0.5, 0.5], "packet": _PACKET}},
+     ["experiment", "{doc}"]),
+    ({"experiment_id": "refinement", "grid": {"d": 1, "n_per_axis": 16, "spacing": 1.0},
+      "params": {"d": 1, "extent": 16.0, "levels": [16, 32, 64], "masses_sq": [1.0],
+                 "weights": [1.0], "packet": {"center": [8.0], "width": 2.0}}},
+     ["experiment", "{doc}"]),
+    ({"cluster": 1e-6, "hermiticity": 1e-14},
+     ["verify", "{model}", "--tolerance-file", "{doc}"]),
+    ({"numeric_n2": 1e-7},
+     ["moments", "{model}", "--recipe", "{recipe}", "--order", "2",
+      "--tolerance-file", "{doc}"]),
+]
+_FIELDS = [(i, path) for i, (doc, _) in enumerate(_DOCUMENTS)
+           for path in _numeric_paths(doc)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(field=st.sampled_from(_FIELDS),
+       bad=st.one_of(st.text(max_size=3), st.none(),
+                     st.lists(st.floats(allow_nan=False), max_size=2),
+                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)))
+def test_any_malformed_number_exits_two(field, bad):
+    index, path = field
+    doc, argv = _DOCUMENTS[index]
+    doc = json.loads(json.dumps(doc))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        model, recipe = Path(tmp) / "model.json", Path(tmp) / "recipe.json"
+        target = Path(tmp) / "doc.json"
+        write_json(model, _MODEL_DOC)
+        write_json(recipe, {"functions": [_PACKET]})
+        write_json(target, doc)
+        argv = [a.format(model=model, recipe=recipe, doc=target) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(Path(tmp) / "out")])
+    assert code == 2, (path, bad)
+    assert "schema error:" in err.getvalue()
 
 
 def test_verify_unknown_tolerance_key_is_schema_error(model_file, tmp_path):

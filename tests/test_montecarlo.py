@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schwingerlab import (BoundsError, ProvenanceError, QuasiFree,
-                          SpectralMeasure, cumulant, estimate_fourth_cumulant,
+                          SchemaError, SpectralMeasure, cumulant, estimate_fourth_cumulant,
                           estimate_moment, free_two_point, moment_analytic,
                           sample_free_field, sample_mixture_field,
                           sample_stream, spectral_two_point)
@@ -212,6 +212,24 @@ def test_sample_dump_roundtrip(tmp_path, grid):
     for orig, loaded in zip(samples, back):
         assert np.array_equal(orig.values, loaded.values)
         assert orig.provenance == loaded.provenance
+
+
+@pytest.mark.parametrize("old,new", [
+    (" spacing=0.25", ""),
+    (" spacing=0.25", " spacing=abc"),
+    (" seed=19", " seed=[19]"),
+    ("sample index=1 ", "sample index=x "),
+    ("sample index=1 ", "sample "),
+], ids=["no_spacing", "string_spacing", "list_seed", "string_index", "no_index"])
+def test_malformed_sample_dump_is_schema_error(tmp_path, grid, old, new):
+    path = tmp_path / "samples.txt"
+    write_samples(path, list(sample_stream(two_mass_mixture(1.0, 4.0), grid,
+                                           seed=19, count=2)))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(SchemaError):
+        read_samples(path)
 
 
 def test_sampler_reproduces_the_covariance_kernel():

@@ -8,7 +8,7 @@ from schwingerlab import (DomainError, Grid, SpectralMeasure, TestFunction,
                           spectral_two_point)
 from schwingerlab.axioms import point_group
 from schwingerlab.fixtures import random_real_function, rng_from_seed
-from schwingerlab.lattice import lattice_symbol, momentum_symbol
+from schwingerlab.lattice import lattice_symbol
 
 
 def kernel_direct(grid, m2):
@@ -127,13 +127,6 @@ def test_mass_below_floor_rejected(packet):
         free_two_point(packet, packet, 1e-9)
 
 
-def test_continuum_symbol_switch(packet):
-    lat = free_two_point(packet, packet, 1.0).real
-    cont = free_two_point(packet, packet, 1.0, symbol="continuum").real
-    assert lat != cont
-    assert lat == pytest.approx(cont, rel=0.05)  # close at this resolution
-
-
 # ---------------------------------------------------------------------------
 # spectral_two_point
 # ---------------------------------------------------------------------------
@@ -159,9 +152,9 @@ def test_two_atoms_against_weighted_sum_oracle(grid_2d_small):
     assert spectral_two_point(f, g, rho) == pytest.approx(want, rel=1e-14)
 
 
-def per_atom_two_point(f, g, rho, symbol="lattice"):
+def per_atom_two_point(f, g, rho):
     """One momentum sum per atom, accumulated in atom order."""
-    w = momentum_symbol(f.grid, symbol)
+    w = lattice_symbol(f.grid)
     cross = f.hat_neg * g.hat
     total = 0j
     for m2, weight in rho.atoms:
@@ -181,10 +174,9 @@ def test_spectral_two_point_is_bit_identical_to_per_atom_sums(grid):
         atoms = tuple((float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.0, 1.0)))
                       for _ in range(trial + 1))
         rho = SpectralMeasure(atoms)
-        symbol = "continuum" if trial % 5 == 4 else "lattice"
-        assert spectral_two_point(f, g, rho, symbol) == per_atom_two_point(f, g, rho, symbol)
-        assert free_two_point(f, g, atoms[0][0], symbol) == per_atom_two_point(
-            f, g, SpectralMeasure.delta(atoms[0][0]), symbol)
+        assert spectral_two_point(f, g, rho) == per_atom_two_point(f, g, rho)
+        assert free_two_point(f, g, atoms[0][0]) == per_atom_two_point(
+            f, g, SpectralMeasure.delta(atoms[0][0]))
 
 
 def test_monotone_under_measure_domination(packet):
