@@ -84,7 +84,7 @@ class ExperimentSpec:
             raise SchemaError(
                 f"experiment_id must be one of {EXPERIMENT_IDS}, got {exp_id!r}"
             )
-        Grid.from_dict(doc["grid"])  # checked here: refinement never builds it
+        Grid.from_dict(doc["grid"])
         tolerances = doc.get("tolerances", {})
         if not (isinstance(doc["params"], dict) and isinstance(tolerances, dict)):
             raise SchemaError("experiment spec params and tolerances must be objects")
@@ -293,6 +293,9 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
                  ["weights"], "refinement params")
     require_keys(spec.tolerances, [], ["min_order"], "refinement tolerances")
     d = int(json_number(spec.params["d"], "refinement d"))
+    grid_d = Grid.from_dict(spec.grid).d
+    if grid_d != d:
+        raise SchemaError(f"refinement grid d={grid_d} disagrees with params d={d}")
     extent = float(json_number(spec.params["extent"], "refinement extent"))
     levels = [int(n) for n in _numbers(spec.params["levels"], "refinement levels")]
     if len(levels) < 3:

@@ -12,10 +12,28 @@ import numpy as np
 from .lattice import Grid, TestFunction, gaussian_packet, positive_time_part
 
 
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    """The 128-bit Philox key of (seed, stream): words [stream, seed] mod 2^64."""
+    return np.array([int(stream) % (1 << 64), int(seed) % (1 << 64)], dtype=np.uint64)
+
+
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream)."""
-    key = (int(seed) % (1 << 64)) << 64 | (int(stream) % (1 << 64))
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+
+
+def rekey(rng: np.random.Generator, seed: int, stream: int) -> None:
+    """Put a Philox generator where rng_from_seed(seed, stream) starts.
+
+    Setting the key, a zero counter and an empty buffer costs a few
+    microseconds; constructing a new generator costs several times that.
+    """
+    zeros = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": _philox_key(seed, stream)},
+        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
 
 
 def _random_packet(grid: Grid, rng: np.random.Generator) -> TestFunction:

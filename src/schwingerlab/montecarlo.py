@@ -1,20 +1,36 @@
 """Sampling realization of the field measures behind the functionals.
 
 A quasi-free leaf is the law of a centered Gaussian field with covariance
-sum_atoms w / (khat^2 + m^2); it is drawn spectrally: independent
-momentum-mode Gaussians shaped by the symbol, inverse-transformed.  A
-mixture is sampled by first drawing a leaf with its path weight, then
-drawing that leaf's Gaussian, so empirical moments of phi(f) estimate the
-model's analytic moments.
+sum_atoms w / (khat^2 + m^2); it is drawn spectrally: one white-noise field
+per atom, shaped by C_j = IFFT amp_j FFT with amp_j = 1/sqrt(a^d (khat^2 +
+m_j^2)), weighted by sqrt(w_j) and summed in atom order.  A mixture is
+sampled by first drawing a leaf with its path weight, then drawing that
+leaf's Gaussian, so empirical moments of phi(f) estimate the model's
+analytic moments.
+
+`pair_values` never builds the fields.  amp_j is real and even, so C_j is
+a real symmetric matrix and
+
+    Re phi(f) = a^d <sum_j sqrt(w_j) C_j white_j, Re f> = sum_j <white_j, r_j>,
+    r_j = sqrt(w_j) a^d Re IFFT(amp_j FFT(Re f)).
+
+The rows r_j are filtered once per call; each sample then costs its random
+draws and one dot product with the picked leaf's rows.
 
 Randomness is counter based: every sample owns a Philox stream keyed by
 (seed, sample index), and sites are consumed in a fixed row-major order,
 so streams are bit-reproducible no matter how sample generation is
-scheduled.
+scheduled.  A stream uses one generator and re-keys it per sample
+(`fixtures.rekey`), which gives the same bits as a fresh
+`rng_from_seed(seed, index)`.  A sample draws one `random()` to pick the
+leaf (none for a single leaf), then the leaf's k white-noise fields as one
+(k,) + grid.shape block, the same numbers as k sequential draws.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BoundsError, DomainError, ProvenanceError, SchemaError
-from .fixtures import rng_from_seed
+from .fixtures import rekey, rng_from_seed
 from .functional import QuasiFree, SchwingerFunctional, model_to_dict
 from .lattice import Grid, TestFunction, lattice_symbol
 from .propagator import SpectralMeasure
@@ -67,18 +83,40 @@ def model_digest(G: SchwingerFunctional, grid: Grid) -> str:
     return canonical_digest({"model": model_to_dict(G), "grid": grid.as_dict()})
 
 
-def _draw_leaf_values(grid: Grid, rho: SpectralMeasure,
-                      rng: np.random.Generator) -> np.ndarray:
-    # Generalized free field: independent per-atom fields added with sqrt
-    # weights realizes the covariance sum_j w_j (khat^2 + m_j^2)^-1.  Each
-    # is an exact spectral draw, IFFT( FFT(white) / sqrt(a^d (khat^2+m2)) ):
-    # white noise is real and the symbol even, so it is real up to roundoff.
-    out = np.zeros(grid.shape)
-    for m2, w in rho.atoms:
-        white = rng.standard_normal(grid.shape)
-        amp = 1.0 / np.sqrt(grid.cell * (lattice_symbol(grid) + m2))
-        out += math.sqrt(w) * np.fft.ifftn(np.fft.fftn(white) * amp).real
-    return out
+class _Stream:
+    """The draws of one model on one grid along the Philox streams of a seed.
+
+    Built once per stream: the cumulative leaf weights and, for every leaf
+    atom, sqrt(w_j) and amp_j.
+    """
+
+    def __init__(self, G: SchwingerFunctional, grid: Grid, seed: int):
+        leaves = G.leaves()
+        symbol = lattice_symbol(grid)
+        self.grid, self.seed = grid, seed
+        self.cum_weights = list(itertools.accumulate(w for w, _ in leaves))
+        self.filters = [[(math.sqrt(w), 1.0 / np.sqrt(grid.cell * (symbol + m2)))
+                        for m2, w in leaf.rho.atoms] for _, leaf in leaves]
+        self.rng = rng_from_seed(seed)
+
+    def draw(self, index: int) -> tuple[int, np.ndarray]:
+        """(component, white): the picked leaf and one white-noise field per atom."""
+        rekey(self.rng, self.seed, index)
+        component = 0
+        if len(self.cum_weights) > 1:
+            u = self.rng.random() * self.cum_weights[-1]
+            component = min(bisect.bisect_right(self.cum_weights, u),
+                            len(self.cum_weights) - 1)
+        shape = (len(self.filters[component]),) + self.grid.shape
+        return component, self.rng.standard_normal(shape)
+
+    def sample(self, index: int, digest: str) -> FieldSample:
+        component, white = self.draw(index)
+        values = np.zeros(self.grid.shape)
+        for (sqrt_w, amp), noise in zip(self.filters[component], white):
+            values += sqrt_w * np.fft.ifftn(np.fft.fftn(noise) * amp).real
+        return FieldSample(self.grid, values,
+                           Provenance(digest, self.seed, index, component))
 
 
 def sample_free_field(grid: Grid, m2: float, seed: int, index: int = 0) -> FieldSample:
@@ -87,32 +125,18 @@ def sample_free_field(grid: Grid, m2: float, seed: int, index: int = 0) -> Field
 
 
 def sample_mixture_field(G: SchwingerFunctional, grid: Grid, seed: int,
-                         index: int = 0, _digest: str | None = None) -> FieldSample:
+                         index: int = 0) -> FieldSample:
     """One draw from the mixture measure: pick a leaf by path weight, then
     draw that leaf's Gaussian.  The chosen component index is recorded."""
-    rng = rng_from_seed(seed, index)
-    leaves = list(G.leaves())
-    if len(leaves) == 1:
-        component = 0
-    else:
-        u = rng.random() * sum(w for w, _ in leaves)
-        acc = 0.0
-        component = len(leaves) - 1
-        for i, (w, _) in enumerate(leaves):
-            acc += w
-            if u < acc:
-                component = i
-                break
-    values = _draw_leaf_values(grid, leaves[component][1].rho, rng)
-    digest = model_digest(G, grid) if _digest is None else _digest
-    return FieldSample(grid, values, Provenance(digest, seed, index, component))
+    return _Stream(G, grid, seed).sample(index, model_digest(G, grid))
 
 
 def sample_stream(G: SchwingerFunctional, grid: Grid, seed: int,
                   count: int) -> Iterator[FieldSample]:
+    stream = _Stream(G, grid, seed)
     digest = model_digest(G, grid)
     for index in range(count):
-        yield sample_mixture_field(G, grid, seed, index, _digest=digest)
+        yield stream.sample(index, digest)
 
 
 @dataclass(frozen=True)
@@ -177,10 +201,19 @@ def estimate_fourth_cumulant(pairings: np.ndarray) -> tuple[float, float]:
 
 def pair_values(G: SchwingerFunctional, grid: Grid, f: TestFunction,
                 seed: int, count: int) -> np.ndarray:
-    """phi(f) along the sample stream (streamed; fields are not retained)."""
+    """Re phi(f) along the sample stream, one dot product per sample with
+    the filtered rows r_j of the module docstring (no field is built)."""
+    if f.grid != grid:
+        raise DomainError("test function lives on a different grid")
+    stream = _Stream(G, grid, seed)
+    f_hat = np.fft.fftn(f.values.real)
+    rows = [np.concatenate([(sqrt_w * grid.cell * np.fft.ifftn(amp * f_hat).real).ravel()
+                            for sqrt_w, amp in filters])
+            for filters in stream.filters]
     out = np.empty(count, dtype=np.float64)
-    for i, s in enumerate(sample_stream(G, grid, seed, count)):
-        out[i] = s.pair(f).real
+    for index in range(count):
+        component, white = stream.draw(index)
+        out[index] = white.ravel() @ rows[component]
     return out
 
 

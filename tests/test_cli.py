@@ -110,7 +110,13 @@ _PACKET = {"center": [4.0, 4.0], "width": 1.0, "momentum": [0.0, 0.0]}
      ["experiment", "{doc}"]),
     ("tols.json", {"cluster": "big"},
      ["verify", "{model}", "--tolerance-file", "{doc}"]),
-], ids=["recipe_width", "spec_seed", "spec_grid_d", "tolerance_value"])
+    ("spec.json", {"experiment_id": "refinement",
+                   "grid": {"d": 2, "n_per_axis": 16, "spacing": 1.0},
+                   "params": {"d": 1, "extent": 16.0, "levels": [16, 32, 64],
+                              "masses_sq": [1.0], "packet": {"center": [8.0], "width": 2.0}}},
+     ["experiment", "{doc}"]),
+], ids=["recipe_width", "spec_seed", "spec_grid_d", "tolerance_value",
+        "refinement_grid_d_mismatch"])
 def test_malformed_number_is_schema_error(model_file, tmp_path, capsys,
                                           name, doc, argv):
     path = tmp_path / name

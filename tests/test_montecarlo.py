@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from schwingerlab import (BoundsError, ProvenanceError, QuasiFree,
+from schwingerlab import (BoundsError, DomainError, ProvenanceError, QuasiFree,
                           SchemaError, SpectralMeasure, cumulant, estimate_fourth_cumulant,
                           estimate_moment, free_two_point, moment_analytic,
                           sample_free_field, sample_mixture_field,
                           sample_stream, spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
+from schwingerlab.fixtures import random_model_tree, rekey, rng_from_seed
 from schwingerlab.lattice import Grid
 from schwingerlab.montecarlo import pair_values, read_samples, write_samples
 
@@ -66,6 +67,41 @@ def test_stream_is_schedule_independent(grid):
     # drawing index 2 in isolation gives the identical field
     alone = sample_mixture_field(mix, grid, seed=13, index=2)
     assert np.array_equal(forward[2], alone.values)
+
+
+@pytest.mark.parametrize("seed,index", [(0, 0), (2**63 + 5, 0), (2**64 + 7, 3),
+                                        (-1, 2**64 - 1), (20240801, 99999)])
+def test_rekeyed_generator_matches_fresh_stream(seed, index):
+    rng = rng_from_seed(5, 6)
+    rng.standard_normal(7)  # leave it mid-buffer
+    rekey(rng, seed, index)
+    fresh = rng_from_seed(seed, index)
+    assert rng.random() == fresh.random()
+    block = rng.standard_normal((3, 8, 8))
+    assert np.array_equal(block, np.stack([fresh.standard_normal((8, 8))
+                                           for _ in range(3)]))
+
+
+@pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
+                         ids=["1d", "2d", "3d"])
+def test_pair_values_matches_field_route(grid_args):
+    from schwingerlab import gaussian_packet
+    g = Grid(*grid_args)
+    f = gaussian_packet(g, [g.extent / 3.0] * g.d, 3.0 * g.spacing,
+                        [2.0 * np.pi / g.extent] * g.d)
+    rng = rng_from_seed(4242)
+    for k in range(6):
+        model = random_model_tree(rng, max_depth=3)
+        xs = pair_values(model, g, f, seed=900 + k, count=12)
+        want = np.array([s.pair(f).real for s in sample_stream(model, g, 900 + k, 12)])
+        assert np.max(np.abs(xs - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_pair_values_rejects_function_on_another_grid(grid):
+    from schwingerlab import gaussian_packet
+    other = gaussian_packet(Grid(2, 16, 0.5), [4.0, 4.0], 1.0)
+    with pytest.raises(DomainError, match="different grid"):
+        pair_values(QuasiFree(SpectralMeasure.delta(1.0)), grid, other, seed=1, count=3)
 
 
 # ---------------------------------------------------------------------------
