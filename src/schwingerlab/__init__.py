@@ -11,8 +11,7 @@ from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       gaussian_packet, positive_time_part,
                       positive_time_support, site_indicator, sobolev_norm)
 from .partitions import (Partition, bell_number, cumulants_from_moments,
-                         enumerate_capped_partitions, enumerate_partitions,
-                         moments_from_cumulants, pairings)
+                         enumerate_partitions, moments_from_cumulants, pairings)
 from .propagator import (SpectralMeasure, covariance_kernel, free_two_point,
                          spectral_two_point)
 from .functional import (Mixture, QuasiFree, SchwingerFunctional, cumulant,

@@ -185,8 +185,6 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.tolerance_file is not None:
-        raise SchemaError("sample takes no tolerance overrides")
     grid = _parse_grid(args.grid)
     model = load_model(args.model)
     samples = list(sample_stream(model, grid, args.seed, args.count))
@@ -206,39 +204,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--grid", default=DEFAULT_GRID,
-                       help="d,n_per_axis,spacing (default %(default)s)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("human", "machine", "both"),
-                       default="human")
-        p.add_argument("--tolerance-file", default=None,
-                       help="JSON object of tolerance overrides (strict keys)")
+    flags = {
+        "--grid": dict(default=DEFAULT_GRID,
+                       help="d,n_per_axis,spacing (default %(default)s)"),
+        "--seed": dict(type=int, default=0),
+        "--out": dict(default="out", help="output directory"),
+        "--format": dict(choices=("human", "machine", "both"), default="human"),
+        "--tolerance-file": dict(default=None,
+                                 help="JSON object of tolerance overrides (strict keys)"),
+    }
 
-    p = sub.add_parser("verify", help="run the axiom suite on a model file")
-    p.add_argument("model")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    def command(name, summary, positional, func, *names):
+        # each command registers only the flags it reads
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(positional)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("moments", help="moment table for a model")
-    p.add_argument("model")
+    command("verify", "run the axiom suite on a model file", "model", cmd_verify,
+            "--grid", "--seed", "--out", "--format", "--tolerance-file")
+    p = command("moments", "moment table for a model", "model", cmd_moments,
+                "--grid", "--out", "--format", "--tolerance-file")
     p.add_argument("--recipe", required=True,
                    help="JSON recipe of packet test functions")
     p.add_argument("--order", type=int, default=4)
-    common(p)
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("experiment", help=f"run a spec ({', '.join(EXPERIMENT_IDS)})")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("sample", help="dump Monte Carlo field samples")
-    p.add_argument("model")
+    command("experiment", f"run a spec ({', '.join(EXPERIMENT_IDS)})", "spec",
+            cmd_experiment, "--out", "--format", "--tolerance-file")
+    p = command("sample", "dump Monte Carlo field samples", "model", cmd_sample,
+                "--grid", "--seed", "--out")
     p.add_argument("--count", type=int, default=16)
-    common(p)
-    p.set_defaults(func=cmd_sample)
     return parser
 
 

@@ -45,7 +45,7 @@ from .functional import (QuasiFree, SchwingerFunctional, cumulant,
 from .lattice import Grid, TestFunction, gaussian_packet, packet_from_doc
 from .montecarlo import estimate_fourth_cumulant, pair_values
 from .propagator import SpectralMeasure, free_two_point, spectral_two_point
-from .serialize import canonical_digest, json_number, require_keys
+from .serialize import canonical_digest, json_integer, json_number, require_keys
 
 EXPERIMENT_IDS = ("two_mass_fourth_cumulant", "iteration", "refinement")
 
@@ -91,7 +91,7 @@ class ExperimentSpec:
         for key, value in tolerances.items():
             json_number(value, f"experiment spec.tolerances.{key}")
         return ExperimentSpec(exp_id, dict(doc["grid"]), dict(doc["params"]),
-                              int(json_number(doc.get("seed", 0), "experiment spec.seed")),
+                              json_integer(doc.get("seed", 0), "experiment spec.seed"),
                               dict(tolerances))
 
 
@@ -143,7 +143,7 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
     w = float(json_number(spec.params.get("weight", 0.5), "two_mass weight"))
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"mixture weight must be in [0,1], got {w}")
-    mc_samples = int(json_number(spec.params.get("mc_samples", 0), "two_mass mc_samples"))
+    mc_samples = json_integer(spec.params.get("mc_samples", 0), "two_mass mc_samples")
     f = packet_from_doc(grid, spec.params["packet"], "two_mass packet")
 
     model = two_mass_mixture(m1_sq, m2_sq, w)  # DomainError below the floor
@@ -292,12 +292,13 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
     require_keys(spec.params, ["d", "extent", "levels", "masses_sq", "packet"],
                  ["weights"], "refinement params")
     require_keys(spec.tolerances, [], ["min_order"], "refinement tolerances")
-    d = int(json_number(spec.params["d"], "refinement d"))
+    d = json_integer(spec.params["d"], "refinement d")
     grid_d = Grid.from_dict(spec.grid).d
     if grid_d != d:
         raise SchemaError(f"refinement grid d={grid_d} disagrees with params d={d}")
     extent = float(json_number(spec.params["extent"], "refinement extent"))
-    levels = [int(n) for n in _numbers(spec.params["levels"], "refinement levels")]
+    levels = [json_integer(n, f"refinement levels[{i}]")
+              for i, n in enumerate(_numbers(spec.params["levels"], "refinement levels"))]
     if len(levels) < 3:
         raise SchemaError(f"refinement needs >= 3 grid levels, got {len(levels)}")
     if any(b != 2 * a for a, b in zip(levels, levels[1:])):

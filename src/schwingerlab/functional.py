@@ -231,12 +231,7 @@ def cumulant_scale(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> float:
     """
     n = len(fs)
     _check_moment_order(n, MAX_MOMENT_ORDER)
-    table = _moment_table(G, fs)
-    total = 0.0
-    for part in partitions.enumerate_partitions(n):
-        coeff = math.factorial(part.size - 1)
-        total += coeff * math.prod(abs(table[block]) for block in part.blocks)
-    return float(total)
+    return partitions.cumulant_scale_from_moments(_moment_table(G, fs), n)
 
 
 @dataclass(frozen=True)

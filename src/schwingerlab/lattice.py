@@ -25,7 +25,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .serialize import json_number, require_keys
+from .serialize import json_integer, json_number, require_keys
 
 TIME_AXIS = 0
 REALITY_TOL = 1e-14
@@ -91,8 +91,8 @@ class Grid:
     @staticmethod
     def from_dict(doc: dict) -> "Grid":
         require_keys(doc, ["d", "n_per_axis", "spacing"], (), "grid")
-        return Grid(int(json_number(doc["d"], "grid.d")),
-                    int(json_number(doc["n_per_axis"], "grid.n_per_axis")),
+        return Grid(json_integer(doc["d"], "grid.d"),
+                    json_integer(doc["n_per_axis"], "grid.n_per_axis"),
                     float(json_number(doc["spacing"], "grid.spacing")))
 
 

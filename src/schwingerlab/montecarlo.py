@@ -43,7 +43,7 @@ from .fixtures import rekey, rng_from_seed
 from .functional import QuasiFree, SchwingerFunctional, model_to_dict
 from .lattice import Grid, TestFunction, lattice_symbol
 from .propagator import SpectralMeasure
-from .serialize import canonical_digest, json_number, require_keys
+from .serialize import canonical_digest, json_integer, json_number, require_keys
 
 MAX_ESTIMATE_ORDER = 6
 
@@ -238,11 +238,13 @@ def write_samples(path, samples: Sequence[FieldSample]) -> None:
 
 
 def _record_fields(line: str, keys: Sequence[str], ctx: str) -> dict:
-    # "key=value" tokens; every value but the model digest is a number
+    # "key=value" tokens: the model digest is text, the spacing a number
+    # and every other value an integer
     fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
     require_keys(fields, keys, (), ctx)
     try:
-        return {k: v if k == "model_digest" else json_number(json.loads(v), f"{ctx} {k}")
+        return {k: v if k == "model_digest" else
+                (json_number if k == "spacing" else json_integer)(json.loads(v), f"{ctx} {k}")
                 for k, v in fields.items()}
     except json.JSONDecodeError:
         raise SchemaError(f"{ctx}: malformed number in {line.strip()!r}") from None
@@ -255,10 +257,9 @@ def read_samples(path) -> list[FieldSample]:
         header = _record_fields(fh.readline(), ("model_digest", "d", "n_per_axis",
                                                 "spacing", "seed", "count"),
                                 f"{path} header")
-        grid = Grid(int(header["d"]), int(header["n_per_axis"]),
-                    float(header["spacing"]))
+        grid = Grid(header["d"], header["n_per_axis"], float(header["spacing"]))
         out = []
-        for _ in range(int(header["count"])):
+        for _ in range(header["count"]):
             meta = _record_fields(fh.readline(), ("index", "component"),
                                   f"{path} sample record")
             row = np.array(fh.readline().split(), dtype=np.float64)
@@ -266,6 +267,6 @@ def read_samples(path) -> list[FieldSample]:
                 raise SchemaError(f"{path}: truncated sample record")
             out.append(FieldSample(
                 grid, row.reshape(grid.shape),
-                Provenance(header["model_digest"], int(header["seed"]),
-                           int(meta["index"]), int(meta["component"]))))
+                Provenance(header["model_digest"], header["seed"],
+                           meta["index"], meta["component"])))
     return out

@@ -7,9 +7,9 @@ the lattice of set partitions:
     cumulant(1..n) = sum over partitions pi  of
                      (|pi|-1)! (-1)^(|pi|-1) prod_B moment(B)
 
-where B runs over the blocks of pi.  Both transforms, together with the
-enumerations they need (all partitions, partitions with a block-size cap,
-perfect pairings), live here as exact, pure functions.
+where B runs over the blocks of pi.  One cached enumeration serves both
+transforms, the condition scale of the cumulant sum and the perfect
+pairings; one loop computes the transforms and the scale.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import BoundsError, DomainError, IncompleteInputError
 
@@ -43,9 +43,6 @@ class Partition:
     def size(self) -> int:
         """Number of blocks |pi|."""
         return len(self.blocks)
-
-    def max_block_size(self) -> int:
-        return max(len(b) for b in self.blocks)
 
     def __str__(self) -> str:
         return "|".join("".join(str(i) for i in b) for b in self.blocks)
@@ -74,18 +71,17 @@ def validate_partition(p: Partition) -> None:
         raise DomainError("blocks not ordered by smallest element")
 
 
-def _check_order(n: int, n_cap: int) -> None:
+def _check_order(n: int) -> None:
     if not isinstance(n, int):
         raise DomainError(f"partition order must be an integer, got {n!r}")
-    if not 1 <= n <= n_cap:
+    if not 1 <= n <= MAX_PARTITION_N:
         raise BoundsError(
-            f"partition order n={n} outside 1..{n_cap} "
+            f"partition order n={n} outside 1..{MAX_PARTITION_N} "
             f"(cap keeps Bell-number growth desk-scale)"
         )
 
 
-def _grow(labels: list[int], sizes: list[int], pos: int, used: int,
-          n: int, cap: int | None) -> Iterator[Partition]:
+def _grow(labels: list[int], pos: int, used: int, n: int) -> Iterator[Partition]:
     # Restricted-growth strings in lexicographic order: element pos+1 joins
     # block `b` for b = 0..used, where `used` blocks exist so far.  Blocks
     # come out labelled by first occurrence, i.e. already canonical.
@@ -96,59 +92,40 @@ def _grow(labels: list[int], sizes: list[int], pos: int, used: int,
         yield Partition(n, tuple(tuple(b) for b in blocks))
         return
     for b in range(used + 1):
-        if cap is not None and b < used and sizes[b] >= cap:
-            continue
         labels[pos] = b
-        sizes[b] += 1
-        yield from _grow(labels, sizes, pos + 1, used + (1 if b == used else 0), n, cap)
-        sizes[b] -= 1
+        yield from _grow(labels, pos + 1, used + (1 if b == used else 0), n)
 
 
-@lru_cache(maxsize=64)
-def _cached_partitions(n: int, cap: int | None) -> tuple[Partition, ...]:
-    labels = [0] * n
-    sizes = [0] * (n + 1)
-    return tuple(_grow(labels, sizes, 0, 0, n, cap))
+@lru_cache(maxsize=None)
+def _cached_partitions(n: int) -> tuple[Partition, ...]:
+    return tuple(_grow([0] * n, 0, 0, n))
 
 
-def enumerate_partitions(n: int, n_cap: int = MAX_PARTITION_N) -> list[Partition]:
+@lru_cache(maxsize=None)
+def _cached_pairings(n: int) -> tuple[Partition, ...]:
+    return tuple(p for p in _cached_partitions(n) if all(len(b) == 2 for b in p.blocks))
+
+
+def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of {1..n} in canonical (restricted-growth) order.
 
     The count equals the n-th Bell number.
     """
-    _check_order(n, n_cap)
-    return list(_cached_partitions(n, None))
+    _check_order(n)
+    return list(_cached_partitions(n))
 
 
-def enumerate_capped_partitions(n: int, cap: int,
-                                n_cap: int = MAX_PARTITION_N) -> list[Partition]:
-    """Partitions of {1..n} whose every block has size <= cap."""
-    _check_order(n, n_cap)
-    if cap < 1:
-        raise DomainError(f"block-size cap must be >= 1, got {cap}")
-    return list(_cached_partitions(n, cap))
-
-
-def _match(rest: tuple[int, ...], acc: tuple[Block, ...], n: int) -> Iterator[Partition]:
-    if not rest:
-        yield Partition(n, acc)
-        return
-    a = rest[0]
-    for j in range(1, len(rest)):
-        b = rest[j]
-        yield from _match(rest[1:j] + rest[j + 1:], acc + ((a, b),), n)
-
-
-def pairings(n: int, n_cap: int = MAX_PARTITION_N) -> list[Partition]:
+def pairings(n: int) -> tuple[Partition, ...]:
     """All perfect matchings of {1..n}; there are (n-1)!! of them.
 
     These are exactly the partitions of {1..n} into blocks of size 2,
-    the ones a centered Gaussian moment sum runs over.
+    the ones a centered Gaussian moment sum runs over, in the same
+    restricted-growth order as `enumerate_partitions`.
     """
-    _check_order(n, n_cap)
+    _check_order(n)
     if n % 2 != 0:
         raise DomainError(f"pairings need an even ground set, got n={n}")
-    return list(_match(tuple(range(1, n + 1)), (), n))
+    return _cached_pairings(n)
 
 
 _BELL = [1]  # B(0)
@@ -164,49 +141,46 @@ def bell_number(n: int) -> int:
     return _BELL[n]
 
 
-def subset_key(indices: Iterable[int]) -> IndexKey:
-    """Canonical map key for a set of indices: the sorted tuple."""
-    key = tuple(sorted(indices))
-    if len(set(key)) != len(key):
-        raise DomainError(f"duplicate indices in {key}")
-    return key
+# Coefficient rows c(|pi|), indexed by |pi| - 1.
+_ONES = (1,) * MAX_PARTITION_N
+_MOBIUS = tuple((-1) ** k * math.factorial(k) for k in range(MAX_PARTITION_N))
+_FACTORIALS = tuple(math.factorial(k) for k in range(MAX_PARTITION_N))
 
 
-def _lookup(table: Mapping[IndexKey, complex], block: Block, what: str) -> complex:
-    try:
-        return table[block]
-    except KeyError:
-        raise IncompleteInputError(
-            f"{what} map is missing an entry for subset {block}"
-        ) from None
+def _lattice_sum(table: Mapping[IndexKey, complex], n: int,
+                 row: tuple[int, ...], what: str) -> complex:
+    # sum over partitions pi of {1..n} of c(|pi|) prod_B table[B]
+    _check_order(n)
+    total = 0j
+    for part in _cached_partitions(n):
+        prod = complex(1.0)
+        for block in part.blocks:
+            try:
+                prod *= table[block]
+            except KeyError:
+                raise IncompleteInputError(
+                    f"{what} map is missing an entry for subset {block}"
+                ) from None
+        total += row[part.size - 1] * prod
+    return total
 
 
-def moments_from_cumulants(cumulants: Mapping[IndexKey, complex], n: int,
-                           n_cap: int = MAX_PARTITION_N) -> complex:
+def moments_from_cumulants(cumulants: Mapping[IndexKey, complex], n: int) -> complex:
     """Order-n moment from the cumulants of every nonempty subset of {1..n}.
 
-    Keys of `cumulants` are canonical sorted tuples (see subset_key).
+    Keys of `cumulants` are the subsets as ascending tuples.
     """
-    _check_order(n, n_cap)
-    total = 0j
-    for part in _cached_partitions(n, None):
-        prod = complex(1.0)
-        for block in part.blocks:
-            prod *= _lookup(cumulants, block, "cumulant")
-        total += prod
-    return total
+    return _lattice_sum(cumulants, n, _ONES, "cumulant")
 
 
-def cumulants_from_moments(moments: Mapping[IndexKey, complex], n: int,
-                           n_cap: int = MAX_PARTITION_N) -> complex:
+def cumulants_from_moments(moments: Mapping[IndexKey, complex], n: int) -> complex:
     """Order-n cumulant from the moments of every nonempty subset of {1..n}."""
-    _check_order(n, n_cap)
-    total = 0j
-    for part in _cached_partitions(n, None):
-        k = part.size
-        coeff = math.factorial(k - 1) * (-1 if k % 2 == 0 else 1)
-        prod = complex(1.0)
-        for block in part.blocks:
-            prod *= _lookup(moments, block, "moment")
-        total += coeff * prod
-    return total
+    return _lattice_sum(moments, n, _MOBIUS, "moment")
+
+
+def cumulant_scale_from_moments(moments: Mapping[IndexKey, complex], n: int) -> float:
+    """sum over partitions of (|pi|-1)! prod_B |moment(B)|: the cumulant sum
+    with every term made nonnegative, so no cancellation can beat roundoff
+    times this scale."""
+    return _lattice_sum({k: abs(v) for k, v in moments.items()}, n,
+                        _FACTORIALS, "moment").real

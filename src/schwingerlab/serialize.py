@@ -41,6 +41,14 @@ def json_number(value, ctx: str):
     return value
 
 
+def json_integer(value, ctx: str) -> int:
+    """`value` as an int if it is a finite JSON number with an integral
+    value (`32` or `32.0`), else a SchemaError naming `ctx`."""
+    if json_number(value, ctx) != int(value):
+        raise SchemaError(f"{ctx} must be an integer, got {value!r}")
+    return int(value)
+
+
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(obj, fh, indent=2)

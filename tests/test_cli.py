@@ -115,8 +115,35 @@ _PACKET = {"center": [4.0, 4.0], "width": 1.0, "momentum": [0.0, 0.0]}
                    "params": {"d": 1, "extent": 16.0, "levels": [16, 32, 64],
                               "masses_sq": [1.0], "packet": {"center": [8.0], "width": 2.0}}},
      ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "two_mass_fourth_cumulant",
+                   "grid": {"d": 2.7, "n_per_axis": 32, "spacing": 0.25},
+                   "params": {"masses_sq": [1.0, 4.0], "packet": _PACKET}},
+     ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "two_mass_fourth_cumulant",
+                   "grid": {"d": 2, "n_per_axis": 32.9, "spacing": 0.25},
+                   "params": {"masses_sq": [1.0, 4.0], "packet": _PACKET}},
+     ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "two_mass_fourth_cumulant", "seed": 3.9,
+                   "grid": _GRID, "params": {"masses_sq": [1.0, 4.0], "packet": _PACKET}},
+     ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "two_mass_fourth_cumulant", "grid": _GRID,
+                   "params": {"masses_sq": [1.0, 4.0], "mc_samples": 20.5,
+                              "packet": _PACKET}},
+     ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "refinement",
+                   "grid": {"d": 1, "n_per_axis": 16, "spacing": 1.0},
+                   "params": {"d": 1.6, "extent": 16.0, "levels": [16, 32, 64],
+                              "masses_sq": [1.0], "packet": {"center": [8.0], "width": 2.0}}},
+     ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "refinement",
+                   "grid": {"d": 1, "n_per_axis": 16, "spacing": 1.0},
+                   "params": {"d": 1, "extent": 16.0, "levels": [16.9, 32, 64],
+                              "masses_sq": [1.0], "packet": {"center": [8.0], "width": 2.0}}},
+     ["experiment", "{doc}"]),
 ], ids=["recipe_width", "spec_seed", "spec_grid_d", "tolerance_value",
-        "refinement_grid_d_mismatch"])
+        "refinement_grid_d_mismatch", "fractional_grid_d", "fractional_n_per_axis",
+        "fractional_seed", "fractional_mc_samples", "fractional_refinement_d",
+        "fractional_refinement_level"])
 def test_malformed_number_is_schema_error(model_file, tmp_path, capsys,
                                           name, doc, argv):
     path = tmp_path / name
@@ -195,6 +222,21 @@ def test_any_malformed_number_exits_two(field, bad):
             code = main(argv + ["--out", str(Path(tmp) / "out")])
     assert code == 2, (path, bad)
     assert "schema error:" in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "spec.json", "--grid", "1,64,0.5"],
+    ["experiment", "spec.json", "--seed", "9"],
+    ["moments", "model.json", "--recipe", "recipe.json", "--seed", "9"],
+    ["sample", "model.json", "--format", "machine"],
+    ["sample", "model.json", "--tolerance-file", "tols.json"],
+], ids=["experiment_grid", "experiment_seed", "moments_seed", "sample_format",
+        "sample_tolerance_file"])
+def test_flag_a_command_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_unknown_tolerance_key_is_schema_error(model_file, tmp_path):

@@ -1,6 +1,7 @@
 """Generating functionals: evaluation, moments, cumulants, gaussianization,
-regularity.  Oracles: explicit pairing expansions, finite differences, and
-hand-derived closed forms for the two-mass mixture."""
+regularity.  Oracles: explicit pairing expansions, finite differences,
+hand-derived closed forms for the two-mass mixture, and cumulants by
+conditioning on the leaf (law of total cumulance)."""
 
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from schwingerlab import (BoundsError, ModelError, Mixture, QuasiFree,
                           SchemaError, SpectralMeasure, TestFunction,
                           cumulant, cumulant_scale, envelope, free_two_point,
-                          gaussianize, load_model, model_from_dict,
+                          gaussian_packet, gaussianize, load_model, model_from_dict,
                           model_to_dict, moment_analytic, moment_growth_check,
                           moment_numeric, regularity_certificate, save_model,
                           sobolev_norm, spectral_two_point)
@@ -465,3 +466,99 @@ def test_cumulant_agrees_with_log_derivative_definition(packet, mixture_14):
     fd = (4.0 * stencil(h0 / 2) - stencil(h0)) / 3.0  # 1/i^4 = 1
     want = cumulant(mixture_14, [packet] * 4).real
     assert fd == pytest.approx(want, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# cumulants by conditioning on the leaf
+# ---------------------------------------------------------------------------
+
+def own_pairings(items):
+    """Perfect matchings of a tuple: its first element paired with each other."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for j, other in enumerate(rest):
+        for tail in own_pairings(rest[:j] + rest[j + 1:]):
+            yield ((first, other),) + tail
+
+
+def own_partitions(items):
+    """Set partitions of a tuple: its last element put into each block of
+    every partition of the rest, or into a block of its own."""
+    if not items:
+        yield ()
+        return
+    *rest, last = items
+    for smaller in own_partitions(tuple(rest)):
+        for i in range(len(smaller)):
+            yield smaller[:i] + (smaller[i] + (last,),) + smaller[i + 1:]
+        yield smaller + ((last,),)
+
+
+def leaf_joint_cumulant(weights, xs):
+    """Joint cumulant of random variables over the leaves, a leaf drawn with
+    its path weight; xs[j][l] is the j-th variable on leaf l."""
+    total = 0j
+    for blocks in own_partitions(tuple(range(len(xs)))):
+        k = len(blocks)
+        mixed = [weights @ np.prod([xs[j] for j in block], axis=0) for block in blocks]
+        total += (-1) ** (k - 1) * math.factorial(k - 1) * math.prod(mixed)
+    return total
+
+
+CONDITIONING_GRID = Grid(2, 16, 0.5)
+
+
+def conditioning_cases():
+    # four random depth-3 trees of two or more leaves: on a single leaf
+    # both sides are roundoff around zero
+    rng = rng_from_seed(31337)
+    models = []
+    while len(models) < 4:
+        model = random_model_tree(rng, max_depth=3)
+        if len(model.leaves()) > 1:
+            models.append(model)
+    cases = []
+    for t, model in enumerate(models):
+        fs = [gaussian_packet(CONDITIONING_GRID, rng.uniform(0.0, 8.0, 2),
+                              rng.uniform(1.0, 2.0), rng.uniform(-1.0, 1.0, 2))
+              for _ in range(8)]
+        for n in (4, 6, 8):
+            cases.append(pytest.param(model, fs[:n], id=f"tree{t}-n{n}-distinct"))
+            cases.append(pytest.param(model, fs[:1] * n, id=f"tree{t}-n{n}-equal"))
+    return cases
+
+
+@pytest.mark.parametrize("model,fs", conditioning_cases())
+def test_cumulant_matches_total_cumulance_over_leaves(model, fs):
+    # Given its leaf the field is centered Gaussian, so by the law of total
+    # cumulance kappa(f_1..f_n) = sum over pairings pi of the joint leaf
+    # cumulant of (S2_l(B_1), ..., S2_l(B_k)); the partition lattice and the
+    # Wick pairing sum are not used.
+    leaves = model.leaves()
+    weights = np.array([w for w, _ in leaves])
+    s2 = {(i, j): np.array([spectral_two_point(fs[i], fs[j], leaf.rho)
+                            for _, leaf in leaves])
+          for i in range(len(fs)) for j in range(i + 1, len(fs))}
+    want = sum(leaf_joint_cumulant(weights, [s2[pair] for pair in pairing])
+               for pairing in own_pairings(tuple(range(len(fs)))))
+    assert abs(cumulant(model, fs) - want) <= 1e-12 * cumulant_scale(model, fs)
+
+
+@pytest.mark.parametrize("model,fs", conditioning_cases()[:6] + [
+    pytest.param(nested_mixture(), [gaussian_packet(CONDITIONING_GRID, [4.0, 4.0], 1.0)] * 3,
+                 id="nested-n3-equal")])
+def test_cumulant_scale_is_the_absolute_moebius_sum(model, fs):
+    # sum over set partitions of (|pi|-1)! prod_B |S_B|, each S_B the
+    # analytic moment of the sub-collection B
+    moments = {}
+    want = 0.0
+    for blocks in own_partitions(tuple(range(len(fs)))):
+        prod = math.factorial(len(blocks) - 1)
+        for block in blocks:
+            if block not in moments:
+                moments[block] = abs(moment_analytic(model, [fs[i] for i in block]))
+            prod *= moments[block]
+        want += prod
+    assert cumulant_scale(model, fs) == pytest.approx(want, rel=1e-12, abs=0)

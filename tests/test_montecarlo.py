@@ -256,7 +256,15 @@ def test_sample_dump_roundtrip(tmp_path, grid):
     (" seed=19", " seed=[19]"),
     ("sample index=1 ", "sample index=x "),
     ("sample index=1 ", "sample "),
-], ids=["no_spacing", "string_spacing", "list_seed", "string_index", "no_index"])
+    (" d=2 ", " d=2.5 "),
+    (" n_per_axis=32 ", " n_per_axis=32.5 "),
+    (" seed=19", " seed=19.5"),
+    (" count=2", " count=2.5"),
+    ("sample index=1 ", "sample index=1.5 "),
+    ("component=0\n", "component=0.5\n"),
+], ids=["no_spacing", "string_spacing", "list_seed", "string_index", "no_index",
+        "fractional_d", "fractional_n_per_axis", "fractional_seed",
+        "fractional_count", "fractional_index", "fractional_component"])
 def test_malformed_sample_dump_is_schema_error(tmp_path, grid, old, new):
     path = tmp_path / "samples.txt"
     write_samples(path, list(sample_stream(two_mass_mixture(1.0, 4.0), grid,

@@ -15,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from schwingerlab import (BoundsError, DomainError, IncompleteInputError,
                           Partition, bell_number, cumulants_from_moments,
-                          enumerate_capped_partitions, enumerate_partitions,
-                          moments_from_cumulants, pairings)
-from schwingerlab.partitions import subset_key, validate_partition
+                          enumerate_partitions, moments_from_cumulants, pairings)
+from schwingerlab.partitions import cumulant_scale_from_moments, validate_partition
 
 from conftest import random_complex
 from schwingerlab.fixtures import rng_from_seed
@@ -122,25 +121,6 @@ def test_order_bounds():
         enumerate_partitions(11)
     with pytest.raises(BoundsError):
         enumerate_partitions(0)
-    # the cap is configurable
-    assert len(enumerate_partitions(4, n_cap=4)) == 15
-    with pytest.raises(BoundsError, match="1..4"):
-        enumerate_partitions(5, n_cap=4)
-
-
-def test_capped_partitions_match_filter_oracle():
-    for n, cap in [(4, 2), (5, 2), (5, 3), (6, 2)]:
-        got = {as_set(p.blocks) for p in enumerate_capped_partitions(n, cap)}
-        want = {as_set(b) for b in insertion_partitions(n)
-                if max(len(x) for x in b) <= cap}
-        assert got == want
-
-
-def test_capped_examples():
-    assert len(enumerate_capped_partitions(4, 2)) == 10
-    assert len(enumerate_capped_partitions(2, 2)) == 2
-    only = enumerate_capped_partitions(3, 1)
-    assert only == [Partition(3, ((1,), (2,), (3,)))]
 
 
 def test_pairings_counts_and_oracle():
@@ -159,24 +139,6 @@ def test_pairings_counts_and_oracle():
 def test_pairings_odd_rejected():
     with pytest.raises(DomainError, match="even"):
         pairings(3)
-
-
-def test_pairings_subset_of_capped():
-    for n in (2, 4, 6):
-        capped = {as_set(p.blocks) for p in enumerate_capped_partitions(n, 2)}
-        assert {as_set(p.blocks) for p in pairings(n)} <= capped
-
-
-@settings(max_examples=40, derandomize=True)
-@given(st.integers(min_value=1, max_value=7),
-       st.integers(min_value=1, max_value=4))
-def test_capped_enumeration_properties(n, cap):
-    parts = enumerate_capped_partitions(n, cap)
-    for p in parts:
-        validate_partition(p)
-        assert p.max_block_size() <= cap
-    full = {as_set(q.blocks) for q in enumerate_partitions(n)}
-    assert {as_set(p.blocks) for p in parts} <= full
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +169,9 @@ def test_moments_reduce_to_pairing_sum_when_higher_cumulants_vanish():
             cums[key] = 0j
     got = moments_from_cumulants(cums, n)
     want = 0j
-    for p in enumerate_capped_partitions(n, 2):
+    for p in enumerate_partitions(n):
+        if max(len(b) for b in p.blocks) > 2:
+            continue
         prod = 1 + 0j
         for b in p.blocks:
             prod *= cums[b]
@@ -284,12 +248,8 @@ def test_missing_subset_entry_is_reported():
         moments_from_cumulants(cums, 3)
     with pytest.raises(IncompleteInputError):
         cumulants_from_moments(cums, 3)
-
-
-def test_subset_key_canonicalizes():
-    assert subset_key([3, 1, 2]) == (1, 2, 3)
-    with pytest.raises(DomainError):
-        subset_key([1, 1])
+    with pytest.raises(IncompleteInputError):
+        cumulant_scale_from_moments(cums, 3)
 
 
 def test_validate_partition_rejects_defects():
