@@ -32,8 +32,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError, SchemaError
 from .fixtures import (fixture_packet, random_positive_time_function,
                        random_real_function, rng_from_seed)
-from .functional import (SchwingerFunctional, cumulant, cumulant_scale,
-                         model_to_dict)
+from .functional import MomentTable, SchwingerFunctional, model_to_dict
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       positive_time_support, site_indicator)
 from .propagator import spectral_two_point
@@ -364,9 +363,8 @@ def run_axiom_suite(G: SchwingerFunctional, config: SuiteConfig) -> SuiteResult:
         config_digest=digest)
     reports.append(cluster_report)
 
-    probe = fixture_packet(grid)
-    s4t = cumulant(G, [probe] * 4)
-    scale = cumulant_scale(G, [probe] * 4)
+    table = MomentTable(G, [fixture_packet(grid)] * 4)
+    s4t, scale = table.cumulants[-1], table.scales[-1]
     quasi_free = abs(s4t) <= QUASI_FREE_CLASSIFICATION_TOL * scale
 
     passed = all(r.passed for r in reports)

@@ -23,8 +23,8 @@ from .axioms import SuiteConfig, run_axiom_suite, summary_lines
 from .errors import SchemaError, SchwingerLabError
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment
 from .functional import (MAX_MOMENT_ORDER, NUMERIC_MOMENT_CAP,
-                         NUMERIC_TOLERANCE_SCHEDULE, cumulant, load_model,
-                         model_to_dict, moment_analytic, moment_numeric)
+                         NUMERIC_TOLERANCE_SCHEDULE, MomentTable, load_model,
+                         model_to_dict, moment_numeric)
 from .lattice import Grid, packet_from_doc
 from .montecarlo import sample_stream, write_samples
 from .serialize import (canonical_digest, json_number, read_json, require_keys,
@@ -118,10 +118,11 @@ def cmd_moments(args) -> int:
                                "order": args.order})
     rows = []
     precision_ok = True
+    table = MomentTable(model, functions)
     for n in range(1, args.order + 1):
         fs = functions[:n]
-        analytic = moment_analytic(model, fs)
-        connected = cumulant(model, fs)
+        analytic = complex(table.moments[(1 << n) - 1])
+        connected = complex(table.cumulants[(1 << n) - 1])
         row = {"order": n,
                "moment_analytic": [analytic.real, analytic.imag],
                "connected": [connected.real, connected.imag],

@@ -3,7 +3,7 @@
 Three experiment families, each a pure function of its spec document:
 
 * two_mass_fourth_cumulant: the connected 4-point function of a two-mass
-  mixture computed three ways (partition-lattice transform, hand-derived
+  mixture computed three ways (the model's cumulant table, hand-derived
   closed form, Monte Carlo) and cross-checked.
 * iteration: the mix -> gaussianize -> mix-again construction; its
   two-point function collapses to the convolved spectral measure while
@@ -40,8 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .functional import (QuasiFree, SchwingerFunctional, cumulant,
-                         cumulant_scale, envelope, gaussianize, moment_analytic)
+from .functional import (MomentTable, QuasiFree, SchwingerFunctional, envelope,
+                         gaussianize, moment_analytic)
 from .lattice import Grid, TestFunction, gaussian_packet, packet_from_doc
 from .montecarlo import estimate_fourth_cumulant, pair_values
 from .propagator import SpectralMeasure, free_two_point, spectral_two_point
@@ -64,7 +64,7 @@ class ExperimentSpec:
     def digest(self) -> str:
         return canonical_digest({
             "experiment_id": self.experiment_id,
-            "grid": self.grid,
+            "grid": Grid.from_dict(self.grid).as_dict(),
             "params": self.params,
             "seed": self.seed,
             "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
@@ -126,7 +126,7 @@ def two_mass_mixture(m1_sq: float, m2_sq: float, w: float = 0.5) -> SchwingerFun
 def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
     """Connected 4-point function of the two-mass mixture, three ways.
 
-    (a) partition-lattice cumulant of the model tree,
+    (a) the cumulant of the model tree (`MomentTable`),
     (b) closed form 3 w (1-w) [S2_m1(f,f) - S2_m2(f,f)]^2 (see module
         docstring for the derivation),
     (c) Monte Carlo fourth cumulant of phi(f), when mc_samples > 0.
@@ -147,8 +147,9 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
     f = packet_from_doc(grid, spec.params["packet"], "two_mass packet")
 
     model = two_mass_mixture(m1_sq, m2_sq, w)  # DomainError below the floor
-    route_a = cumulant(model, [f] * 4).real
-    scale = cumulant_scale(model, [f] * 4)
+    table = MomentTable(model, [f] * 4)
+    route_a = float(table.cumulants[-1].real)
+    scale = float(table.scales[-1])
 
     d_s2 = (free_two_point(f, f, m1_sq) - free_two_point(f, f, m2_sq)).real
     route_b = 3.0 * w * (1.0 - w) * d_s2 ** 2
@@ -231,16 +232,17 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
                          for m2, pw in conv.atoms])
 
     two_point_tol = float(spec.tolerances.get("two_point_rel", 1e-12))
-    s2_model = moment_analytic(iterated, [f, f]).real
+    table = MomentTable(iterated, [f] * 4)
+    s2_model = float(table.moments[0b11].real)
     s2_conv = spectral_two_point(f, f, conv).real
     two_point_ok = abs(s2_model - s2_conv) <= two_point_tol * abs(s2_conv)
 
-    s4_iter = moment_analytic(iterated, [f] * 4).real
+    s4_iter = float(table.moments[-1].real)
     s4_one = moment_analytic(one_step, [f] * 4).real
     delta_s4 = s4_iter - s4_one
 
-    s4t = cumulant(iterated, [f] * 4).real
-    scale = cumulant_scale(iterated, [f] * 4)
+    s4t = float(table.cumulants[-1].real)
+    scale = float(table.scales[-1])
     s_alpha = [spectral_two_point(f, f, rho).real for rho in families]
     mean_s = sum(lw * s for lw, s in zip(lam, s_alpha))
     var_s = sum(lw * (s - mean_s) ** 2 for lw, s in zip(lam, s_alpha))
@@ -317,8 +319,9 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
         f = packet_from_doc(grid, pdoc, "refinement packet")
         model = envelope([(w, QuasiFree(SpectralMeasure.delta(m)))
                           for w, m in zip(weights, masses)])
-        s2_vals.append(moment_analytic(model, [f, f]).real)
-        s4t_vals.append(cumulant(model, [f] * 4).real)
+        table = MomentTable(model, [f] * 4)
+        s2_vals.append(float(table.moments[0b11].real))
+        s4t_vals.append(float(table.cumulants[-1].real))
         if d == 2:
             rot_defects.append(_rotation_defect(grid, pdoc, masses, weights))
 

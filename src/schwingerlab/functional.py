@@ -9,7 +9,9 @@ over a spectral mass measure rho, and whose interior nodes are convex
 mixtures Gamma_P(f) = sum_i w_i Gamma_i(f).  Mixing preserves every axiom
 the checkers verify, but generically destroys quasi-freeness: connected
 moments beyond order two stop vanishing.  This module provides evaluation,
-analytic and finite-difference moments, connected moments (cumulants),
+finite-difference moments, one table of the analytic moments, cumulants
+and cumulant scales of every sub-collection of the arguments (subset exp
+and log of the leaf Grams, the cumulants conditioned on the leaf),
 gaussianization (replacing a tree by the quasi-free functional with the
 same two-point function), regularity and moment-growth certificates, and
 the model file format.
@@ -27,8 +29,8 @@ import numpy as np
 
 from . import partitions
 from .errors import BoundsError, DomainError, ModelError, SchemaError
-from .lattice import Grid, TestFunction, sobolev_norm
-from .propagator import SpectralMeasure, spectral_two_point, two_point_sums
+from .lattice import Grid, TestFunction, lattice_symbol, sobolev_norm
+from .propagator import SpectralMeasure, spectral_two_point
 from .serialize import json_number, read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
@@ -157,81 +159,93 @@ def min_mass_sq(G: SchwingerFunctional) -> float:
 # Moments and cumulants
 # ---------------------------------------------------------------------------
 
-def _check_moment_order(n: int, cap: int) -> None:
-    if not 1 <= n <= cap:
-        raise BoundsError(f"moment order n={n} outside 1..{cap}")
+def _check_moment_args(fs: Sequence[TestFunction], cap: int) -> None:
+    if not 1 <= len(fs) <= cap:
+        raise BoundsError(f"moment order n={len(fs)} outside 1..{cap}")
+    if any(f.grid != fs[0].grid for f in fs):
+        raise DomainError("moments need every argument on one grid")
 
 
 def _leaf_grams(G: SchwingerFunctional,
                 fs: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n)."""
+    """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n),
+    from one matmul per distinct atom mass over the stacked transforms."""
     weights, masses, atoms = G._atom_table
-    n = len(fs)
-    sums = np.empty((n, n, len(masses)), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            sums[i, j] = sums[j, i] = two_point_sums(fs[i], fs[j], masses)
     grid = fs[0].grid
-    return weights, np.einsum("lm,ijm->lij", atoms, sums) / grid.extent ** grid.d
+    hats = np.array([f.hat.ravel() for f in fs])
+    negs = np.array([f.hat_neg.ravel() for f in fs])
+    kernels = 1.0 / (masses[:, None] + lattice_symbol(grid).ravel())
+    sums = np.array([(negs * kernel) @ hats.T for kernel in kernels])
+    return weights, np.einsum("lm,mij->lij", atoms, sums) / grid.extent ** grid.d
 
 
-def _pairing_sum(grams: np.ndarray, key: tuple[int, ...]) -> np.ndarray:
-    # Wick sum over the even number of positions named by `key` (1-based
-    # global indices), for every leaf at once.
-    total = np.zeros(len(grams), dtype=np.complex128)
-    for pairing in partitions.pairings(len(key)):
-        prod = np.ones(len(grams), dtype=np.complex128)
-        for a, b in pairing.blocks:
-            prod *= grams[:, key[a - 1] - 1, key[b - 1] - 1]
-        total += prod
-    return total
+class MomentTable:
+    """Moments, cumulants and cumulant scales of every sub-collection of
+    fs = (f_1..f_n), as set functions over bitmasks (see `partitions`):
+    entry S holds the f_i whose bit i-1 is set, entry -1 all of fs.
+
+    Given its leaf l the field is centered Gaussian, so the leaf's moments
+    are the Wick sums exp(Q_l), with Q_l[{i,j}] = S2_l(f_i, f_j) on pairs
+    and 0 elsewhere.  The moments are M = sum_l w_l exp(Q_l), the scales
+    -log(1 - |M|), and the cumulants log M, conditioned on the leaf (law of
+    total cumulance, Brillinger 1969):
+
+        K = Qbar + log( sum_l w_l exp(Q_l - Qbar) + (1 - W) exp(-Qbar) ),
+
+    Qbar = sum_l w_l Q_l, W = sum_l w_l.  On a single leaf Q_l - Qbar is
+    exactly 0, and so is every cumulant above order two.  The (1 - W) term
+    keeps M[empty] = 1 for raw trees whose weights do not sum to 1.  Each
+    table is computed on first use.
+    """
+
+    def __init__(self, G: SchwingerFunctional, fs: Sequence[TestFunction]):
+        _check_moment_args(fs, MAX_MOMENT_ORDER)
+        self.weights, grams = _leaf_grams(G, fs)
+        i, j = np.triu_indices(len(fs), 1)
+        self.pairs = np.zeros((len(self.weights), 1 << len(fs)), dtype=np.complex128)
+        self.pairs[:, (1 << i) | (1 << j)] = grams[:, i, j]
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        return self.weights @ partitions.pair_exp(self.pairs)
+
+    @cached_property
+    def cumulants(self) -> np.ndarray:
+        mean = self.weights @ self.pairs
+        inner = (self.weights @ partitions.pair_exp(self.pairs - mean)
+                 + (1.0 - self.weights.sum()) * partitions.pair_exp(-mean))
+        return mean + partitions.subset_log(inner)
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        return partitions.subset_neglog1m(np.abs(self.moments))
 
 
 def moment_analytic(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> complex:
-    """Order-n moment by the exact Gaussian pairing sum, mixed by leaf weight.
+    """Order-n moment: the leaves' Wick pairing sums, mixed by leaf weight.
 
     Centered leaves: odd orders vanish, even orders are (n-1)!! pairing
     sums of two-point values.
     """
-    n = len(fs)
-    _check_moment_order(n, MAX_MOMENT_ORDER)
-    if n % 2 == 1:
+    if len(fs) % 2 == 1:
+        _check_moment_args(fs, MAX_MOMENT_ORDER)
         return 0j
-    weights, grams = _leaf_grams(G, fs)
-    return complex(weights @ _pairing_sum(grams, tuple(range(1, n + 1))))
-
-
-def _moment_table(G: SchwingerFunctional,
-                  fs: Sequence[TestFunction]) -> dict[tuple[int, ...], complex]:
-    """Moments of every nonempty sub-collection of fs, keyed by sorted tuples."""
-    n = len(fs)
-    weights, grams = _leaf_grams(G, fs)
-    table: dict[tuple[int, ...], complex] = {}
-    for r in range(1, n + 1):
-        for key in itertools.combinations(range(1, n + 1), r):
-            if r % 2 == 1:
-                table[key] = 0j
-            else:
-                table[key] = complex(weights @ _pairing_sum(grams, key))
-    return table
+    return complex(MomentTable(G, fs).moments[-1])
 
 
 def cumulant(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> complex:
-    """Order-n connected moment via the partition-lattice inversion."""
-    n = len(fs)
-    _check_moment_order(n, MAX_MOMENT_ORDER)
-    return complex(partitions.cumulants_from_moments(_moment_table(G, fs), n))
+    """Order-n connected moment, conditioned on the leaf (see MomentTable)."""
+    return complex(MomentTable(G, fs).cumulants[-1])
 
 
 def cumulant_scale(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> float:
-    """Condition scale of the cumulant sum: same transform with |.| terms.
+    """Condition scale of the cumulant sum: sum over set partitions pi of
+    (|pi|-1)! prod_B |moment(B)|.
 
     Useful as the reference magnitude when asserting that a cumulant
     vanishes: cancellation cannot beat roundoff times this scale.
     """
-    n = len(fs)
-    _check_moment_order(n, MAX_MOMENT_ORDER)
-    return partitions.cumulant_scale_from_moments(_moment_table(G, fs), n)
+    return float(MomentTable(G, fs).scales[-1])
 
 
 @dataclass(frozen=True)
@@ -257,8 +271,8 @@ def moment_numeric(G: SchwingerFunctional,
     detector: when the two extrapolants disagree beyond the documented
     schedule, the result carries a precision warning.
     """
+    _check_moment_args(fs, NUMERIC_MOMENT_CAP)
     n = len(fs)
-    _check_moment_order(n, NUMERIC_MOMENT_CAP)
     floor = min_mass_sq(G)
     norms = [sobolev_norm(f, floor) for f in fs]
     if any(nu == 0.0 for nu in norms):

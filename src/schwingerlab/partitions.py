@@ -7,9 +7,13 @@ the lattice of set partitions:
     cumulant(1..n) = sum over partitions pi  of
                      (|pi|-1)! (-1)^(|pi|-1) prod_B moment(B)
 
-where B runs over the blocks of pi.  One cached enumeration serves both
-transforms, the condition scale of the cumulant sum and the perfect
-pairings; one loop computes the transforms and the scale.
+where B runs over the blocks of pi.  By the exponential formula (Stanley,
+Enumerative Combinatorics 2, 5.1) these sums are exp and log of set
+functions on the subsets of {1..n} under the subset product, and the
+condition scale sum_pi (|pi|-1)! prod_B |moment(B)| is -log(1 - |moment|).
+The package computes them that way, for every subset at once.  The
+enumeration and its lattice sum are kept as the oracle the subset route is
+tested against.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .errors import BoundsError, DomainError, IncompleteInputError
 
@@ -144,7 +150,6 @@ def bell_number(n: int) -> int:
 # Coefficient rows c(|pi|), indexed by |pi| - 1.
 _ONES = (1,) * MAX_PARTITION_N
 _MOBIUS = tuple((-1) ** k * math.factorial(k) for k in range(MAX_PARTITION_N))
-_FACTORIALS = tuple(math.factorial(k) for k in range(MAX_PARTITION_N))
 
 
 def _lattice_sum(table: Mapping[IndexKey, complex], n: int,
@@ -178,9 +183,86 @@ def cumulants_from_moments(moments: Mapping[IndexKey, complex], n: int) -> compl
     return _lattice_sum(moments, n, _MOBIUS, "moment")
 
 
-def cumulant_scale_from_moments(moments: Mapping[IndexKey, complex], n: int) -> float:
-    """sum over partitions of (|pi|-1)! prod_B |moment(B)|: the cumulant sum
-    with every term made nonnegative, so no cancellation can beat roundoff
-    times this scale."""
-    return _lattice_sum({k: abs(v) for k, v in moments.items()}, n,
-                        _FACTORIALS, "moment").real
+# ---------------------------------------------------------------------------
+# Set functions over bitmasks
+# ---------------------------------------------------------------------------
+# A set function on the subsets of {1..n} is an array whose last axis has
+# 2^n entries, entry S for the subset of the i with bit i-1 set in S; other
+# axes are batch axes.  Each transform splits off the block T that holds
+# i = min S, F[S] = sum over T subset of S, i in T, of a[T] G[S - T], one
+# subset size at a time, so every right-hand side is already known.
+
+@lru_cache(maxsize=None)
+def _rooted_splits(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    # per size s = 1..n: the masks S (k,), their blocks T that hold min S
+    # (k, 2^(s-1)) in increasing order, so column 2^j holds a pair and the
+    # last column T = S, and the rests S - T
+    m = np.arange(1 << n)
+    size = np.array([bin(x).count("1") for x in range(1 << n)])
+    rows, blocks = np.nonzero((m & m[:, None] == m) & (m & (m & -m)[:, None] != 0))
+    layers = [(m[size == s], blocks[size[rows] == s].reshape(-1, 1 << (s - 1)))
+              for s in range(1, n + 1)]
+    return tuple((masks, split, masks[:, None] ^ split) for masks, split in layers)
+
+
+def _layers(a: np.ndarray):
+    n = a.shape[-1].bit_length() - 1
+    if a.shape[-1] != 1 << n:
+        raise DomainError(f"a set function has 2^n entries, got {a.shape[-1]}")
+    _check_order(n)
+    return _rooted_splits(n)
+
+
+def subset_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b)[S] = sum over A subset of S of a[A] b[S - A]."""
+    out = a * b
+    for masks, blocks, rests in _layers(a):
+        out[..., masks] = (a[..., blocks] * b[..., rests]
+                           + b[..., blocks] * a[..., rests]).sum(-1)
+    return out
+
+
+def _exp(a: np.ndarray, layers) -> np.ndarray:
+    out = np.zeros_like(a)
+    out[..., 0] = 1.0
+    for masks, blocks, rests in layers:
+        out[..., masks] = (a[..., blocks] * out[..., rests]).sum(-1)
+    return out
+
+
+def subset_exp(a: np.ndarray) -> np.ndarray:
+    """exp(a), a[0] unread: entry S is the sum over the set partitions of S
+    of prod_B a[B]."""
+    return _exp(a, _layers(a))
+
+
+def pair_exp(a: np.ndarray) -> np.ndarray:
+    """subset_exp of an `a` that vanishes off the two-element subsets, by the
+    hafnian recursion E[S] = sum over j in S - {i} of a[{i,j}] E[S - {i,j}],
+    i = min S.  Entries of odd size are exactly 0."""
+    layers = []
+    for s, (masks, blocks, rests) in list(enumerate(_layers(a), 1))[1::2]:
+        pairs = 1 << np.arange(s - 1)   # the columns whose block is a pair
+        layers.append((masks, blocks[:, pairs], rests[:, pairs]))
+    return _exp(a, layers)
+
+
+def subset_log(f: np.ndarray) -> np.ndarray:
+    """log(f), f[0] taken as 1: entry S != 0 is the sum over the set
+    partitions pi of S of (-1)^(|pi|-1) (|pi|-1)! prod_B f[B]."""
+    out = np.zeros_like(f)
+    for masks, blocks, rests in _layers(f):
+        out[..., masks] = f[..., masks] - (out[..., blocks[:, :-1]]
+                                           * f[..., rests[:, :-1]]).sum(-1)
+    return out
+
+
+def subset_neglog1m(t: np.ndarray) -> np.ndarray:
+    """-log(1 - t), t[0] unread: entry S != 0 is the sum over the set
+    partitions pi of S of (|pi|-1)! prod_B t[B]."""
+    out, inv = np.zeros_like(t), np.zeros_like(t)   # inv = 1/(1 - t) = exp(out)
+    inv[..., 0] = 1.0
+    for masks, blocks, rests in _layers(t):
+        out[..., masks] = (t[..., blocks] * inv[..., rests]).sum(-1)
+        inv[..., masks] = (out[..., blocks] * inv[..., rests]).sum(-1)
+    return out

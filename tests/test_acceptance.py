@@ -25,7 +25,7 @@ from schwingerlab.experiments import (ExperimentSpec, run_iteration,
                                       two_mass_mixture)
 from schwingerlab.fixtures import (fixture_packet, random_model_tree,
                                    random_real_function, rng_from_seed)
-from schwingerlab.montecarlo import pair_values
+from schwingerlab.montecarlo import estimate_fourth_cumulant, pair_values
 from schwingerlab.partitions import (bell_number, cumulants_from_moments,
                                      enumerate_partitions,
                                      moments_from_cumulants)
@@ -91,6 +91,9 @@ def test_criterion_02_two_mass_reproduction(mixture_values):
     rep = run_two_mass_fourth_cumulant(spec)
     a, b = rep.values["cumulant_transform"], rep.values["closed_form"]
     assert abs(a - b) <= 1e-10 * abs(b)
+    # the experiment draws the same stream as the fixture, seed for seed
+    assert (rep.values["monte_carlo"], rep.values["monte_carlo_stderr"]) == \
+        estimate_fourth_cumulant(mixture_values)
     assert abs(rep.values["monte_carlo"] - b) <= 3 * rep.values["monte_carlo_stderr"]
     assert rep.passed
 

@@ -344,17 +344,38 @@ def test_machine_format_prints_json(model_file, recipe_file, tmp_path, capsys):
     assert parsed["rows"][0]["order"] == 1
 
 
-def test_rerun_outputs_are_byte_identical_across_processes(model_file, tmp_path):
+def rerun_bytes(args, output, tmp_path):
+    """The output file of the same command run in two fresh processes."""
     outs = []
     for name in ("p", "q"):
         out = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, "-m", "schwingerlab.cli", "verify", model_file,
-             "--out", str(out), "--seed", "5"],
+            [sys.executable, "-m", "schwingerlab.cli", *args, "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        outs.append((out / "checks.json").read_bytes())
-    assert outs[0] == outs[1]
+        outs.append((out / output).read_bytes())
+    return outs
+
+
+def test_rerun_outputs_are_byte_identical_across_processes(model_file, tmp_path):
+    first, second = rerun_bytes(["verify", model_file, "--seed", "5"],
+                                "checks.json", tmp_path)
+    assert first == second
+
+
+def test_moments_rerun_is_byte_identical_across_processes(model_file, tmp_path):
+    # every row of moments.json comes from one order-8 table
+    recipe = tmp_path / "recipe.json"
+    write_json(recipe, {"functions": [
+        {"center": [4.0, 4.0], "width": 1.0},
+        {"center": [3.0, 5.0], "width": 1.5, "momentum": [0.5, -1.0]},
+        {"center": [5.0, 2.5], "width": 0.75}]})
+    first, second = rerun_bytes(["moments", model_file, "--recipe", str(recipe),
+                                 "--order", "8"], "moments.json", tmp_path)
+    assert first == second
+    rows = json.loads(first)["rows"]
+    assert [row["order"] for row in rows] == list(range(1, 9))
+    assert all(row["connected"] == [0.0, 0.0] for row in rows[::2])
 
 
 def test_refine_writes_curves_csv(tmp_path):

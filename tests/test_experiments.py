@@ -45,6 +45,12 @@ def test_spec_digest_is_stable_and_sensitive():
     c = two_mass_spec(weight=0.25)
     assert a.digest == b.digest
     assert a.digest != c.digest
+    # a grid is hashed as the Grid it parses to: 2.0 and 2 are one grid
+    floats = ExperimentSpec.from_dict({**a.as_dict(), "grid": {
+        "d": 2.0, "n_per_axis": 32.0, "spacing": GRID_DOC["spacing"]}})
+    ints = ExperimentSpec.from_dict({**a.as_dict(), "grid": {
+        "d": 2, "n_per_axis": 32, "spacing": GRID_DOC["spacing"]}})
+    assert floats.digest == ints.digest == a.digest
 
 
 # ---------------------------------------------------------------------------

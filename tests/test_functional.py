@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from schwingerlab import (BoundsError, ModelError, Mixture, QuasiFree,
+from schwingerlab import (BoundsError, DomainError, ModelError, Mixture, QuasiFree,
                           SchemaError, SpectralMeasure, TestFunction,
                           cumulant, cumulant_scale, envelope, free_two_point,
                           gaussian_packet, gaussianize, load_model, model_from_dict,
@@ -19,7 +19,8 @@ from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.fixtures import (random_model_tree, random_real_function,
                                    rng_from_seed)
 from schwingerlab.lattice import Grid
-from schwingerlab.functional import MAX_TREE_DEPTH, min_mass_sq, validate_model
+from schwingerlab.functional import (MAX_TREE_DEPTH, MomentTable, _leaf_grams,
+                                     min_mass_sq, validate_model)
 from schwingerlab.partitions import pairings
 
 
@@ -562,3 +563,51 @@ def test_cumulant_scale_is_the_absolute_moebius_sum(model, fs):
             prod *= moments[block]
         want += prod
     assert cumulant_scale(model, fs) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_conditioned_cumulants_are_exact_zeros():
+    # a gaussianized tree is one leaf: Q_l - Qbar is exactly 0, so every
+    # cumulant above order two is exactly 0, not roundoff; an odd
+    # sub-collection has an odd block in every partition, so its cumulant is
+    # exactly 0 for mixtures too
+    for case in conditioning_cases():
+        model, fs = case.values
+        assert cumulant(gaussianize(model), fs) == 0
+        table = MomentTable(model, fs)
+        odd = [s for s in range(1 << len(fs)) if s.bit_count() % 2]
+        assert np.all(table.cumulants[odd] == 0)
+        assert np.all(table.moments[odd] == 0)
+        assert abs(table.cumulants[-1]) > 1e-6 * table.scales[-1]
+
+
+def test_moment_table_entries_match_per_order_calls():
+    # cmd_moments reads its prefix rows from one table at the top order
+    model, fs = conditioning_cases()[4].values
+    table = MomentTable(model, fs)
+    norms = [abs(moment_analytic(model, [f, f])) ** 0.5 for f in fs]
+    for n in range(1, len(fs) + 1):
+        entry = (1 << n) - 1
+        scale = cumulant_scale(model, fs[:n])
+        assert table.scales[entry] == pytest.approx(scale, rel=1e-13, abs=0)
+        tol = 1e-13 * max(scale, math.prod(norms[:n]))
+        assert abs(table.moments[entry] - moment_analytic(model, fs[:n])) <= tol
+        assert abs(table.cumulants[entry] - cumulant(model, fs[:n])) <= tol
+
+
+def test_batched_grams_match_the_two_point_kernel():
+    # the one-pair kernel two_point_sums is the oracle for the per-mass matmul
+    model, fs = conditioning_cases()[4].values
+    weights, grams = _leaf_grams(model, fs)
+    for l, (w, leaf) in enumerate(model.leaves()):
+        assert weights[l] == w
+        for i, f in enumerate(fs):
+            for j, g in enumerate(fs):
+                want = spectral_two_point(f, g, leaf.rho)
+                assert grams[l, i, j] == pytest.approx(want, rel=1e-13, abs=1e-16)
+
+
+@pytest.mark.parametrize("route", [moment_analytic, cumulant, cumulant_scale])
+def test_functions_on_two_grids_are_rejected(route, packet):
+    other = gaussian_packet(CONDITIONING_GRID, [4.0, 4.0], 1.0)
+    with pytest.raises(DomainError, match="one grid"):
+        route(two_mass_mixture(1.0, 4.0), [packet, other, packet, packet])

@@ -1,14 +1,18 @@
-"""Partition enumeration and moment/cumulant transforms.
+"""Partition enumeration, moment/cumulant transforms and the subset
+exp/log over bitmasks.
 
 Oracles used here are deliberately different algorithms from the library:
 partitions by recursive element insertion (the library grows
 restricted-growth strings), Bell numbers by the Bell-triangle recurrence
 (the library uses the binomial recurrence), pairings by filtering the
-insertion enumeration.
+insertion enumeration, and the subset exp, log and -log(1 - .) by the sum
+over `enumerate_partitions`.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from schwingerlab import (BoundsError, DomainError, IncompleteInputError,
                           Partition, bell_number, cumulants_from_moments,
                           enumerate_partitions, moments_from_cumulants, pairings)
-from schwingerlab.partitions import cumulant_scale_from_moments, validate_partition
+from schwingerlab.partitions import (pair_exp, subset_exp, subset_log, subset_neglog1m,
+                                     subset_product, validate_partition)
 
 from conftest import random_complex
 from schwingerlab.fixtures import rng_from_seed
@@ -248,8 +253,6 @@ def test_missing_subset_entry_is_reported():
         moments_from_cumulants(cums, 3)
     with pytest.raises(IncompleteInputError):
         cumulants_from_moments(cums, 3)
-    with pytest.raises(IncompleteInputError):
-        cumulant_scale_from_moments(cums, 3)
 
 
 def test_validate_partition_rejects_defects():
@@ -265,3 +268,82 @@ def test_enumeration_order_is_the_growth_string_order():
     # deterministic fixture promise: lexicographic restricted-growth order
     got = [str(p) for p in enumerate_partitions(3)]
     assert got == ["123", "12|3", "13|2", "1|23", "1|2|3"]
+
+
+# ---------------------------------------------------------------------------
+# Set functions over bitmasks
+# ---------------------------------------------------------------------------
+
+def mask(block):
+    return sum(1 << (i - 1) for i in block)
+
+
+def lattice_sum(table, n, coefficient):
+    """sum over partitions pi of {1..n} of coefficient(|pi|) prod_B table[B]."""
+    total = 0j
+    for part in enumerate_partitions(n):
+        prod = 1 + 0j
+        for block in part.blocks:
+            prod *= table[mask(block)]
+        total += coefficient(len(part.blocks)) * prod
+    return total
+
+
+def random_set_function(rng, n):
+    return np.array([random_complex(rng) for _ in range(1 << n)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_subset_transforms_match_the_partition_lattice(n):
+    # every odd entry is nonzero, so no partition drops out of the sums
+    rng = rng_from_seed(700 + n)
+    routes = [(subset_exp, lambda k: 1),
+              (subset_log, lambda k: (-1) ** (k - 1) * math.factorial(k - 1)),
+              (subset_neglog1m, lambda k: math.factorial(k - 1))]
+    for transform, coefficient in routes:
+        table = random_set_function(rng, n)
+        got = transform(table)
+        for r in range(1, n + 1):
+            for key in itertools.combinations(range(1, n + 1), r):
+                sub = {mask(b): table[mask(tuple(key[i - 1] for i in b))]
+                       for b in all_subsets(r)}
+                want = lattice_sum(sub, r, coefficient)
+                assert abs(got[mask(key)] - want) <= 1e-13 * abs(want) + 1e-13, \
+                    (transform.__name__, key)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 8])
+def test_subset_product_is_the_disjoint_union_convolution(n):
+    rng = rng_from_seed(800 + n)
+    a, b = random_set_function(rng, n), random_set_function(rng, n)
+    got = subset_product(a, b)
+    for s in range(1 << n):
+        want = sum(a[t] * b[s ^ t] for t in range(1 << n) if t & s == t)
+        assert got[s] == pytest.approx(want, rel=1e-13)
+    # the exponential formula: exp turns sums into subset products
+    a[0] = b[0] = 0
+    assert np.allclose(subset_exp(a + b), subset_product(subset_exp(a), subset_exp(b)),
+                       rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_exp_is_the_hafnian_of_every_subset(n):
+    rng = rng_from_seed(900 + n)
+    table = np.zeros(1 << n, dtype=np.complex128)
+    for pair in itertools.combinations(range(1, n + 1), 2):
+        table[mask(pair)] = random_complex(rng)
+    got = pair_exp(table)
+    assert np.allclose(got, subset_exp(table), rtol=1e-13, atol=0)
+    full = (1 << n) - 1
+    if n % 2:
+        assert got[full] == 0
+    else:
+        want = sum(math.prod(table[mask(b)] for b in p.blocks) for p in pairings(n))
+        assert got[full] == pytest.approx(want, rel=1e-13)
+
+
+def test_set_function_length_must_be_a_power_of_two():
+    with pytest.raises(DomainError, match="2\\^n"):
+        subset_exp(np.zeros(6))
+    with pytest.raises(BoundsError):
+        subset_log(np.ones(1))
