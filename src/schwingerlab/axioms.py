@@ -18,8 +18,9 @@ explicit witness quantity and tolerance:
                              which vanishes only when the mixture is
                              supported on a single component.
 
-PSD witnesses are reported as (min eigenvalue / trace); defect witnesses
-as absolute deviations.
+Both PSD checks take real test functions and read their matrix from the
+leaf Grams (`difference_matrix`).  PSD witnesses are reported as
+(min eigenvalue / trace); defect witnesses as absolute deviations.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ from .serialize import canonical_digest, complex_pair
 
 # Error budget behind the PSD floor of -1e-9 (relative to trace): the
 # eigensolver is good to ~1e-14 on matrices this small, but each entry is
-# a functional evaluation carrying accumulated momentum-sum roundoff.
+# a weighted sum of exponentials of leaf Gram entries, each carrying
+# accumulated momentum-sum roundoff.
 DEFAULT_TOLERANCES = {
     "normalization_neutrality": 1e-12,
     "reflection_positivity": -1e-9,
     "stochastic_positivity": -1e-9,
     "euclidean_invariance": 1e-10,
     "cluster": 1e-6,
-    "hermiticity": 1e-14,
 }
 
 # |S4T| <= 1e-9 * scale separates exact Gaussians (cancellation ~1e-14)
@@ -120,13 +121,10 @@ def check_normalization_neutrality(G: SchwingerFunctional,
                                    config_digest: str = "") -> CheckReport:
     """Gamma(0) = 1 and Gamma(-f) = Gamma(f)* on a set of real functions."""
     tol = DEFAULT_TOLERANCES["normalization_neutrality"] if tolerance is None else tolerance
-    grid = test_set[0].grid if test_set else None
-    worst = 0.0
-    details: dict = {}
-    if grid is not None:
-        z0 = abs(G.evaluate(TestFunction.zeros(grid)) - 1.0)
-        details["normalization_defect"] = z0
-        worst = z0
+    if not test_set:
+        raise PreconditionError("need at least one test function")
+    worst = abs(G.evaluate(TestFunction.zeros(test_set[0].grid)) - 1.0)
+    details: dict = {"normalization_defect": worst}
     for f in test_set:
         if not f.is_real:
             raise PreconditionError("neutrality is stated for real test functions")
@@ -139,13 +137,15 @@ def check_normalization_neutrality(G: SchwingerFunctional,
 def _difference_psd(check_id: str, G, fs: Sequence[TestFunction],
                     partners: Sequence[TestFunction], tolerance: float | None,
                     config_digest: str) -> CheckReport:
-    """PSD check of M_ij = Gamma(f_i - partners_j)."""
+    """PSD check of M_ij = Gamma(f_i - partners_j) for real f_i."""
     tol = DEFAULT_TOLERANCES[check_id] if tolerance is None else tolerance
     lo, hi = _GRAM_SIZE_RANGE
     if not lo <= len(fs) <= hi:
         raise PreconditionError(f"need {lo}..{hi} functions, got {len(fs)}")
-    M = np.array([[G.evaluate(f - p) for p in partners] for f in fs],
-                 dtype=np.complex128)
+    for idx, f in enumerate(fs):
+        if not f.is_real:
+            raise PreconditionError(f"test function {idx} is not real")
+    M = G.difference_matrix(fs, partners)
     details: dict = {"size": len(fs)}
     witness = _psd_witness(M, details)
     return _report(check_id, witness, tol, ">=", config_digest, details)
@@ -180,6 +180,8 @@ def check_euclidean_invariance(G, fs: Sequence[TestFunction],
                                config_digest: str = "") -> CheckReport:
     """max |Gamma(g.f) - Gamma(f)| over the supplied lattice isometries."""
     tol = DEFAULT_TOLERANCES["euclidean_invariance"] if tolerance is None else tolerance
+    if not fs or not isometries:
+        raise PreconditionError("need at least one test function and one isometry")
     worst = 0.0
     worst_kind = ""
     for f in fs:

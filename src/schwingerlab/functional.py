@@ -8,7 +8,8 @@ functionals
 over a spectral mass measure rho, and whose interior nodes are convex
 mixtures Gamma_P(f) = sum_i w_i Gamma_i(f).  Mixing preserves every axiom
 the checkers verify, but generically destroys quasi-freeness: connected
-moments beyond order two stop vanishing.  This module provides evaluation,
+moments beyond order two stop vanishing.  This module provides evaluation
+(one kernel call per tree), the positivity checks' matrices Gamma(f_i - p_j),
 finite-difference moments, one table of the analytic moments, cumulants
 and cumulant scales of every sub-collection of the arguments (subset exp
 and log of the leaf Grams, the cumulants conditioned on the leaf),
@@ -29,8 +30,9 @@ import numpy as np
 
 from . import partitions
 from .errors import BoundsError, DomainError, ModelError, SchemaError
-from .lattice import Grid, TestFunction, lattice_symbol, sobolev_norm
-from .propagator import SpectralMeasure, spectral_two_point
+from .lattice import (Grid, TestFunction, lattice_symbol, reflect_momentum,
+                      sobolev_norm)
+from .propagator import SpectralMeasure, two_point_sums
 from .serialize import json_number, read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
@@ -51,7 +53,25 @@ class SchwingerFunctional:
     """Base node of a model tree."""
 
     def evaluate(self, f: TestFunction, z: complex = 1.0) -> complex:
-        raise NotImplementedError
+        """Gamma(z f): every leaf's S2_l(f, f) from one kernel call, summed in
+        atom order as spectral_two_point does (the atom table's zero columns
+        add exactly 0), then the leaf values combined in tree order."""
+        _, masses, atoms = self._atom_table
+        terms = atoms * two_point_sums(f, f, masses)
+        s2 = np.cumsum(terms, axis=1)[:, -1] / f.grid.extent ** f.grid.d
+        zz = complex(z)
+        return self._combine(iter([np.exp(-0.5 * zz * zz * complex(s)) for s in s2]))
+
+    def difference_matrix(self, fs: Sequence[TestFunction],
+                          partners: Sequence[TestFunction]) -> np.ndarray:
+        """M[i, j] = Gamma(f_i - p_j) = sum_l w_l exp(-1/2 S2_l(f_i - p_j, f_i - p_j)),
+        expanded over the leaf Grams of fs and the partners not among them."""
+        union = list(fs) + [p for p in partners if all(p is not f for f in fs)]
+        i = np.arange(len(fs))[:, None]
+        j = np.array([[next(k for k, g in enumerate(union) if g is p) for p in partners]])
+        weights, grams = _leaf_grams(self, union)
+        sq = grams[:, i, i] + grams[:, j, j] - grams[:, i, j] - grams[:, j, i]
+        return np.einsum("l,lij->ij", weights, np.exp(-0.5 * sq))
 
     def leaves(self) -> tuple[tuple[float, "QuasiFree"], ...]:
         """Flattened (path weight, leaf) pairs, in tree order.
@@ -85,10 +105,8 @@ class QuasiFree(SchwingerFunctional):
 
     rho: SpectralMeasure
 
-    def evaluate(self, f: TestFunction, z: complex = 1.0) -> complex:
-        s2 = spectral_two_point(f, f, self.rho)
-        zz = complex(z)
-        return complex(np.exp(-0.5 * zz * zz * s2))
+    def _combine(self, leaf_values) -> complex:
+        return complex(next(leaf_values))
 
     def leaves(self):
         return ((1.0, self),)
@@ -108,8 +126,8 @@ class Mixture(SchwingerFunctional):
 
     children: tuple[tuple[float, SchwingerFunctional], ...]
 
-    def evaluate(self, f: TestFunction, z: complex = 1.0) -> complex:
-        return complex(sum(w * child.evaluate(f, z) for w, child in self.children))
+    def _combine(self, leaf_values) -> complex:
+        return complex(sum(w * child._combine(leaf_values) for w, child in self.children))
 
     def leaves(self):
         return self._leaves
@@ -169,13 +187,18 @@ def _check_moment_args(fs: Sequence[TestFunction], cap: int) -> None:
 def _leaf_grams(G: SchwingerFunctional,
                 fs: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray]:
     """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n),
-    from one matmul per distinct atom mass over the stacked transforms."""
+    from one matmul per distinct atom mass over the stacked cached transforms;
+    the rows at -k are read from the stack by index, not cached."""
     weights, masses, atoms = G._atom_table
     grid = fs[0].grid
+    if any(f.grid != grid for f in fs):
+        raise DomainError("Grams need every function on one grid")
     hats = np.array([f.hat.ravel() for f in fs])
-    negs = np.array([f.hat_neg.ravel() for f in fs])
-    kernels = 1.0 / (masses[:, None] + lattice_symbol(grid).ravel())
-    sums = np.array([(negs * kernel) @ hats.T for kernel in kernels])
+    negs = hats[:, reflect_momentum(np.arange(grid.volume).reshape(grid.shape)).ravel()]
+    symbol = lattice_symbol(grid).ravel()
+    scaled = np.empty_like(negs)   # one (n x sites) temporary for every mass
+    sums = np.array([np.multiply(negs, 1.0 / (m2 + symbol), out=scaled) @ hats.T
+                     for m2 in masses])
     return weights, np.einsum("lm,mij->lij", atoms, sums) / grid.extent ** grid.d
 
 

@@ -13,16 +13,28 @@ from schwingerlab import (CheckReport, DomainError, Isometry, Mixture,
                           check_reflection_positivity,
                           check_stochastic_positivity, run_axiom_suite,
                           site_indicator, summary_lines)
-from schwingerlab.axioms import point_group
+from schwingerlab.axioms import _psd_witness, point_group
 from schwingerlab.errors import SchemaError
 from schwingerlab.experiments import two_mass_mixture
-from schwingerlab.fixtures import (random_positive_time_function,
+from schwingerlab.fixtures import (random_model_tree,
+                                   random_positive_time_function,
                                    random_real_function, rng_from_seed)
-from schwingerlab.lattice import Grid
+from schwingerlab.lattice import Grid, gaussian_packet
+from schwingerlab.propagator import spectral_two_point
+
+
+def evaluate_loop(G, fs, partners):
+    """M[i, j] = G.evaluate(f_i - p_j), one evaluation per entry: the
+    difference matrix of the evaluate-only fakes, and the oracle of the
+    leaf-Gram route."""
+    return np.array([[G.evaluate(f - p) for p in partners] for f in fs],
+                    dtype=np.complex128)
 
 
 class SignFlipped:
     """exp(+S2/2): grows instead of decaying, not a characteristic functional."""
+
+    difference_matrix = evaluate_loop
 
     def __init__(self, m2):
         self.m2 = m2
@@ -35,6 +47,8 @@ class SignFlipped:
 
 class Anisotropic:
     """Gaussian over a symbol with per-axis weights: breaks rotations."""
+
+    difference_matrix = evaluate_loop
 
     def __init__(self, m2, weights):
         self.m2 = m2
@@ -71,6 +85,11 @@ def test_normalization_passes_on_valid_models(real_set, free_leaf, mixture_14):
         rep = check_normalization_neutrality(model, real_set)
         assert rep.passed
         assert rep.witness <= 1e-15
+
+
+def test_normalization_rejects_an_empty_set(free_leaf):
+    with pytest.raises(PreconditionError, match="at least one"):
+        check_normalization_neutrality(free_leaf, [])
 
 
 def test_normalization_fails_on_corrupted_weights(real_set, free_leaf):
@@ -126,6 +145,90 @@ def test_gram_size_bounds(free_leaf, rp_set):
         check_reflection_positivity(free_leaf, rp_set[:1])
 
 
+def test_reflection_positivity_rejects_complex_functions(free_leaf, rp_set):
+    bad = list(rp_set)
+    bad[2] = 1j * bad[2]
+    with pytest.raises(PreconditionError, match="function 2 is not real"):
+        check_reflection_positivity(free_leaf, bad)
+
+
+def _shared_mass_tree():
+    a = QuasiFree(SpectralMeasure(((1.0, 0.5), (4.0, 0.5))))
+    b = QuasiFree(SpectralMeasure(((4.0, 0.3), (9.0, 0.7))))
+    c = QuasiFree(SpectralMeasure.delta(1.0))
+    return Mixture(((0.5, Mixture(((0.25, a), (0.75, b)))), (0.5, Mixture(((0.6, c), (0.4, a))))))
+
+
+def _tree_of_depth(rng, depth):
+    while (tree := random_model_tree(rng, max_depth=depth)).depth() < depth:
+        pass
+    return tree
+
+
+def _oracle_trees():
+    rng = rng_from_seed(211)
+    leaf = QuasiFree(SpectralMeasure.delta(1.0))
+    heavy = QuasiFree(SpectralMeasure(((2.0, 0.5), (6.0, 0.5))))
+    return [("depth3", _tree_of_depth(rng, 3)),
+            ("depth3_b", _tree_of_depth(rng, 3)),
+            ("depth4", _tree_of_depth(rng, 4)),
+            ("depth4_b", _tree_of_depth(rng, 4)),
+            ("shared_masses", _shared_mass_tree()),
+            ("weights_1_4", Mixture(((0.7, leaf), (0.7, heavy)))),
+            ("leaf", leaf)]
+
+
+ORACLE_TREES = _oracle_trees()
+
+
+@pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
+                         ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("tree", [tree for _, tree in ORACLE_TREES],
+                         ids=[name for name, _ in ORACLE_TREES])
+def test_difference_matrix_matches_the_evaluate_loop(grid_args, tree):
+    grid = Grid(*grid_args)
+    rng = rng_from_seed(223)
+    rp = [random_positive_time_function(grid, rng) for _ in range(6)]
+    sp = [random_real_function(grid, rng) for _ in range(6)]
+    reflected = [apply_isometry(f, Isometry.time_reflection()) for f in rp]
+    for fs, partners in ((rp, reflected), (sp, sp)):
+        got = tree.difference_matrix(fs, partners)
+        want = evaluate_loop(tree, fs, partners)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert abs(_psd_witness(got, {}) - _psd_witness(want, {})) <= 1e-13
+
+
+def test_difference_matrix_rejects_functions_on_two_grids(free_leaf, real_set):
+    other = random_real_function(Grid(2, 32, 0.5), rng_from_seed(7))
+    with pytest.raises(DomainError, match="one grid"):
+        free_leaf.difference_matrix(real_set[:2], [real_set[0], other])
+
+
+def _nested_evaluate(G, f, z):
+    """Evaluation as a tree walk with one kernel call per leaf."""
+    if isinstance(G, QuasiFree):
+        zz = complex(z)
+        return complex(np.exp(-0.5 * zz * zz * spectral_two_point(f, f, G.rho)))
+    return complex(sum(w * _nested_evaluate(child, f, z) for w, child in G.children))
+
+
+@pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
+                         ids=["1d", "2d", "3d"])
+def test_evaluate_is_bit_identical_to_the_nested_walk(grid_args):
+    grid = Grid(*grid_args)
+    rng = rng_from_seed(227)
+    trees = [tree for _, tree in ORACLE_TREES]
+    trees += [_tree_of_depth(rng, d) for d in (3, 3, 4, 4)]
+    fs = [random_real_function(grid, rng) for _ in range(2)]
+    fs.append(gaussian_packet(grid, [grid.extent / 3] * grid.d, 2 * grid.spacing,
+                              [2 * np.pi / grid.extent] * grid.d))
+    for tree in trees:
+        for f in fs:
+            for z in (1.0, 0.3 + 2j, -1.7j):
+                assert tree.evaluate(f, z) == _nested_evaluate(tree, f, z)
+
+
 # ---------------------------------------------------------------------------
 # stochastic positivity
 # ---------------------------------------------------------------------------
@@ -139,6 +242,13 @@ def test_stochastic_positivity_passes(real_set, free_leaf, mixture_14):
 def test_stochastic_positivity_rejects_sign_flipped_functional(real_set):
     rep = check_stochastic_positivity(SignFlipped(1.0), real_set)
     assert not rep.passed
+
+
+def test_stochastic_positivity_rejects_complex_functions(free_leaf, real_set):
+    bad = list(real_set)
+    bad[5] = 1j * bad[5]
+    with pytest.raises(PreconditionError, match="function 5 is not real"):
+        check_stochastic_positivity(free_leaf, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +269,14 @@ def test_invariance_fails_on_anisotropic_propagator(grid_2d, real_set):
                                      [Isometry.rotation(0, 1)])
     assert not rep.passed
     assert rep.details["worst_kind"] == "rotation"
+
+
+@pytest.mark.parametrize("n_functions,n_isometries", [(0, 0), (0, 1), (2, 0)])
+def test_invariance_rejects_empty_sets(grid_2d, real_set, free_leaf,
+                                       n_functions, n_isometries):
+    isos = point_group(grid_2d)[:n_isometries]
+    with pytest.raises(PreconditionError, match="at least one"):
+        check_euclidean_invariance(free_leaf, real_set[:n_functions], isos)
 
 
 def test_translations_alone_pass_even_for_anisotropic(grid_2d, real_set):

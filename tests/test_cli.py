@@ -187,7 +187,7 @@ _DOCUMENTS = [
       "params": {"d": 1, "extent": 16.0, "levels": [16, 32, 64], "masses_sq": [1.0],
                  "weights": [1.0], "packet": {"center": [8.0], "width": 2.0}}},
      ["experiment", "{doc}"]),
-    ({"cluster": 1e-6, "hermiticity": 1e-14},
+    ({"cluster": 1e-6, "reflection_positivity": -1e-9},
      ["verify", "{model}", "--tolerance-file", "{doc}"]),
     ({"numeric_n2": 1e-7},
      ["moments", "{model}", "--recipe", "{recipe}", "--order", "2",
@@ -245,6 +245,16 @@ def test_verify_unknown_tolerance_key_is_schema_error(model_file, tmp_path):
     code = main(["verify", model_file, "--out", str(tmp_path / "o"),
                  "--tolerance-file", str(tol)])
     assert code == 2
+
+
+def test_verify_hermiticity_tolerance_is_an_unknown_key(model_file, tmp_path, capsys):
+    # no checker reads a hermiticity tolerance: the defect is reported only
+    tol = tmp_path / "tols.json"
+    write_json(tol, {"hermiticity": 1e-14})
+    code = main(["verify", model_file, "--out", str(tmp_path / "o"),
+                 "--tolerance-file", str(tol)])
+    assert code == 2
+    assert "hermiticity" in capsys.readouterr().err
 
 
 def test_verify_missing_file_is_schema_error(tmp_path):
