@@ -33,10 +33,10 @@ import numpy as np
 from .errors import DomainError, PreconditionError, SchemaError
 from .fixtures import (fixture_packet, random_positive_time_function,
                        random_real_function, rng_from_seed)
-from .functional import MomentTable, SchwingerFunctional, model_to_dict
+from .functional import (MomentTable, SchwingerFunctional, leaf_values,
+                         model_to_dict)
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       positive_time_support, site_indicator)
-from .propagator import spectral_two_point
 from .serialize import canonical_digest, complex_pair
 
 # Error budget behind the PSD floor of -1e-9 (relative to trace): the
@@ -123,14 +123,13 @@ def check_normalization_neutrality(G: SchwingerFunctional,
     tol = DEFAULT_TOLERANCES["normalization_neutrality"] if tolerance is None else tolerance
     if not test_set:
         raise PreconditionError("need at least one test function")
-    worst = abs(G.evaluate(TestFunction.zeros(test_set[0].grid)) - 1.0)
-    details: dict = {"normalization_defect": worst}
-    for f in test_set:
-        if not f.is_real:
-            raise PreconditionError("neutrality is stated for real test functions")
-        d = abs(G.evaluate(-f) - G.evaluate(f).conjugate())
-        worst = max(worst, d)
-    details["neutrality_defect"] = worst
+    if not all(f.is_real for f in test_set):
+        raise PreconditionError("neutrality is stated for real test functions")
+    zero, *values = G.evaluate_many([TestFunction.zeros(test_set[0].grid)]
+                                    + [h for f in test_set for h in (-f, f)])
+    worst = max([abs(zero - 1.0)] + [abs(neg - pos.conjugate())
+                                     for neg, pos in zip(values[::2], values[1::2])])
+    details = {"normalization_defect": abs(zero - 1.0), "neutrality_defect": worst}
     return _report("normalization_neutrality", worst, tol, "<=", config_digest, details)
 
 
@@ -185,10 +184,8 @@ def check_euclidean_invariance(G, fs: Sequence[TestFunction],
     worst = 0.0
     worst_kind = ""
     for f in fs:
-        base = G.evaluate(f)
-        for iso in isometries:
-            moved = G.evaluate(apply_isometry(f, iso))
-            d = abs(moved - base)
+        base, *moved = G.evaluate_many([f] + [apply_isometry(f, iso) for iso in isometries])
+        for iso, d in zip(isometries, [abs(value - base) for value in moved]):
             if d > worst:
                 worst, worst_kind = d, iso.kind
     details = {"isometries": [iso.kind for iso in isometries],
@@ -253,21 +250,13 @@ def check_cluster_defect(G: SchwingerFunctional, f: TestFunction,
     if mode not in ("clusters", "defect"):
         raise DomainError(f"unknown cluster mode {mode!r}")
 
-    gamma_f = G.evaluate(f)
-    gamma_g = G.evaluate(g)
-    delta_inf = sum(w * leaf.evaluate(f) * leaf.evaluate(g)
-                    for w, leaf in leaves) - gamma_f * gamma_g
-
-    curve = []
-    last_shift = None
-    for vec in seps:
-        shifted = apply_isometry(g, Isometry.translation(vec))
-        last_shift = shifted
-        delta = G.evaluate(f + shifted) - gamma_f * gamma_g
-        curve.append((vec, complex(delta)))
-
-    budget = 2.0 * sum(abs(w) * abs(spectral_two_point(f, last_shift, leaf.rho))
-                       for w, leaf in leaves)
+    shifted = [apply_isometry(g, Isometry.translation(vec)) for vec in seps]
+    gamma_f, gamma_g, *values = G.evaluate_many([f, g] + [f + s for s in shifted])
+    curve = [(vec, complex(v - gamma_f * gamma_g)) for vec, v in zip(seps, values)]
+    gammas = (leaf_values(s2) for s2 in G.leaf_two_point([f, g], [f, g]))
+    delta_inf = sum(w * a * b for (w, _), a, b in zip(leaves, *gammas)) - gamma_f * gamma_g
+    budget = 2.0 * sum(abs(w) * abs(complex(s)) for (w, _), s
+                       in zip(leaves, G.leaf_two_point([f], shifted[-1:])[0]))
     floor = DEFAULT_TOLERANCES["cluster"]
     tol = tolerance if tolerance is not None else max(floor, budget)
 

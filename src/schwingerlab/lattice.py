@@ -114,6 +114,14 @@ def reflect_momentum(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=64)
+def negation_index(grid: Grid) -> np.ndarray:
+    """Flat index of -k for every flat momentum index k, read-only."""
+    out = reflect_momentum(np.arange(grid.volume).reshape(grid.shape)).ravel()
+    out.setflags(write=False)
+    return out
+
+
 class TestFunction:
     """Complex-valued function sampled on a Grid; argument of every functional.
 
@@ -124,7 +132,7 @@ class TestFunction:
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("grid", "values", "is_real", "_hat", "_hat_neg")
+    __slots__ = ("grid", "values", "is_real", "_hat")
 
     def __init__(self, grid: Grid, values, copy: bool = True):
         arr = np.array(values, dtype=np.complex128, copy=copy)
@@ -139,7 +147,6 @@ class TestFunction:
         self.values = arr
         self.is_real = bool(np.max(np.abs(arr.imag), initial=0.0) <= REALITY_TOL)
         self._hat = None
-        self._hat_neg = None
 
     @classmethod
     def zeros(cls, grid: Grid) -> "TestFunction":
@@ -149,19 +156,13 @@ class TestFunction:
     def hat(self) -> np.ndarray:
         """f^(k) = a^d sum_x exp(-i k.x) f(x), FFT layout."""
         if self._hat is None:
-            h = np.fft.fftn(self.values) * self.grid.cell
-            h.setflags(write=False)
-            self._hat = h
+            stacked_hats([self])
         return self._hat
 
     @property
     def hat_neg(self) -> np.ndarray:
-        """f^(-k), FFT layout."""
-        if self._hat_neg is None:
-            h = reflect_momentum(self.hat)
-            h.setflags(write=False)
-            self._hat_neg = h
-        return self._hat_neg
+        """f^(-k), FFT layout: f^ read at the grid's index of -k."""
+        return self.hat.ravel()[negation_index(self.grid)].reshape(self.grid.shape)
 
     def _same_grid(self, other: "TestFunction") -> None:
         if self.grid != other.grid:
@@ -195,6 +196,22 @@ class TestFunction:
         return math.sqrt(self.inner(self).real)
 
 
+def stacked_hats(fs: list[TestFunction]) -> np.ndarray:
+    """The transforms f^ of fs as the rows of one (len(fs), sites) array;
+    the uncached ones come from one batched FFT, which fills their caches."""
+    grid = fs[0].grid
+    if any(f.grid != grid for f in fs):
+        raise DomainError("stacked transforms need every function on one grid")
+    todo = list({id(f): f for f in fs if f._hat is None}.values())
+    if todo:
+        batch = np.fft.fftn(np.array([f.values for f in todo]),
+                            axes=tuple(range(1, grid.d + 1))) * grid.cell
+        for f, h in zip(todo, batch):   # own arrays: a cache keeps no batch alive
+            f._hat = h.copy()
+            f._hat.setflags(write=False)
+    return np.array([f._hat.ravel() for f in fs])
+
+
 def gaussian_packet(grid: Grid, center, width: float, momentum=None) -> TestFunction:
     """Periodized Gaussian envelope times plane wave, unit discrete L2 norm.
 
@@ -221,15 +238,11 @@ def gaussian_packet(grid: Grid, center, width: float, momentum=None) -> TestFunc
         raise ResolutionError(
             f"width {width} exceeds L/4 = {grid.extent / 4}: wrap-around not negligible"
         )
-    x = grid.axis_coordinates()
-    axes = []
-    for i in range(grid.d):
-        acc = np.zeros(grid.n_per_axis, dtype=np.complex128)
-        for m in range(-3, 4):  # images beyond +-3L are < exp(-50) here
-            xi = x - c[i] + m * grid.extent
-            acc += np.exp(-(xi ** 2) / (2.0 * width ** 2) + 1j * p[i] * xi)
-        axes.append(acc)
-    vals = reduce(np.multiply.outer, axes) if grid.d > 1 else axes[0]
+    # xi[m, i]: axis i at image m (images beyond +-3L are < exp(-50) here),
+    # images summed from 0 in order: the reduced axis 0 is the outermost
+    xi = (grid.axis_coordinates() - c[:, None]) + np.arange(-3, 4)[:, None, None] * grid.extent
+    terms = np.exp(-(xi ** 2) / (2.0 * width ** 2) + (1j * p)[:, None] * xi)
+    vals = reduce(np.multiply.outer, np.add.reduce(terms, axis=0, initial=0j))
     norm = math.sqrt(grid.cell * float(np.sum(np.abs(vals) ** 2)))
     return TestFunction(grid, vals / norm, copy=False)
 

@@ -19,7 +19,7 @@ from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.fixtures import (random_model_tree,
                                    random_positive_time_function,
                                    random_real_function, rng_from_seed)
-from schwingerlab.lattice import Grid, gaussian_packet
+from schwingerlab.lattice import Grid, TestFunction, gaussian_packet
 from schwingerlab.propagator import spectral_two_point
 
 
@@ -39,6 +39,9 @@ class SignFlipped:
     def __init__(self, m2):
         self.m2 = m2
 
+    def evaluate_many(self, fs, z=1.0):
+        return [self.evaluate(f, z) for f in fs]
+
     def evaluate(self, f, z=1.0):
         from schwingerlab import free_two_point
         zz = complex(z)
@@ -53,6 +56,9 @@ class Anisotropic:
     def __init__(self, m2, weights):
         self.m2 = m2
         self.weights = weights
+
+    def evaluate_many(self, fs, z=1.0):
+        return [self.evaluate(f, z) for f in fs]
 
     def evaluate(self, f, z=1.0):
         g = f.grid
@@ -229,6 +235,36 @@ def test_evaluate_is_bit_identical_to_the_nested_walk(grid_args):
                 assert tree.evaluate(f, z) == _nested_evaluate(tree, f, z)
 
 
+@pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
+                         ids=["1d", "2d", "3d"])
+def test_evaluate_many_is_bit_identical_to_evaluate(grid_args):
+    grid = Grid(*grid_args)
+    rng = rng_from_seed(229)
+    trees = [_tree_of_depth(rng, d) for d in (3, 3, 4, 4)]
+    values = [random_real_function(grid, rng).values for _ in range(48)]
+    values[5] = values[5] * (0.4 - 1.3j)
+    for tree in trees:
+        for z in (1.0, 0.3 + 2j):
+            # the oracle: one evaluate per function, each on an uncached copy
+            want = [tree.evaluate(TestFunction(grid, v), z) for v in values]
+            for size in (1, 2, 7, 48):
+                fs = [TestFunction(grid, v) for v in values]
+                got = [value for i in range(0, len(fs), size)
+                       for value in tree.evaluate_many(fs[i:i + size], z)]
+                assert got == want
+
+
+def test_evaluate_many_of_no_functions_is_empty(free_leaf, mixture_14):
+    for model in (free_leaf, mixture_14):
+        assert model.evaluate_many([]) == []
+
+
+def test_evaluate_many_rejects_functions_on_two_grids(free_leaf, real_set):
+    other = random_real_function(Grid(2, 32, 0.5), rng_from_seed(7))
+    with pytest.raises(DomainError, match="one grid"):
+        free_leaf.evaluate_many([real_set[0], other])
+
+
 # ---------------------------------------------------------------------------
 # stochastic positivity
 # ---------------------------------------------------------------------------
@@ -339,6 +375,29 @@ def test_one_atom_mixture_still_clusters(cluster_grid, cluster_probes):
     assert rep.details["mode"] == "defect"
     assert rep.details["delta_infinity"] == [0.0, 0.0]
     assert rep.passed
+
+
+@pytest.mark.parametrize("tree", [tree for _, tree in ORACLE_TREES],
+                         ids=[name for name, _ in ORACLE_TREES])
+def test_cluster_leaf_terms_match_the_per_leaf_walk(cluster_grid, tree):
+    # the oracle: Delta_inf and the tail budget from the per-leaf kernel sums
+    f = site_indicator(cluster_grid, (16, 32))
+    g = gaussian_packet(cluster_grid, [20.0, 30.0], 3.0, [2 * np.pi / 64, 0.0])
+    g = TestFunction(cluster_grid, g.values.real)
+    seps = [4, 8, 16]
+    rep, curve = check_cluster_defect(tree, f, g, seps, mode="defect")
+    gamma_f, gamma_g = tree.evaluate(f), tree.evaluate(g)
+    leaves = tree.leaves()
+    delta_inf = sum(w * _nested_evaluate(leaf, f, 1.0) * _nested_evaluate(leaf, g, 1.0)
+                    for w, leaf in leaves) - gamma_f * gamma_g
+    last = apply_isometry(g, Isometry.translation((16, 0)))
+    budget = 2.0 * sum(abs(w) * abs(spectral_two_point(f, last, leaf.rho))
+                       for w, leaf in leaves)
+    assert rep.details["delta_infinity"] == [delta_inf.real, delta_inf.imag]
+    assert rep.details["tail_budget"] == budget
+    for (vec, delta), sep in zip(curve, seps):
+        shifted = apply_isometry(g, Isometry.translation((sep, 0)))
+        assert delta == tree.evaluate(f + shifted) - gamma_f * gamma_g
 
 
 def test_separation_beyond_quarter_box_rejected(cluster_grid, cluster_probes):

@@ -3,6 +3,7 @@ regularity.  Oracles: explicit pairing expansions, finite differences,
 hand-derived closed forms for the two-mass mixture, and cumulants by
 conditioning on the leaf (law of total cumulance)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,10 @@ from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.fixtures import (random_model_tree, random_real_function,
                                    rng_from_seed)
 from schwingerlab.lattice import Grid
-from schwingerlab.functional import (MAX_TREE_DEPTH, MomentTable, _leaf_grams,
-                                     min_mass_sq, validate_model)
+from schwingerlab.functional import (GROWTH_K_CEILING, MAX_TREE_DEPTH,
+                                     NUMERIC_TOLERANCE_SCHEDULE, MomentTable,
+                                     NumericMoment, _leaf_grams, min_mass_sq,
+                                     validate_model)
 from schwingerlab.partitions import pairings
 
 
@@ -209,6 +212,45 @@ def test_numeric_cap():
         moment_numeric(two_mass_mixture(1.0, 4.0), [None] * 5)
 
 
+def _numeric_loop(G, fs):
+    """moment_numeric with one evaluate per stencil combination: its oracle."""
+    n = len(fs)
+    floor = min_mass_sq(G)
+    norms = [sobolev_norm(f, floor) for f in fs]
+    h0 = np.finfo(float).eps ** (1.0 / (n + 4))
+
+    def stencil(scale):
+        steps = [scale / nu for nu in norms]
+        acc = 0j
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            combo = TestFunction.zeros(fs[0].grid)
+            for s, h, f in zip(signs, steps, fs):
+                combo = combo + (s * h) * f
+            acc += math.prod(signs) * G.evaluate(combo, 1.0)
+        return acc / math.prod(2.0 * h for h in steps)
+
+    d_2h, d_h, d_h2 = stencil(2.0 * h0), stencil(h0), stencil(h0 / 2.0)
+    extrap_fine = (4.0 * d_h2 - d_h) / 3.0
+    disagreement = abs(extrap_fine - (4.0 * d_h - d_2h) / 3.0)
+    tol = NUMERIC_TOLERANCE_SCHEDULE[n]
+    warn = disagreement > tol * max(abs(extrap_fine), 1e-3 * math.prod(norms))
+    phase = 1j ** n
+    return NumericMoment(complex(extrap_fine / phase),
+                         (complex(d_2h / phase), complex(d_h / phase),
+                          complex(d_h2 / phase)),
+                         float(disagreement), bool(warn))
+
+
+@pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 1))
+def test_numeric_is_bit_identical_to_the_combination_loop(grid_2d, packet, model_idx):
+    rng = rng_from_seed(137)
+    model = (MODEL_FAMILY + [random_model_tree(rng, max_depth=3)])[model_idx]
+    fs = [random_real_function(grid_2d, rng) for _ in range(4)]
+    for n in range(1, 5):
+        for args in (fs[:n], [packet] * n):
+            assert moment_numeric(model, args) == _numeric_loop(model, args)
+
+
 # ---------------------------------------------------------------------------
 # cumulant
 # ---------------------------------------------------------------------------
@@ -390,6 +432,46 @@ def test_moment_growth_bound(grid_2d):
         # odd orders contribute nothing
         odd = dict(rep.per_order)
         assert odd[1] == 0.0 and odd[3] == 0.0
+
+
+def _growth_loop(G, grid, n_max, trials, seed):
+    """moment_growth_check with per-trial rescaled probes: its oracle."""
+    floor = min_mass_sq(G)
+    rng = rng_from_seed(seed)
+    rows = []
+    for n in range(1, n_max + 1):
+        k_n = 0.0
+        for _ in range(trials):
+            fs = [(1.0 / sobolev_norm(f, floor)) * f
+                  for f in (random_real_function(grid, rng) for _ in range(n))]
+            mag = abs(moment_analytic(G, fs))
+            if mag > 0:
+                k_n = max(k_n, (mag / math.sqrt(math.factorial(n))) ** (1.0 / (n + 1)))
+        rows.append((n, k_n))
+    return rows
+
+
+@pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 2))
+def test_moment_growth_matches_the_per_trial_loop(grid_2d, model_idx):
+    rng = rng_from_seed(139)
+    model = (MODEL_FAMILY + [random_model_tree(rng, max_depth=d) for d in (3, 4)])[model_idx]
+    for n_max, trials, seed in ((8, 3, 5), (5, 2, 11), (2, 1, 0)):
+        rep = moment_growth_check(model, grid_2d, n_max=n_max, trials=trials, seed=seed)
+        want = _growth_loop(model, grid_2d, n_max, trials, seed)
+        assert [n for n, _ in rep.per_order] == [n for n, _ in want]
+        for (_, got_k), (_, want_k) in zip(rep.per_order, want):
+            assert abs(got_k - want_k) <= 1e-12 * want_k
+        worst = max(k for _, k in want)
+        assert abs(rep.k - worst) <= 1e-12 * worst
+        assert rep.passed == (worst <= GROWTH_K_CEILING)
+        assert type(rep.k) is float and type(rep.passed) is bool
+
+
+@pytest.mark.parametrize("kwargs", [{"n_max": 0}, {"n_max": -2}, {"n_max": 9},
+                                    {"trials": 0}, {"trials": -1}])
+def test_moment_growth_rejects_an_empty_or_oversized_probe_set(grid_2d, kwargs):
+    with pytest.raises(BoundsError):
+        moment_growth_check(two_mass_mixture(1.0, 4.0), grid_2d, **kwargs)
 
 
 # ---------------------------------------------------------------------------

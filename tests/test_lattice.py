@@ -1,6 +1,7 @@
 """Grids, test functions, Fourier conventions, isometries, time support."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from schwingerlab import (DomainError, Grid, Isometry, ResolutionError,
                           TestFunction, apply_isometry, gaussian_packet,
                           positive_time_part, positive_time_support,
                           site_indicator, sobolev_norm)
-from schwingerlab.lattice import reflect_momentum
+from schwingerlab.lattice import negation_index, reflect_momentum, stacked_hats
 from schwingerlab import free_two_point
 from schwingerlab.fixtures import random_real_function, rng_from_seed
 
@@ -103,6 +104,39 @@ def test_disjoint_support_packets_nearly_orthogonal():
     assert overlap < 1e-8
 
 
+def _packet_loop(grid, center, width, momentum):
+    """The per-axis, per-image loop: the oracle of gaussian_packet's bits."""
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    p = np.atleast_1d(np.asarray(momentum, dtype=float))
+    x = grid.axis_coordinates()
+    axes = []
+    for i in range(grid.d):
+        acc = np.zeros(grid.n_per_axis, dtype=np.complex128)
+        for m in range(-3, 4):
+            xi = x - c[i] + m * grid.extent
+            acc += np.exp(-(xi ** 2) / (2.0 * width ** 2) + 1j * p[i] * xi)
+        axes.append(acc)
+    vals = reduce(np.multiply.outer, axes) if grid.d > 1 else axes[0]
+    return vals / math.sqrt(grid.cell * float(np.sum(np.abs(vals) ** 2)))
+
+
+@pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
+                         ids=["1d", "2d", "3d"])
+def test_packet_is_bit_identical_to_the_image_loop(grid_args):
+    grid = Grid(*grid_args)
+    rng = np.random.default_rng(31)
+    L = grid.extent
+    for trial in range(40):
+        center = rng.uniform(-0.2 * L, 1.2 * L, grid.d)
+        width = rng.uniform(2 * grid.spacing, L / 4)
+        modes = rng.integers(-2, 3, grid.d) if trial % 3 else np.zeros(grid.d)
+        momentum = 2 * np.pi / L * modes if trial % 4 else rng.normal(size=grid.d)
+        got = gaussian_packet(grid, center, width, momentum).values
+        want = _packet_loop(grid, center, width, momentum)
+        # bit patterns, so signed zeros count too
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_packet_width_preconditions(grid_2d):
     with pytest.raises(ResolutionError, match="2\\*spacing"):
         gaussian_packet(grid_2d, [4.0, 4.0], 0.3)
@@ -130,6 +164,29 @@ def test_constant_function_is_a_zero_momentum_peak(grid_1d):
     h = f.hat
     assert h[0] == pytest.approx(grid_1d.cell * grid_1d.volume)
     assert np.max(np.abs(h[1:])) <= 1e-12
+
+
+def test_stacked_hats_fill_the_caches_with_the_single_transform_bits(grid_2d):
+    rng = rng_from_seed(5)
+    fs = [random_real_function(grid_2d, rng) for _ in range(5)]
+    fs[2] = (0.5 - 2j) * fs[2]
+    assert fs[1].hat is not None   # one transform cached beforehand
+    rows = stacked_hats(fs + [fs[0]])
+    for f, row in zip(fs + [fs[0]], rows):
+        want = np.fft.fftn(f.values) * grid_2d.cell
+        assert np.array_equal(row.view(np.uint64), want.ravel().view(np.uint64))
+        assert np.array_equal(f.hat, want)
+        assert not f.hat.flags.writeable
+
+
+def test_hat_neg_is_the_reflected_transform(grid_2d):
+    f = random_complex_function(grid_2d, 4)
+    assert np.array_equal(f.hat_neg.view(np.uint64),
+                          reflect_momentum(f.hat).view(np.uint64))
+    index = negation_index(grid_2d)
+    assert not index.flags.writeable
+    assert np.array_equal(np.sort(index), np.arange(grid_2d.volume))
+    assert np.array_equal(index[index], np.arange(grid_2d.volume))
 
 
 def test_reality_symmetry(grid_2d):
