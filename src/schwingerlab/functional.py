@@ -8,14 +8,16 @@ functionals
 over a spectral mass measure rho, and whose interior nodes are convex
 mixtures Gamma_P(f) = sum_i w_i Gamma_i(f).  Mixing preserves every axiom
 the checkers verify, but generically destroys quasi-freeness: connected
-moments beyond order two stop vanishing.  This module provides evaluation
-of a stack of test functions in one pass (one batched transform, one kernel
-call), the positivity checks' matrices Gamma(f_i - p_j), finite-difference
-moments, one table of the analytic moments, cumulants and cumulant scales
-of every sub-collection of the arguments (subset exp and log of the leaf
-Grams, the cumulants conditioned on the leaf), gaussianization (replacing
-a tree by the quasi-free functional with the same two-point function),
-regularity and moment-growth certificates, and the model file format.
+moments beyond order two stop vanishing.  A tree's leaves are the rows of
+one atom table (leaf x mass weights), over which the `propagator` kernels
+give every leaf's two-point values and Grams.  This module provides
+evaluation of a stack of test functions in one pass, the positivity checks'
+matrices Gamma(f_i - p_j), finite-difference moments, one table of the
+analytic moments, cumulants and cumulant scales of every sub-collection of
+the arguments (subset exp and log of the leaf Grams, the cumulants
+conditioned on the leaf), gaussianization (the quasi-free functional with
+the same two-point function), regularity and moment-growth certificates,
+and the model file format.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ import numpy as np
 
 from . import partitions
 from .errors import BoundsError, DomainError, ModelError, SchemaError
-from .lattice import (Grid, TestFunction, lattice_symbol, negation_index,
-                      sobolev_norm, stacked_hats)
-from .propagator import SpectralMeasure
+from .lattice import Grid, TestFunction, sobolev_norm
+from .propagator import SpectralMeasure, two_point_grams, two_point_pairs
 from .serialize import json_number, read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
@@ -64,17 +65,8 @@ class SchwingerFunctional:
 
     def leaf_two_point(self, fs: Sequence[TestFunction],
                        gs: Sequence[TestFunction]) -> np.ndarray:
-        """S2_l(f_i, g_i) of every leaf l and pair i, shape (len(fs), L).  Per
-        mass one (len(fs), sites) temporary is row-summed as in two_point_sums,
-        then each leaf's atoms in order as in spectral_two_point."""
-        _, masses, atoms = self._atom_table
-        grid = fs[0].grid
-        hats = stacked_hats(fs if gs is fs else list(fs) + list(gs))
-        prod = hats[:len(fs), negation_index(grid)] * hats[-len(gs):]
-        scaled = np.empty_like(prod)
-        sums = np.array([np.divide(prod, m2 + lattice_symbol(grid).ravel(), out=scaled)
-                         .sum(axis=1) for m2 in masses]).T
-        return np.cumsum(atoms * sums[:, None, :], axis=2)[:, :, -1] / grid.extent ** grid.d
+        """S2_l(f_i, g_i) of every leaf l and pair i, shape (len(fs), L)."""
+        return two_point_pairs(fs, gs, *self._atom_table[1:])
 
     def difference_matrix(self, fs: Sequence[TestFunction],
                           partners: Sequence[TestFunction]) -> np.ndarray:
@@ -190,7 +182,7 @@ def validate_model(G: SchwingerFunctional) -> None:
 
 def min_mass_sq(G: SchwingerFunctional) -> float:
     """Smallest atom mass-squared in the tree: the model's own infrared floor."""
-    return min(leaf.rho.min_mass_sq for _, leaf in G.leaves())
+    return float(G._atom_table[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +198,8 @@ def _check_moment_args(fs: Sequence[TestFunction], cap: int) -> None:
 
 def _leaf_grams(G: SchwingerFunctional,
                 fs: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n),
-    from one matmul per distinct atom mass over the stacked transforms; the
-    rows at -k are read from the stack by index, not cached."""
-    weights, masses, atoms = G._atom_table
-    grid = fs[0].grid
-    hats = stacked_hats(fs)
-    negs = hats[:, negation_index(grid)]
-    symbol = lattice_symbol(grid).ravel()
-    scaled = np.empty_like(negs)   # one (n x sites) temporary for every mass
-    sums = np.array([np.multiply(negs, 1.0 / (m2 + symbol), out=scaled) @ hats.T
-                     for m2 in masses])
-    return weights, np.einsum("lm,mij->lij", atoms, sums) / grid.extent ** grid.d
+    """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n)."""
+    return G._atom_table[0], two_point_grams(fs, *G._atom_table[1:])
 
 
 def _pair_table(grams: np.ndarray) -> np.ndarray:
@@ -365,11 +347,10 @@ def gaussianize(G: SchwingerFunctional) -> QuasiFree:
     """
     if isinstance(G, QuasiFree):
         return G
-    acc: dict[float, float] = {}
-    for w, leaf in G.leaves():
-        for m2, aw in leaf.rho.atoms:
-            acc[m2] = acc.get(m2, 0.0) + w * aw
-    return QuasiFree(SpectralMeasure(tuple(sorted(acc.items()))))
+    weights, masses, atoms = G._atom_table
+    # running sums in leaf order, not np.sum's pairwise order, fix the atoms' bits
+    pushed = np.cumsum(weights[:, None] * atoms, axis=0)[-1]
+    return QuasiFree(SpectralMeasure(tuple(zip(masses.tolist(), pushed.tolist()))))
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,12 @@ class Grid:
         if not (isinstance(self.spacing, (int, float))
                 and math.isfinite(self.spacing) and self.spacing > 0):
             raise DomainError(f"spacing must be finite and > 0, got {self.spacing}")
+        try:
+            scales = [self.cell, self.extent ** self.d, self.extent ** 2, (2 / self.spacing) ** 2]
+        except OverflowError:
+            scales = [math.inf]
+        if not all(0.0 < s < math.inf for s in scales):
+            raise DomainError(f"a^d, L^d, L^2 or (2/a)^2 out of range at spacing {self.spacing}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -159,11 +165,6 @@ class TestFunction:
             stacked_hats([self])
         return self._hat
 
-    @property
-    def hat_neg(self) -> np.ndarray:
-        """f^(-k), FFT layout: f^ read at the grid's index of -k."""
-        return self.hat.ravel()[negation_index(self.grid)].reshape(self.grid.shape)
-
     def _same_grid(self, other: "TestFunction") -> None:
         if self.grid != other.grid:
             raise DomainError("test functions live on different grids")
@@ -183,9 +184,6 @@ class TestFunction:
         return TestFunction(self.grid, self.values * complex(c), copy=False)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "TestFunction":
-        return TestFunction(self.grid, np.conj(self.values), copy=False)
 
     def inner(self, other: "TestFunction") -> complex:
         """Discrete L2 inner product  a^d sum_x conj(f) g."""
@@ -316,10 +314,6 @@ class Isometry:
     @staticmethod
     def time_reflection() -> "Isometry":
         return Isometry("time_reflection")
-
-    @staticmethod
-    def identity(d: int) -> "Isometry":
-        return Isometry("translation", (0,) * d)
 
 
 def _negate_axis(v: np.ndarray, ax: int) -> np.ndarray:

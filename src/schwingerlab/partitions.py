@@ -213,15 +213,6 @@ def _layers(a: np.ndarray):
     return _rooted_splits(n)
 
 
-def subset_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a * b)[S] = sum over A subset of S of a[A] b[S - A]."""
-    out = a * b
-    for masks, blocks, rests in _layers(a):
-        out[..., masks] = (a[..., blocks] * b[..., rests]
-                           + b[..., blocks] * a[..., rests]).sum(-1)
-    return out
-
-
 def _exp(a: np.ndarray, layers) -> np.ndarray:
     out = np.zeros_like(a)
     out[..., 0] = 1.0

@@ -12,6 +12,10 @@ atomic measure on the mass-squared axis:
 
 Every atom sits at or above the one infrared floor MASS_FLOOR_SQ, and
 S2_m(f, f) is pinned to the squared mass-regularized Sobolev norm for real f.
+
+The momentum sum is written once, in two kernels over an atom-weight matrix
+with one measure per row: `two_point_pairs` pairs each f_i with its g_i, and
+`two_point_grams` pairs every f_i with every f_j.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .lattice import Grid, TestFunction, lattice_symbol
+from .lattice import Grid, TestFunction, lattice_symbol, negation_index, stacked_hats
 from .serialize import json_number
 
 # Guards the massless infrared divergence; models set their own, larger
@@ -60,23 +64,6 @@ class SpectralMeasure:
             raise DomainError("spectral measure needs at least one atom of positive weight")
         object.__setattr__(self, "atoms", cleaned)
 
-    @property
-    def total_mass(self) -> float:
-        return float(sum(w for _, w in self.atoms))
-
-    @property
-    def is_probability(self) -> bool:
-        return abs(self.total_mass - 1.0) <= 1e-12
-
-    @property
-    def min_mass_sq(self) -> float:
-        return self.atoms[0][0]
-
-    def scaled(self, c: float) -> "SpectralMeasure":
-        if c < 0:
-            raise DomainError(f"scaling factor must be >= 0, got {c}")
-        return SpectralMeasure(tuple((m2, c * w) for m2, w in self.atoms))
-
     def to_pairs(self) -> list[list[float]]:
         return [[m2, w] for m2, w in self.atoms]
 
@@ -98,22 +85,40 @@ class SpectralMeasure:
         return SpectralMeasure(((float(m2), 1.0),))
 
 
-def two_point_sums(f: TestFunction, g: TestFunction,
-                   masses_sq: Sequence[float]) -> np.ndarray:
-    """sum_k f^(-k) g^(k) / (khat^2 + m2) for every m2 in masses_sq at once.
+def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
+                    masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
+    """S2_r(f_i, g_i) of every pair i and every row r of atoms, shape
+    (len(fs), rows); row r weights masses_sq[m] by atoms[r, m].
 
-    The one copy of the momentum sum: S2_m(f, g) is this sum times L^-d.
-    Each mass's row is summed on its own, so its value has the same bits
-    whichever other masses share the call.
+    Per mass one (len(fs), sites) temporary is divided and row-summed, so a
+    pair's momentum sum has the same bits whichever other pairs and masses
+    share the call; each row then adds its atoms in mass order.
     """
-    if f.grid != g.grid:
-        raise DomainError("two-point function needs both arguments on one grid")
-    w = lattice_symbol(f.grid).ravel()
-    # the only (masses x sites) temporary: denominators, then terms in place
-    terms = np.empty((len(masses_sq), w.size), dtype=np.complex128)
-    np.add(np.asarray(masses_sq, dtype=np.float64)[:, None], w, out=terms)
-    np.divide((f.hat_neg * g.hat).ravel(), terms, out=terms)
-    return terms.sum(axis=1)
+    grid = fs[0].grid
+    hats = stacked_hats(fs if gs is fs else list(fs) + list(gs))
+    prod = hats[:len(fs), negation_index(grid)] * hats[-len(gs):]
+    symbol = lattice_symbol(grid).ravel()
+    scaled = np.empty_like(prod)
+    sums = np.array([np.divide(prod, m2 + symbol, out=scaled).sum(axis=1)
+                     for m2 in masses_sq]).T
+    # a running sum in atom order, not np.sum's pairwise order: evaluate's
+    # bits, and every witness built on them, depend on it
+    return np.cumsum(atoms * sums[:, None, :], axis=2)[:, :, -1] / grid.extent ** grid.d
+
+
+def two_point_grams(fs: Sequence[TestFunction], masses_sq: Sequence[float],
+                    atoms: np.ndarray) -> np.ndarray:
+    """Grams S2_r(f_i, f_j) of fs under every row r of atoms, shape
+    (rows, n, n), from one matmul per mass over the stacked transforms; the
+    rows at -k are read from the stack by index, not cached."""
+    grid = fs[0].grid
+    hats = stacked_hats(fs)
+    negs = hats[:, negation_index(grid)]
+    symbol = lattice_symbol(grid).ravel()
+    scaled = np.empty_like(negs)   # one (n x sites) temporary for every mass
+    sums = np.array([np.multiply(negs, 1.0 / (m2 + symbol), out=scaled) @ hats.T
+                     for m2 in masses_sq])
+    return np.einsum("rm,mij->rij", atoms, sums) / grid.extent ** grid.d
 
 
 def free_two_point(f: TestFunction, g: TestFunction, m2: float) -> complex:
@@ -124,11 +129,7 @@ def free_two_point(f: TestFunction, g: TestFunction, m2: float) -> complex:
 def spectral_two_point(f: TestFunction, g: TestFunction, rho: SpectralMeasure) -> complex:
     """Spectral superposition sum_atoms weight * S2_m(f, g); linear in rho."""
     masses, weights = zip(*rho.atoms)
-    terms = np.array(weights) * two_point_sums(f, g, masses)
-    # a running sum in atom order, not np.sum's pairwise order: evaluate's
-    # bits, and every witness built on them, depend on it
-    total = np.cumsum(terms)[-1]
-    return complex(total / f.grid.extent ** f.grid.d)
+    return complex(two_point_pairs([f], [g], masses, np.array([weights]))[0, 0])
 
 
 def covariance_kernel(grid: Grid, m2: float) -> np.ndarray:

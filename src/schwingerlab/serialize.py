@@ -61,6 +61,8 @@ def read_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: nested too deeply to read") from None
 
 
 def complex_pair(z: complex) -> list[float]:

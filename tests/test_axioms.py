@@ -19,7 +19,7 @@ from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.fixtures import (random_model_tree,
                                    random_positive_time_function,
                                    random_real_function, rng_from_seed)
-from schwingerlab.lattice import Grid, TestFunction, gaussian_packet
+from schwingerlab.lattice import Grid, TestFunction, gaussian_packet, reflect_momentum
 from schwingerlab.propagator import spectral_two_point
 
 
@@ -65,7 +65,7 @@ class Anisotropic:
         k1 = 2.0 * np.pi * np.fft.fftfreq(g.n_per_axis, d=g.spacing)
         s1 = (2.0 / g.spacing) ** 2 * np.sin(k1 * g.spacing / 2.0) ** 2
         sym = self.weights[0] * s1[:, None] + self.weights[1] * s1[None, :]
-        s2 = np.sum(f.hat_neg * f.hat / (sym + self.m2)) / g.extent ** g.d
+        s2 = np.sum(reflect_momentum(f.hat) * f.hat / (sym + self.m2)) / g.extent ** g.d
         zz = complex(z)
         return complex(np.exp(-0.5 * zz * zz * s2))
 

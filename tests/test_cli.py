@@ -153,6 +153,33 @@ def test_malformed_number_is_schema_error(model_file, tmp_path, capsys,
     assert "schema error:" in capsys.readouterr().err
 
 
+# 400 mixture levels, 1,200 nested JSON containers
+_DEEP_MODEL = ('{"format": "schwinger-model", "version": 1, "model": '
+               + '{"kind": "mixture", "children": [{"weight": 1.0, "model": ' * 400
+               + '{"kind": "quasifree", "atoms": [[1.0, 1.0]]}' + "}]}" * 400 + "}")
+
+
+@pytest.mark.parametrize("text,argv", [
+    (_DEEP_MODEL, ["verify", "{doc}"]),
+    ("[" * 1000 + "]" * 1000, ["moments", "{model}", "--recipe", "{doc}"]),
+    ("[" * 1000 + "]" * 1000, ["experiment", "{doc}"]),
+], ids=["verify_model", "moments_recipe", "experiment_spec"])
+def test_deeply_nested_json_is_schema_error(model_file, tmp_path, capsys, text, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="ascii")
+    argv = [a.format(model=model_file, doc=path) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "schema error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,grid", [("verify", "2,32,1e300"), ("sample", "2,32,1e300"),
+                                          ("verify", "1,64,1e154")])
+def test_grid_whose_scales_overflow_exits_two(model_file, tmp_path, capsys, command, grid):
+    argv = [command, model_file, "--grid", grid, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "spacing" in capsys.readouterr().err
+
+
 def _numeric_paths(doc, path=()):
     """Key paths of every number in a JSON document."""
     if isinstance(doc, dict):

@@ -395,6 +395,40 @@ def test_min_mass_floor():
     assert min_mass_sq(QuasiFree(SpectralMeasure.delta(2.5))) == 2.5
 
 
+def test_atom_table_route_matches_the_per_leaf_walk():
+    # oracles: gaussianize and min_mass_sq as walks over leaves() and atoms
+    def walk_gaussianize(G):
+        acc = {}
+        for w, leaf in G.leaves():
+            for m2, aw in leaf.rho.atoms:
+                acc[m2] = acc.get(m2, 0.0) + w * aw
+        return QuasiFree(SpectralMeasure(tuple(sorted(acc.items()))))
+
+    def on_integer_masses(G):
+        # leaves then share masses, so the order of each mass's sum matters
+        if isinstance(G, QuasiFree):
+            atoms = tuple((float(round(m2)), w) for m2, w in G.rho.atoms)
+            return QuasiFree(SpectralMeasure(atoms))
+        return Mixture(tuple((w, on_integer_masses(child)) for w, child in G.children))
+
+    rng = rng_from_seed(41)
+    trees = []
+    for depth in (2, 3, 4):
+        while sum(G.depth() == depth for G in trees) < 12:
+            trees.append(random_model_tree(rng, max_depth=depth))
+    trees += [on_integer_masses(G) for G in trees]
+    # raw constructor: a zero-weight child (holding the smallest mass) and
+    # weights summing to 1.4
+    raw = Mixture(((0.0, QuasiFree(SpectralMeasure.delta(0.5))),
+                   (0.9, QuasiFree(SpectralMeasure(((1.0, 0.3), (4.0, 0.7))))),
+                   (0.5, nested_mixture())))
+    for G in trees + [raw]:
+        assert gaussianize(G) == walk_gaussianize(G)
+        assert min_mass_sq(G) == min(leaf.rho.atoms[0][0] for _, leaf in G.leaves())
+    assert gaussianize(raw).rho.atoms[0][0] == 1.0
+    assert min_mass_sq(raw) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # regularity and growth
 # ---------------------------------------------------------------------------
@@ -677,7 +711,8 @@ def test_moment_table_entries_match_per_order_calls():
 
 
 def test_batched_grams_match_the_two_point_kernel():
-    # the one-pair kernel two_point_sums is the oracle for the per-mass matmul
+    # spectral_two_point (divide, then row-sum, one pair) is the oracle for
+    # the per-mass matmul
     model, fs = conditioning_cases()[4].values
     weights, grams = _leaf_grams(model, fs)
     for l, (w, leaf) in enumerate(model.leaves()):

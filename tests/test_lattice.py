@@ -57,6 +57,10 @@ def test_grid_basics(grid_2d):
     dict(d=2, n_per_axis=128, spacing=1.0),  # above the d<=2 cap
     dict(d=3, n_per_axis=32, spacing=1.0),   # above the d=3 cap
     dict(d=2, n_per_axis=16, spacing=0.0),
+    dict(d=2, n_per_axis=32, spacing=1e300),   # a^d and L^d overflow
+    dict(d=1, n_per_axis=64, spacing=1e154),   # L^2 overflows
+    dict(d=3, n_per_axis=16, spacing=1e-110),  # a^d underflows to 0
+    dict(d=2, n_per_axis=32, spacing=1e-160),  # the symbol's (2/a)^2 overflows
 ])
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(DomainError):
@@ -179,11 +183,11 @@ def test_stacked_hats_fill_the_caches_with_the_single_transform_bits(grid_2d):
         assert not f.hat.flags.writeable
 
 
-def test_hat_neg_is_the_reflected_transform(grid_2d):
+def test_negation_index_gathers_the_reflected_transform(grid_2d):
     f = random_complex_function(grid_2d, 4)
-    assert np.array_equal(f.hat_neg.view(np.uint64),
-                          reflect_momentum(f.hat).view(np.uint64))
     index = negation_index(grid_2d)
+    assert np.array_equal(f.hat.ravel()[index].view(np.uint64),
+                          reflect_momentum(f.hat).ravel().view(np.uint64))
     assert not index.flags.writeable
     assert np.array_equal(np.sort(index), np.arange(grid_2d.volume))
     assert np.array_equal(index[index], np.arange(grid_2d.volume))
@@ -245,7 +249,7 @@ def test_sobolev_rejects_nonpositive_mass(packet):
 
 def test_identity_isometry(grid_2d):
     f = random_complex_function(grid_2d, 29)
-    out = apply_isometry(f, Isometry.identity(2))
+    out = apply_isometry(f, Isometry.translation((0, 0)))
     assert np.array_equal(out.values, f.values)
 
 
