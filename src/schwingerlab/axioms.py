@@ -26,18 +26,18 @@ leaf Grams (`difference_matrix`).  PSD witnesses are reported as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, SchemaError
+from .errors import DomainError, PreconditionError
 from .fixtures import (fixture_packet, random_positive_time_function,
                        random_real_function, rng_from_seed)
 from .functional import (MomentTable, SchwingerFunctional, leaf_values,
                          model_to_dict)
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       positive_time_support, site_indicator)
-from .serialize import canonical_digest, complex_pair
+from .serialize import canonical_digest, complex_pair, overrides
 
 # Error budget behind the PSD floor of -1e-9 (relative to trace): the
 # eigensolver is good to ~1e-14 on matrices this small, but each entry is
@@ -96,8 +96,9 @@ class CheckReport:
         }
 
 
-def _report(check_id: str, witness: float, tolerance: float, comparison: str,
-            digest: str, details: dict) -> CheckReport:
+def _report(check_id: str, witness: float, tolerance: float | None,
+            comparison: str, digest: str, details: dict) -> CheckReport:
+    tolerance = DEFAULT_TOLERANCES[check_id] if tolerance is None else tolerance
     ok = witness <= tolerance if comparison == "<=" else witness >= tolerance
     return CheckReport(check_id, bool(ok), float(witness), float(tolerance),
                        comparison, digest, details)
@@ -120,7 +121,6 @@ def check_normalization_neutrality(G: SchwingerFunctional,
                                    tolerance: float | None = None,
                                    config_digest: str = "") -> CheckReport:
     """Gamma(0) = 1 and Gamma(-f) = Gamma(f)* on a set of real functions."""
-    tol = DEFAULT_TOLERANCES["normalization_neutrality"] if tolerance is None else tolerance
     if not test_set:
         raise PreconditionError("need at least one test function")
     if not all(f.is_real for f in test_set):
@@ -130,14 +130,14 @@ def check_normalization_neutrality(G: SchwingerFunctional,
     worst = max([abs(zero - 1.0)] + [abs(neg - pos.conjugate())
                                      for neg, pos in zip(values[::2], values[1::2])])
     details = {"normalization_defect": abs(zero - 1.0), "neutrality_defect": worst}
-    return _report("normalization_neutrality", worst, tol, "<=", config_digest, details)
+    return _report("normalization_neutrality", worst, tolerance, "<=", config_digest,
+                   details)
 
 
 def _difference_psd(check_id: str, G, fs: Sequence[TestFunction],
                     partners: Sequence[TestFunction], tolerance: float | None,
                     config_digest: str) -> CheckReport:
     """PSD check of M_ij = Gamma(f_i - partners_j) for real f_i."""
-    tol = DEFAULT_TOLERANCES[check_id] if tolerance is None else tolerance
     lo, hi = _GRAM_SIZE_RANGE
     if not lo <= len(fs) <= hi:
         raise PreconditionError(f"need {lo}..{hi} functions, got {len(fs)}")
@@ -147,7 +147,7 @@ def _difference_psd(check_id: str, G, fs: Sequence[TestFunction],
     M = G.difference_matrix(fs, partners)
     details: dict = {"size": len(fs)}
     witness = _psd_witness(M, details)
-    return _report(check_id, witness, tol, ">=", config_digest, details)
+    return _report(check_id, witness, tolerance, ">=", config_digest, details)
 
 
 def check_reflection_positivity(G: SchwingerFunctional,
@@ -178,7 +178,6 @@ def check_euclidean_invariance(G, fs: Sequence[TestFunction],
                                tolerance: float | None = None,
                                config_digest: str = "") -> CheckReport:
     """max |Gamma(g.f) - Gamma(f)| over the supplied lattice isometries."""
-    tol = DEFAULT_TOLERANCES["euclidean_invariance"] if tolerance is None else tolerance
     if not fs or not isometries:
         raise PreconditionError("need at least one test function and one isometry")
     worst = 0.0
@@ -190,7 +189,7 @@ def check_euclidean_invariance(G, fs: Sequence[TestFunction],
                 worst, worst_kind = d, iso.kind
     details = {"isometries": [iso.kind for iso in isometries],
                "worst_kind": worst_kind}
-    return _report("euclidean_invariance", worst, tol, "<=", config_digest, details)
+    return _report("euclidean_invariance", worst, tolerance, "<=", config_digest, details)
 
 
 def point_group(grid: Grid) -> list[Isometry]:
@@ -257,8 +256,7 @@ def check_cluster_defect(G: SchwingerFunctional, f: TestFunction,
     delta_inf = sum(w * a * b for (w, _), a, b in zip(leaves, *gammas)) - gamma_f * gamma_g
     budget = 2.0 * sum(abs(w) * abs(complex(s)) for (w, _), s
                        in zip(leaves, G.leaf_two_point([f], shifted[-1:])[0]))
-    floor = DEFAULT_TOLERANCES["cluster"]
-    tol = tolerance if tolerance is not None else max(floor, budget)
+    tol = max(DEFAULT_TOLERANCES["cluster"], budget) if tolerance is None else tolerance
 
     final = curve[-1][1]
     witness = abs(final) if mode == "clusters" else abs(final - delta_inf)
@@ -281,15 +279,10 @@ def check_cluster_defect(G: SchwingerFunctional, f: TestFunction,
 class SuiteConfig:
     grid: Grid
     seed: int = 7
-    tolerances: Mapping[str, float] = field(default_factory=dict)
+    tolerances: dict[str, float] = field(default_factory=dict)
 
     def resolved_tolerances(self) -> dict[str, float]:
-        tols = dict(DEFAULT_TOLERANCES)
-        unknown = set(self.tolerances) - set(tols)
-        if unknown:
-            raise SchemaError(f"unknown tolerance key(s): {sorted(unknown)}")
-        tols.update({k: float(v) for k, v in self.tolerances.items()})
-        return tols
+        return overrides(self.tolerances, DEFAULT_TOLERANCES, "tolerance overrides")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .functional import (MAX_MOMENT_ORDER, NUMERIC_MOMENT_CAP,
                          model_to_dict, moment_numeric)
 from .lattice import Grid, packet_from_doc
 from .montecarlo import sample_stream, write_samples
-from .serialize import (canonical_digest, json_number, read_json, require_keys,
+from .serialize import (canonical_digest, overrides, read_json, require_keys,
                         write_json)
 
 EXIT_PASS = 0
@@ -53,8 +53,6 @@ def _load_tolerances(path: str | None) -> dict:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: tolerance file must be an object")
-    for key, value in doc.items():
-        json_number(value, f"{path}: {key}")
     return doc
 
 
@@ -104,12 +102,9 @@ def cmd_moments(args) -> int:
     model = load_model(args.model)
     if not 1 <= args.order <= MAX_MOMENT_ORDER:
         raise SchemaError(f"--order must be 1..{MAX_MOMENT_ORDER}, got {args.order}")
-    schedule = dict(NUMERIC_TOLERANCE_SCHEDULE)
-    overrides = _load_tolerances(args.tolerance_file)
-    require_keys(overrides, [], [f"numeric_n{n}" for n in schedule],
-                 "tolerance overrides")
-    for key, val in overrides.items():
-        schedule[int(key.removeprefix("numeric_n"))] = float(val)
+    defaults = {f"numeric_n{n}": tol for n, tol in NUMERIC_TOLERANCE_SCHEDULE.items()}
+    schedule = overrides(_load_tolerances(args.tolerance_file), defaults,
+                         "tolerance overrides")
     recipe = read_json(args.recipe)
     functions = _recipe_functions(grid, recipe, args.order)
     digest = canonical_digest({"model": model_to_dict(model),
@@ -137,7 +132,7 @@ def cmd_moments(args) -> int:
                 "precision_warning": numeric.precision_warning,
                 "method": "both",
             })
-            if delta > schedule[n] * scale and numeric.precision_warning:
+            if delta > schedule[f"numeric_n{n}"] * scale and numeric.precision_warning:
                 precision_ok = False
         rows.append(row)
     human = [f"moments for {args.model} on grid {args.grid}",
@@ -167,9 +162,9 @@ def _write_refinement_csv(out_dir: Path, report) -> None:
 
 def cmd_experiment(args) -> int:
     doc = read_json(args.spec)
-    overrides = _load_tolerances(args.tolerance_file)
-    if overrides and isinstance(doc, dict) and isinstance(doc.get("tolerances", {}), dict):
-        doc["tolerances"] = {**doc.get("tolerances", {}), **overrides}
+    tols = _load_tolerances(args.tolerance_file)
+    if tols and isinstance(doc, dict) and isinstance(doc.get("tolerances", {}), dict):
+        doc["tolerances"] = {**doc.get("tolerances", {}), **tols}
     spec = ExperimentSpec.from_dict(doc)
     report = run_experiment(spec)
     human = [f"experiment {report.experiment_id}: "
@@ -247,10 +242,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return EXIT_SCHEMA
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"schema error: {exc}\n")
-        return EXIT_SCHEMA
-    except SchwingerLabError as exc:
+    except (SchwingerLabError, OSError) as exc:  # OSError: an output path
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA
 

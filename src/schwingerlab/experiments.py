@@ -1,6 +1,8 @@
 """Scripted experiments on the mixture models.
 
-Three experiment families, each a pure function of its spec document:
+Three experiment families, each a pure function of its spec document and
+each a row of `FAMILIES` (runner, params, tolerance defaults), against
+which a spec is checked when it is loaded:
 
 * two_mass_fourth_cumulant: the connected 4-point function of a two-mass
   mixture computed three ways (the model's cumulant table, hand-derived
@@ -34,6 +36,7 @@ i.e. 3 Var_lambda(S2_alpha(f,f)) on equal arguments.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,9 +48,23 @@ from .functional import (MomentTable, QuasiFree, SchwingerFunctional, envelope,
 from .lattice import Grid, TestFunction, gaussian_packet, packet_from_doc
 from .montecarlo import estimate_fourth_cumulant, pair_values
 from .propagator import SpectralMeasure, free_two_point, spectral_two_point
-from .serialize import canonical_digest, json_integer, json_number, require_keys
+from .serialize import canonical_digest, json_integer, json_number, overrides, require_keys
 
-EXPERIMENT_IDS = ("two_mass_fourth_cumulant", "iteration", "refinement")
+# The runner is named and looked up at call time, so wrappers set on the module see it.
+Family = namedtuple("Family", "runner required optional tolerances")
+
+FAMILIES = {
+    "two_mass_fourth_cumulant": Family(
+        "run_two_mass_fourth_cumulant", ("masses_sq", "packet"), ("weight", "mc_samples"),
+        {"closed_form_rel": 1e-10, "degenerate_scale": 1e-12}),
+    "iteration": Family(
+        "run_iteration", ("families", "lambda_weights", "packet"), (),
+        {"two_point_rel": 1e-12, "closed_form_rel": 1e-10, "nonzero_scale": 1e-6}),
+    "refinement": Family(
+        "run_refinement_study", ("d", "extent", "levels", "masses_sq", "packet"),
+        ("weights",), {"min_order": 1.8}),
+}
+EXPERIMENT_IDS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -75,6 +92,10 @@ class ExperimentSpec:
                 "params": self.params, "seed": self.seed,
                 "tolerances": self.tolerances}
 
+    def resolved_tolerances(self) -> dict[str, float]:
+        return overrides(self.tolerances, FAMILIES[self.experiment_id].tolerances,
+                         "experiment spec.tolerances")
+
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentSpec":
         require_keys(doc, ["experiment_id", "grid", "params"],
@@ -85,11 +106,11 @@ class ExperimentSpec:
                 f"experiment_id must be one of {EXPERIMENT_IDS}, got {exp_id!r}"
             )
         Grid.from_dict(doc["grid"])
+        family = FAMILIES[exp_id]
+        require_keys(doc["params"], family.required, family.optional,
+                     "experiment spec.params")
         tolerances = doc.get("tolerances", {})
-        if not (isinstance(doc["params"], dict) and isinstance(tolerances, dict)):
-            raise SchemaError("experiment spec params and tolerances must be objects")
-        for key, value in tolerances.items():
-            json_number(value, f"experiment spec.tolerances.{key}")
+        overrides(tolerances, family.tolerances, "experiment spec.tolerances")
         return ExperimentSpec(exp_id, dict(doc["grid"]), dict(doc["params"]),
                               json_integer(doc.get("seed", 0), "experiment spec.seed"),
                               dict(tolerances))
@@ -131,10 +152,6 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
         docstring for the derivation),
     (c) Monte Carlo fourth cumulant of phi(f), when mc_samples > 0.
     """
-    require_keys(spec.params, ["masses_sq", "packet"],
-                 ["weight", "mc_samples"], "two_mass params")
-    require_keys(spec.tolerances, [], ["closed_form_rel", "degenerate_scale"],
-                 "two_mass tolerances")
     grid = Grid.from_dict(spec.grid)
     masses = _numbers(spec.params["masses_sq"], "two_mass masses_sq")
     if len(masses) != 2:
@@ -144,6 +161,8 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"mixture weight must be in [0,1], got {w}")
     mc_samples = json_integer(spec.params.get("mc_samples", 0), "two_mass mc_samples")
+    if mc_samples < 0:
+        raise SchemaError(f"two_mass mc_samples must be >= 0, got {mc_samples}")
     f = packet_from_doc(grid, spec.params["packet"], "two_mass packet")
 
     model = two_mass_mixture(m1_sq, m2_sq, w)  # DomainError below the floor
@@ -154,13 +173,12 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
     d_s2 = (free_two_point(f, f, m1_sq) - free_two_point(f, f, m2_sq)).real
     route_b = 3.0 * w * (1.0 - w) * d_s2 ** 2
 
-    rel_tol = float(spec.tolerances.get("closed_form_rel", 1e-10))
-    zero_tol = float(spec.tolerances.get("degenerate_scale", 1e-12))
+    tols = spec.resolved_tolerances()
     degenerate = (m1_sq == m2_sq) or w in (0.0, 1.0)
     if degenerate:
-        agree_ab = abs(route_a) <= zero_tol * scale
+        agree_ab = abs(route_a) <= tols["degenerate_scale"] * scale
     else:
-        agree_ab = abs(route_a - route_b) <= rel_tol * abs(route_b)
+        agree_ab = abs(route_a - route_b) <= tols["closed_form_rel"] * abs(route_b)
 
     values = {
         "cumulant_transform": route_a,
@@ -197,11 +215,6 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
     convolved measure, (iii) its connected 4-point function is nonzero
     exactly when the family's two-point functions differ.
     """
-    require_keys(spec.params, ["families", "lambda_weights", "packet"],
-                 [], "iteration params")
-    require_keys(spec.tolerances, [],
-                 ["two_point_rel", "closed_form_rel", "nonzero_scale"],
-                 "iteration tolerances")
     grid = Grid.from_dict(spec.grid)
     if not isinstance(spec.params["families"], list):
         raise SchemaError("iteration families must be a list")
@@ -223,19 +236,17 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
     iterated = envelope(list(zip(lam, children)))
 
     # convolved measure sum_alpha lambda_alpha P^alpha, assembled directly
-    conv_atoms: dict[float, float] = {}
-    for lw, rho in zip(lam, families):
-        for m2, pw in rho.atoms:
-            conv_atoms[m2] = conv_atoms.get(m2, 0.0) + lw * pw
-    conv = SpectralMeasure(tuple(sorted(conv_atoms.items())))
+    # (the constructor merges repeated masses in the order given)
+    conv = SpectralMeasure(tuple((m2, lw * pw) for lw, rho in zip(lam, families)
+                                 for m2, pw in rho.atoms))
     one_step = envelope([(pw, QuasiFree(SpectralMeasure.delta(m2)))
                          for m2, pw in conv.atoms])
 
-    two_point_tol = float(spec.tolerances.get("two_point_rel", 1e-12))
+    tols = spec.resolved_tolerances()
     table = MomentTable(iterated, [f] * 4)
     s2_model = float(table.moments[0b11].real)
     s2_conv = spectral_two_point(f, f, conv).real
-    two_point_ok = abs(s2_model - s2_conv) <= two_point_tol * abs(s2_conv)
+    two_point_ok = abs(s2_model - s2_conv) <= tols["two_point_rel"] * abs(s2_conv)
 
     s4_iter = float(table.moments[-1].real)
     s4_one = moment_analytic(one_step, [f] * 4).real
@@ -247,9 +258,6 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
     mean_s = sum(lw * s for lw, s in zip(lam, s_alpha))
     var_s = sum(lw * (s - mean_s) ** 2 for lw, s in zip(lam, s_alpha))
     closed_form = 3.0 * var_s
-    closed_tol = float(spec.tolerances.get("closed_form_rel", 1e-10))
-
-    nonzero_tol = float(spec.tolerances.get("nonzero_scale", 1e-6))
     degenerate_family = max(s_alpha) - min(s_alpha) <= 1e-15 * max(map(abs, s_alpha))
     all_point_masses = all(len(rho.atoms) == 1 for rho in families)
 
@@ -259,14 +267,14 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
                      "connected 4-point expected zero")
         cumulant_ok = abs(s4t) <= 1e-12 * scale
     else:
-        cumulant_ok = (abs(s4t - closed_form) <= closed_tol * abs(closed_form)
-                       and abs(s4t) > nonzero_tol * scale)
+        cumulant_ok = (abs(s4t - closed_form) <= tols["closed_form_rel"] * abs(closed_form)
+                       and abs(s4t) > tols["nonzero_scale"] * scale)
     if all_point_masses:
         notes.append("all families are point masses: one-step and iterated "
                      "constructions coincide")
         s4_diff_ok = abs(delta_s4) <= 1e-12 * abs(s4_one)
     else:
-        s4_diff_ok = abs(delta_s4) > nonzero_tol * scale
+        s4_diff_ok = abs(delta_s4) > tols["nonzero_scale"] * scale
 
     values = {
         "two_point_iterated": s2_model,
@@ -291,9 +299,6 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
     double n_per_axis, so order = log2 of the difference ratio) and, in
     d=2, tracks the defect of an off-axis rotated packet.
     """
-    require_keys(spec.params, ["d", "extent", "levels", "masses_sq", "packet"],
-                 ["weights"], "refinement params")
-    require_keys(spec.tolerances, [], ["min_order"], "refinement tolerances")
     d = json_integer(spec.params["d"], "refinement d")
     grid_d = Grid.from_dict(spec.grid).d
     if grid_d != d:
@@ -303,12 +308,12 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
               for i, n in enumerate(_numbers(spec.params["levels"], "refinement levels"))]
     if len(levels) < 3:
         raise SchemaError(f"refinement needs >= 3 grid levels, got {len(levels)}")
-    if any(b != 2 * a for a, b in zip(levels, levels[1:])):
-        raise SchemaError(f"levels must double: {levels}")
+    if levels[0] < 1 or any(b != 2 * a for a, b in zip(levels, levels[1:])):
+        raise SchemaError(f"levels must be positive and double: {levels}")
     masses = _numbers(spec.params["masses_sq"], "refinement masses_sq")
     weights = _numbers(spec.params.get("weights", []), "refinement weights")
-    if weights and len(weights) != len(masses):
-        raise SchemaError("weights and masses_sq must have equal length")
+    if not masses or (weights and len(weights) != len(masses)):
+        raise SchemaError("masses_sq must be nonempty, and weights, if given, as long")
     if not weights:
         weights = [1.0 / len(masses)] * len(masses)
     pdoc = spec.params["packet"]
@@ -337,7 +342,6 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
     s2_diffs = diffs(s2_vals)
     monotone = all(b < a for a, b in zip(s2_diffs, s2_diffs[1:]))
     order = fitted_order(s2_vals)
-    min_order = float(spec.tolerances.get("min_order", 1.8))
     rot_ok = True
     if rot_defects:
         rot_ok = all(b < a for a, b in zip(rot_defects, rot_defects[1:]))
@@ -350,7 +354,7 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
         "fitted_order": order,
         "rotation_defects": rot_defects,
     }
-    passed = monotone and order >= min_order and rot_ok
+    passed = monotone and order >= spec.resolved_tolerances()["min_order"] and rot_ok
     notes = () if monotone else ("no convergence trend in the two-point data",)
     return ExperimentReport(spec.experiment_id, bool(passed), spec.digest,
                             values, notes)
@@ -384,10 +388,4 @@ def _rotation_defect(grid: Grid, pdoc: dict, masses: Sequence[float],
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    if spec.experiment_id == "two_mass_fourth_cumulant":
-        return run_two_mass_fourth_cumulant(spec)
-    if spec.experiment_id == "iteration":
-        return run_iteration(spec)
-    if spec.experiment_id == "refinement":
-        return run_refinement_study(spec)
-    raise SchemaError(f"unknown experiment_id {spec.experiment_id!r}")
+    return globals()[FAMILIES[spec.experiment_id].runner](spec)

@@ -14,8 +14,8 @@ a real symmetric matrix and
     Re phi(f) = a^d <sum_j sqrt(w_j) C_j white_j, Re f> = sum_j <white_j, r_j>,
     r_j = sqrt(w_j) a^d Re IFFT(amp_j FFT(Re f)).
 
-The rows r_j are filtered once per call; each sample then costs its random
-draws and one dot product with the picked leaf's rows.
+Re f is filtered once per call and distinct mass; each sample then costs
+its random draws and one dot product with the picked leaf's rows r_j.
 
 Randomness is counter based: every sample owns a Philox stream keyed by
 (seed, sample index), and sites are consumed in a fixed row-major order,
@@ -86,17 +86,17 @@ def model_digest(G: SchwingerFunctional, grid: Grid) -> str:
 class _Stream:
     """The draws of one model on one grid along the Philox streams of a seed.
 
-    Built once per stream: the cumulative leaf weights and, for every leaf
-    atom, sqrt(w_j) and amp_j.
+    Built once per stream from the atom table: the cumulative leaf weights,
+    amp per distinct mass, each leaf's atoms as (mass column, sqrt(w_j)).
     """
 
     def __init__(self, G: SchwingerFunctional, grid: Grid, seed: int):
-        leaves = G.leaves()
+        weights, masses, atoms = G._atom_table
         symbol = lattice_symbol(grid)
         self.grid, self.seed = grid, seed
-        self.cum_weights = list(itertools.accumulate(w for w, _ in leaves))
-        self.filters = [[(math.sqrt(w), 1.0 / np.sqrt(grid.cell * (symbol + m2)))
-                        for m2, w in leaf.rho.atoms] for _, leaf in leaves]
+        self.cum_weights = list(itertools.accumulate(weights.tolist()))
+        self.amps = [1.0 / np.sqrt(grid.cell * (symbol + m2)) for m2 in masses.tolist()]
+        self.atoms = [[(j, math.sqrt(a[j])) for j in np.flatnonzero(a)] for a in atoms]
         self.rng = rng_from_seed(seed)
 
     def draw(self, index: int) -> tuple[int, np.ndarray]:
@@ -107,14 +107,14 @@ class _Stream:
             u = self.rng.random() * self.cum_weights[-1]
             component = min(bisect.bisect_right(self.cum_weights, u),
                             len(self.cum_weights) - 1)
-        shape = (len(self.filters[component]),) + self.grid.shape
+        shape = (len(self.atoms[component]),) + self.grid.shape
         return component, self.rng.standard_normal(shape)
 
     def sample(self, index: int, digest: str) -> FieldSample:
         component, white = self.draw(index)
         values = np.zeros(self.grid.shape)
-        for (sqrt_w, amp), noise in zip(self.filters[component], white):
-            values += sqrt_w * np.fft.ifftn(np.fft.fftn(noise) * amp).real
+        for (j, sqrt_w), noise in zip(self.atoms[component], white):
+            values += sqrt_w * np.fft.ifftn(np.fft.fftn(noise) * self.amps[j]).real
         return FieldSample(self.grid, values,
                            Provenance(digest, self.seed, index, component))
 
@@ -207,9 +207,9 @@ def pair_values(G: SchwingerFunctional, grid: Grid, f: TestFunction,
         raise DomainError("test function lives on a different grid")
     stream = _Stream(G, grid, seed)
     f_hat = np.fft.fftn(f.values.real)
-    rows = [np.concatenate([(sqrt_w * grid.cell * np.fft.ifftn(amp * f_hat).real).ravel()
-                            for sqrt_w, amp in filters])
-            for filters in stream.filters]
+    filtered = [np.fft.ifftn(amp * f_hat).real.ravel() for amp in stream.amps]
+    rows = [np.concatenate([sqrt_w * grid.cell * filtered[j] for j, sqrt_w in leaf])
+            for leaf in stream.atoms]
     out = np.empty(count, dtype=np.float64)
     for index in range(count):
         component, white = stream.draw(index)

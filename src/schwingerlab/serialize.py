@@ -49,6 +49,13 @@ def json_integer(value, ctx: str) -> int:
     return int(value)
 
 
+def overrides(doc, defaults: dict[str, float], ctx: str) -> dict[str, float]:
+    """`defaults` with `doc` laid over it, once `doc` is checked to be an object
+    of keys among the defaults' with finite numbers as values."""
+    require_keys(doc, (), defaults, ctx)
+    return {**defaults, **{k: float(json_number(v, f"{ctx}.{k}")) for k, v in doc.items()}}
+
+
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(obj, fh, indent=2)
@@ -59,8 +66,8 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int size
+        raise SchemaError(f"{path}: cannot read as JSON ({exc})") from None
     except RecursionError:
         raise SchemaError(f"{path}: nested too deeply to read") from None
 

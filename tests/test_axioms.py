@@ -443,6 +443,14 @@ def test_suite_rejects_unknown_tolerance_keys(grid_2d, mixture_14):
         run_axiom_suite(mixture_14, config)
 
 
+def test_suite_resolved_tolerances_are_the_checker_defaults(grid_2d):
+    assert SuiteConfig(grid=grid_2d).resolved_tolerances() == {
+        "normalization_neutrality": 1e-12, "reflection_positivity": -1e-9,
+        "stochastic_positivity": -1e-9, "euclidean_invariance": 1e-10, "cluster": 1e-6}
+    moved = SuiteConfig(grid=grid_2d, tolerances={"cluster": 1}).resolved_tolerances()
+    assert moved["cluster"] == 1.0 and moved["euclidean_invariance"] == 1e-10
+
+
 def test_summary_table_shape(grid_2d, mixture_14):
     res = run_axiom_suite(mixture_14, SuiteConfig(grid=grid_2d, seed=2))
     lines = summary_lines(res)

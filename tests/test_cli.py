@@ -140,10 +140,25 @@ _PACKET = {"center": [4.0, 4.0], "width": 1.0, "momentum": [0.0, 0.0]}
                    "params": {"d": 1, "extent": 16.0, "levels": [16.9, 32, 64],
                               "masses_sq": [1.0], "packet": {"center": [8.0], "width": 2.0}}},
      ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "refinement",
+                   "grid": {"d": 1, "n_per_axis": 16, "spacing": 1.0},
+                   "params": {"d": 1, "extent": 16.0, "levels": [16, 32, 64],
+                              "masses_sq": [], "packet": {"center": [8.0], "width": 2.0}}},
+     ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "refinement",
+                   "grid": {"d": 1, "n_per_axis": 16, "spacing": 1.0},
+                   "params": {"d": 1, "extent": 16.0, "levels": [0, 0, 0],
+                              "masses_sq": [1.0], "packet": {"center": [8.0], "width": 2.0}}},
+     ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "two_mass_fourth_cumulant", "grid": _GRID,
+                   "params": {"masses_sq": [1.0, 4.0], "mc_samples": -5,
+                              "packet": _PACKET}},
+     ["experiment", "{doc}"]),
 ], ids=["recipe_width", "spec_seed", "spec_grid_d", "tolerance_value",
         "refinement_grid_d_mismatch", "fractional_grid_d", "fractional_n_per_axis",
         "fractional_seed", "fractional_mc_samples", "fractional_refinement_d",
-        "fractional_refinement_level"])
+        "fractional_refinement_level", "refinement_no_masses",
+        "refinement_zero_levels", "negative_mc_samples"])
 def test_malformed_number_is_schema_error(model_file, tmp_path, capsys,
                                           name, doc, argv):
     path = tmp_path / name
@@ -157,19 +172,59 @@ def test_malformed_number_is_schema_error(model_file, tmp_path, capsys,
 _DEEP_MODEL = ('{"format": "schwinger-model", "version": 1, "model": '
                + '{"kind": "mixture", "children": [{"weight": 1.0, "model": ' * 400
                + '{"kind": "quasifree", "atoms": [[1.0, 1.0]]}' + "}]}" * 400 + "}")
+# a 5,000-digit weight, past the digit limit of Python's int()
+_HUGE_WEIGHT_MODEL = ('{"format": "schwinger-model", "version": 1, "model": '
+                      '{"kind": "mixture", "children": [{"weight": ' + "1" * 5000
+                      + ', "model": {"kind": "quasifree", "atoms": [[1.0, 1.0]]}}]}}')
 
 
 @pytest.mark.parametrize("text,argv", [
     (_DEEP_MODEL, ["verify", "{doc}"]),
     ("[" * 1000 + "]" * 1000, ["moments", "{model}", "--recipe", "{doc}"]),
     ("[" * 1000 + "]" * 1000, ["experiment", "{doc}"]),
-], ids=["verify_model", "moments_recipe", "experiment_spec"])
+    (_HUGE_WEIGHT_MODEL, ["verify", "{doc}"]),
+], ids=["verify_model", "moments_recipe", "experiment_spec", "huge_integer_weight"])
 def test_deeply_nested_json_is_schema_error(model_file, tmp_path, capsys, text, argv):
     path = tmp_path / "deep.json"
     path.write_text(text, encoding="ascii")
     argv = [a.format(model=model_file, doc=path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert "schema error:" in capsys.readouterr().err
+
+
+_SPEC_DOC = {"experiment_id": "two_mass_fourth_cumulant", "grid": _GRID,
+             "params": {"masses_sq": [1.0, 4.0], "packet": _PACKET}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{dir}"],
+    ["moments", "{model}", "--recipe", "{dir}"],
+    ["verify", "{utf16}"],
+    ["moments", "{model}", "--recipe", "{utf16}"],
+    ["experiment", "{utf16}"],
+    ["verify", "{model}", "--tolerance-file", "{utf16}"],
+    ["experiment", "{spec}", "--tolerance-file", "{dir}"],
+    ["verify", "{model}", "--out", "{file}"],
+    ["sample", "{model}", "--out", "{file}"],
+    ["experiment", "{spec}", "--out", "{file}"],
+], ids=["verify_directory", "moments_recipe_directory", "verify_utf16_model",
+        "moments_utf16_recipe", "experiment_utf16_spec", "verify_utf16_tolerances",
+        "experiment_tolerance_directory", "verify_out_is_a_file", "sample_out_is_a_file",
+        "experiment_out_is_a_file"])
+def test_unreadable_input_or_unwritable_output_exits_two(model_file, tmp_path, capsys,
+                                                         argv):
+    # a file starting with the bytes ff fe (a UTF-16 byte-order mark) is not UTF-8
+    utf16, spec, file = tmp_path / "utf16.json", tmp_path / "spec.json", tmp_path / "file"
+    utf16.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    write_json(spec, _SPEC_DOC)
+    file.write_text("taken", encoding="ascii")
+    argv = [a.format(model=model_file, dir=tmp_path, utf16=utf16, spec=spec, file=file)
+            for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("schema error:", "error:")) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,grid", [("verify", "2,32,1e300"), ("sample", "2,32,1e300"),
@@ -452,6 +507,28 @@ def test_precision_failure_exit_code(model_file, recipe_file, tmp_path,
     code = main(["moments", model_file, "--recipe", recipe_file,
                  "--order", "2", "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+def test_moments_tolerance_keys_name_orders(model_file, recipe_file, tmp_path,
+                                            monkeypatch):
+    # the schedule's defaults, and each numeric_n<k> override sets order k only
+    import schwingerlab.cli as cli_mod
+    from schwingerlab.functional import NUMERIC_TOLERANCE_SCHEDULE, NumericMoment
+    assert NUMERIC_TOLERANCE_SCHEDULE == {1: 1e-7, 2: 1e-7, 3: 1e-4, 4: 1e-5}
+    broken = NumericMoment(complex(1e6), (0j, 0j, 0j), 1.0, True)
+    monkeypatch.setattr(cli_mod, "moment_numeric", lambda model, fs: broken)
+    codes = []
+    loose = 1e20
+    for i, tols in enumerate([None, {"numeric_n1": loose},
+                              {"numeric_n1": loose, "numeric_n2": loose},
+                              {"numeric_n3": loose}]):
+        argv = ["moments", model_file, "--recipe", recipe_file, "--order", "2",
+                "--out", str(tmp_path / f"o{i}")]
+        if tols is not None:
+            write_json(tmp_path / f"t{i}.json", tols)
+            argv += ["--tolerance-file", str(tmp_path / f"t{i}.json")]
+        codes.append(main(argv))
+    assert codes == [3, 3, 0, 3]
 
 
 def test_experiment_tolerance_file_merges_and_validates(tmp_path):

@@ -225,6 +225,51 @@ def test_run_experiment_dispatches():
     assert rep.experiment_id == "two_mass_fourth_cumulant"
 
 
+_VALID_PARAMS = {
+    "two_mass_fourth_cumulant": {"masses_sq": [1.0, 4.0], "packet": PACKET_DOC},
+    "iteration": {"families": [[[1.0, 1.0]], [[4.0, 1.0]]],
+                  "lambda_weights": [0.5, 0.5], "packet": PACKET_DOC},
+    "refinement": {"d": 2, "extent": 8.0, "levels": [32, 64, 128],
+                   "masses_sq": [1.0], "packet": PACKET_DOC},
+}
+
+
+@pytest.mark.parametrize("section", ["params", "tolerances"])
+@pytest.mark.parametrize("exp_id", list(_VALID_PARAMS))
+def test_spec_load_rejects_an_unknown_key_of_each_family(exp_id, section, monkeypatch):
+    # checked against the family table when the spec is loaded: no runner runs
+    import schwingerlab.experiments as experiments
+    for name in ("run_two_mass_fourth_cumulant", "run_iteration",
+                 "run_refinement_study"):
+        monkeypatch.setattr(experiments, name, None)
+    doc = {"experiment_id": exp_id, "grid": GRID_DOC,
+           "params": dict(_VALID_PARAMS[exp_id])}
+    ExperimentSpec.from_dict(doc)
+    doc.setdefault(section, {})["bogus_key"] = 1.0
+    with pytest.raises(SchemaError, match="bogus_key"):
+        ExperimentSpec.from_dict(doc)
+
+
+def test_resolved_tolerances_are_the_family_defaults():
+    defaults = {
+        "two_mass_fourth_cumulant": {"closed_form_rel": 1e-10,
+                                     "degenerate_scale": 1e-12},
+        "iteration": {"two_point_rel": 1e-12, "closed_form_rel": 1e-10,
+                      "nonzero_scale": 1e-6},
+        "refinement": {"min_order": 1.8},
+    }
+    for exp_id, want in defaults.items():
+        doc = {"experiment_id": exp_id, "grid": GRID_DOC, "params": _VALID_PARAMS[exp_id]}
+        assert ExperimentSpec.from_dict(doc).resolved_tolerances() == want
+    # an override is laid over the defaults; the digest hashes only the override
+    spec = two_mass_spec()
+    moved = ExperimentSpec.from_dict({**spec.as_dict(),
+                                      "tolerances": {"closed_form_rel": 1}})
+    assert moved.resolved_tolerances() == {"closed_form_rel": 1.0,
+                                           "degenerate_scale": 1e-12}
+    assert moved.digest != spec.digest
+
+
 def test_unknown_tolerance_keys_rejected():
     spec_doc = {
         "experiment_id": "two_mass_fourth_cumulant",

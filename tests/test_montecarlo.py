@@ -97,6 +97,59 @@ def test_pair_values_matches_field_route(grid_args):
         assert np.max(np.abs(xs - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _per_leaf_atom_route(G, grid, f, seed, count):
+    """pair_values and field draws built leaf atom by leaf atom from
+    G.leaves(): one (sqrt(w), amp) pair and one filtered row per leaf atom."""
+    import bisect
+    import itertools
+    import math
+    from schwingerlab.lattice import lattice_symbol
+    leaves = G.leaves()
+    symbol = lattice_symbol(grid)
+    cum = list(itertools.accumulate(w for w, _ in leaves))
+    filters = [[(math.sqrt(w), 1.0 / np.sqrt(grid.cell * (symbol + m2)))
+                for m2, w in leaf.rho.atoms] for _, leaf in leaves]
+    f_hat = np.fft.fftn(f.values.real)
+    rows = [np.concatenate([(sqrt_w * grid.cell * np.fft.ifftn(amp * f_hat).real).ravel()
+                            for sqrt_w, amp in leaf]) for leaf in filters]
+    rng = rng_from_seed(seed)
+    pairs, fields = [], []
+    for index in range(count):
+        rekey(rng, seed, index)
+        component = 0
+        if len(cum) > 1:
+            component = min(bisect.bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
+        white = rng.standard_normal((len(filters[component]),) + grid.shape)
+        pairs.append(white.ravel() @ rows[component])
+        values = np.zeros(grid.shape)
+        for (sqrt_w, amp), noise in zip(filters[component], white):
+            values += sqrt_w * np.fft.ifftn(np.fft.fftn(noise) * amp).real
+        fields.append(values)
+    return np.array(pairs), fields
+
+
+@pytest.mark.parametrize("grid_args", [(1, 32, 0.5), (2, 16, 0.5), (3, 8, 0.5)],
+                         ids=["1d", "2d", "3d"])
+def test_atom_table_stream_matches_the_per_leaf_atom_route(grid_args):
+    # the sampler reads one amplitude and one filtered row per distinct mass;
+    # every value must keep the bits of the per-leaf-atom construction
+    from schwingerlab import Mixture, gaussian_packet
+    g = Grid(*grid_args)
+    f = gaussian_packet(g, [g.extent / 3.0] * g.d, 2.0 * g.spacing)
+    rng = rng_from_seed(77)
+    models = [two_mass_mixture(1.0, 4.0), random_model_tree(rng, max_depth=1)]
+    models += [random_model_tree(rng, max_depth=depth) for depth in (2, 3, 3, 4)]
+    # leaves sharing masses, and a zero-weight child
+    models.append(Mixture(((0.0, QuasiFree(SpectralMeasure.delta(9.0))),
+                           (0.3, QuasiFree(SpectralMeasure(((1.0, 0.5), (4.0, 0.5))))),
+                           (0.7, QuasiFree(SpectralMeasure(((4.0, 0.2), (9.0, 0.8))))))))
+    for k, model in enumerate(models):
+        pairs, fields = _per_leaf_atom_route(model, g, f, 300 + k, 24)
+        assert np.array_equal(pair_values(model, g, f, 300 + k, 24), pairs)
+        drawn = list(sample_stream(model, g, 300 + k, 6))
+        assert all(np.array_equal(s.values, want) for s, want in zip(drawn, fields))
+
+
 def test_pair_values_rejects_function_on_another_grid(grid):
     from schwingerlab import gaussian_packet
     other = gaussian_packet(Grid(2, 16, 0.5), [4.0, 4.0], 1.0)
