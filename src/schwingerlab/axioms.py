@@ -33,8 +33,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .fixtures import (fixture_packet, random_positive_time_function,
                        random_real_function, rng_from_seed)
-from .functional import (MomentTable, SchwingerFunctional, leaf_values,
-                         model_to_dict)
+from .functional import MomentTable, SchwingerFunctional, model_to_dict
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       positive_time_support, site_indicator)
 from .serialize import canonical_digest, complex_pair, overrides
@@ -243,19 +242,20 @@ def check_cluster_defect(G: SchwingerFunctional, f: TestFunction,
     if g.grid != grid:
         raise DomainError("f and g must live on one grid")
     seps = _normalize_separations(grid, separations)
-    leaves = list(G.leaves())
+    weights = G._atom_table[0]
     if mode == "auto":
-        mode = "defect" if len(leaves) > 1 else "clusters"
+        mode = "defect" if len(weights) > 1 else "clusters"
     if mode not in ("clusters", "defect"):
         raise DomainError(f"unknown cluster mode {mode!r}")
 
     shifted = [apply_isometry(g, Isometry.translation(vec)) for vec in seps]
     gamma_f, gamma_g, *values = G.evaluate_many([f, g] + [f + s for s in shifted])
     curve = [(vec, complex(v - gamma_f * gamma_g)) for vec, v in zip(seps, values)]
-    gammas = (leaf_values(s2) for s2 in G.leaf_two_point([f, g], [f, g]))
-    delta_inf = sum(w * a * b for (w, _), a, b in zip(leaves, *gammas)) - gamma_f * gamma_g
-    budget = 2.0 * sum(abs(w) * abs(complex(s)) for (w, _), s
-                       in zip(leaves, G.leaf_two_point([f], shifted[-1:])[0]))
+    # running sums in leaf order, not np.sum's pairwise order, fix these bits
+    leaf_f, leaf_g = np.exp(-0.5 * G.leaf_two_point([f, g], [f, g]))
+    delta_inf = np.cumsum(weights * leaf_f * leaf_g)[-1] - gamma_f * gamma_g
+    tail = G.leaf_two_point([f], shifted[-1:])[0]
+    budget = 2.0 * np.cumsum(np.abs(weights) * np.abs(tail))[-1]
     tol = max(DEFAULT_TOLERANCES["cluster"], budget) if tolerance is None else tolerance
 
     final = curve[-1][1]

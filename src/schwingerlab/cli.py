@@ -26,7 +26,7 @@ from .functional import (MAX_MOMENT_ORDER, NUMERIC_MOMENT_CAP,
                          NUMERIC_TOLERANCE_SCHEDULE, MomentTable, load_model,
                          model_to_dict, moment_numeric)
 from .lattice import Grid, packet_from_doc
-from .montecarlo import sample_stream, write_samples
+from .montecarlo import MAX_SAMPLE_COUNT, sample_stream, write_samples
 from .serialize import (canonical_digest, overrides, read_json, require_keys,
                         write_json)
 
@@ -183,6 +183,8 @@ def cmd_experiment(args) -> int:
 def cmd_sample(args) -> int:
     grid = _parse_grid(args.grid)
     model = load_model(args.model)
+    if args.count > MAX_SAMPLE_COUNT:
+        raise SchemaError(f"--count must be <= {MAX_SAMPLE_COUNT}, got {args.count}")
     samples = list(sample_stream(model, grid, args.seed, args.count))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

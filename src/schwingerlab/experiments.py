@@ -46,7 +46,7 @@ from .errors import DomainError, SchemaError
 from .functional import (MomentTable, QuasiFree, SchwingerFunctional, envelope,
                          gaussianize, moment_analytic)
 from .lattice import Grid, TestFunction, gaussian_packet, packet_from_doc
-from .montecarlo import estimate_fourth_cumulant, pair_values
+from .montecarlo import MAX_SAMPLE_COUNT, estimate_fourth_cumulant, pair_values
 from .propagator import SpectralMeasure, free_two_point, spectral_two_point
 from .serialize import canonical_digest, json_integer, json_number, overrides, require_keys
 
@@ -161,8 +161,8 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"mixture weight must be in [0,1], got {w}")
     mc_samples = json_integer(spec.params.get("mc_samples", 0), "two_mass mc_samples")
-    if mc_samples < 0:
-        raise SchemaError(f"two_mass mc_samples must be >= 0, got {mc_samples}")
+    if not 0 <= mc_samples <= MAX_SAMPLE_COUNT:
+        raise SchemaError(f"two_mass mc_samples must be in 0..{MAX_SAMPLE_COUNT}")
     f = packet_from_doc(grid, spec.params["packet"], "two_mass packet")
 
     model = two_mass_mixture(m1_sq, m2_sq, w)  # DomainError below the floor

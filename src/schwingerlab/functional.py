@@ -9,15 +9,18 @@ over a spectral mass measure rho, and whose interior nodes are convex
 mixtures Gamma_P(f) = sum_i w_i Gamma_i(f).  Mixing preserves every axiom
 the checkers verify, but generically destroys quasi-freeness: connected
 moments beyond order two stop vanishing.  A tree's leaves are the rows of
-one atom table (leaf x mass weights), over which the `propagator` kernels
-give every leaf's two-point values and Grams.  This module provides
-evaluation of a stack of test functions in one pass, the positivity checks'
-matrices Gamma(f_i - p_j), finite-difference moments, one table of the
-analytic moments, cumulants and cumulant scales of every sub-collection of
-the arguments (subset exp and log of the leaf Grams, the cumulants
-conditioned on the leaf), gaussianization (the quasi-free functional with
-the same two-point function), regularity and moment-growth certificates,
-and the model file format.
+one atom table (leaf path weights w_l, leaf x mass weights), over which the
+`propagator` kernels give every leaf's two-point values and Grams.  The
+model is the flat sum Gamma(z f) = sum_l w_l exp(-z^2/2 S2_l(f, f)) over
+that table; the tree is for building, validation and files.  This module
+provides evaluation of a stack of test functions at one z or at a 1-D
+array of z in one pass, the positivity checks' matrices Gamma(f_i - p_j),
+finite-difference moments, one table of the analytic moments, cumulants
+and cumulant scales of every sub-collection of the arguments (subset exp
+and log of the leaf Grams, the cumulants conditioned on the leaf),
+gaussianization (the quasi-free functional with the same two-point
+function), regularity and moment-growth certificates, and the model file
+format.
 """
 
 from __future__ import annotations
@@ -57,11 +60,16 @@ class SchwingerFunctional:
         """Gamma(z f): the one-element case of evaluate_many."""
         return self.evaluate_many([f], z)[0]
 
-    def evaluate_many(self, fs: Sequence[TestFunction], z: complex = 1.0) -> list[complex]:
-        """Gamma(z f) for every f in fs, each with the bits of evaluate(f, z)."""
-        if not fs:
-            return []
-        return [self._combine(iter(leaf_values(s2, z))) for s2 in self.leaf_two_point(fs, fs)]
+    def evaluate_many(self, fs: Sequence[TestFunction], z=1.0) -> list[complex] | np.ndarray:
+        """Gamma(z f) = sum_l w_l exp(-z^2/2 S2_l(f, f)) for every f in fs: a
+        list for a scalar z, a (len(fs), len(z)) array for a 1-D z.  Each
+        -c^2/2 is a Python complex and the leaves add in a running sum in leaf
+        order, so every value has the bits of evaluate(f, c)."""
+        weights = self._atom_table[0]
+        s2 = self.leaf_two_point(fs, fs) if fs else np.zeros((0, len(weights)))
+        scaled = np.stack([-0.5 * c * c * s2 for c in map(complex, np.ravel(z))], axis=-1)
+        values = np.cumsum(weights[:, None] * np.exp(scaled), axis=1)[:, -1]
+        return values if np.ndim(z) else values[:, 0].tolist()
 
     def leaf_two_point(self, fs: Sequence[TestFunction],
                        gs: Sequence[TestFunction]) -> np.ndarray:
@@ -83,8 +91,8 @@ class SchwingerFunctional:
         """Flattened (path weight, leaf) pairs, in tree order.
 
         A path weight is the product of the mixture weights on the way to
-        the leaf, taken innermost first; the sampler's component choice and
-        the cluster check read these bits.
+        the leaf, taken innermost first; `_atom_table` keeps these bits for
+        evaluation, the sampler and the cluster check.
         """
         raise NotImplementedError
 
@@ -105,20 +113,11 @@ class SchwingerFunctional:
         return np.array([w for w, _ in leaves]), np.array(masses), atoms
 
 
-def leaf_values(s2: Sequence[complex], z: complex = 1.0) -> list[complex]:
-    """exp(-z^2/2 S2_l) of every leaf two-point value S2_l."""
-    zz = complex(z)
-    return [complex(np.exp(-0.5 * zz * zz * complex(s))) for s in s2]
-
-
 @dataclass(frozen=True)
 class QuasiFree(SchwingerFunctional):
     """Centered Gaussian functional Gamma(zf) = exp(-z^2/2 S2_rho(f,f))."""
 
     rho: SpectralMeasure
-
-    def _combine(self, leaf_values) -> complex:
-        return complex(next(leaf_values))
 
     def leaves(self):
         return ((1.0, self),)
@@ -137,9 +136,6 @@ class Mixture(SchwingerFunctional):
     """
 
     children: tuple[tuple[float, SchwingerFunctional], ...]
-
-    def _combine(self, leaf_values) -> complex:
-        return complex(sum(w * child._combine(leaf_values) for w, child in self.children))
 
     def leaves(self):
         return self._leaves
@@ -395,20 +391,15 @@ def regularity_certificate(G: SchwingerFunctional,
     """
     if not f.is_real:
         raise DomainError("regularity is certified for real test functions")
-    floor = min_mass_sq(G)
-    nu2 = sobolev_norm(f, floor) ** 2
+    nu2 = sobolev_norm(f, min_mass_sq(G)) ** 2
     if nu2 == 0.0:
         bound = RegularityBound("sobolev_minus1_floor", 1e-15, 2.0, 2.0)
         return RegularityCertificate(True, bound, 0j, 0)
     pts = default_z_grid()
-    best = -math.inf
-    worst = 0j
-    for z in pts:
-        az = abs(z)
-        if az < 1e-12:
-            continue
-        val = abs(G.evaluate(f, z))
-        c = math.log(val) / (az * az * nu2) if val > 0 else -math.inf
+    best, worst = -math.inf, 0j
+    for z, value in zip(pts, G.evaluate_many([f], pts)[0]):
+        val = abs(complex(value))
+        c = math.log(val) / (abs(z) * abs(z) * nu2) if val > 0 else -math.inf
         if c > best:
             best, worst = c, z
     constant = max(best, 1e-15)

@@ -46,6 +46,7 @@ from .propagator import SpectralMeasure
 from .serialize import canonical_digest, json_integer, json_number, require_keys
 
 MAX_ESTIMATE_ORDER = 6
+MAX_SAMPLE_COUNT = 1_000_000   # samples per run: about 26 s of pair_values
 
 
 @dataclass(frozen=True)
@@ -251,22 +252,27 @@ def _record_fields(line: str, keys: Sequence[str], ctx: str) -> dict:
 
 
 def read_samples(path) -> list[FieldSample]:
-    with open(path, "r", encoding="ascii") as fh:
-        if fh.readline().strip() != "fieldsamples v1":
-            raise SchemaError(f"{path}: not a fieldsamples file")
-        header = _record_fields(fh.readline(), ("model_digest", "d", "n_per_axis",
-                                                "spacing", "seed", "count"),
-                                f"{path} header")
-        grid = Grid(header["d"], header["n_per_axis"], float(header["spacing"]))
-        out = []
-        for _ in range(header["count"]):
-            meta = _record_fields(fh.readline(), ("index", "component"),
-                                  f"{path} sample record")
-            row = np.array(fh.readline().split(), dtype=np.float64)
-            if row.size != grid.volume:
-                raise SchemaError(f"{path}: truncated sample record")
-            out.append(FieldSample(
-                grid, row.reshape(grid.shape),
-                Provenance(header["model_digest"], header["seed"],
-                           meta["index"], meta["component"])))
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            if fh.readline().strip() != "fieldsamples v1":
+                raise SchemaError(f"{path}: not a fieldsamples file")
+            header = _record_fields(fh.readline(), ("model_digest", "d", "n_per_axis",
+                                                    "spacing", "seed", "count"),
+                                    f"{path} header")
+            grid = Grid(header["d"], header["n_per_axis"], float(header["spacing"]))
+            out = []
+            for _ in range(header["count"]):
+                meta = _record_fields(fh.readline(), ("index", "component"),
+                                      f"{path} sample record")
+                row = np.array(fh.readline().split(), dtype=np.float64)
+                if row.size != grid.volume:
+                    raise SchemaError(f"{path}: truncated sample record")
+                out.append(FieldSample(
+                    grid, row.reshape(grid.shape),
+                    Provenance(header["model_digest"], header["seed"],
+                               meta["index"], meta["component"])))
+    except SchemaError:
+        raise
+    except ValueError as exc:  # a byte outside ASCII or a non-numeric token
+        raise SchemaError(f"{path}: malformed sample dump ({exc})") from None
     return out

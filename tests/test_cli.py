@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from schwingerlab import QuasiFree, SpectralMeasure, save_model
 from schwingerlab.cli import main
 from schwingerlab.experiments import two_mass_mixture
+from schwingerlab.montecarlo import MAX_SAMPLE_COUNT
 from schwingerlab.serialize import write_json
 
 
@@ -154,11 +155,17 @@ _PACKET = {"center": [4.0, 4.0], "width": 1.0, "momentum": [0.0, 0.0]}
                    "params": {"masses_sq": [1.0, 4.0], "mc_samples": -5,
                               "packet": _PACKET}},
      ["experiment", "{doc}"]),
+    ("spec.json", {"experiment_id": "two_mass_fourth_cumulant", "grid": _GRID,
+                   "params": {"masses_sq": [1.0, 4.0], "mc_samples": 1e300,
+                              "packet": _PACKET}},
+     ["experiment", "{doc}"]),
+    ("unused.json", {}, ["sample", "{model}", "--count", str(MAX_SAMPLE_COUNT + 1)]),
 ], ids=["recipe_width", "spec_seed", "spec_grid_d", "tolerance_value",
         "refinement_grid_d_mismatch", "fractional_grid_d", "fractional_n_per_axis",
         "fractional_seed", "fractional_mc_samples", "fractional_refinement_d",
         "fractional_refinement_level", "refinement_no_masses",
-        "refinement_zero_levels", "negative_mc_samples"])
+        "refinement_zero_levels", "negative_mc_samples", "huge_mc_samples",
+        "sample_count_above_cap"])
 def test_malformed_number_is_schema_error(model_file, tmp_path, capsys,
                                           name, doc, argv):
     path = tmp_path / name

@@ -17,13 +17,14 @@ from schwingerlab import (BoundsError, DomainError, ModelError, Mixture, QuasiFr
                           moment_numeric, regularity_certificate, save_model,
                           sobolev_norm, spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
-from schwingerlab.fixtures import (random_model_tree, random_real_function,
-                                   rng_from_seed)
+from schwingerlab.fixtures import (_random_packet, random_model_tree,
+                                   random_real_function, rng_from_seed)
 from schwingerlab.lattice import Grid
-from schwingerlab.functional import (GROWTH_K_CEILING, MAX_TREE_DEPTH,
-                                     NUMERIC_TOLERANCE_SCHEDULE, MomentTable,
-                                     NumericMoment, _leaf_grams, min_mass_sq,
-                                     validate_model)
+from schwingerlab.functional import (GROWTH_K_CEILING, MAX_MOMENT_ORDER,
+                                     MAX_TREE_DEPTH, NUMERIC_TOLERANCE_SCHEDULE,
+                                     REGULARITY_C_CEILING, MomentTable,
+                                     NumericMoment, _leaf_grams, default_z_grid,
+                                     min_mass_sq, validate_model)
 from schwingerlab.partitions import pairings
 
 
@@ -441,6 +442,25 @@ def test_regularity_certificate_on_the_family(packet):
         assert 0 < cert.bound.constant <= 0.5 + 1e-12
 
 
+def test_regularity_certificate_matches_the_per_z_loop(grid_2d, packet):
+    # the oracle: one evaluate per point of the z grid
+    rng = rng_from_seed(233)
+    models = MODEL_FAMILY + [random_model_tree(rng, max_depth=3) for _ in range(4)]
+    for model in models:
+        for f in (packet, random_real_function(grid_2d, rng)):
+            nu2 = sobolev_norm(f, min_mass_sq(model)) ** 2
+            best, worst = -math.inf, 0j
+            for z in default_z_grid():
+                val = abs(model.evaluate(f, z))
+                c = math.log(val) / (abs(z) * abs(z) * nu2) if val > 0 else -math.inf
+                if c > best:
+                    best, worst = c, z
+            cert = regularity_certificate(model, f)
+            assert cert.bound.constant == max(best, 1e-15)
+            assert cert.worst_z == worst
+            assert cert.passed == (max(best, 1e-15) <= REGULARITY_C_CEILING)
+
+
 def test_imaginary_axis_saturates_the_gaussian_bound(packet, free_leaf):
     s2 = free_two_point(packet, packet, 1.0).real
     for r in (0.5, 2.0, 4.0):
@@ -708,6 +728,56 @@ def test_moment_table_entries_match_per_order_calls():
         tol = 1e-13 * max(scale, math.prod(norms[:n]))
         assert abs(table.moments[entry] - moment_analytic(model, fs[:n])) <= tol
         assert abs(table.cumulants[entry] - cumulant(model, fs[:n])) <= tol
+
+
+def _contour_moment(G, fs):
+    """S_n(f_1..f_n) from Gamma alone, by polarization over the sign vectors
+    eps with eps_1 = +1:
+
+        S_n = i^-n / 2^(n-1) sum_eps (prod eps) [t^n] Gamma(t g_eps),
+
+    g_eps = sum eps_i f_i.  Each Taylor coefficient is the trapezoid rule on
+    |t| = r = sqrt(n / max_l |S2_l(g, g)|) with 4n + 32 nodes, one
+    evaluate_many call per g; a zero g contributes 0."""
+    n = len(fs)
+    nodes = np.exp(2j * np.pi * np.arange(4 * n + 32) / (4 * n + 32))
+    acc = 0j
+    for signs in itertools.product((1.0, -1.0), repeat=n - 1):
+        eps = (1.0,) + signs
+        g = TestFunction(fs[0].grid, sum(e * f.values for e, f in zip(eps, fs)))
+        top = np.abs(G.leaf_two_point([g], [g])).max()
+        if top > 0.0:
+            t = math.sqrt(n / top) * nodes
+            acc += math.prod(eps) * np.mean(G.evaluate_many([g], t)[0] / t ** n)
+    return acc * 1j ** -n / 2 ** (n - 1)
+
+
+def _contour_cases():
+    pool_rng = rng_from_seed(424242)
+    trees = [tree for tree in (random_model_tree(pool_rng, max_depth=3) for _ in range(24))
+             if len(tree.leaves()) > 1]
+    grids = {"1d": Grid(1, 64, 0.5), "2d": Grid(2, 32, 0.25), "3d": Grid(3, 16, 0.5)}
+    cases = [("1d", "real", False), ("1d", "real", True), ("1d", "packet", False),
+             ("1d", "packet", True), ("2d", "real", True), ("2d", "packet", False),
+             ("3d", "real", False), ("3d", "packet", True)]
+    return [pytest.param(trees[i], grids[dim], kind, equal,
+                         id=f"{dim}-{kind}-{'equal' if equal else 'distinct'}")
+            for i, (dim, kind, equal) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("tree,grid,kind,equal", _contour_cases())
+def test_moments_match_the_contour_integral_of_gamma(tree, grid, kind, equal):
+    # the oracle uses Gamma alone, not the Wick sums of the leaf Grams
+    rng = rng_from_seed(239)
+    make = random_real_function if kind == "real" else _random_packet
+    fs = [make(grid, rng) for _ in range(8)]
+    for n in range(2, MAX_MOMENT_ORDER + 1):
+        args = [fs[0]] * n if equal else fs[:n]
+        table = MomentTable(tree, args)
+        # odd moments and their scales are exact zeros: the norms set the scale
+        norms = [math.sqrt(np.abs(tree.leaf_two_point([f], [f])).max()) for f in args]
+        scale = max(table.scales[-1], math.prod(norms))
+        assert abs(_contour_moment(tree, args) - table.moments[-1]) <= 1e-11 * scale
 
 
 def test_batched_grams_match_the_two_point_kernel():

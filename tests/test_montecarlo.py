@@ -329,6 +329,19 @@ def test_malformed_sample_dump_is_schema_error(tmp_path, grid, old, new):
         read_samples(path)
 
 
+@pytest.mark.parametrize("line,bad", [(1, b"\xff\xfe"), (3, b"0.5 x 0.25")],
+                         ids=["non_ascii_header", "non_numeric_field"])
+def test_unreadable_sample_dump_is_schema_error(tmp_path, grid, line, bad):
+    path = tmp_path / "samples.txt"
+    write_samples(path, list(sample_stream(two_mass_mixture(1.0, 4.0), grid,
+                                           seed=19, count=2)))
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = bad
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(SchemaError):
+        read_samples(path)
+
+
 def test_sampler_reproduces_the_covariance_kernel():
     # volume-averaged E[phi(x) phi(x+d)] against the analytic kernel
     from schwingerlab import covariance_kernel
