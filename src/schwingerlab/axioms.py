@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .fixtures import (fixture_packet, random_positive_time_function,
-                       random_real_function, rng_from_seed)
+                       random_real_functions, rng_from_seed)
 from .functional import MomentTable, SchwingerFunctional, model_to_dict
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       positive_time_support, site_indicator)
@@ -320,10 +320,10 @@ def run_axiom_suite(G: SchwingerFunctional, config: SuiteConfig) -> SuiteResult:
     digest = suite_digest(G, config)
 
     rng = rng_from_seed(config.seed)
-    neutral_set = [random_real_function(grid, rng) for _ in range(4)]
+    neutral_set = random_real_functions(grid, rng, 4)
     rp_set = [random_positive_time_function(grid, rng) for _ in range(REFLECTION_COUNT)]
-    sp_set = [random_real_function(grid, rng) for _ in range(STOCHASTIC_COUNT)]
-    inv_set = [random_real_function(grid, rng) for _ in range(INVARIANCE_COUNT)]
+    real_set = random_real_functions(grid, rng, STOCHASTIC_COUNT + INVARIANCE_COUNT)
+    sp_set, inv_set = real_set[:STOCHASTIC_COUNT], real_set[STOCHASTIC_COUNT:]
 
     reports = [
         check_normalization_neutrality(

@@ -183,8 +183,8 @@ def cmd_experiment(args) -> int:
 def cmd_sample(args) -> int:
     grid = _parse_grid(args.grid)
     model = load_model(args.model)
-    if args.count > MAX_SAMPLE_COUNT:
-        raise SchemaError(f"--count must be <= {MAX_SAMPLE_COUNT}, got {args.count}")
+    if not 1 <= args.count <= MAX_SAMPLE_COUNT:
+        raise SchemaError(f"--count must be 1..{MAX_SAMPLE_COUNT}, got {args.count}")
     samples = list(sample_stream(model, grid, args.seed, args.count))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

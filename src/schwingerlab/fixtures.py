@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Grid, TestFunction, gaussian_packet, positive_time_part
+from .lattice import Grid, TestFunction, gaussian_packet, packet_values, positive_time_part
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
@@ -36,26 +36,48 @@ def rekey(rng: np.random.Generator, seed: int, stream: int) -> None:
     }
 
 
-def _random_packet(grid: Grid, rng: np.random.Generator) -> TestFunction:
+def _packet_draw(grid: Grid, rng: np.random.Generator) -> tuple:
     L = grid.extent
     center = rng.uniform(0.0, L, size=grid.d)
     lo = 2.0 * grid.spacing
     width = rng.uniform(lo, L / 8.0) if L / 8.0 > lo else lo
     modes = rng.integers(-2, 3, size=grid.d)
-    momentum = 2.0 * np.pi / L * modes
-    return gaussian_packet(grid, center, width, momentum)
+    return center, width, 2.0 * np.pi / L * modes
+
+
+def random_real_functions(grid: Grid, rng: np.random.Generator,
+                          count: int) -> list[TestFunction]:
+    """`count` random real functions, bit for bit and draw for draw those
+    drawn one probe at a time, with every packet built in one stacked pass.
+
+    Per probe the draws are the first packet's center, width and modes, a
+    coin, and on heads a coefficient and the second packet's draws.  A probe
+    whose norm is below 1e-12 is dropped and the next draws replace it.
+    """
+    if count < 1:
+        return []
+    firsts, rows, coeffs, seconds = [], [], [], []
+    for j in range(count):
+        firsts.append(_packet_draw(grid, rng))
+        if rng.random() < 0.5:
+            rows.append(j)
+            coeffs.append(rng.uniform(-1.0, 1.0))
+            seconds.append(_packet_draw(grid, rng))
+    centers, widths, momenta = zip(*firsts, *seconds)
+    vals = packet_values(grid, np.array(centers), widths, np.array(momenta))
+    vals[rows] += np.reshape(coeffs, (-1,) + (1,) * grid.d) * vals[count:]
+    # complex, as TestFunction holds them, so the norms are l2_norm's bits
+    real = vals[:count].real.reshape(count, -1).astype(np.complex128)
+    norms = np.sqrt((grid.cell * np.add.reduce(np.conj(real) * real, axis=1)).real)
+    keep = norms >= 1e-12    # astronomically unlikely cancellation; redraw
+    fs = [TestFunction(grid, v.reshape(grid.shape), copy=False)
+          for v in real[keep] * (1.0 / norms[keep])[:, None]]
+    return fs + random_real_functions(grid, rng, count - len(fs))
 
 
 def random_real_function(grid: Grid, rng: np.random.Generator) -> TestFunction:
     """Random real superposition of one or two modulated packets, unit L2 norm."""
-    vals = _random_packet(grid, rng).values.copy()
-    if rng.random() < 0.5:
-        vals = vals + rng.uniform(-1.0, 1.0) * _random_packet(grid, rng).values
-    real = TestFunction(grid, vals.real)
-    norm = real.l2_norm()
-    if norm < 1e-12:  # astronomically unlikely cancellation; redraw
-        return random_real_function(grid, rng)
-    return (1.0 / norm) * real
+    return random_real_functions(grid, rng, 1)[0]
 
 
 def random_positive_time_function(grid: Grid,

@@ -43,6 +43,8 @@ MAX_TREE_DEPTH = 4
 MAX_MOMENT_ORDER = 8
 NUMERIC_MOMENT_CAP = 4
 REGULARITY_C_CEILING = 1.0
+# worst_z: the first z with C within this relative floor of the best (C is flat along rays)
+REGULARITY_Z_FLOOR = 64 * np.finfo(float).eps
 GROWTH_K_CEILING = 4.0
 # default_z_grid: rings of 8 points each in |z| <= Z_GRID_RADIUS
 Z_GRID_RINGS = 8
@@ -396,12 +398,11 @@ def regularity_certificate(G: SchwingerFunctional,
         bound = RegularityBound("sobolev_minus1_floor", 1e-15, 2.0, 2.0)
         return RegularityCertificate(True, bound, 0j, 0)
     pts = default_z_grid()
-    best, worst = -math.inf, 0j
-    for z, value in zip(pts, G.evaluate_many([f], pts)[0]):
-        val = abs(complex(value))
-        c = math.log(val) / (abs(z) * abs(z) * nu2) if val > 0 else -math.inf
-        if c > best:
-            best, worst = c, z
+    cs = [math.log(val) / (abs(z) * abs(z) * nu2) if val > 0 else -math.inf
+          for z, val in zip(pts, map(abs, G.evaluate_many([f], pts)[0].tolist()))]
+    best = max(cs)
+    floor = best - REGULARITY_Z_FLOOR * abs(best) if math.isfinite(best) else best
+    worst = next(z for z, c in zip(pts, cs) if c >= floor)
     constant = max(best, 1e-15)
     bound = RegularityBound("sobolev_minus1_floor", constant, 2.0, 2.0)
     return RegularityCertificate(constant <= REGULARITY_C_CEILING, bound, worst, len(pts))
@@ -423,7 +424,7 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     Probes are random real functions of unit norm in the model's floor
     Sobolev norm, so the norm product in the bound is 1.
     """
-    from .fixtures import random_real_function, rng_from_seed
+    from .fixtures import random_real_functions, rng_from_seed
 
     if not 1 <= n_max <= MAX_MOMENT_ORDER:
         raise BoundsError(f"n_max={n_max} outside 1..{MAX_MOMENT_ORDER}")
@@ -433,7 +434,7 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     rng = rng_from_seed(seed)
     rows = []
     for n in range(1, n_max + 1):
-        probes = [random_real_function(grid, rng) for _ in range(trials * n)]
+        probes = random_real_functions(grid, rng, trials * n)
         mags = []
         if n % 2 == 0:      # odd moments of centered leaves are 0
             # moments of the unit-norm f_i / nu_i: each trial's raw Gram / (nu_i nu_j)

@@ -210,6 +210,9 @@ def stacked_hats(fs: list[TestFunction]) -> np.ndarray:
     return np.array([f._hat.ravel() for f in fs])
 
 
+_IMAGES = np.arange(-3, 4).reshape(7, 1, 1, 1)  # images beyond +-3L are < exp(-50) here
+
+
 def gaussian_packet(grid: Grid, center, width: float, momentum=None) -> TestFunction:
     """Periodized Gaussian envelope times plane wave, unit discrete L2 norm.
 
@@ -236,13 +239,27 @@ def gaussian_packet(grid: Grid, center, width: float, momentum=None) -> TestFunc
         raise ResolutionError(
             f"width {width} exceeds L/4 = {grid.extent / 4}: wrap-around not negligible"
         )
-    # xi[m, i]: axis i at image m (images beyond +-3L are < exp(-50) here),
-    # images summed from 0 in order: the reduced axis 0 is the outermost
-    xi = (grid.axis_coordinates() - c[:, None]) + np.arange(-3, 4)[:, None, None] * grid.extent
-    terms = np.exp(-(xi ** 2) / (2.0 * width ** 2) + (1j * p)[:, None] * xi)
-    vals = reduce(np.multiply.outer, np.add.reduce(terms, axis=0, initial=0j))
-    norm = math.sqrt(grid.cell * float(np.sum(np.abs(vals) ** 2)))
-    return TestFunction(grid, vals / norm, copy=False)
+    return TestFunction(grid, packet_values(grid, c[None], [width], p[None])[0], copy=False)
+
+
+def packet_values(grid: Grid, centers, widths, momenta) -> np.ndarray:
+    """gaussian_packet(grid, centers[j], widths[j], momenta[j]).values, bit for
+    bit, as the rows of one (k, *grid.shape) array; (k, d) centers and momenta,
+    unchecked widths."""
+    k, n = len(widths), grid.n_per_axis
+    # Python's w ** 2 is libm pow, which can differ from numpy's square in the last bit
+    two_w2 = np.array([2.0 * w ** 2 for w in widths]).reshape(k, 1, 1)
+    # xi[m, j, i]: axis i of row j at image m, summed from 0 in order (outermost axis)
+    xi = (grid.axis_coordinates() - centers[..., None]) + _IMAGES * grid.extent
+    terms = np.exp(-(xi ** 2) / two_w2 + (1j * momenta)[..., None] * xi)
+    axes = np.add.reduce(terms, axis=0, initial=0j)
+    vals = axes[:, 0]
+    for i in range(1, grid.d):
+        vals = vals[..., None] * axes[:, i].reshape((k,) + (1,) * i + (n,))
+    sq = np.abs(vals.reshape(k, -1))
+    sq *= sq
+    vals /= np.sqrt(grid.cell * np.add.reduce(sq, axis=1)).reshape((k,) + (1,) * grid.d)
+    return vals
 
 
 def packet_from_doc(grid: Grid, doc: dict, ctx: str) -> TestFunction:

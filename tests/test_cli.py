@@ -436,6 +436,15 @@ def test_sample_command_writes_reproducible_dump(model_file, tmp_path):
     assert (out_a / "samples.txt").read_bytes() == (out_b / "samples.txt").read_bytes()
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_sample_count_below_one_is_schema_error(model_file, tmp_path, capsys, count):
+    # rejected as --order is, not left to the dump writer's "nothing to write"
+    assert main(["sample", model_file, "--count", str(count),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"--count must be 1..{MAX_SAMPLE_COUNT}, got {count}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_machine_format_prints_json(model_file, recipe_file, tmp_path, capsys):
     assert main(["moments", model_file, "--recipe", recipe_file, "--order", "2",
                  "--out", str(tmp_path / "o"), "--format", "machine"]) == 0

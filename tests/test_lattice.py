@@ -11,9 +11,9 @@ from schwingerlab import (DomainError, Grid, Isometry, ResolutionError,
                           TestFunction, apply_isometry, gaussian_packet,
                           positive_time_part, positive_time_support,
                           site_indicator, sobolev_norm)
-from schwingerlab.lattice import negation_index, reflect_momentum, stacked_hats
-from schwingerlab import free_two_point
-from schwingerlab.fixtures import random_real_function, rng_from_seed
+from schwingerlab import fixtures, free_two_point, lattice
+from schwingerlab.fixtures import random_real_function, random_real_functions, rng_from_seed
+from schwingerlab.lattice import negation_index, packet_values, reflect_momentum, stacked_hats
 
 
 def dft_oracle(f):
@@ -124,12 +124,21 @@ def _packet_loop(grid, center, width, momentum):
     return vals / math.sqrt(grid.cell * float(np.sum(np.abs(vals) ** 2)))
 
 
-@pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
-                         ids=["1d", "2d", "3d"])
+_BIT_GRIDS = [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5), (2, 8, 1.0)]
+_BIT_IDS = ["1d", "2d", "3d", "coarse"]   # coarse: L/8 <= 2a, so every width is 2a
+
+
+def _bits_equal(a, b):
+    """Equal bit patterns, so signed zeros count too."""
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_packet_is_bit_identical_to_the_image_loop(grid_args):
     grid = Grid(*grid_args)
     rng = np.random.default_rng(31)
     L = grid.extent
+    rows = []
     for trial in range(40):
         center = rng.uniform(-0.2 * L, 1.2 * L, grid.d)
         width = rng.uniform(2 * grid.spacing, L / 4)
@@ -139,6 +148,74 @@ def test_packet_is_bit_identical_to_the_image_loop(grid_args):
         want = _packet_loop(grid, center, width, momentum)
         # bit patterns, so signed zeros count too
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        rows.append((center, width, momentum))
+    # the same packets as the rows of one stacked call, plus a width whose
+    # square is one ulp apart under libm pow and numpy's square
+    rows.append((rows[1][0], 0.9560730566603792, rows[1][2]))
+    centers, widths, momenta = zip(*rows)
+    stacked = packet_values(grid, np.array(centers), widths, np.array(momenta))
+    assert stacked.shape == (len(rows),) + grid.shape
+    for got, (center, width, momentum) in zip(stacked, rows):
+        assert _bits_equal(got, _packet_loop(grid, center, width, momentum))
+
+
+def _real_function_recipe(grid, rng, redraws):
+    """One probe at a time: the oracle of random_real_functions' bits and draws."""
+    def packet():
+        L, lo = grid.extent, 2.0 * grid.spacing
+        center = rng.uniform(0.0, L, size=grid.d)
+        width = rng.uniform(lo, L / 8.0) if L / 8.0 > lo else lo
+        modes = rng.integers(-2, 3, size=grid.d)
+        return gaussian_packet(grid, center, width, 2.0 * np.pi / L * modes).values
+
+    vals = packet().copy()
+    if rng.random() < 0.5:
+        vals = vals + rng.uniform(-1.0, 1.0) * packet()
+    real = TestFunction(grid, vals.real)
+    norm = real.l2_norm()
+    if norm < 1e-12:
+        redraws.append(1)
+        return _real_function_recipe(grid, rng, redraws)
+    return (1.0 / norm) * real
+
+
+def _assert_batch_matches_the_recipe(grid, seeds, counts):
+    redraws = []
+    for seed in seeds:
+        for count in counts:
+            batch_rng, probe_rng = rng_from_seed(seed), rng_from_seed(seed)
+            got = random_real_functions(grid, batch_rng, count)
+            want = [_real_function_recipe(grid, probe_rng, redraws) for _ in range(count)]
+            assert len(got) == count
+            for f, g in zip(got, want):
+                assert _bits_equal(f.values, g.values)
+            assert batch_rng.random() == probe_rng.random()
+    return len(redraws)
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_random_real_functions_are_the_per_probe_bits(grid_args):
+    grid = Grid(*grid_args)
+    assert random_real_functions(grid, rng_from_seed(1), 0) == []
+    _assert_batch_matches_the_recipe(grid, range(4), (1, 7, 24))
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_random_real_functions_redraw_as_the_per_probe_recipe(grid_args, monkeypatch):
+    # packets centered at x0 < L/6 get an exactly zero real part, so a
+    # one-packet probe there (and a two-packet probe with both there) is redrawn
+    build = lattice.packet_values
+
+    def imaginary_near_the_origin(grid, centers, widths, momenta):
+        vals = build(grid, centers, widths, momenta)
+        near = np.asarray(centers)[:, 0] < grid.extent / 6
+        vals[near] = 1j * np.abs(vals[near])
+        return vals
+
+    monkeypatch.setattr(lattice, "packet_values", imaginary_near_the_origin)
+    monkeypatch.setattr(fixtures, "packet_values", imaginary_near_the_origin)
+    grid = Grid(*grid_args)
+    assert _assert_batch_matches_the_recipe(grid, range(3), (1, 7, 24)) >= 5
 
 
 def test_packet_width_preconditions(grid_2d):
