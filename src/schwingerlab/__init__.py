@@ -5,8 +5,8 @@ field-theory axioms they satisfy."""
 __version__ = "0.1.0"
 
 from .errors import (BoundsError, DomainError, IncompleteInputError,
-                     ModelError, PreconditionError, ProvenanceError,
-                     ResolutionError, SchemaError, SchwingerLabError)
+                     ModelError, PreconditionError, ResolutionError,
+                     SchemaError, SchwingerLabError)
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       gaussian_packet, positive_time_part,
                       positive_time_support, site_indicator, sobolev_norm)
@@ -25,8 +25,7 @@ from .axioms import (CheckReport, SuiteConfig, SuiteResult,
                      check_reflection_positivity,
                      check_stochastic_positivity, run_axiom_suite,
                      summary_lines)
-from .montecarlo import (FieldSample, MomentEstimate, estimate_fourth_cumulant,
-                         estimate_moment, sample_free_field,
+from .montecarlo import (FieldSample, estimate_fourth_cumulant,
                          sample_mixture_field, sample_stream)
 from .experiments import (ExperimentReport, ExperimentSpec, run_experiment,
                           run_iteration, run_refinement_study,

@@ -26,7 +26,7 @@ from .functional import (MAX_MOMENT_ORDER, NUMERIC_MOMENT_CAP,
                          NUMERIC_TOLERANCE_SCHEDULE, MomentTable, load_model,
                          model_to_dict, moment_numeric)
 from .lattice import Grid, packet_from_doc
-from .montecarlo import MAX_SAMPLE_COUNT, sample_stream, write_samples
+from .montecarlo import MAX_SAMPLE_COUNT, write_samples
 from .serialize import (canonical_digest, overrides, read_json, require_keys,
                         write_json)
 
@@ -185,12 +185,11 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     if not 1 <= args.count <= MAX_SAMPLE_COUNT:
         raise SchemaError(f"--count must be 1..{MAX_SAMPLE_COUNT}, got {args.count}")
-    samples = list(sample_stream(model, grid, args.seed, args.count))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "samples.txt"
-    write_samples(path, samples)
-    sys.stdout.write(f"wrote {len(samples)} samples to {path}\n")
+    write_samples(path, model, grid, args.seed, args.count)
+    sys.stdout.write(f"wrote {args.count} samples to {path}\n")
     return EXIT_PASS
 
 

@@ -33,9 +33,5 @@ class ModelError(SchwingerLabError, ValueError):
     """A functional tree violates one of its structural invariants."""
 
 
-class ProvenanceError(SchwingerLabError, ValueError):
-    """Samples from different models/grids were mixed in one estimate."""
-
-
 class SchemaError(SchwingerLabError, ValueError):
     """A config/model/spec document does not match its schema."""

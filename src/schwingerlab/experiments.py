@@ -161,8 +161,9 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"mixture weight must be in [0,1], got {w}")
     mc_samples = json_integer(spec.params.get("mc_samples", 0), "two_mass mc_samples")
-    if not 0 <= mc_samples <= MAX_SAMPLE_COUNT:
-        raise SchemaError(f"two_mass mc_samples must be in 0..{MAX_SAMPLE_COUNT}")
+    if not (mc_samples == 0 or 3 <= mc_samples <= MAX_SAMPLE_COUNT):
+        raise SchemaError(f"two_mass mc_samples must be 0 or in 3..{MAX_SAMPLE_COUNT}, "
+                          f"got {mc_samples}")
     f = packet_from_doc(grid, spec.params["packet"], "two_mass packet")
 
     model = two_mass_mixture(m1_sq, m2_sq, w)  # DomainError below the floor

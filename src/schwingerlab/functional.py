@@ -140,10 +140,6 @@ class Mixture(SchwingerFunctional):
     children: tuple[tuple[float, SchwingerFunctional], ...]
 
     def leaves(self):
-        return self._leaves
-
-    @cached_property
-    def _leaves(self):
         return tuple((w * wl, leaf) for w, child in self.children
                      for wl, leaf in child.leaves())
 

@@ -34,19 +34,19 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BoundsError, DomainError, ProvenanceError, SchemaError
+from .errors import DomainError, SchemaError
 from .fixtures import rekey, rng_from_seed
-from .functional import QuasiFree, SchwingerFunctional, model_to_dict
+from .functional import SchwingerFunctional, model_to_dict
 from .lattice import Grid, TestFunction, lattice_symbol
-from .propagator import SpectralMeasure
 from .serialize import canonical_digest, json_integer, json_number, require_keys
 
-MAX_ESTIMATE_ORDER = 6
-MAX_SAMPLE_COUNT = 1_000_000   # samples per run: about 26 s of pair_values
+# samples per run: about 26 s of pair_values; a dump on 32^2 holds about
+# 20 KB of text per sample (15.5 MiB for 800 samples)
+MAX_SAMPLE_COUNT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,6 @@ class _Stream:
                            Provenance(digest, self.seed, index, component))
 
 
-def sample_free_field(grid: Grid, m2: float, seed: int, index: int = 0) -> FieldSample:
-    """One draw of the free massive Gaussian field, covariance (khat^2+m2)^-1."""
-    return sample_mixture_field(QuasiFree(SpectralMeasure.delta(m2)), grid, seed, index)
-
-
 def sample_mixture_field(G: SchwingerFunctional, grid: Grid, seed: int,
                          index: int = 0) -> FieldSample:
     """One draw from the mixture measure: pick a leaf by path weight, then
@@ -138,48 +133,6 @@ def sample_stream(G: SchwingerFunctional, grid: Grid, seed: int,
     digest = model_digest(G, grid)
     for index in range(count):
         yield stream.sample(index, digest)
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    estimate: complex
-    stderr: float
-    count: int
-
-
-def _jackknife_mean(values: np.ndarray) -> tuple[complex, float]:
-    n = values.shape[0]
-    if n < 2:
-        raise DomainError("need at least two samples for a jackknife error")
-    total = values.sum()
-    loo = (total - values) / (n - 1)  # delete-one means
-    center = loo.mean()
-    var = (n - 1) / n * np.sum(np.abs(loo - center) ** 2)
-    return complex(values.mean()), float(math.sqrt(var.real))
-
-
-def estimate_moment(samples: Iterable[FieldSample],
-                    fs: Sequence[TestFunction]) -> MomentEstimate:
-    """Sample mean of prod_i phi(f_i) with a delete-one jackknife error."""
-    n = len(fs)
-    if not 1 <= n <= MAX_ESTIMATE_ORDER:
-        raise BoundsError(f"estimator order n={n} outside 1..{MAX_ESTIMATE_ORDER}")
-    products = []
-    tag = None
-    for s in samples:
-        key = (s.provenance.model_digest, s.grid)
-        if tag is None:
-            tag = key
-        elif key != tag:
-            raise ProvenanceError("samples come from different models or grids")
-        prod = complex(1.0)
-        for f in fs:
-            prod *= s.pair(f)
-        products.append(prod)
-    if not products:
-        raise DomainError("no samples supplied")
-    est, err = _jackknife_mean(np.asarray(products, dtype=np.complex128))
-    return MomentEstimate(est, err, len(products))
 
 
 def estimate_fourth_cumulant(pairings: np.ndarray) -> tuple[float, float]:
@@ -222,16 +175,17 @@ def pair_values(G: SchwingerFunctional, grid: Grid, f: TestFunction,
 # Sample dumps (text, portable)
 # ---------------------------------------------------------------------------
 
-def write_samples(path, samples: Sequence[FieldSample]) -> None:
-    if not samples:
+def write_samples(path, G: SchwingerFunctional, grid: Grid, seed: int,
+                  count: int) -> None:
+    """Dump `count` samples of the stream, each written as it is drawn."""
+    if count < 1:
         raise DomainError("nothing to write")
-    g = samples[0].grid
-    p0 = samples[0].provenance
     with open(path, "w", encoding="ascii") as fh:
         fh.write("fieldsamples v1\n")
-        fh.write(f"model_digest={p0.model_digest} d={g.d} n_per_axis={g.n_per_axis} "
-                 f"spacing={float(g.spacing)!r} seed={p0.seed} count={len(samples)}\n")
-        for s in samples:
+        fh.write(f"model_digest={model_digest(G, grid)} d={grid.d} "
+                 f"n_per_axis={grid.n_per_axis} spacing={float(grid.spacing)!r} "
+                 f"seed={seed} count={count}\n")
+        for s in sample_stream(G, grid, seed, count):
             fh.write(f"sample index={s.provenance.index} "
                      f"component={s.provenance.component}\n")
             fh.write(" ".join(repr(float(v)) for v in s.values.ravel(order="C")))

@@ -445,6 +445,32 @@ def test_sample_count_below_one_is_schema_error(model_file, tmp_path, capsys, co
     assert not (tmp_path / "o").exists()
 
 
+def test_sample_memory_does_not_grow_with_count(model_file, tmp_path):
+    # each field is written as it is drawn, so 8x the samples is not 8x the memory
+    import tracemalloc
+    peaks = []
+    for count in (100, 800):
+        tracemalloc.start()
+        try:
+            assert main(["sample", model_file, "--count", str(count), "--grid", "2,32,0.25",
+                         "--out", str(tmp_path / str(count))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("mc_samples", [1, 2])
+def test_two_mass_mc_samples_below_three_is_schema_error(tmp_path, capsys, mc_samples):
+    # rejected before any route runs, naming the parameter, as a negative count is
+    spec = tmp_path / "spec.json"
+    write_json(spec, {**_SPEC_DOC, "params": {**_SPEC_DOC["params"], "mc_samples": mc_samples}})
+    assert main(["experiment", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert (f"schema error: two_mass mc_samples must be 0 or in 3..{MAX_SAMPLE_COUNT}, "
+            f"got {mc_samples}") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_machine_format_prints_json(model_file, recipe_file, tmp_path, capsys):
     assert main(["moments", model_file, "--recipe", recipe_file, "--order", "2",
                  "--out", str(tmp_path / "o"), "--format", "machine"]) == 0

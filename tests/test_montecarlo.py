@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from schwingerlab import (BoundsError, DomainError, ProvenanceError, QuasiFree,
-                          SchemaError, SpectralMeasure, cumulant, estimate_fourth_cumulant,
-                          estimate_moment, free_two_point, moment_analytic,
-                          sample_free_field, sample_mixture_field,
-                          sample_stream, spectral_two_point)
+from schwingerlab import (DomainError, QuasiFree, SchemaError, SpectralMeasure,
+                          cumulant, estimate_fourth_cumulant, free_two_point,
+                          moment_analytic, sample_mixture_field, sample_stream,
+                          spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.fixtures import random_model_tree, rekey, rng_from_seed
 from schwingerlab.lattice import Grid
@@ -42,23 +41,18 @@ def mixture_values(grid, packet_m):
 # ---------------------------------------------------------------------------
 
 def test_same_seed_and_index_reproduce_bit_exactly(grid):
-    a = sample_free_field(grid, 1.0, seed=7, index=3)
-    b = sample_free_field(grid, 1.0, seed=7, index=3)
+    leaf = QuasiFree(SpectralMeasure.delta(1.0))
+    a = sample_mixture_field(leaf, grid, seed=7, index=3)
+    b = sample_mixture_field(leaf, grid, seed=7, index=3)
     assert np.array_equal(a.values, b.values)
     assert a.provenance == b.provenance
 
 
 def test_different_indices_differ(grid):
-    a = sample_free_field(grid, 1.0, seed=7, index=3)
-    b = sample_free_field(grid, 1.0, seed=7, index=4)
-    assert not np.array_equal(a.values, b.values)
-
-
-def test_single_leaf_tree_matches_free_field_stream(grid):
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
-    a = sample_free_field(grid, 1.0, seed=9, index=2)
-    b = sample_mixture_field(leaf, grid, seed=9, index=2)
-    assert np.array_equal(a.values, b.values)
+    a = sample_mixture_field(leaf, grid, seed=7, index=3)
+    b = sample_mixture_field(leaf, grid, seed=7, index=4)
+    assert not np.array_equal(a.values, b.values)
 
 
 def test_stream_is_schedule_independent(grid):
@@ -231,58 +225,44 @@ def test_mixture_vs_gaussianized_two_point_agrees(grid, packet_m, mixture_values
 # estimators
 # ---------------------------------------------------------------------------
 
-def test_estimate_moment_n2_band(grid, packet_m):
+def _jackknife_mean(values):
+    """Sample mean and its delete-one jackknife error."""
+    n = values.size
+    loo = (values.sum() - values) / (n - 1)
+    return values.mean(), np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))
+
+
+def test_pair_values_moment_n2_band(grid, packet_m):
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
-    est = estimate_moment(sample_stream(leaf, grid, seed=61, count=3000),
-                          [packet_m, packet_m])
+    est, err = _jackknife_mean(pair_values(leaf, grid, packet_m, seed=61, count=3000) ** 2)
     want = free_two_point(packet_m, packet_m, 1.0).real
-    assert abs(est.estimate.real - want) <= 3 * est.stderr
-    assert est.count == 3000
+    assert abs(est - want) <= 3 * err
 
 
-def test_estimate_moment_n3_consistent_with_zero(grid, packet_m):
+def test_pair_values_moment_n3_consistent_with_zero(grid, packet_m):
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
-    est = estimate_moment(sample_stream(leaf, grid, seed=63, count=3000),
-                          [packet_m] * 3)
-    assert abs(est.estimate) <= 3 * est.stderr
+    est, err = _jackknife_mean(pair_values(leaf, grid, packet_m, seed=63, count=3000) ** 3)
+    assert abs(est) <= 3 * err
 
 
-def test_estimate_moment_n4_mixture_band(grid, packet_m):
+def test_pair_values_moment_n4_mixture_band(grid, packet_m):
     mix = two_mass_mixture(1.0, 4.0)
-    est = estimate_moment(sample_stream(mix, grid, seed=65, count=4000),
-                          [packet_m] * 4)
+    est, err = _jackknife_mean(pair_values(mix, grid, packet_m, seed=65, count=4000) ** 4)
     want = moment_analytic(mix, [packet_m] * 4).real
-    assert abs(est.estimate.real - want) <= 3 * est.stderr
+    assert abs(est - want) <= 3 * err
 
 
 def test_stderr_shrinks_like_inverse_sqrt(mixture_values):
     counts = [100, 400, 1600, 6000]
-    errs = []
-    for c in counts:
-        xs = mixture_values[:c]
-        loo = (xs.sum() - xs) / (c - 1)
-        errs.append(np.sqrt((c - 1) / c * np.sum((loo - loo.mean()) ** 2)))
+    errs = [_jackknife_mean(mixture_values[:c])[1] for c in counts]
     slope = np.polyfit(np.log(counts), np.log(errs), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.1)
-
-
-def test_conflicting_provenance_rejected(grid, packet_m):
-    a = list(sample_stream(QuasiFree(SpectralMeasure.delta(1.0)), grid, 1, 3))
-    b = list(sample_stream(QuasiFree(SpectralMeasure.delta(4.0)), grid, 1, 3))
-    with pytest.raises(ProvenanceError):
-        estimate_moment(a + b, [packet_m, packet_m])
-
-
-def test_estimator_order_cap(grid, packet_m):
-    leaf = QuasiFree(SpectralMeasure.delta(1.0))
-    with pytest.raises(BoundsError, match="1..6"):
-        estimate_moment(sample_stream(leaf, grid, 1, 4), [packet_m] * 7)
 
 
 def test_pair_with_complex_function(grid):
     from schwingerlab import gaussian_packet
     f = gaussian_packet(grid, [4.0, 4.0], 1.0, [2 * np.pi / 8.0, 0.0])
-    s = sample_free_field(grid, 1.0, seed=77)
+    s = sample_mixture_field(QuasiFree(SpectralMeasure.delta(1.0)), grid, seed=77)
     val = s.pair(f)
     assert isinstance(val, complex) and val.imag != 0
 
@@ -295,7 +275,7 @@ def test_sample_dump_roundtrip(tmp_path, grid):
     mix = two_mass_mixture(1.0, 4.0)
     samples = list(sample_stream(mix, grid, seed=19, count=3))
     path = tmp_path / "samples.txt"
-    write_samples(path, samples)
+    write_samples(path, mix, grid, seed=19, count=3)
     back = read_samples(path)
     assert len(back) == 3
     for orig, loaded in zip(samples, back):
@@ -320,8 +300,7 @@ def test_sample_dump_roundtrip(tmp_path, grid):
         "fractional_count", "fractional_index", "fractional_component"])
 def test_malformed_sample_dump_is_schema_error(tmp_path, grid, old, new):
     path = tmp_path / "samples.txt"
-    write_samples(path, list(sample_stream(two_mass_mixture(1.0, 4.0), grid,
-                                           seed=19, count=2)))
+    write_samples(path, two_mass_mixture(1.0, 4.0), grid, seed=19, count=2)
     text = path.read_text()
     assert old in text
     path.write_text(text.replace(old, new))
@@ -333,8 +312,7 @@ def test_malformed_sample_dump_is_schema_error(tmp_path, grid, old, new):
                          ids=["non_ascii_header", "non_numeric_field"])
 def test_unreadable_sample_dump_is_schema_error(tmp_path, grid, line, bad):
     path = tmp_path / "samples.txt"
-    write_samples(path, list(sample_stream(two_mass_mixture(1.0, 4.0), grid,
-                                           seed=19, count=2)))
+    write_samples(path, two_mass_mixture(1.0, 4.0), grid, seed=19, count=2)
     lines = path.read_bytes().split(b"\n")
     lines[line] = bad
     path.write_bytes(b"\n".join(lines))
