@@ -25,8 +25,7 @@ from .axioms import (CheckReport, SuiteConfig, SuiteResult,
                      check_reflection_positivity,
                      check_stochastic_positivity, run_axiom_suite,
                      summary_lines)
-from .montecarlo import (FieldSample, estimate_fourth_cumulant,
-                         sample_mixture_field, sample_stream)
+from .montecarlo import estimate_fourth_cumulant, sample_stream
 from .experiments import (ExperimentReport, ExperimentSpec, run_experiment,
                           run_iteration, run_refinement_study,
                           run_two_mass_fourth_cumulant, two_mass_mixture)

@@ -62,7 +62,8 @@ def _emit(out_dir: Path, stem: str, machine: dict, human: list[str],
     # only picks what is echoed to stdout
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / f"{stem}.json", machine)
-    text = "\n".join(human) + "\n"
+    # paths and --grid text may be non-ASCII; the human record is escaped ASCII
+    text = ("\n".join(human) + "\n").encode("ascii", "backslashreplace").decode("ascii")
     (out_dir / f"{stem}.txt").write_text(text, encoding="ascii")
     if fmt in ("human", "both"):
         sys.stdout.write(text)

@@ -8,6 +8,11 @@ sampled by first drawing a leaf with its path weight, then drawing that
 leaf's Gaussian, so empirical moments of phi(f) estimate the model's
 analytic moments.
 
+There is one draw path, `_Stream.draw`, with two consumers: `pair_values`
+and `sample_stream`.  `sample_stream` yields each sample as a
+(component, values) tuple, values a plain float64 array on the grid, and
+`write_samples` writes them to a text dump (dumps are write-only).
+
 `pair_values` never builds the fields.  amp_j is real and even, so C_j is
 a real symmetric matrix and
 
@@ -31,53 +36,20 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError
 from .fixtures import rekey, rng_from_seed
 from .functional import SchwingerFunctional, model_to_dict
 from .lattice import Grid, TestFunction, lattice_symbol
-from .serialize import canonical_digest, json_integer, json_number, require_keys
+from .serialize import canonical_digest
 
 # samples per run: about 26 s of pair_values; a dump on 32^2 holds about
 # 20 KB of text per sample (15.5 MiB for 800 samples)
 MAX_SAMPLE_COUNT = 1_000_000
-
-
-@dataclass(frozen=True)
-class Provenance:
-    model_digest: str
-    seed: int
-    index: int
-    component: int
-
-
-class FieldSample:
-    """One real field configuration plus the data to reproduce it bit-exactly."""
-
-    __slots__ = ("grid", "values", "provenance")
-
-    def __init__(self, grid: Grid, values: np.ndarray, provenance: Provenance):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.shape != grid.shape:
-            raise DomainError(f"sample shape {arr.shape} != grid shape {grid.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("field sample must be finite")
-        arr.setflags(write=False)
-        self.grid = grid
-        self.values = arr
-        self.provenance = provenance
-
-    def pair(self, f: TestFunction) -> complex:
-        """phi(f) = a^d sum_x phi(x) f(x)."""
-        if f.grid != self.grid:
-            raise DomainError("test function lives on a different grid")
-        return complex(self.grid.cell * np.sum(self.values * f.values))
 
 
 def model_digest(G: SchwingerFunctional, grid: Grid) -> str:
@@ -111,28 +83,18 @@ class _Stream:
         shape = (len(self.atoms[component]),) + self.grid.shape
         return component, self.rng.standard_normal(shape)
 
-    def sample(self, index: int, digest: str) -> FieldSample:
-        component, white = self.draw(index)
-        values = np.zeros(self.grid.shape)
-        for (j, sqrt_w), noise in zip(self.atoms[component], white):
-            values += sqrt_w * np.fft.ifftn(np.fft.fftn(noise) * self.amps[j]).real
-        return FieldSample(self.grid, values,
-                           Provenance(digest, self.seed, index, component))
-
-
-def sample_mixture_field(G: SchwingerFunctional, grid: Grid, seed: int,
-                         index: int = 0) -> FieldSample:
-    """One draw from the mixture measure: pick a leaf by path weight, then
-    draw that leaf's Gaussian.  The chosen component index is recorded."""
-    return _Stream(G, grid, seed).sample(index, model_digest(G, grid))
-
 
 def sample_stream(G: SchwingerFunctional, grid: Grid, seed: int,
-                  count: int) -> Iterator[FieldSample]:
+                  count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(component, values) for samples 0..count-1: the picked leaf and its
+    real field sum_j sqrt(w_j) C_j white_j, summed in atom order."""
     stream = _Stream(G, grid, seed)
-    digest = model_digest(G, grid)
     for index in range(count):
-        yield stream.sample(index, digest)
+        component, white = stream.draw(index)
+        values = np.zeros(grid.shape)
+        for (j, sqrt_w), noise in zip(stream.atoms[component], white):
+            values += sqrt_w * np.fft.ifftn(np.fft.fftn(noise) * stream.amps[j]).real
+        yield component, values
 
 
 def estimate_fourth_cumulant(pairings: np.ndarray) -> tuple[float, float]:
@@ -185,48 +147,8 @@ def write_samples(path, G: SchwingerFunctional, grid: Grid, seed: int,
         fh.write(f"model_digest={model_digest(G, grid)} d={grid.d} "
                  f"n_per_axis={grid.n_per_axis} spacing={float(grid.spacing)!r} "
                  f"seed={seed} count={count}\n")
-        for s in sample_stream(G, grid, seed, count):
-            fh.write(f"sample index={s.provenance.index} "
-                     f"component={s.provenance.component}\n")
-            fh.write(" ".join(repr(float(v)) for v in s.values.ravel(order="C")))
+        for index, (component, values) in enumerate(sample_stream(G, grid, seed, count)):
+            fh.write(f"sample index={index} component={component}\n")
+            fh.write(" ".join(map(repr, values.ravel().tolist())))
             fh.write("\n")
 
-
-def _record_fields(line: str, keys: Sequence[str], ctx: str) -> dict:
-    # "key=value" tokens: the model digest is text, the spacing a number
-    # and every other value an integer
-    fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok)
-    require_keys(fields, keys, (), ctx)
-    try:
-        return {k: v if k == "model_digest" else
-                (json_number if k == "spacing" else json_integer)(json.loads(v), f"{ctx} {k}")
-                for k, v in fields.items()}
-    except json.JSONDecodeError:
-        raise SchemaError(f"{ctx}: malformed number in {line.strip()!r}") from None
-
-
-def read_samples(path) -> list[FieldSample]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            if fh.readline().strip() != "fieldsamples v1":
-                raise SchemaError(f"{path}: not a fieldsamples file")
-            header = _record_fields(fh.readline(), ("model_digest", "d", "n_per_axis",
-                                                    "spacing", "seed", "count"),
-                                    f"{path} header")
-            grid = Grid(header["d"], header["n_per_axis"], float(header["spacing"]))
-            out = []
-            for _ in range(header["count"]):
-                meta = _record_fields(fh.readline(), ("index", "component"),
-                                      f"{path} sample record")
-                row = np.array(fh.readline().split(), dtype=np.float64)
-                if row.size != grid.volume:
-                    raise SchemaError(f"{path}: truncated sample record")
-                out.append(FieldSample(
-                    grid, row.reshape(grid.shape),
-                    Provenance(header["model_digest"], header["seed"],
-                               meta["index"], meta["component"])))
-    except SchemaError:
-        raise
-    except ValueError as exc:  # a byte outside ASCII or a non-numeric token
-        raise SchemaError(f"{path}: malformed sample dump ({exc})") from None
-    return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from typing import Iterable
 
 from .errors import SchemaError
@@ -34,9 +34,11 @@ def require_keys(doc, required: Iterable[str], optional: Iterable[str] = (),
 
 
 def json_number(value, ctx: str):
-    """`value` if it is a finite JSON number, else a SchemaError naming `ctx`."""
+    """`value` if it is a finite JSON number, else a SchemaError naming `ctx`.
+    An int past the largest float counts as not finite, so the callers'
+    `float(json_number(...))` cannot overflow."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not math.isfinite(value))):
+            or not abs(value) <= sys.float_info.max):
         raise SchemaError(f"{ctx} must be a finite number, got {value!r}")
     return value
 

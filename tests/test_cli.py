@@ -242,6 +242,40 @@ def test_grid_whose_scales_overflow_exits_two(model_file, tmp_path, capsys, comm
     assert "spacing" in capsys.readouterr().err
 
 
+_BIG = 10 ** 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("name,doc,argv,field", [
+    ("big.json", {"format": "schwinger-model", "version": 1,
+                  "model": {"kind": "quasifree", "atoms": [[_BIG, 1.0]]}},
+     ["verify", "{doc}", "--grid", "2,16,0.5"], "atom 0 m2"),
+    ("spec.json", {**_SPEC_DOC, "grid": {**_GRID, "spacing": _BIG}},
+     ["experiment", "{doc}"], "grid.spacing"),
+    ("tols.json", {"cluster": _BIG},
+     ["verify", "{model}", "--tolerance-file", "{doc}"], "cluster"),
+], ids=["model_atom_m2", "spec_grid_spacing", "tolerance_value"])
+def test_integer_too_large_for_a_float_is_schema_error(model_file, tmp_path, capsys,
+                                                       name, doc, argv, field):
+    path = tmp_path / name
+    write_json(path, doc)
+    argv = [a.format(model=model_file, doc=path) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and field in err and "Traceback" not in err
+
+
+def test_moments_with_non_ascii_path_and_grid_writes_ascii(recipe_file, tmp_path, capsys):
+    path = tmp_path / "uni" / "modèl.json"
+    path.parent.mkdir()
+    save_model(QuasiFree(SpectralMeasure.delta(1.0)), path)
+    out = tmp_path / "o"
+    assert main(["moments", str(path), "--recipe", recipe_file, "--order", "2",
+                 "--grid", "2,٣٢,0.25", "--out", str(out)]) == 0
+    text = (out / "moments.txt").read_bytes().decode("ascii")
+    assert "mod\\xe8l.json on grid 2,\\u0663\\u0662,0.25" in text
+    assert capsys.readouterr().out == text
+
+
 def _numeric_paths(doc, path=()):
     """Key paths of every number in a JSON document."""
     if isinstance(doc, dict):

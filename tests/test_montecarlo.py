@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from schwingerlab import (DomainError, QuasiFree, SchemaError, SpectralMeasure,
-                          cumulant, estimate_fourth_cumulant, free_two_point,
-                          moment_analytic, sample_mixture_field, sample_stream,
-                          spectral_two_point)
+from schwingerlab import (DomainError, QuasiFree, SpectralMeasure, cumulant,
+                          estimate_fourth_cumulant, free_two_point,
+                          moment_analytic, sample_stream, spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.fixtures import random_model_tree, rekey, rng_from_seed
 from schwingerlab.lattice import Grid
-from schwingerlab.montecarlo import pair_values, read_samples, write_samples
+from schwingerlab.montecarlo import model_digest, pair_values, write_samples
 
 
 @pytest.fixture(scope="module")
@@ -42,25 +41,25 @@ def mixture_values(grid, packet_m):
 
 def test_same_seed_and_index_reproduce_bit_exactly(grid):
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
-    a = sample_mixture_field(leaf, grid, seed=7, index=3)
-    b = sample_mixture_field(leaf, grid, seed=7, index=3)
-    assert np.array_equal(a.values, b.values)
-    assert a.provenance == b.provenance
+    (ca, a), (cb, b) = (list(sample_stream(leaf, grid, seed=7, count=4))[3]
+                        for _ in range(2))
+    assert np.array_equal(a, b)
+    assert ca == cb
 
 
 def test_different_indices_differ(grid):
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
-    a = sample_mixture_field(leaf, grid, seed=7, index=3)
-    b = sample_mixture_field(leaf, grid, seed=7, index=4)
-    assert not np.array_equal(a.values, b.values)
+    drawn = list(sample_stream(leaf, grid, seed=7, count=5))
+    assert not np.array_equal(drawn[3][1], drawn[4][1])
 
 
-def test_stream_is_schedule_independent(grid):
+def test_stream_is_schedule_independent(grid, packet_m):
     mix = two_mass_mixture(1.0, 4.0)
-    forward = [s.values for s in sample_stream(mix, grid, seed=13, count=4)]
-    # drawing index 2 in isolation gives the identical field
-    alone = sample_mixture_field(mix, grid, seed=13, index=2)
-    assert np.array_equal(forward[2], alone.values)
+    forward = list(sample_stream(mix, grid, seed=13, count=4))
+    # index 2 drawn in isolation, keyed only by (seed, 2), gives the identical field
+    _, [(component, alone)] = _per_leaf_atom_route(mix, grid, packet_m, 13, [2])
+    assert forward[2][0] == component
+    assert np.array_equal(forward[2][1], alone)
 
 
 @pytest.mark.parametrize("seed,index", [(0, 0), (2**63 + 5, 0), (2**64 + 7, 3),
@@ -87,13 +86,15 @@ def test_pair_values_matches_field_route(grid_args):
     for k in range(6):
         model = random_model_tree(rng, max_depth=3)
         xs = pair_values(model, g, f, seed=900 + k, count=12)
-        want = np.array([s.pair(f).real for s in sample_stream(model, g, 900 + k, 12)])
+        want = np.array([g.cell * np.sum(values * f.values.real)
+                         for _, values in sample_stream(model, g, 900 + k, 12)])
         assert np.max(np.abs(xs - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _per_leaf_atom_route(G, grid, f, seed, count):
-    """pair_values and field draws built leaf atom by leaf atom from
-    G.leaves(): one (sqrt(w), amp) pair and one filtered row per leaf atom."""
+def _per_leaf_atom_route(G, grid, f, seed, indices):
+    """pair_values and (component, field) draws of the samples `indices`,
+    built leaf atom by leaf atom from G.leaves(): one (sqrt(w), amp) pair and
+    one filtered row per leaf atom, each sample keyed by (seed, index) alone."""
     import bisect
     import itertools
     import math
@@ -107,8 +108,8 @@ def _per_leaf_atom_route(G, grid, f, seed, count):
     rows = [np.concatenate([(sqrt_w * grid.cell * np.fft.ifftn(amp * f_hat).real).ravel()
                             for sqrt_w, amp in leaf]) for leaf in filters]
     rng = rng_from_seed(seed)
-    pairs, fields = [], []
-    for index in range(count):
+    pairs, draws = [], []
+    for index in indices:
         rekey(rng, seed, index)
         component = 0
         if len(cum) > 1:
@@ -118,8 +119,8 @@ def _per_leaf_atom_route(G, grid, f, seed, count):
         values = np.zeros(grid.shape)
         for (sqrt_w, amp), noise in zip(filters[component], white):
             values += sqrt_w * np.fft.ifftn(np.fft.fftn(noise) * amp).real
-        fields.append(values)
-    return np.array(pairs), fields
+        draws.append((component, values))
+    return np.array(pairs), draws
 
 
 @pytest.mark.parametrize("grid_args", [(1, 32, 0.5), (2, 16, 0.5), (3, 8, 0.5)],
@@ -138,10 +139,11 @@ def test_atom_table_stream_matches_the_per_leaf_atom_route(grid_args):
                            (0.3, QuasiFree(SpectralMeasure(((1.0, 0.5), (4.0, 0.5))))),
                            (0.7, QuasiFree(SpectralMeasure(((4.0, 0.2), (9.0, 0.8))))))))
     for k, model in enumerate(models):
-        pairs, fields = _per_leaf_atom_route(model, g, f, 300 + k, 24)
+        pairs, draws = _per_leaf_atom_route(model, g, f, 300 + k, range(24))
         assert np.array_equal(pair_values(model, g, f, 300 + k, 24), pairs)
         drawn = list(sample_stream(model, g, 300 + k, 6))
-        assert all(np.array_equal(s.values, want) for s, want in zip(drawn, fields))
+        assert all(c == want_c and np.array_equal(values, want)
+                   for (c, values), (want_c, want) in zip(drawn, draws))
 
 
 def test_pair_values_rejects_function_on_another_grid(grid):
@@ -195,8 +197,8 @@ def test_component_frequencies_match_weights(grid):
     mix = two_mass_mixture(1.0, 4.0)
     counts = np.zeros(2)
     n = 600
-    for s in sample_stream(mix, grid, seed=15, count=n):
-        counts[s.provenance.component] += 1
+    for component, _ in sample_stream(mix, grid, seed=15, count=n):
+        counts[component] += 1
     for w, c in zip((0.5, 0.5), counts):
         sigma = np.sqrt(n * w * (1 - w))
         assert abs(c - n * w) <= 3 * sigma
@@ -259,65 +261,24 @@ def test_stderr_shrinks_like_inverse_sqrt(mixture_values):
     assert slope == pytest.approx(-0.5, abs=0.1)
 
 
-def test_pair_with_complex_function(grid):
-    from schwingerlab import gaussian_packet
-    f = gaussian_packet(grid, [4.0, 4.0], 1.0, [2 * np.pi / 8.0, 0.0])
-    s = sample_mixture_field(QuasiFree(SpectralMeasure.delta(1.0)), grid, seed=77)
-    val = s.pair(f)
-    assert isinstance(val, complex) and val.imag != 0
-
-
 # ---------------------------------------------------------------------------
 # dumps
 # ---------------------------------------------------------------------------
 
-def test_sample_dump_roundtrip(tmp_path, grid):
+def test_sample_dump_holds_the_stream_bit_for_bit(tmp_path, grid):
     mix = two_mass_mixture(1.0, 4.0)
-    samples = list(sample_stream(mix, grid, seed=19, count=3))
     path = tmp_path / "samples.txt"
     write_samples(path, mix, grid, seed=19, count=3)
-    back = read_samples(path)
-    assert len(back) == 3
-    for orig, loaded in zip(samples, back):
-        assert np.array_equal(orig.values, loaded.values)
-        assert orig.provenance == loaded.provenance
-
-
-@pytest.mark.parametrize("old,new", [
-    (" spacing=0.25", ""),
-    (" spacing=0.25", " spacing=abc"),
-    (" seed=19", " seed=[19]"),
-    ("sample index=1 ", "sample index=x "),
-    ("sample index=1 ", "sample "),
-    (" d=2 ", " d=2.5 "),
-    (" n_per_axis=32 ", " n_per_axis=32.5 "),
-    (" seed=19", " seed=19.5"),
-    (" count=2", " count=2.5"),
-    ("sample index=1 ", "sample index=1.5 "),
-    ("component=0\n", "component=0.5\n"),
-], ids=["no_spacing", "string_spacing", "list_seed", "string_index", "no_index",
-        "fractional_d", "fractional_n_per_axis", "fractional_seed",
-        "fractional_count", "fractional_index", "fractional_component"])
-def test_malformed_sample_dump_is_schema_error(tmp_path, grid, old, new):
-    path = tmp_path / "samples.txt"
-    write_samples(path, two_mass_mixture(1.0, 4.0), grid, seed=19, count=2)
-    text = path.read_text()
-    assert old in text
-    path.write_text(text.replace(old, new))
-    with pytest.raises(SchemaError):
-        read_samples(path)
-
-
-@pytest.mark.parametrize("line,bad", [(1, b"\xff\xfe"), (3, b"0.5 x 0.25")],
-                         ids=["non_ascii_header", "non_numeric_field"])
-def test_unreadable_sample_dump_is_schema_error(tmp_path, grid, line, bad):
-    path = tmp_path / "samples.txt"
-    write_samples(path, two_mass_mixture(1.0, 4.0), grid, seed=19, count=2)
-    lines = path.read_bytes().split(b"\n")
-    lines[line] = bad
-    path.write_bytes(b"\n".join(lines))
-    with pytest.raises(SchemaError):
-        read_samples(path)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "fieldsamples v1"
+    assert dict(tok.split("=", 1) for tok in lines[1].split()) == {
+        "model_digest": model_digest(mix, grid), "d": "2", "n_per_axis": "32",
+        "spacing": "0.25", "seed": "19", "count": "3"}
+    assert len(lines) == 2 + 2 * 3
+    for i, (component, values) in enumerate(sample_stream(mix, grid, seed=19, count=3)):
+        assert lines[2 + 2 * i] == f"sample index={i} component={component}"
+        row = np.array([float(token) for token in lines[3 + 2 * i].split()])
+        assert np.array_equal(row, values.ravel())
 
 
 def test_sampler_reproduces_the_covariance_kernel():
@@ -328,11 +289,11 @@ def test_sampler_reproduces_the_covariance_kernel():
     ker = covariance_kernel(small, m2)
     acc = {d: 0.0 for d in [(0, 0), (1, 0), (0, 2), (3, 3)]}
     count = 400
-    for s in sample_stream(QuasiFree(SpectralMeasure.delta(m2)), small,
-                           seed=111, count=count):
+    for _, values in sample_stream(QuasiFree(SpectralMeasure.delta(m2)), small,
+                                   seed=111, count=count):
         for d in acc:
-            shifted = np.roll(s.values, shift=d, axis=(0, 1))
-            acc[d] += float(np.mean(s.values * shifted))
+            shifted = np.roll(values, shift=d, axis=(0, 1))
+            acc[d] += float(np.mean(values * shifted))
     for d, total in acc.items():
         est = total / count
         want = ker[d]
