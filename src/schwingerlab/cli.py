@@ -8,13 +8,12 @@ Commands:
 
 Exit codes: 0 pass, 1 check failure, 2 input/schema error, 3 numerical
 precision failure.  Machine-readable JSON and a human summary are always
-written together; --format chooses what is echoed to stdout.
+written together under --out; the human summary is also echoed to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -56,19 +55,13 @@ def _load_tolerances(path: str | None) -> dict:
     return doc
 
 
-def _emit(out_dir: Path, stem: str, machine: dict, human: list[str],
-          fmt: str) -> None:
-    # machine and human records are always written side by side; --format
-    # only picks what is echoed to stdout
+def _emit(out_dir: Path, stem: str, machine: dict, human: list[str]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / f"{stem}.json", machine)
     # paths and --grid text may be non-ASCII; the human record is escaped ASCII
     text = ("\n".join(human) + "\n").encode("ascii", "backslashreplace").decode("ascii")
     (out_dir / f"{stem}.txt").write_text(text, encoding="ascii")
-    if fmt in ("human", "both"):
-        sys.stdout.write(text)
-    if fmt in ("machine", "both"):
-        sys.stdout.write(json.dumps(machine, indent=2) + "\n")
+    sys.stdout.write(text)
 
 
 def cmd_verify(args) -> int:
@@ -77,8 +70,7 @@ def cmd_verify(args) -> int:
     tols = _load_tolerances(args.tolerance_file)
     config = SuiteConfig(grid=grid, seed=args.seed, tolerances=tols)
     result = run_axiom_suite(model, config)
-    _emit(Path(args.out), "checks", result.as_dict(), summary_lines(result),
-          args.format)
+    _emit(Path(args.out), "checks", result.as_dict(), summary_lines(result))
     if result.passed:
         return EXIT_PASS
     first = next(r.check_id for r in result.reports if not r.passed)
@@ -146,7 +138,7 @@ def cmd_moments(args) -> int:
                      f"{row['method']:>8s}")
     machine = {"config_digest": digest, "model": args.model,
                "grid": grid.as_dict(), "rows": rows}
-    _emit(Path(args.out), "moments", machine, human, args.format)
+    _emit(Path(args.out), "moments", machine, human)
     return EXIT_PASS if precision_ok else EXIT_PRECISION
 
 
@@ -175,7 +167,7 @@ def cmd_experiment(args) -> int:
         human.append(f"  {key} = {val}")
     for note in report.notes:
         human.append(f"  note: {note}")
-    _emit(Path(args.out), "experiment", report.as_dict(), human, args.format)
+    _emit(Path(args.out), "experiment", report.as_dict(), human)
     if report.experiment_id == "refinement":
         _write_refinement_csv(Path(args.out), report)
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILURE
@@ -207,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="d,n_per_axis,spacing (default %(default)s)"),
         "--seed": dict(type=int, default=0),
         "--out": dict(default="out", help="output directory"),
-        "--format": dict(choices=("human", "machine", "both"), default="human"),
         "--tolerance-file": dict(default=None,
                                  help="JSON object of tolerance overrides (strict keys)"),
     }
@@ -222,14 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("verify", "run the axiom suite on a model file", "model", cmd_verify,
-            "--grid", "--seed", "--out", "--format", "--tolerance-file")
+            "--grid", "--seed", "--out", "--tolerance-file")
     p = command("moments", "moment table for a model", "model", cmd_moments,
-                "--grid", "--out", "--format", "--tolerance-file")
+                "--grid", "--out", "--tolerance-file")
     p.add_argument("--recipe", required=True,
                    help="JSON recipe of packet test functions")
     p.add_argument("--order", type=int, default=4)
     command("experiment", f"run a spec ({', '.join(EXPERIMENT_IDS)})", "spec",
-            cmd_experiment, "--out", "--format", "--tolerance-file")
+            cmd_experiment, "--out", "--tolerance-file")
     p = command("sample", "dump Monte Carlo field samples", "model", cmd_sample,
                 "--grid", "--seed", "--out")
     p.add_argument("--count", type=int, default=16)

@@ -107,11 +107,10 @@ def fixture_packet(grid: Grid) -> TestFunction:
     return gaussian_packet(grid, center, width)
 
 
-def random_model_tree(rng: np.random.Generator, max_depth: int = 3,
-                      mass_sq_range: tuple[float, float] = (1.0, 9.0)):
+def random_model_tree(rng: np.random.Generator, max_depth: int = 3):
     """Random mixture tree of Gaussian leaves, depth <= max_depth.
 
-    Leaves carry 1..3 atoms drawn from mass_sq_range with Dirichlet
+    Leaves carry 1..3 atoms with masses^2 drawn from [1, 9) and Dirichlet
     weights; interior nodes mix 2..3 children.  Distinct leaves almost
     surely carry distinct spectral measures.
     """
@@ -122,7 +121,7 @@ def random_model_tree(rng: np.random.Generator, max_depth: int = 3,
         if depth >= max_depth or rng.random() < 0.35:
             k = int(rng.integers(1, 4))
             weights = rng.dirichlet(np.ones(k))
-            atoms = tuple((float(rng.uniform(*mass_sq_range)), float(w))
+            atoms = tuple((float(rng.uniform(1.0, 9.0)), float(w))
                           for w in weights)
             return QuasiFree(SpectralMeasure(atoms))
         k = int(rng.integers(2, 4))

@@ -65,7 +65,7 @@ def test_criterion_01_axiom_closure_under_mixing():
     """Five random trees (depth <= 3, atoms in [1, 9]) pass every check."""
     rng = rng_from_seed(424242)
     for trial in range(5):
-        model = random_model_tree(rng, max_depth=3, mass_sq_range=(1.0, 9.0))
+        model = random_model_tree(rng, max_depth=3)
         result = run_axiom_suite(model, SuiteConfig(grid=GRID, seed=1000 + trial))
         by_id = {r.check_id: r for r in result.reports}
         assert by_id["normalization_neutrality"].tolerance == 1e-12
@@ -214,8 +214,7 @@ def test_criterion_07_cluster_failure():
     g = site_indicator(cluster_grid, (16, 32))
     seps = [4, 8, 12, 16]
 
-    mix_rep, _ = check_cluster_defect(MIXTURE, f, g, seps, mode="defect",
-                                      tolerance=1e-6)
+    mix_rep, _ = check_cluster_defect(MIXTURE, f, g, seps, tolerance=1e-6)
     assert mix_rep.passed
     d_inf = complex(*mix_rep.details["delta_infinity"])
     g1 = QuasiFree(SpectralMeasure.delta(1.0))
@@ -225,8 +224,7 @@ def test_criterion_07_cluster_failure():
     assert abs(d_inf - want) <= 1e-10 * abs(want)
     assert abs(d_inf) > 0
 
-    single_rep, _ = check_cluster_defect(g1, f, g, seps, mode="clusters",
-                                         tolerance=1e-6)
+    single_rep, _ = check_cluster_defect(g1, f, g, seps, tolerance=1e-6)
     assert single_rep.passed
     ok(7, f"defect witness {mix_rep.witness:.2e} <= 1e-6 with "
           f"Delta_inf = {abs(d_inf):.2e} != 0; single mass clusters at "

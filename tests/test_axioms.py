@@ -129,6 +129,14 @@ def test_reflection_positivity_mixture(rp_set, mixture_14):
     assert rep.passed
 
 
+def test_heavy_leaf_whose_matrix_underflows_has_witness_zero(rp_set):
+    # S2(f_i - R f_j) is in the thousands, so every entry exp(-S2/2) is 0.0
+    heavy = QuasiFree(SpectralMeasure(((1.0, 1e4),)))
+    rep = check_reflection_positivity(heavy, rp_set)
+    assert rep.details["trace"] == 0.0
+    assert rep.witness == 0.0 and rep.passed
+
+
 def test_mixture_witness_dominated_by_children(rp_set):
     # convexity: the mixture's PSD witness is no worse than the worst child
     g1 = QuasiFree(SpectralMeasure.delta(1.0))
@@ -352,8 +360,7 @@ def cluster_probes(cluster_grid):
 def test_single_mass_model_clusters(cluster_grid, cluster_probes):
     f, g = cluster_probes
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
-    rep, curve = check_cluster_defect(leaf, f, g, [4, 8, 12, 16],
-                                      mode="clusters", tolerance=1e-6)
+    rep, curve = check_cluster_defect(leaf, f, g, [4, 8, 12, 16], tolerance=1e-6)
     assert rep.passed
     mags = [abs(d) for _, d in curve]
     assert all(b < a for a, b in zip(mags, mags[1:]))  # exponential decay
@@ -363,8 +370,7 @@ def test_single_mass_model_clusters(cluster_grid, cluster_probes):
 def test_two_mass_mixture_does_not_cluster(cluster_grid, cluster_probes):
     f, g = cluster_probes
     mix = two_mass_mixture(1.0, 4.0)
-    rep, curve = check_cluster_defect(mix, f, g, [4, 8, 12, 16],
-                                      mode="defect", tolerance=1e-6)
+    rep, curve = check_cluster_defect(mix, f, g, [4, 8, 12, 16], tolerance=1e-6)
     assert rep.passed
     d_inf = complex(*rep.details["delta_infinity"])
     # quarter-product prediction from the two leaves
@@ -382,8 +388,7 @@ def test_one_atom_mixture_still_clusters(cluster_grid, cluster_probes):
     f, g = cluster_probes
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
     mix = Mixture(((0.5, leaf), (0.5, leaf)))
-    rep, _ = check_cluster_defect(mix, f, g, [4, 8, 12, 16], mode="auto",
-                                  tolerance=1e-6)
+    rep, _ = check_cluster_defect(mix, f, g, [4, 8, 12, 16], tolerance=1e-6)
     assert rep.details["mode"] == "defect"
     assert rep.details["delta_infinity"] == [0.0, 0.0]
     assert rep.passed
@@ -397,7 +402,7 @@ def test_cluster_leaf_terms_match_the_per_leaf_walk(cluster_grid, tree):
     g = gaussian_packet(cluster_grid, [20.0, 30.0], 3.0, [2 * np.pi / 64, 0.0])
     g = TestFunction(cluster_grid, g.values.real)
     seps = [4, 8, 16]
-    rep, curve = check_cluster_defect(tree, f, g, seps, mode="defect")
+    rep, curve = check_cluster_defect(tree, f, g, seps)
     gamma_f, gamma_g = tree.evaluate(f), tree.evaluate(g)
     leaves = tree.leaves()
     delta_inf = sum(w * _nested_evaluate(leaf, f, 1.0) * _nested_evaluate(leaf, g, 1.0)
@@ -412,22 +417,45 @@ def test_cluster_leaf_terms_match_the_per_leaf_walk(cluster_grid, tree):
         assert delta == tree.evaluate(f + shifted) - gamma_f * gamma_g
 
 
+@pytest.mark.parametrize("model", [
+    QuasiFree(SpectralMeasure.delta(1.0)),
+    QuasiFree(SpectralMeasure(((1.0, 0.5), (4.0, 0.5)))),
+    two_mass_mixture(1.0, 4.0),
+], ids=["one_atom_leaf", "two_atom_leaf", "two_mass_mixture"])
+def test_cluster_witness_is_the_distance_to_delta_infinity(cluster_probes, model):
+    # on one leaf Delta_inf is exactly +0.0, so the witness is |Delta(a_max)|
+    f, g = cluster_probes
+    rep, curve = check_cluster_defect(model, f, g, [4, 8, 12, 16])
+    d_inf = complex(*rep.details["delta_infinity"])
+    assert rep.witness == abs(curve[-1][1] - d_inf)
+    if isinstance(model, QuasiFree):
+        assert rep.details["delta_infinity"] == [0.0, 0.0]
+        assert rep.details["mode"] == "clusters"
+        assert rep.witness == abs(curve[-1][1])
+    else:
+        assert rep.details["mode"] == "defect"
+
+
 def test_separation_beyond_quarter_box_rejected(cluster_grid, cluster_probes):
     f, g = cluster_probes
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
     with pytest.raises(DomainError, match="L/4"):
-        check_cluster_defect(leaf, f, g, [24], mode="clusters")
+        check_cluster_defect(leaf, f, g, [24])
 
 
 # ---------------------------------------------------------------------------
 # reports and the suite
 # ---------------------------------------------------------------------------
 
-def test_report_self_consistency_enforced():
-    with pytest.raises(DomainError, match="inconsistent"):
-        CheckReport("demo", True, 1.0, 0.5, "<=", "")
-    rep = CheckReport("demo", False, 1.0, 0.5, "<=", "")
-    assert not rep.passed
+def test_report_passed_follows_the_witness():
+    assert CheckReport("demo", 0.5, 0.5, "<=", "").passed
+    assert not CheckReport("demo", 0.6, 0.5, "<=", "").passed
+    assert CheckReport("demo", -1e-9, -1e-9, ">=", "").passed
+    assert not CheckReport("demo", -2e-9, -1e-9, ">=", "").passed
+    assert not CheckReport("demo", float("nan"), 0.5, "<=", "").passed
+    assert CheckReport("demo", 0.1, 0.5, "<=", "").as_dict()["passed"] is True
+    with pytest.raises(DomainError, match="bad comparison"):
+        CheckReport("demo", 1.0, 0.5, "<", "")
 
 
 def test_suite_passes_and_classifies(grid_2d, free_leaf, mixture_14):

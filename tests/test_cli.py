@@ -48,6 +48,20 @@ def test_verify_free_field_exits_zero(free_model_file, tmp_path, capsys):
     assert (out / "checks.txt").exists()
 
 
+def test_verify_heavy_free_field_passes_with_valid_json(tmp_path, capsys):
+    # every reflection-matrix entry underflows to 0: the witness is 0.0, not NaN
+    path = tmp_path / "heavy.json"
+    save_model(QuasiFree(SpectralMeasure(((1.0, 1e4),))), path)
+    out = tmp_path / "out"
+    assert main(["verify", str(path), "--grid", "2,16,0.5", "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} in checks.json")
+    doc = json.loads((out / "checks.json").read_text(), parse_constant=reject)
+    assert doc["reports"][1]["witness"] == 0.0
+    assert "suite: pass" in capsys.readouterr().out
+
+
 def test_verify_mixture_reports_not_quasifree(model_file, tmp_path):
     out = tmp_path / "out"
     code = main(["verify", model_file, "--out", str(out)])
@@ -353,8 +367,11 @@ def test_any_malformed_number_exits_two(field, bad):
     ["moments", "model.json", "--recipe", "recipe.json", "--seed", "9"],
     ["sample", "model.json", "--format", "machine"],
     ["sample", "model.json", "--tolerance-file", "tols.json"],
+    ["verify", "model.json", "--format", "machine"],
+    ["moments", "model.json", "--recipe", "recipe.json", "--format", "machine"],
+    ["experiment", "spec.json", "--format", "machine"],
 ], ids=["experiment_grid", "experiment_seed", "moments_seed", "sample_format",
-        "sample_tolerance_file"])
+        "sample_tolerance_file", "verify_format", "moments_format", "experiment_format"])
 def test_flag_a_command_does_not_read_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -503,13 +520,6 @@ def test_two_mass_mc_samples_below_three_is_schema_error(tmp_path, capsys, mc_sa
     assert (f"schema error: two_mass mc_samples must be 0 or in 3..{MAX_SAMPLE_COUNT}, "
             f"got {mc_samples}") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-
-
-def test_machine_format_prints_json(model_file, recipe_file, tmp_path, capsys):
-    assert main(["moments", model_file, "--recipe", recipe_file, "--order", "2",
-                 "--out", str(tmp_path / "o"), "--format", "machine"]) == 0
-    parsed = json.loads(capsys.readouterr().out)
-    assert parsed["rows"][0]["order"] == 1
 
 
 def rerun_bytes(args, output, tmp_path):

@@ -152,10 +152,13 @@ def test_iteration_closed_form_is_the_lambda_variance():
 
 
 def test_iteration_flags_degenerate_family():
-    rep = run_iteration(iteration_spec([[[2.0, 1.0]], [[2.0, 1.0]]]))
-    assert rep.passed
-    assert any("expected zero" in n for n in rep.notes)
-    assert abs(rep.values["connected_fourth"]) <= 1e-12
+    for families, lam in [([[[2.0, 1.0]], [[2.0, 1.0]]], (0.5, 0.5)),
+                          # the weight-0 family drops out
+                          ([[[1.0, 1.0]], [[4.0, 1.0]]], (1.0, 0.0))]:
+        rep = run_iteration(iteration_spec(families, lam))
+        assert rep.passed, lam
+        assert any("expected zero" in n for n in rep.notes)
+        assert abs(rep.values["connected_fourth"]) <= 1e-12
 
 
 def test_iteration_matches_direct_tree_construction():
@@ -191,9 +194,14 @@ def refinement_spec(levels, d=1, packet=None, masses=(1.0,)):
     })
 
 
-def test_refinement_converges_at_second_order_1d():
-    rep = run_refinement_study(refinement_spec([16, 32, 64]))
+@pytest.mark.parametrize("d", [1, 2])
+def test_refinement_converges_at_second_order(d):
+    # in d=2 the default packet sits at the box centre with zero momentum:
+    # the rotation maps it onto itself and every rotation defect is 0
+    rep = run_refinement_study(refinement_spec([16, 32, 64], d=d))
     assert rep.passed
+    if d == 2:
+        assert rep.values["rotation_defects"] == [0.0, 0.0, 0.0]
     diffs = rep.values["two_point_diffs"]
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
     assert rep.values["fitted_order"] >= 1.8
