@@ -22,18 +22,16 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
 
 
-def rekey(rng: np.random.Generator, seed: int, stream: int) -> None:
-    """Put a Philox generator where rng_from_seed(seed, stream) starts.
-
-    Setting the key, a zero counter and an empty buffer costs a few
-    microseconds; constructing a new generator costs several times that.
-    """
+def philox_state(seed: int, stream: int) -> dict:
+    """The bit-generator state rng_from_seed(seed, stream) starts in: the
+    key, a zero counter and an empty buffer.  Assigning it to a Philox
+    generator's `bit_generator.state` costs a few microseconds; constructing
+    a new generator costs several times that.  The key array is the dict's
+    own, so a caller may write its stream word and assign the dict again."""
     zeros = np.zeros(4, dtype=np.uint64)
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": _philox_key(seed, stream)},
-        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    return {"bit_generator": "Philox",
+            "state": {"counter": zeros, "key": _philox_key(seed, stream)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _packet_draw(grid: Grid, rng: np.random.Generator) -> tuple:

@@ -258,7 +258,8 @@ def packet_values(grid: Grid, centers, widths, momenta) -> np.ndarray:
         vals = vals[..., None] * axes[:, i].reshape((k,) + (1,) * i + (n,))
     sq = np.abs(vals.reshape(k, -1))
     sq *= sq
-    vals /= np.sqrt(grid.cell * np.add.reduce(sq, axis=1)).reshape((k,) + (1,) * grid.d)
+    norms = np.sqrt(grid.cell * np.add.reduce(sq, axis=1))
+    vals *= (1.0 / norms).reshape((k,) + (1,) * grid.d)
     return vals
 
 

@@ -25,8 +25,9 @@ its random draws and one dot product with the picked leaf's rows r_j.
 Randomness is counter based: every sample owns a Philox stream keyed by
 (seed, sample index), and sites are consumed in a fixed row-major order,
 so streams are bit-reproducible no matter how sample generation is
-scheduled.  A stream uses one generator and re-keys it per sample
-(`fixtures.rekey`), which gives the same bits as a fresh
+scheduled.  A stream uses one generator and one state dict built once
+(`fixtures.philox_state`); per sample it writes the index into the key's
+stream word and assigns the dict, which gives the same bits as a fresh
 `rng_from_seed(seed, index)`.  A sample draws one `random()` to pick the
 leaf (none for a single leaf), then the leaf's k white-noise fields as one
 (k,) + grid.shape block, the same numbers as k sequential draws.
@@ -42,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError
-from .fixtures import rekey, rng_from_seed
+from .fixtures import philox_state, rng_from_seed
 from .functional import SchwingerFunctional, model_to_dict
 from .lattice import Grid, TestFunction, lattice_symbol
 from .serialize import canonical_digest
@@ -60,28 +61,31 @@ class _Stream:
     """The draws of one model on one grid along the Philox streams of a seed.
 
     Built once per stream from the atom table: the cumulative leaf weights,
-    amp per distinct mass, each leaf's atoms as (mass column, sqrt(w_j)).
+    amp per distinct mass, each leaf's atoms as (mass column, sqrt(w_j)) and
+    the shape of its white-noise block, and the Philox state of stream 0.
     """
 
     def __init__(self, G: SchwingerFunctional, grid: Grid, seed: int):
         weights, masses, atoms = G._atom_table
         symbol = lattice_symbol(grid)
-        self.grid, self.seed = grid, seed
         self.cum_weights = list(itertools.accumulate(weights.tolist()))
         self.amps = [1.0 / np.sqrt(grid.cell * (symbol + m2)) for m2 in masses.tolist()]
         self.atoms = [[(j, math.sqrt(a[j])) for j in np.flatnonzero(a)] for a in atoms]
+        self.shapes = [(len(leaf),) + grid.shape for leaf in self.atoms]
         self.rng = rng_from_seed(seed)
+        self.state = philox_state(seed, 0)
+        self.key = self.state["state"]["key"]
 
     def draw(self, index: int) -> tuple[int, np.ndarray]:
         """(component, white): the picked leaf and one white-noise field per atom."""
-        rekey(self.rng, self.seed, index)
+        self.key[0] = index % (1 << 64)
+        self.rng.bit_generator.state = self.state
         component = 0
         if len(self.cum_weights) > 1:
             u = self.rng.random() * self.cum_weights[-1]
             component = min(bisect.bisect_right(self.cum_weights, u),
                             len(self.cum_weights) - 1)
-        shape = (len(self.atoms[component]),) + self.grid.shape
-        return component, self.rng.standard_normal(shape)
+        return component, self.rng.standard_normal(self.shapes[component])
 
 
 def sample_stream(G: SchwingerFunctional, grid: Grid, seed: int,

@@ -15,7 +15,12 @@ S2_m(f, f) is pinned to the squared mass-regularized Sobolev norm for real f.
 
 The momentum sum is written once, in two kernels over an atom-weight matrix
 with one measure per row: `two_point_pairs` pairs each f_i with its g_i, and
-`two_point_grams` pairs every f_i with every f_j.
+`two_point_grams` pairs every f_i with every f_j.  Both multiply by one
+reciprocal table 1 / (khat^2 + m^2) of every mass, formed per call.  numpy
+divides a complex by a real by Smith's rule, which multiplies both parts by
+1/d, so the products have the bits of a per-mass division, except that a -0
+part of the numerator may come out as a zero of the other sign.  A kernel
+whose values overflow float64 raises DomainError.
 """
 
 from __future__ import annotations
@@ -85,25 +90,40 @@ class SpectralMeasure:
         return SpectralMeasure(((float(m2), 1.0),))
 
 
+def _inverse_propagators(grid: Grid, masses_sq: Sequence[float]) -> np.ndarray:
+    """1 / (m2 + khat^2) of every mass m2, shape (len(masses_sq), sites)."""
+    return 1.0 / (np.asarray(masses_sq, dtype=np.float64)[:, None]
+                  + lattice_symbol(grid).ravel())
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise DomainError("two-point values overflow float64: the spectral "
+                          "weights or test functions are too large")
+    return values
+
+
 def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
                     masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
     """S2_r(f_i, g_i) of every pair i and every row r of atoms, shape
     (len(fs), rows); row r weights masses_sq[m] by atoms[r, m].
 
-    Per mass one (len(fs), sites) temporary is divided and row-summed, so a
-    pair's momentum sum has the same bits whichever other pairs and masses
-    share the call; each row then adds its atoms in mass order.
+    Per mass one (len(fs), sites) temporary is multiplied by that mass's
+    row of the reciprocal table and row-summed, so a pair's momentum sum
+    has the same bits whichever other pairs and masses share the call;
+    each row then adds its atoms in mass order.
     """
     grid = fs[0].grid
-    hats = stacked_hats(fs if gs is fs else list(fs) + list(gs))
-    prod = hats[:len(fs), negation_index(grid)] * hats[-len(gs):]
-    symbol = lattice_symbol(grid).ravel()
-    scaled = np.empty_like(prod)
-    sums = np.array([np.divide(prod, m2 + symbol, out=scaled).sum(axis=1)
-                     for m2 in masses_sq]).T
-    # a running sum in atom order, not np.sum's pairwise order: evaluate's
-    # bits, and every witness built on them, depend on it
-    return np.cumsum(atoms * sums[:, None, :], axis=2)[:, :, -1] / grid.extent ** grid.d
+    with np.errstate(over="ignore", invalid="ignore"):
+        hats = stacked_hats(fs if gs is fs else list(fs) + list(gs))
+        prod = hats[:len(fs), negation_index(grid)] * hats[-len(gs):]
+        scaled = np.empty_like(prod)
+        sums = np.array([np.multiply(prod, inv, out=scaled).sum(axis=1)
+                         for inv in _inverse_propagators(grid, masses_sq)]).T
+        # a running sum in atom order, not np.sum's pairwise order: evaluate's
+        # bits, and every witness built on them, depend on it
+        return _finite(np.cumsum(atoms * sums[:, None, :], axis=2)[:, :, -1]
+                       / grid.extent ** grid.d)
 
 
 def two_point_grams(fs: Sequence[TestFunction], masses_sq: Sequence[float],
@@ -112,13 +132,13 @@ def two_point_grams(fs: Sequence[TestFunction], masses_sq: Sequence[float],
     (rows, n, n), from one matmul per mass over the stacked transforms; the
     rows at -k are read from the stack by index, not cached."""
     grid = fs[0].grid
-    hats = stacked_hats(fs)
-    negs = hats[:, negation_index(grid)]
-    symbol = lattice_symbol(grid).ravel()
-    scaled = np.empty_like(negs)   # one (n x sites) temporary for every mass
-    sums = np.array([np.multiply(negs, 1.0 / (m2 + symbol), out=scaled) @ hats.T
-                     for m2 in masses_sq])
-    return np.einsum("rm,mij->rij", atoms, sums) / grid.extent ** grid.d
+    with np.errstate(over="ignore", invalid="ignore"):
+        hats = stacked_hats(fs)
+        negs = hats[:, negation_index(grid)]
+        scaled = np.empty_like(negs)   # one (n x sites) temporary for every mass
+        sums = np.array([np.multiply(negs, inv, out=scaled) @ hats.T
+                         for inv in _inverse_propagators(grid, masses_sq)])
+        return _finite(np.einsum("rm,mij->rij", atoms, sums) / grid.extent ** grid.d)
 
 
 def free_two_point(f: TestFunction, g: TestFunction, m2: float) -> complex:

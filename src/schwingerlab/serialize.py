@@ -7,7 +7,7 @@ import json
 import sys
 from typing import Iterable
 
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 
 
 def canonical_json(obj) -> str:
@@ -59,9 +59,14 @@ def overrides(doc, defaults: dict[str, float], ctx: str) -> dict[str, float]:
 
 
 def write_json(path, obj) -> None:
+    """Write obj as indented JSON.  A non-finite number, which JSON cannot
+    hold, raises DomainError before the file is opened."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"{path}: cannot write as JSON ({exc})") from None
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):

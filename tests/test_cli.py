@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schwingerlab import QuasiFree, SpectralMeasure, save_model
+from schwingerlab import DomainError, QuasiFree, SpectralMeasure, save_model
 from schwingerlab.cli import main
 from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.montecarlo import MAX_SAMPLE_COUNT
@@ -104,7 +104,8 @@ def _nan_weight_model():
         "string_atom", "bare_number_atom", "atoms_not_a_list"])
 def test_nonfinite_or_malformed_input_is_schema_error(tmp_path, model, grid):
     path = tmp_path / "model.json"
-    write_json(path, {"format": "schwinger-model", "version": 1, "model": model})
+    # json.dumps, not write_json: the model may hold a NaN, which write_json refuses
+    path.write_text(json.dumps({"format": "schwinger-model", "version": 1, "model": model}))
     assert main(["verify", str(path), "--grid", grid,
                  "--out", str(tmp_path / "o")]) == 2
 
@@ -254,6 +255,35 @@ def test_grid_whose_scales_overflow_exits_two(model_file, tmp_path, capsys, comm
     argv = [command, model_file, "--grid", grid, "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert "spacing" in capsys.readouterr().err
+
+
+_OVERFLOWING_MIXTURE = {"kind": "mixture", "children": [
+    {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [[1e-6, 1e306]]}},
+    {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [[4.0, 1.0]]}}]}
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["moments", "--recipe", "{recipe}",
+                                               "--order", "6"]],
+                         ids=["verify", "moments"])
+def test_two_point_overflow_exits_two_without_output(recipe_file, tmp_path, capsys, argv):
+    # S2 of the light atom times its weight 1e306 is past the largest float
+    path = tmp_path / "heavy.json"
+    write_json(path, {"format": "schwinger-model", "version": 1,
+                      "model": _OVERFLOWING_MIXTURE})
+    out = tmp_path / "o"
+    argv = [argv[0], str(path), *(a.format(recipe=recipe_file) for a in argv[1:])]
+    assert main(argv + ["--grid", "2,16,0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_non_finite_json_is_refused_before_the_file_is_opened(tmp_path):
+    path = tmp_path / "nan.json"
+    with pytest.raises(DomainError, match="nan.json"):
+        write_json(path, {"rows": [[1.0, float("nan")]]})
+    assert not path.exists()
 
 
 _BIG = 10 ** 400  # a JSON integer too large for a float

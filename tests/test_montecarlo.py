@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from schwingerlab import (DomainError, QuasiFree, SpectralMeasure, cumulant,
-                          estimate_fourth_cumulant, free_two_point,
+                          envelope, estimate_fourth_cumulant, free_two_point,
                           moment_analytic, sample_stream, spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
-from schwingerlab.fixtures import random_model_tree, rekey, rng_from_seed
+from schwingerlab.fixtures import random_model_tree, rng_from_seed
 from schwingerlab.lattice import Grid
-from schwingerlab.montecarlo import model_digest, pair_values, write_samples
+from schwingerlab.montecarlo import _Stream, model_digest, pair_values, write_samples
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +65,17 @@ def test_stream_is_schedule_independent(grid, packet_m):
 @pytest.mark.parametrize("seed,index", [(0, 0), (2**63 + 5, 0), (2**64 + 7, 3),
                                         (-1, 2**64 - 1), (20240801, 99999)])
 def test_rekeyed_generator_matches_fresh_stream(seed, index):
-    rng = rng_from_seed(5, 6)
-    rng.standard_normal(7)  # leave it mid-buffer
-    rekey(rng, seed, index)
+    g = Grid(2, 8, 1.0)
+    three = QuasiFree(SpectralMeasure(((1.0, 0.2), (2.0, 0.3), (3.0, 0.5))))
+    model = envelope([(0.5, three), (0.5, QuasiFree(SpectralMeasure.delta(4.0)))])
+    stream = _Stream(model, g, seed)
+    stream.draw(index ^ 1)
+    stream.rng.standard_normal(7)  # leave the generator mid-buffer
+    component, white = stream.draw(index)
     fresh = rng_from_seed(seed, index)
-    assert rng.random() == fresh.random()
-    block = rng.standard_normal((3, 8, 8))
-    assert np.array_equal(block, np.stack([fresh.standard_normal((8, 8))
-                                           for _ in range(3)]))
+    assert component == (0 if fresh.random() < 0.5 else 1)
+    assert np.array_equal(white, np.stack([fresh.standard_normal(g.shape)
+                                           for _ in stream.atoms[component]]))
 
 
 @pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
@@ -107,10 +110,9 @@ def _per_leaf_atom_route(G, grid, f, seed, indices):
     f_hat = np.fft.fftn(f.values.real)
     rows = [np.concatenate([(sqrt_w * grid.cell * np.fft.ifftn(amp * f_hat).real).ravel()
                             for sqrt_w, amp in leaf]) for leaf in filters]
-    rng = rng_from_seed(seed)
     pairs, draws = [], []
     for index in indices:
-        rekey(rng, seed, index)
+        rng = rng_from_seed(seed, index)
         component = 0
         if len(cum) > 1:
             component = min(bisect.bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)

@@ -7,8 +7,10 @@ from schwingerlab import (DomainError, Grid, SpectralMeasure, TestFunction,
                           apply_isometry, covariance_kernel, free_two_point,
                           spectral_two_point)
 from schwingerlab.axioms import point_group
-from schwingerlab.fixtures import random_real_function, rng_from_seed
-from schwingerlab.lattice import lattice_symbol, reflect_momentum
+from schwingerlab.fixtures import random_real_function, random_real_functions, rng_from_seed
+from schwingerlab.lattice import lattice_symbol, negation_index, reflect_momentum, stacked_hats
+from schwingerlab.propagator import MASS_FLOOR_SQ, two_point_grams, two_point_pairs
+from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal
 
 
 def kernel_direct(grid, m2):
@@ -168,6 +170,70 @@ def test_spectral_two_point_is_bit_identical_to_per_atom_sums(grid):
         assert spectral_two_point(f, g, rho) == per_atom_two_point(f, g, rho)
         assert free_two_point(f, g, atoms[0][0]) == per_atom_two_point(
             f, g, SpectralMeasure.delta(atoms[0][0]))
+
+
+def test_complex_division_by_a_positive_real_is_the_reciprocal_multiply():
+    # numpy divides complex by real as Smith does: s = 1/d, then both parts
+    # times s, each plus or minus a zero product; the kernels rest on this
+    rng = np.random.default_rng(2024)
+    n = 4096
+    z = np.empty(n, dtype=np.complex128)
+    z.real = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    z.imag = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    z.imag[:256] = 0.0     # the k = 0 part of a real pair
+    z.real[256:320] = 0.0
+    z.real[320:384], z.imag[384:448] = -0.0, -0.0
+    z[448:512] = complex(-0.0, -0.0)
+    d = 10.0 ** rng.uniform(-6.0, 4.0, n)
+    divided, multiplied = np.empty(2 * n, np.complex128), np.empty(2 * n, np.complex128)
+    for got, want in [(np.divide(z, d), np.multiply(z, 1.0 / d)),
+                      (np.divide(z, d, out=divided[::2]),
+                       np.multiply(z, 1.0 / d, out=multiplied[::2]))]:
+        assert np.array_equal(got, want)
+        # a -0 part of z may come out as a zero of the other sign
+        plain = ~((np.signbit(z.real) & (z.real == 0)) | (np.signbit(z.imag) & (z.imag == 0)))
+        assert plain.sum() == n - 192
+        assert _bits_equal(got[plain], want[plain])
+
+
+def _divided_pairs(fs, gs, masses_sq, atoms):
+    """two_point_pairs as one np.divide per mass: the oracle of its bits."""
+    grid = fs[0].grid
+    hats = stacked_hats(fs if gs is fs else list(fs) + list(gs))
+    prod = hats[:len(fs), negation_index(grid)] * hats[-len(gs):]
+    symbol = lattice_symbol(grid).ravel()
+    scaled = np.empty_like(prod)
+    sums = np.array([np.divide(prod, m2 + symbol, out=scaled).sum(axis=1)
+                     for m2 in masses_sq]).T
+    return np.cumsum(atoms * sums[:, None, :], axis=2)[:, :, -1] / grid.extent ** grid.d
+
+
+def _reciprocal_grams(fs, masses_sq, atoms):
+    """two_point_grams with 1 / (m2 + khat^2) formed per mass: the oracle of its bits."""
+    grid = fs[0].grid
+    hats = stacked_hats(fs)
+    negs = hats[:, negation_index(grid)]
+    symbol = lattice_symbol(grid).ravel()
+    sums = np.array([(negs * (1.0 / (m2 + symbol))) @ hats.T for m2 in masses_sq])
+    return np.einsum("rm,mij->rij", atoms, sums) / grid.extent ** grid.d
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_kernels_are_the_per_mass_division_bits(grid_args):
+    grid = Grid(*grid_args)
+    rng = rng_from_seed(611)
+    fs = random_real_functions(grid, rng, 5) + [random_complex_function(grid, 612)]
+    gs = random_real_functions(grid, rng, 3) + [random_complex_function(grid, 613)] * 3
+    masses_sq = np.array([MASS_FLOOR_SQ, 0.37, 1.0, 4.5, 19.0])
+    atoms = rng.uniform(0.0, 1.0, (4, len(masses_sq)))
+    atoms[atoms < 0.3] = 0.0
+    for f_set, g_set in [(fs, fs), (fs, gs), (gs, fs[::-1])]:
+        # copies: the kernels return a strided slice of the running sums
+        assert _bits_equal(two_point_pairs(f_set, g_set, masses_sq, atoms).copy(),
+                           _divided_pairs(f_set, g_set, masses_sq, atoms).copy())
+    for f_set in (fs, gs):
+        assert _bits_equal(two_point_grams(f_set, masses_sq, atoms),
+                           _reciprocal_grams(f_set, masses_sq, atoms))
 
 
 def test_monotone_under_measure_domination(packet):
