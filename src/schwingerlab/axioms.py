@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .fixtures import (fixture_packet, random_positive_time_function,
+from .fixtures import (fixture_packet, random_positive_time_functions,
                        random_real_functions, rng_from_seed)
 from .functional import MomentTable, SchwingerFunctional, model_to_dict
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
@@ -303,7 +303,7 @@ def run_axiom_suite(G: SchwingerFunctional, config: SuiteConfig) -> SuiteResult:
 
     rng = rng_from_seed(config.seed)
     neutral_set = random_real_functions(grid, rng, 4)
-    rp_set = [random_positive_time_function(grid, rng) for _ in range(REFLECTION_COUNT)]
+    rp_set = random_positive_time_functions(grid, rng, REFLECTION_COUNT)
     real_set = random_real_functions(grid, rng, STOCHASTIC_COUNT + INVARIANCE_COUNT)
     sp_set, inv_set = real_set[:STOCHASTIC_COUNT], real_set[STOCHASTIC_COUNT:]
 

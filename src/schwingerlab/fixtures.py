@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Grid, TestFunction, gaussian_packet, packet_values, positive_time_part
+from .lattice import Grid, TestFunction, gaussian_packet, packet_values
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
@@ -78,24 +78,43 @@ def random_real_function(grid: Grid, rng: np.random.Generator) -> TestFunction:
     return random_real_functions(grid, rng, 1)[0]
 
 
-def random_positive_time_function(grid: Grid,
-                                  rng: np.random.Generator) -> TestFunction:
-    """Random real function gated onto the strictly positive time slices."""
+def random_positive_time_functions(grid: Grid, rng: np.random.Generator,
+                                   count: int) -> list[TestFunction]:
+    """`count` random real packets gated onto the strictly positive time
+    slices, unit L2 norm: bit for bit and draw for draw those drawn one probe
+    at a time, with every packet built in one stacked pass.
+
+    A packet whose real part has norm below 1e-12 gives its imaginary part.
+    """
     n, a, L = grid.n_per_axis, grid.spacing, grid.extent
-    center = rng.uniform(0.0, L, size=grid.d)
     # keep the bulk of the packet away from the reflection plane; on tiny
     # grids the band degenerates to its midpoint
     lo, hi = 2.0 * a, (n // 2 - 2) * a
-    center[0] = rng.uniform(lo, hi) if hi > lo else lo
     w_hi = max(2.0 * a, min(L / 8.0, n // 8 * a))
-    width = rng.uniform(2.0 * a, w_hi) if w_hi > 2.0 * a else 2.0 * a
-    modes = rng.integers(-2, 3, size=grid.d)
-    momentum = 2.0 * np.pi / L * modes
-    packet = gaussian_packet(grid, center, width, momentum)
-    real = TestFunction(grid, packet.values.real)
-    if real.l2_norm() < 1e-12:
-        real = TestFunction(grid, packet.values.imag)
-    return positive_time_part(real)
+    draws = []
+    for _ in range(count):
+        center = rng.uniform(0.0, L, size=grid.d)
+        center[0] = rng.uniform(lo, hi) if hi > lo else lo
+        width = rng.uniform(2.0 * a, w_hi) if w_hi > 2.0 * a else 2.0 * a
+        draws.append((center, width, 2.0 * np.pi / L * rng.integers(-2, 3, size=grid.d)))
+    centers, widths, momenta = zip(*draws)
+    vals = packet_values(grid, np.array(centers), widths, np.array(momenta))
+    real = vals.real.reshape(count, -1).astype(np.complex128)
+    norms = np.sqrt((grid.cell * np.add.reduce(np.conj(real) * real, axis=1)).real)
+    parts = np.where((norms < 1e-12).reshape((-1,) + (1,) * grid.d), vals.imag, vals.real)
+    # as positive_time_part: a complex multiply by the boolean mask keeps signed zeros
+    keep = grid.signed_axis_coordinates() >= a / 2.0
+    flat = (parts.astype(np.complex128)
+            * keep.reshape((1, -1) + (1,) * (grid.d - 1))).reshape(count, -1)
+    norms = np.sqrt((grid.cell * np.add.reduce(np.conj(flat) * flat, axis=1)).real)
+    return [TestFunction(grid, v.reshape(grid.shape), copy=False)
+            for v in flat * np.array([complex(1.0 / nm) for nm in norms])[:, None]]
+
+
+def random_positive_time_function(grid: Grid,
+                                  rng: np.random.Generator) -> TestFunction:
+    """Random real function gated onto the strictly positive time slices."""
+    return random_positive_time_functions(grid, rng, 1)[0]
 
 
 def fixture_packet(grid: Grid) -> TestFunction:

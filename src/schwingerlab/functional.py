@@ -35,7 +35,7 @@ import numpy as np
 
 from . import partitions
 from .errors import BoundsError, DomainError, ModelError, SchemaError
-from .lattice import Grid, TestFunction, sobolev_norm
+from .lattice import Grid, TestFunction, sobolev_norm, sobolev_norms
 from .propagator import SpectralMeasure, two_point_grams, two_point_pairs
 from .serialize import json_number, read_json, require_keys, write_json
 
@@ -436,7 +436,7 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
             # moments of the unit-norm f_i / nu_i: each trial's raw Gram / (nu_i nu_j)
             grams = np.array([_leaf_grams(G, probes[t:t + n])[1]
                               for t in range(0, trials * n, n)])
-            norms = np.array([sobolev_norm(f, floor) for f in probes]).reshape(trials, 1, n)
+            norms = sobolev_norms(probes, floor).reshape(trials, 1, n)
             pairs = _pair_table(grams / (norms[..., None] * norms[..., None, :]))
             mags = np.abs(partitions.pair_exp(pairs)[..., -1] @ G._atom_table[0]).tolist()
         rows.append((n, max([(m / math.sqrt(math.factorial(n))) ** (1.0 / (n + 1))

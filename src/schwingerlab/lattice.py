@@ -132,13 +132,15 @@ class TestFunction:
     """Complex-valued function sampled on a Grid; argument of every functional.
 
     Values are immutable after construction.  The momentum-space view is
-    cached on first use because every two-point evaluation needs it.
+    cached on first use because every two-point evaluation needs it; the
+    reality flag is cached on first read, since most functions (stencil
+    combinations, isometry images, sums) never have it read.
     Values carry units field^-1 volume^-1 so that pairings phi(f) are
     dimensionless.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("grid", "values", "is_real", "_hat")
+    __slots__ = ("grid", "values", "_is_real", "_hat")
 
     def __init__(self, grid: Grid, values, copy: bool = True):
         arr = np.array(values, dtype=np.complex128, copy=copy)
@@ -151,12 +153,18 @@ class TestFunction:
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
-        self.is_real = bool(np.max(np.abs(arr.imag), initial=0.0) <= REALITY_TOL)
-        self._hat = None
+        self._is_real = self._hat = None
 
     @classmethod
     def zeros(cls, grid: Grid) -> "TestFunction":
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128), copy=False)
+
+    @property
+    def is_real(self) -> bool:
+        """max |Im f| <= REALITY_TOL."""
+        if self._is_real is None:
+            self._is_real = bool(np.max(np.abs(self.values.imag), initial=0.0) <= REALITY_TOL)
+        return self._is_real
 
     @property
     def hat(self) -> np.ndarray:
@@ -293,13 +301,20 @@ def sobolev_norm(f: TestFunction, m2: float) -> float:
 
     Equals sqrt(S2(f,f)) of the free mass-m2 two-point function for real f.
     """
+    return float(sobolev_norms([f], m2)[0])
+
+
+def sobolev_norms(fs: list[TestFunction], m2: float) -> np.ndarray:
+    """The Sobolev norm of every f in fs from one stacked array.  Each row's
+    momentum sum is pairwise, as np.sum of one function's is, so a norm's
+    bits do not depend on the rest of the stack."""
     if m2 <= 0:
         raise DomainError(
             f"sobolev_norm needs m2 > 0 (zero mode diverges at m2=0), got {m2}"
         )
-    w = lattice_symbol(f.grid)
-    val = float(np.sum(np.abs(f.hat) ** 2 / (w + m2))) / f.grid.extent ** f.grid.d
-    return math.sqrt(val)
+    grid = fs[0].grid
+    terms = np.abs(stacked_hats(fs)) ** 2 / (lattice_symbol(grid).ravel() + m2)
+    return np.sqrt(np.add.reduce(terms, axis=1) / grid.extent ** grid.d)
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,16 @@ Every atom sits at or above the one infrared floor MASS_FLOOR_SQ, and
 S2_m(f, f) is pinned to the squared mass-regularized Sobolev norm for real f.
 
 The momentum sum is written once, in two kernels over an atom-weight matrix
-with one measure per row: `two_point_pairs` pairs each f_i with its g_i, and
-`two_point_grams` pairs every f_i with every f_j.  Both multiply by one
-reciprocal table 1 / (khat^2 + m^2) of every mass, formed per call.  numpy
-divides a complex by a real by Smith's rule, which multiplies both parts by
-1/d, so the products have the bits of a per-mass division, except that a -0
-part of the numerator may come out as a zero of the other sign.  A kernel
-whose values overflow float64 raises DomainError.
+with one measure per row (a model's leaves): `two_point_pairs` pairs each f_i
+with its g_i, and `two_point_grams` pairs every f_i with every f_j.  Both
+start from one reciprocal table 1 / (khat^2 + m^2) of every mass, formed per
+call.  The Grams contract it with the atom weights first, into one propagator
+P_r(k) = sum_m atoms[r, m] / (khat^2 + m^2) per row, and pay one matmul per
+row.  The pairs stay per mass: numpy divides a complex by a real by Smith's
+rule, which multiplies both parts by 1/d, so their products have the bits of
+a per-mass division (except that a -0 part of the numerator may come out as
+a zero of the other sign), and evaluate's argmax witnesses rest on those
+bits.  A kernel whose values overflow float64 raises DomainError.
 """
 
 from __future__ import annotations
@@ -129,16 +132,18 @@ def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
 def two_point_grams(fs: Sequence[TestFunction], masses_sq: Sequence[float],
                     atoms: np.ndarray) -> np.ndarray:
     """Grams S2_r(f_i, f_j) of fs under every row r of atoms, shape
-    (rows, n, n), from one matmul per mass over the stacked transforms; the
-    rows at -k are read from the stack by index, not cached."""
+    (rows, n, n): each row's propagator is formed first, then one matmul per
+    row over the stacked transforms.  The transforms at -k are read from the
+    stack by index, not cached.  The values agree with a per-mass sum to
+    roundoff (about 1e-15 * max|G|), not bit for bit."""
     grid = fs[0].grid
     with np.errstate(over="ignore", invalid="ignore"):
         hats = stacked_hats(fs)
         negs = hats[:, negation_index(grid)]
-        scaled = np.empty_like(negs)   # one (n x sites) temporary for every mass
-        sums = np.array([np.multiply(negs, inv, out=scaled) @ hats.T
-                         for inv in _inverse_propagators(grid, masses_sq)])
-        return _finite(np.einsum("rm,mij->rij", atoms, sums) / grid.extent ** grid.d)
+        scaled = np.empty_like(negs)   # one (n x sites) temporary for every row
+        rows = atoms @ _inverse_propagators(grid, masses_sq)
+        grams = np.array([np.multiply(negs, row, out=scaled) @ hats.T for row in rows])
+        return _finite(grams / grid.extent ** grid.d)
 
 
 def free_two_point(f: TestFunction, g: TestFunction, m2: float) -> complex:

@@ -12,8 +12,11 @@ from schwingerlab import (DomainError, Grid, Isometry, ResolutionError,
                           positive_time_part, positive_time_support,
                           site_indicator, sobolev_norm)
 from schwingerlab import fixtures, free_two_point, lattice
-from schwingerlab.fixtures import random_real_function, random_real_functions, rng_from_seed
-from schwingerlab.lattice import negation_index, packet_values, reflect_momentum, stacked_hats
+from schwingerlab.fixtures import (random_positive_time_function, random_positive_time_functions,
+                                   random_real_function, random_real_functions, rng_from_seed)
+from schwingerlab.lattice import (REALITY_TOL, lattice_symbol, negation_index, packet_values,
+                                  positive_time_part, reflect_momentum, sobolev_norms,
+                                  stacked_hats)
 
 
 def dft_oracle(f):
@@ -83,6 +86,16 @@ def test_signed_coordinates(grid_1d):
 def test_packet_unit_norm(grid_2d):
     f = gaussian_packet(grid_2d, [3.0, 5.0], 0.8, [2 * np.pi / 8.0, 0.0])
     assert f.l2_norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_is_real_reads_the_imaginary_part(grid_2d):
+    vals = random_real_function(grid_2d, rng_from_seed(8)).values
+    assert TestFunction(grid_2d, vals.real).is_real
+    assert not TestFunction(grid_2d, vals + 1j * vals).is_real
+    assert TestFunction(grid_2d, vals + 1e-15j).is_real
+    assert not TestFunction(grid_2d, vals + 10 * REALITY_TOL * 1j).is_real
+    f = TestFunction(grid_2d, vals - 1e-15j)
+    assert f.is_real and f.is_real       # cached on first read
 
 
 def test_zero_momentum_packet_real_positive_symmetric(grid_2d):
@@ -218,6 +231,53 @@ def test_random_real_functions_redraw_as_the_per_probe_recipe(grid_args, monkeyp
     assert _assert_batch_matches_the_recipe(grid, range(3), (1, 7, 24)) >= 5
 
 
+def _positive_time_recipe(grid, rng):
+    """One probe at a time: the oracle of random_positive_time_functions'
+    bits and draws."""
+    n, a, L = grid.n_per_axis, grid.spacing, grid.extent
+    center = rng.uniform(0.0, L, size=grid.d)
+    lo, hi = 2.0 * a, (n // 2 - 2) * a
+    center[0] = rng.uniform(lo, hi) if hi > lo else lo
+    w_hi = max(2.0 * a, min(L / 8.0, n // 8 * a))
+    width = rng.uniform(2.0 * a, w_hi) if w_hi > 2.0 * a else 2.0 * a
+    momentum = 2.0 * np.pi / L * rng.integers(-2, 3, size=grid.d)
+    packet = gaussian_packet(grid, center, width, momentum)
+    real = TestFunction(grid, packet.values.real)
+    if real.l2_norm() < 1e-12:
+        real = TestFunction(grid, packet.values.imag)
+    return positive_time_part(real)
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+@pytest.mark.parametrize("imaginary", [False, True], ids=["real", "fallback"])
+def test_random_positive_time_functions_are_the_per_probe_bits(grid_args, imaginary,
+                                                               monkeypatch):
+    if imaginary:
+        # every other packet purely imaginary: its real part has norm 0
+        build = lattice.packet_values
+
+        def alternate(grid, centers, widths, momenta):
+            vals = build(grid, centers, widths, momenta)
+            odd = np.asarray(centers)[:, -1] < grid.extent / 2
+            vals[odd] = 1j * np.abs(vals[odd])
+            return vals
+
+        monkeypatch.setattr(lattice, "packet_values", alternate)
+        monkeypatch.setattr(fixtures, "packet_values", alternate)
+    grid = Grid(*grid_args)
+    for seed in range(6):
+        for count in (1, 3, 8):
+            batch_rng, probe_rng = rng_from_seed(seed), rng_from_seed(seed)
+            got = random_positive_time_functions(grid, batch_rng, count)
+            want = [_positive_time_recipe(grid, probe_rng) for _ in range(count)]
+            assert len(got) == count
+            for f, g in zip(got, want):
+                assert _bits_equal(f.values, g.values)
+            assert batch_rng.random() == probe_rng.random()
+        one = random_positive_time_function(grid, rng_from_seed(seed))
+        assert _bits_equal(one.values, _positive_time_recipe(grid, rng_from_seed(seed)).values)
+
+
 def test_packet_width_preconditions(grid_2d):
     with pytest.raises(ResolutionError, match="2\\*spacing"):
         gaussian_packet(grid_2d, [4.0, 4.0], 0.3)
@@ -313,6 +373,19 @@ def test_sobolev_homogeneity_and_mass_bound(packet):
         3.0 * sobolev_norm(packet, 2.0), rel=1e-12)
     m2 = 2.0
     assert sobolev_norm(packet, m2) <= packet.l2_norm() / math.sqrt(m2) + 1e-12
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_sobolev_norms_are_the_per_function_bits(grid_args):
+    grid = Grid(*grid_args)
+    fs = random_real_functions(grid, rng_from_seed(5), 6) + [
+        random_complex_function(grid, 6), TestFunction.zeros(grid)]
+    w = lattice_symbol(grid)
+    for m2 in (1e-6, 0.37, 4.0):
+        want = [math.sqrt(float(np.sum(np.abs(f.hat) ** 2 / (w + m2))) / grid.extent ** grid.d)
+                for f in fs]
+        assert _bits_equal(sobolev_norms(fs, m2), want)
+        assert _bits_equal([sobolev_norm(f, m2) for f in fs], want)
 
 
 def test_sobolev_rejects_nonpositive_mass(packet):

@@ -8,6 +8,7 @@ from schwingerlab import (DomainError, Grid, SpectralMeasure, TestFunction,
                           spectral_two_point)
 from schwingerlab.axioms import point_group
 from schwingerlab.fixtures import random_real_function, random_real_functions, rng_from_seed
+from schwingerlab.functional import QuasiFree, _leaf_grams, envelope
 from schwingerlab.lattice import lattice_symbol, negation_index, reflect_momentum, stacked_hats
 from schwingerlab.propagator import MASS_FLOOR_SQ, two_point_grams, two_point_pairs
 from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal
@@ -209,13 +210,30 @@ def _divided_pairs(fs, gs, masses_sq, atoms):
 
 
 def _reciprocal_grams(fs, masses_sq, atoms):
-    """two_point_grams with 1 / (m2 + khat^2) formed per mass: the oracle of its bits."""
+    """Grams as one matmul per mass, contracted with the atoms last: the
+    per-mass route, an accuracy bound on two_point_grams."""
     grid = fs[0].grid
     hats = stacked_hats(fs)
     negs = hats[:, negation_index(grid)]
     symbol = lattice_symbol(grid).ravel()
     sums = np.array([(negs * (1.0 / (m2 + symbol))) @ hats.T for m2 in masses_sq])
     return np.einsum("rm,mij->rij", atoms, sums) / grid.extent ** grid.d
+
+
+def _row_grams(fs, masses_sq, atoms):
+    """two_point_grams with each row's propagator formed first from the
+    per-mass reciprocals, one matmul per row: the oracle of its bits."""
+    grid = fs[0].grid
+    hats = stacked_hats(fs)
+    negs = hats[:, negation_index(grid)]
+    symbol = lattice_symbol(grid).ravel()
+    rows = atoms @ np.array([1.0 / (m2 + symbol) for m2 in masses_sq])
+    return np.array([(negs * row) @ hats.T for row in rows]) / grid.extent ** grid.d
+
+
+def _assert_near_per_mass(grams, fs, masses_sq, atoms, rel=1e-13):
+    want = _reciprocal_grams(fs, masses_sq, atoms)
+    assert np.max(np.abs(grams - want)) <= rel * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
@@ -232,8 +250,43 @@ def test_kernels_are_the_per_mass_division_bits(grid_args):
         assert _bits_equal(two_point_pairs(f_set, g_set, masses_sq, atoms).copy(),
                            _divided_pairs(f_set, g_set, masses_sq, atoms).copy())
     for f_set in (fs, gs):
-        assert _bits_equal(two_point_grams(f_set, masses_sq, atoms),
-                           _reciprocal_grams(f_set, masses_sq, atoms))
+        grams = two_point_grams(f_set, masses_sq, atoms)
+        assert _bits_equal(grams, _row_grams(f_set, masses_sq, atoms))
+        _assert_near_per_mass(grams, f_set, masses_sq, atoms)
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_row_grams_agree_with_the_per_mass_route(grid_args):
+    grid = Grid(*grid_args)
+    rng = rng_from_seed(733)
+    reals = random_real_functions(grid, rng, 4)
+    complexes = [random_complex_function(grid, 734 + i) for i in range(3)]
+    for trial in range(12):
+        masses_sq = np.sort(10.0 ** rng.uniform(-6.0, 4.0, 1 + trial % 5))
+        atoms = 10.0 ** rng.uniform(-6.0, 6.0, (1 + trial % 4, len(masses_sq)))
+        atoms[rng.random(atoms.shape) < 0.3] = 0.0
+        for fs in (reals, complexes, reals[:2] + complexes[:2]):
+            _assert_near_per_mass(two_point_grams(fs, masses_sq, atoms), fs, masses_sq, atoms)
+
+
+def test_leaf_grams_of_leaves_that_share_masses(grid_2d_small):
+    # five leaves over three masses: more rows than matmuls of the per-mass route
+    leaves = [[(1.0, 1e-6), (4.0, 1.0)], [(1.0, 2.0), (4.0, 1e6)], [(1.0, 1.0)],
+              [(4.0, 3.0), (0.5, 1e3)], [(0.5, 1.0), (1.0, 1.0), (4.0, 1.0)]]
+    model = envelope([(0.2, QuasiFree(SpectralMeasure(tuple(atoms)))) for atoms in leaves])
+    _, masses_sq, atoms = model._atom_table
+    assert atoms.shape == (5, 3)
+    rng = rng_from_seed(91)
+    fs = random_real_functions(grid_2d_small, rng, 3) + [
+        random_complex_function(grid_2d_small, 92)]
+    grams = _leaf_grams(model, fs)[1]
+    assert grams.shape == (5, 4, 4)
+    _assert_near_per_mass(grams, fs, masses_sq, atoms)
+    for row, leaf in zip(grams, leaves):
+        for i, f in enumerate(fs):
+            for j, g in enumerate(fs):
+                want = spectral_two_point(f, g, SpectralMeasure(tuple(leaf)))
+                assert abs(row[i, j] - want) <= 1e-13 * np.max(np.abs(row))
 
 
 def test_monotone_under_measure_domination(packet):
