@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -190,17 +190,24 @@ def _check_moment_args(fs: Sequence[TestFunction], cap: int) -> None:
         raise DomainError("moments need every argument on one grid")
 
 
-def _leaf_grams(G: SchwingerFunctional,
-                fs: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n)."""
+def _leaf_grams(G: SchwingerFunctional, fs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n),
+    or (sets, L, n, n) for a sequence of equal-size sets."""
     return G._atom_table[0], two_point_grams(fs, *G._atom_table[1:])
+
+
+@lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of n arguments and their bitmasks {i, j}."""
+    i, j = np.triu_indices(n, 1)
+    return i, j, (1 << i) | (1 << j)
 
 
 def _pair_table(grams: np.ndarray) -> np.ndarray:
     """Set functions Q[..., S] = grams[..., i, j] on pairs S = {i, j}, else 0."""
-    i, j = np.triu_indices(grams.shape[-1], 1)
+    i, j, masks = _pair_index(grams.shape[-1])
     pairs = np.zeros(grams.shape[:-2] + (1 << grams.shape[-1],), dtype=np.complex128)
-    pairs[..., (1 << i) | (1 << j)] = grams[..., i, j]
+    pairs[..., masks] = grams[..., i, j]
     return pairs
 
 
@@ -293,29 +300,32 @@ def moment_numeric(G: SchwingerFunctional,
     extrapolation over (2h, h) serves only as the loss-of-significance
     detector: when the two extrapolants disagree beyond the documented
     schedule, the result carries a precision warning.
+
+    The 2^n combinations are built once, at step h, and one evaluate_many
+    call reads all three stencils as Gamma(z c) at z = 2, 1, 1/2.  Scaling
+    by a power of two is exact in binary while nothing over- or underflows:
+    the combinations at 2h and h/2, their transforms and their S2 (times 4
+    and 1/4) are exactly those at h scaled, and -z^2/2 is exactly -2, -1/2
+    and -1/8, so every exponent, and so every stencil, has the bits of its
+    own combinations built and evaluated at that step.
     """
     _check_moment_args(fs, NUMERIC_MOMENT_CAP)
     n = len(fs)
-    floor = min_mass_sq(G)
-    norms = [sobolev_norm(f, floor) for f in fs]
+    norms = sobolev_norms(fs, min_mass_sq(G)).tolist()
     if any(nu == 0.0 for nu in norms):
         return NumericMoment(0j, (0j, 0j, 0j), 0.0, False)
     h0 = np.finfo(float).eps ** (1.0 / (n + 4))
     signs = list(itertools.product((1.0, -1.0), repeat=n))
-
-    def stencil(scale: float) -> complex:
-        steps = [scale / nu for nu in norms]
-        # every combination sum_i s_i h_i f_i, built as (s h) * f added in order
-        combos = np.zeros((len(signs),) + fs[0].grid.shape, dtype=np.complex128)
-        for i, (h, f) in enumerate(zip(steps, fs)):
-            combos = combos + np.multiply.outer([s[i] * h for s in signs], f.values)
-        values = G.evaluate_many([TestFunction(fs[0].grid, c, copy=False) for c in combos])
-        acc = sum((math.prod(s) * v for s, v in zip(signs, values)), 0j)
-        return acc / math.prod(2.0 * h for h in steps)
-
-    d_2h = stencil(2.0 * h0)
-    d_h = stencil(h0)
-    d_h2 = stencil(h0 / 2.0)
+    # every combination sum_i s_i h_i f_i, built as (s h) * f added in order
+    combos = np.zeros((len(signs),) + fs[0].grid.shape, dtype=np.complex128)
+    for i, (nu, f) in enumerate(zip(norms, fs)):
+        combos = combos + np.multiply.outer([s[i] * (h0 / nu) for s in signs], f.values)
+    values = G.evaluate_many([TestFunction(fs[0].grid, c, copy=False) for c in combos],
+                             [2.0, 1.0, 0.5])
+    # per step: the signed sum of its values over prod_i 2 h_i, each h_i rounded as scale / nu_i
+    d_2h, d_h, d_h2 = (sum((math.prod(s) * v for s, v in zip(signs, column)), 0j)
+                       / math.prod(2.0 * (scale / nu) for nu in norms)
+                       for scale, column in zip((2.0 * h0, h0, h0 / 2.0), values.T.tolist()))
     extrap_coarse = (4.0 * d_h - d_2h) / 3.0
     extrap_fine = (4.0 * d_h2 - d_h) / 3.0
     disagreement = abs(extrap_fine - extrap_coarse)
@@ -418,7 +428,10 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     """Find the smallest K with |S_n| <= K^(n+1) sqrt(n!) on random probes.
 
     Probes are random real functions of unit norm in the model's floor
-    Sobolev norm, so the norm product in the bound is 1.
+    Sobolev norm, so the norm product in the bound is 1.  An even order's
+    trials share one Gram kernel call over a leading trial axis: the
+    transforms are per row and each trial's slice is the matmul its own call
+    would make, so every Gram, and so k, has the bits of a per-trial call.
     """
     from .fixtures import random_real_functions, rng_from_seed
 
@@ -434,8 +447,7 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
         mags = []
         if n % 2 == 0:      # odd moments of centered leaves are 0
             # moments of the unit-norm f_i / nu_i: each trial's raw Gram / (nu_i nu_j)
-            grams = np.array([_leaf_grams(G, probes[t:t + n])[1]
-                              for t in range(0, trials * n, n)])
+            grams = _leaf_grams(G, [probes[t:t + n] for t in range(0, trials * n, n)])[1]
             norms = sobolev_norms(probes, floor).reshape(trials, 1, n)
             pairs = _pair_table(grams / (norms[..., None] * norms[..., None, :]))
             mags = np.abs(partitions.pair_exp(pairs)[..., -1] @ G._atom_table[0]).tolist()

@@ -19,7 +19,8 @@ with its g_i, and `two_point_grams` pairs every f_i with every f_j.  Both
 start from one reciprocal table 1 / (khat^2 + m^2) of every mass, formed per
 call.  The Grams contract it with the atom weights first, into one propagator
 P_r(k) = sum_m atoms[r, m] / (khat^2 + m^2) per row, and pay one matmul per
-row.  The pairs stay per mass: numpy divides a complex by a real by Smith's
+row; a batch of equal-size sets shares one transform pass and one stacked
+matmul per row, whose per-set slices keep the bits of one set's call.  The pairs stay per mass: numpy divides a complex by a real by Smith's
 rule, which multiplies both parts by 1/d, so their products have the bits of
 a per-mass division (except that a -0 part of the numerator may come out as
 a zero of the other sign), and evaluate's argmax witnesses rest on those
@@ -129,21 +130,26 @@ def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
                        / grid.extent ** grid.d)
 
 
-def two_point_grams(fs: Sequence[TestFunction], masses_sq: Sequence[float],
-                    atoms: np.ndarray) -> np.ndarray:
+def two_point_grams(fs: Sequence, masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
     """Grams S2_r(f_i, f_j) of fs under every row r of atoms, shape
     (rows, n, n): each row's propagator is formed first, then one matmul per
-    row over the stacked transforms.  The transforms at -k are read from the
-    stack by index, not cached.  The values agree with a per-mass sum to
-    roundoff (about 1e-15 * max|G|), not bit for bit."""
-    grid = fs[0].grid
+    row over the stacked transforms.  fs may also be a sequence of equal-size
+    sets, with Grams of shape (sets, rows, n, n) from one batched transform and
+    one stacked matmul per row; each set's slice is the zgemm of its own call,
+    so it has that call's bits.  The transforms at -k are read from the stack
+    by index, not cached.  The values agree with a per-mass sum to roundoff
+    (about 1e-15 * max|G|), not bit for bit."""
+    batch = () if isinstance(fs[0], TestFunction) else (len(fs),)
+    flat = [f for s in fs for f in s] if batch else fs
+    grid = flat[0].grid
     with np.errstate(over="ignore", invalid="ignore"):
-        hats = stacked_hats(fs)
-        negs = hats[:, negation_index(grid)]
-        scaled = np.empty_like(negs)   # one (n x sites) temporary for every row
+        hats = stacked_hats(flat).reshape(batch + (-1, grid.volume))
+        negs = hats[..., negation_index(grid)]
+        scaled = np.empty_like(negs)   # one (n x sites) temporary per set for every row
         rows = atoms @ _inverse_propagators(grid, masses_sq)
-        grams = np.array([np.multiply(negs, row, out=scaled) @ hats.T for row in rows])
-        return _finite(grams / grid.extent ** grid.d)
+        grams = np.array([np.multiply(negs, row, out=scaled) @ np.swapaxes(hats, -1, -2)
+                          for row in rows])
+        return _finite(np.moveaxis(grams, 0, -3) / grid.extent ** grid.d)
 
 
 def free_two_point(f: TestFunction, g: TestFunction, m2: float) -> complex:

@@ -17,6 +17,11 @@ def grid_1d():
 
 
 @pytest.fixture
+def grid_3d():
+    return Grid(3, 16, 0.5)
+
+
+@pytest.fixture
 def grid_2d_small():
     return Grid(2, 8, 0.5)
 

@@ -243,14 +243,37 @@ def _numeric_loop(G, fs):
                          float(disagreement), bool(warn))
 
 
-@pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 1))
-def test_numeric_is_bit_identical_to_the_combination_loop(grid_2d, packet, model_idx):
+def _numeric_outcome(route, G, fs):
+    """The bits of a numeric moment, or the type of the error its route raised."""
+    try:
+        r = route(G, fs)
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc)
+    return (np.array([r.value, *r.stencils, r.disagreement]).view(np.uint64).tolist(),
+            r.precision_warning)
+
+
+# leaf atom weights from 1e-6 to 1e6, and the leaf whose two-point values overflow
+# at the 2-D acceptance packet: the exact power-of-two scaling must hold at both ends
+SPREAD_WEIGHTS = envelope([
+    (0.3, QuasiFree(SpectralMeasure(((0.5, 1e-6), (2.0, 1e6))))),
+    (0.7, QuasiFree(SpectralMeasure(((1.0, 1e3), (4.0, 1e-3), (9.0, 1.0))))),
+])
+HEAVY_LEAF = QuasiFree(SpectralMeasure(((1e-6, 1e306),)))
+
+
+@pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 4))
+def test_numeric_is_bit_identical_to_the_combination_loop(grid_1d, grid_2d, grid_3d, model_idx):
     rng = rng_from_seed(137)
-    model = (MODEL_FAMILY + [random_model_tree(rng, max_depth=3)])[model_idx]
-    fs = [random_real_function(grid_2d, rng) for _ in range(4)]
-    for n in range(1, 5):
-        for args in (fs[:n], [packet] * n):
-            assert moment_numeric(model, args) == _numeric_loop(model, args)
+    model = (MODEL_FAMILY + [random_model_tree(rng, max_depth=3), SPREAD_WEIGHTS, HEAVY_LEAF,
+                             envelope([(0.5, HEAVY_LEAF), (0.5, MODEL_FAMILY[2])])])[model_idx]
+    for grid in (grid_2d, grid_1d, grid_3d):
+        packet = gaussian_packet(grid, [4.0] * grid.d, 1.0)
+        fs = [random_real_function(grid, rng) for _ in range(4)]
+        for n in range(1, 5):
+            for args in (fs[:n], [packet] * n):
+                assert (_numeric_outcome(moment_numeric, model, args)
+                        == _numeric_outcome(_numeric_loop, model, args))
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +540,13 @@ def _growth_loop(G, grid, n_max, trials, seed):
 
 
 @pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 2))
-def test_moment_growth_matches_the_per_trial_loop(grid_2d, model_idx):
+def test_moment_growth_matches_the_per_trial_loop(grid_2d, grid_3d, model_idx):
     rng = rng_from_seed(139)
     model = (MODEL_FAMILY + [random_model_tree(rng, max_depth=d) for d in (3, 4)])[model_idx]
-    for n_max, trials, seed in ((8, 3, 5), (5, 2, 11), (2, 1, 0)):
-        rep = moment_growth_check(model, grid_2d, n_max=n_max, trials=trials, seed=seed)
-        want = _growth_loop(model, grid_2d, n_max, trials, seed)
+    for grid, (n_max, trials, seed) in itertools.product(
+            (grid_2d, grid_3d), ((8, 3, 5), (5, 2, 11), (2, 1, 0))):
+        rep = moment_growth_check(model, grid, n_max=n_max, trials=trials, seed=seed)
+        want = _growth_loop(model, grid, n_max, trials, seed)
         assert [n for n, _ in rep.per_order] == [n for n, _ in want]
         for (_, got_k), (_, want_k) in zip(rep.per_order, want):
             assert abs(got_k - want_k) <= 1e-12 * want_k

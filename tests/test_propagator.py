@@ -269,6 +269,27 @@ def test_row_grams_agree_with_the_per_mass_route(grid_args):
             _assert_near_per_mass(two_point_grams(fs, masses_sq, atoms), fs, masses_sq, atoms)
 
 
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS[:3], ids=_BIT_IDS[:3])
+def test_batched_grams_are_the_per_set_bits(grid_args):
+    grid = Grid(*grid_args)
+    rng = rng_from_seed(821)
+    masses_sq = np.array([MASS_FLOOR_SQ, 0.37, 1.0, 4.5])
+    atoms = 10.0 ** rng.uniform(-6.0, 6.0, (3, len(masses_sq)))
+    for n, count in ((1, 1), (2, 3), (4, 4), (8, 2)):
+        probes = random_real_functions(grid, rng, n * count - 1) + [
+            random_complex_function(grid, 822 + n)]
+        sets = [probes[t:t + n] for t in range(0, n * count, n)]
+        batched = two_point_grams(sets, masses_sq, atoms)
+        assert batched.shape == (count, len(atoms), n, n)
+        for got, fs in zip(batched, sets):
+            # fresh functions: each set's own call pays its own transforms
+            own = [TestFunction(grid, f.values) for f in fs]
+            assert _bits_equal(got.copy(), two_point_grams(own, masses_sq, atoms))
+    heavy = [probes[:2], [probes[2], 1e160 * probes[3]]]
+    with pytest.raises(DomainError, match="overflow"):
+        two_point_grams(heavy, masses_sq, atoms)
+
+
 def test_leaf_grams_of_leaves_that_share_masses(grid_2d_small):
     # five leaves over three masses: more rows than matmuls of the per-mass route
     leaves = [[(1.0, 1e-6), (4.0, 1.0)], [(1.0, 2.0), (4.0, 1e6)], [(1.0, 1.0)],
