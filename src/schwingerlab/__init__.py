@@ -4,16 +4,12 @@ field-theory axioms they satisfy."""
 
 __version__ = "0.1.0"
 
-from .errors import (BoundsError, DomainError, IncompleteInputError,
-                     ModelError, PreconditionError, ResolutionError,
-                     SchemaError, SchwingerLabError)
+from .errors import (BoundsError, DomainError, ModelError, PreconditionError,
+                     ResolutionError, SchemaError, SchwingerLabError)
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       gaussian_packet, positive_time_part,
                       positive_time_support, site_indicator, sobolev_norm)
-from .partitions import (Partition, bell_number, cumulants_from_moments,
-                         enumerate_partitions, moments_from_cumulants, pairings)
-from .propagator import (SpectralMeasure, covariance_kernel, free_two_point,
-                         spectral_two_point)
+from .propagator import SpectralMeasure, free_two_point, spectral_two_point
 from .functional import (Mixture, QuasiFree, SchwingerFunctional, cumulant,
                          cumulant_scale, envelope, gaussianize, load_model,
                          model_from_dict, model_to_dict, moment_analytic,

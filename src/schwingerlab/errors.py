@@ -25,10 +25,6 @@ class PreconditionError(DomainError):
     """A documented precondition of a check was violated."""
 
 
-class IncompleteInputError(SchwingerLabError, KeyError):
-    """A map argument is missing a required entry."""
-
-
 class ModelError(SchwingerLabError, ValueError):
     """A functional tree violates one of its structural invariants."""
 

@@ -136,12 +136,14 @@ def _numbers(values, ctx: str) -> list[float]:
     return [float(json_number(v, f"{ctx}[{i}]")) for i, v in enumerate(values)]
 
 
+def point_mass_mixture(atoms) -> SchwingerFunctional:
+    """Mixture sum w * Gaussian(m2) of single-mass leaves, one per (m2, w) pair."""
+    return envelope([(w, QuasiFree(SpectralMeasure.delta(m2))) for m2, w in atoms])
+
+
 def two_mass_mixture(m1_sq: float, m2_sq: float, w: float = 0.5) -> SchwingerFunctional:
     """Mixture w * Gaussian(m1) + (1-w) * Gaussian(m2) of single-mass leaves."""
-    return envelope([
-        (w, QuasiFree(SpectralMeasure.delta(m1_sq))),
-        (1.0 - w, QuasiFree(SpectralMeasure.delta(m2_sq))),
-    ])
+    return point_mass_mixture([(m1_sq, w), (m2_sq, 1.0 - w)])
 
 
 def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
@@ -229,10 +231,7 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
 
     # first step: per-family mixtures over single-mass leaves;
     # second step: gaussianize each; third step: mix with lambda.
-    first_step = [
-        envelope([(pw, QuasiFree(SpectralMeasure.delta(m2))) for m2, pw in rho.atoms])
-        for rho in families
-    ]
+    first_step = [point_mass_mixture(rho.atoms) for rho in families]
     children = [gaussianize(gamma) for gamma in first_step]
     iterated = envelope(list(zip(lam, children)))
 
@@ -240,8 +239,7 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
     # (the constructor merges repeated masses in the order given)
     conv = SpectralMeasure(tuple((m2, lw * pw) for lw, rho in zip(lam, families)
                                  for m2, pw in rho.atoms))
-    one_step = envelope([(pw, QuasiFree(SpectralMeasure.delta(m2)))
-                         for m2, pw in conv.atoms])
+    one_step = point_mass_mixture(conv.atoms)
 
     tols = spec.resolved_tolerances()
     table = MomentTable(iterated, [f] * 4)
@@ -320,12 +318,11 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
         weights = [1.0 / len(masses)] * len(masses)
     pdoc = spec.params["packet"]
 
+    model = point_mass_mixture(zip(masses, weights))
     s2_vals, s4t_vals, rot_defects = [], [], []
     for n in levels:
         grid = Grid(d, n, extent / n)
         f = packet_from_doc(grid, pdoc, "refinement packet")
-        model = envelope([(w, QuasiFree(SpectralMeasure.delta(m)))
-                          for w, m in zip(weights, masses)])
         table = MomentTable(model, [f] * 4)
         s2_vals.append(float(table.moments[0b11].real))
         s4t_vals.append(float(table.cumulants[-1].real))

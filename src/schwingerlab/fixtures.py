@@ -86,6 +86,8 @@ def random_positive_time_functions(grid: Grid, rng: np.random.Generator,
 
     A packet whose real part has norm below 1e-12 gives its imaginary part.
     """
+    if count < 1:
+        return []
     n, a, L = grid.n_per_axis, grid.spacing, grid.extent
     # keep the bulk of the packet away from the reflection plane; on tiny
     # grids the band degenerates to its midpoint

@@ -25,8 +25,10 @@ format.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -307,7 +309,9 @@ def moment_numeric(G: SchwingerFunctional,
     the combinations at 2h and h/2, their transforms and their S2 (times 4
     and 1/4) are exactly those at h scaled, and -z^2/2 is exactly -2, -1/2
     and -1/8, so every exponent, and so every stencil, has the bits of its
-    own combinations built and evaluated at that step.
+    own combinations built and evaluated at that step.  A step product
+    prod(2 h_i) below the smallest normal float64, or a stencil or
+    extrapolant that is not finite, raises DomainError.
     """
     _check_moment_args(fs, NUMERIC_MOMENT_CAP)
     n = len(fs)
@@ -323,11 +327,17 @@ def moment_numeric(G: SchwingerFunctional,
     values = G.evaluate_many([TestFunction(fs[0].grid, c, copy=False) for c in combos],
                              [2.0, 1.0, 0.5])
     # per step: the signed sum of its values over prod_i 2 h_i, each h_i rounded as scale / nu_i
-    d_2h, d_h, d_h2 = (sum((math.prod(s) * v for s, v in zip(signs, column)), 0j)
-                       / math.prod(2.0 * (scale / nu) for nu in norms)
-                       for scale, column in zip((2.0 * h0, h0, h0 / 2.0), values.T.tolist()))
+    steps = [math.prod(2.0 * (scale / nu) for nu in norms) for scale in (2.0 * h0, h0, h0 / 2.0)]
+    if min(steps) < sys.float_info.min:
+        raise DomainError(f"moment_numeric steps underflow: prod(2 h_i) = {min(steps):.3g} "
+                          f"is below the smallest normal float64; the arguments are too large")
+    d_2h, d_h, d_h2 = (sum((math.prod(s) * v for s, v in zip(signs, column)), 0j) / step
+                       for step, column in zip(steps, values.T.tolist()))
     extrap_coarse = (4.0 * d_h - d_2h) / 3.0
     extrap_fine = (4.0 * d_h2 - d_h) / 3.0
+    if not all(map(cmath.isfinite, (d_2h, d_h, d_h2, extrap_coarse, extrap_fine))):
+        raise DomainError("moment_numeric stencils leave float64; the arguments "
+                          "or the spectral weights are too large")
     disagreement = abs(extrap_fine - extrap_coarse)
     tol = NUMERIC_TOLERANCE_SCHEDULE[n]
     warn = disagreement > tol * max(abs(extrap_fine), 1e-3 * math.prod(norms))

@@ -1,4 +1,5 @@
-"""Set partitions of {1..n} and moment/cumulant transforms over them.
+"""Moment/cumulant transforms as set functions over the bitmask subsets of
+{1..n}.
 
 Moments and cumulants of a generating functional are related by sums over
 the lattice of set partitions:
@@ -11,70 +12,20 @@ where B runs over the blocks of pi.  By the exponential formula (Stanley,
 Enumerative Combinatorics 2, 5.1) these sums are exp and log of set
 functions on the subsets of {1..n} under the subset product, and the
 condition scale sum_pi (|pi|-1)! prod_B |moment(B)| is -log(1 - |moment|).
-The package computes them that way, for every subset at once.  The
-enumeration and its lattice sum are kept as the oracle the subset route is
-tested against.
+The package computes them that way, for every subset at once, and never
+enumerates a partition.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import BoundsError, DomainError, IncompleteInputError
+from .errors import BoundsError, DomainError
 
-# Bell(10) = 115975 partitions is the practical desk-scale ceiling.
+# A transform pays (3^n - 1)/2 subset splits, 29524 at n = 10, the desk-scale ceiling.
 MAX_PARTITION_N = 10
-
-Block = tuple[int, ...]
-IndexKey = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition of {1..n} into disjoint nonempty blocks.
-
-    Canonical form: blocks ordered by their smallest element, elements
-    ascending within each block.
-    """
-
-    n: int
-    blocks: tuple[Block, ...]
-
-    @property
-    def size(self) -> int:
-        """Number of blocks |pi|."""
-        return len(self.blocks)
-
-    def __str__(self) -> str:
-        return "|".join("".join(str(i) for i in b) for b in self.blocks)
-
-
-def validate_partition(p: Partition) -> None:
-    """Raise DomainError unless p satisfies every Partition invariant."""
-    if p.n < 1:
-        raise DomainError(f"partition ground set must be nonempty, got n={p.n}")
-    seen: set[int] = set()
-    for block in p.blocks:
-        if not block:
-            raise DomainError("empty block")
-        if list(block) != sorted(block):
-            raise DomainError(f"block {block} not sorted")
-        for i in block:
-            if not 1 <= i <= p.n:
-                raise DomainError(f"index {i} outside 1..{p.n}")
-            if i in seen:
-                raise DomainError(f"index {i} appears twice")
-            seen.add(i)
-    if len(seen) != p.n:
-        raise DomainError("blocks do not cover {1..n}")
-    mins = [b[0] for b in p.blocks]
-    if mins != sorted(mins):
-        raise DomainError("blocks not ordered by smallest element")
 
 
 def _check_order(n: int) -> None:
@@ -83,104 +34,8 @@ def _check_order(n: int) -> None:
     if not 1 <= n <= MAX_PARTITION_N:
         raise BoundsError(
             f"partition order n={n} outside 1..{MAX_PARTITION_N} "
-            f"(cap keeps Bell-number growth desk-scale)"
+            f"(cap keeps the O(3^n) subset splits desk-scale)"
         )
-
-
-def _grow(labels: list[int], pos: int, used: int, n: int) -> Iterator[Partition]:
-    # Restricted-growth strings in lexicographic order: element pos+1 joins
-    # block `b` for b = 0..used, where `used` blocks exist so far.  Blocks
-    # come out labelled by first occurrence, i.e. already canonical.
-    if pos == n:
-        blocks: list[list[int]] = [[] for _ in range(used)]
-        for i, b in enumerate(labels):
-            blocks[b].append(i + 1)
-        yield Partition(n, tuple(tuple(b) for b in blocks))
-        return
-    for b in range(used + 1):
-        labels[pos] = b
-        yield from _grow(labels, pos + 1, used + (1 if b == used else 0), n)
-
-
-@lru_cache(maxsize=None)
-def _cached_partitions(n: int) -> tuple[Partition, ...]:
-    return tuple(_grow([0] * n, 0, 0, n))
-
-
-@lru_cache(maxsize=None)
-def _cached_pairings(n: int) -> tuple[Partition, ...]:
-    return tuple(p for p in _cached_partitions(n) if all(len(b) == 2 for b in p.blocks))
-
-
-def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of {1..n} in canonical (restricted-growth) order.
-
-    The count equals the n-th Bell number.
-    """
-    _check_order(n)
-    return list(_cached_partitions(n))
-
-
-def pairings(n: int) -> tuple[Partition, ...]:
-    """All perfect matchings of {1..n}; there are (n-1)!! of them.
-
-    These are exactly the partitions of {1..n} into blocks of size 2,
-    the ones a centered Gaussian moment sum runs over, in the same
-    restricted-growth order as `enumerate_partitions`.
-    """
-    _check_order(n)
-    if n % 2 != 0:
-        raise DomainError(f"pairings need an even ground set, got n={n}")
-    return _cached_pairings(n)
-
-
-_BELL = [1]  # B(0)
-
-
-def bell_number(n: int) -> int:
-    """n-th Bell number via the binomial recurrence B(m) = sum C(m-1,k) B(k)."""
-    if n < 0:
-        raise DomainError(f"Bell number index must be >= 0, got {n}")
-    while len(_BELL) <= n:
-        m = len(_BELL)
-        _BELL.append(sum(math.comb(m - 1, k) * _BELL[k] for k in range(m)))
-    return _BELL[n]
-
-
-# Coefficient rows c(|pi|), indexed by |pi| - 1.
-_ONES = (1,) * MAX_PARTITION_N
-_MOBIUS = tuple((-1) ** k * math.factorial(k) for k in range(MAX_PARTITION_N))
-
-
-def _lattice_sum(table: Mapping[IndexKey, complex], n: int,
-                 row: tuple[int, ...], what: str) -> complex:
-    # sum over partitions pi of {1..n} of c(|pi|) prod_B table[B]
-    _check_order(n)
-    total = 0j
-    for part in _cached_partitions(n):
-        prod = complex(1.0)
-        for block in part.blocks:
-            try:
-                prod *= table[block]
-            except KeyError:
-                raise IncompleteInputError(
-                    f"{what} map is missing an entry for subset {block}"
-                ) from None
-        total += row[part.size - 1] * prod
-    return total
-
-
-def moments_from_cumulants(cumulants: Mapping[IndexKey, complex], n: int) -> complex:
-    """Order-n moment from the cumulants of every nonempty subset of {1..n}.
-
-    Keys of `cumulants` are the subsets as ascending tuples.
-    """
-    return _lattice_sum(cumulants, n, _ONES, "cumulant")
-
-
-def cumulants_from_moments(moments: Mapping[IndexKey, complex], n: int) -> complex:
-    """Order-n cumulant from the moments of every nonempty subset of {1..n}."""
-    return _lattice_sum(moments, n, _MOBIUS, "moment")
 
 
 # ---------------------------------------------------------------------------

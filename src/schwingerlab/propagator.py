@@ -162,13 +162,3 @@ def spectral_two_point(f: TestFunction, g: TestFunction, rho: SpectralMeasure) -
     masses, weights = zip(*rho.atoms)
     return complex(two_point_pairs([f], [g], masses, np.array([weights]))[0, 0])
 
-
-def covariance_kernel(grid: Grid, m2: float) -> np.ndarray:
-    """Position-space covariance C(x) = L^-d sum_k exp(i k.x) / (khat^2 + m2).
-
-    Indexed by lattice displacement in FFT layout; real, even, maximal at
-    zero displacement.  Satisfies a^(2d) sum_{x,y} f(x) C(x-y) g(y) = S2(f,g).
-    """
-    if m2 < MASS_FLOOR_SQ:
-        raise DomainError(f"m2={m2} below the infrared floor {MASS_FLOOR_SQ}")
-    return np.fft.ifftn(1.0 / (lattice_symbol(grid) + m2)).real / grid.cell

@@ -1,0 +1,87 @@
+"""Independent oracles the tests check the package against.
+
+Each is a deliberately different algorithm from the package's: set
+partitions by recursive element insertion and moments/cumulants by the sum
+over them (the package runs exp/log over bitmask set functions), Bell
+numbers by the Bell triangle, perfect matchings by pairing the first
+element with each other one, and the covariance kernel in position space
+(the package sums in momentum space).
+"""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from schwingerlab.lattice import lattice_symbol
+
+
+@lru_cache(maxsize=None)
+def insertion_partitions(n):
+    """All set partitions of {1..n}, each a tuple of ascending blocks:
+    element n put into each block of every partition of {1..n-1}, or into
+    a block of its own."""
+    if n == 0:
+        return ((),)
+    out = []
+    for smaller in insertion_partitions(n - 1):
+        for i in range(len(smaller)):
+            out.append(smaller[:i] + (smaller[i] + (n,),) + smaller[i + 1:])
+        out.append(smaller + ((n,),))
+    return tuple(out)
+
+
+def bell_triangle(n):
+    """n-th Bell number by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+def oracle_moment(cums, n):
+    """Order-n moment from the cumulants of every nonempty subset of {1..n},
+    keyed by ascending tuples: the sum over partitions of prod_B cums[B]."""
+    total = 0j
+    for blocks in insertion_partitions(n):
+        prod = 1 + 0j
+        for b in blocks:
+            prod *= cums[b]
+        total += prod
+    return total
+
+
+def oracle_cumulant(moms, n):
+    """Order-n cumulant from the moments of every nonempty subset of {1..n}:
+    the sum over partitions of (-1)^(k-1) (k-1)! prod_B moms[B], k blocks."""
+    total = 0j
+    for blocks in insertion_partitions(n):
+        k = len(blocks)
+        prod = 1 + 0j
+        for b in blocks:
+            prod *= moms[b]
+        total += math.factorial(k - 1) * (-1) ** (k - 1) * prod
+    return total
+
+
+def own_pairings(items):
+    """Perfect matchings of a tuple: its first element paired with each other."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for j, other in enumerate(rest):
+        for tail in own_pairings(rest[:j] + rest[j + 1:]):
+            yield ((first, other),) + tail
+
+
+def covariance_kernel(grid, m2):
+    """Position-space covariance C(x) = L^-d sum_k exp(i k.x) / (khat^2 + m2).
+
+    Indexed by lattice displacement in FFT layout; real, even, maximal at
+    zero displacement.  Satisfies a^(2d) sum_{x,y} f(x) C(x-y) g(y) = S2(f,g).
+    """
+    return np.fft.ifftn(1.0 / (lattice_symbol(grid) + m2)).real / grid.cell

@@ -26,9 +26,9 @@ from schwingerlab.experiments import (ExperimentSpec, run_iteration,
 from schwingerlab.fixtures import (fixture_packet, random_model_tree,
                                    random_real_function, rng_from_seed)
 from schwingerlab.montecarlo import estimate_fourth_cumulant, pair_values
-from schwingerlab.partitions import (bell_number, cumulants_from_moments,
-                                     enumerate_partitions,
-                                     moments_from_cumulants)
+from schwingerlab.partitions import subset_exp, subset_log
+
+from oracles import bell_triangle, insertion_partitions, oracle_moment
 
 GRID = Grid(2, 32, 0.25)
 PACKET = gaussian_packet(GRID, [4.0, 4.0], 1.0)  # width 4a, centered
@@ -146,26 +146,28 @@ def test_criterion_04_moebius_roundtrip():
         for r in range(1, n + 1):
             yield from itertools.combinations(range(1, n + 1), r)
 
-    def relabel(table, key):
-        pos = {v: i + 1 for i, v in enumerate(key)}
-        return {tuple(sorted(pos[v] for v in sub)): table[sub]
-                for r in range(1, len(key) + 1)
-                for sub in itertools.combinations(key, r)}
+    def mask(key):
+        return sum(1 << (i - 1) for i in key)
 
     for n in range(1, 7):
         rng = rng_from_seed(7000 + n)
         for _ in range(100):
             cums = {key: rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.random())
                     for key in all_subsets(n)}
-            moms = {key: moments_from_cumulants(relabel(cums, key), len(key))
-                    for key in all_subsets(n)}
-            back = cumulants_from_moments(moms, n)
+            table = np.zeros(1 << n, dtype=np.complex128)
+            for key, value in cums.items():
+                table[mask(key)] = value
+            moms = subset_exp(table)
             top = cums[tuple(range(1, n + 1))]
+            want = oracle_moment(cums, n)
+            assert abs(moms[-1] - want) <= 1e-12 * abs(want)
+            back = subset_log(moms)[-1]
             assert abs(back - top) <= 1e-12 * abs(top)
 
     for n in range(1, 9):
-        assert len(enumerate_partitions(n)) == bell_number(n)
-    ok(4, "100 roundtrips per n<=6 at 1e-12; counts match the Bell recurrence")
+        assert len(insertion_partitions(n)) == bell_triangle(n)
+    ok(4, "100 roundtrips per n<=6 at 1e-12, moments on the partition sum; "
+          "counts match the Bell triangle")
 
 
 def test_criterion_05_derivative_consistency():

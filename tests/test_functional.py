@@ -26,7 +26,8 @@ from schwingerlab.functional import (GROWTH_K_CEILING, MAX_MOMENT_ORDER,
                                      MomentTable,
                                      NumericMoment, _leaf_grams, default_z_grid,
                                      min_mass_sq, validate_model)
-from schwingerlab.partitions import pairings
+
+from oracles import insertion_partitions, own_pairings
 
 
 def nested_mixture():
@@ -120,7 +121,7 @@ def test_sixth_moment_pairing_count(grid_2d, packet):
     # equal arguments: S6 = 15 * S2^3 for a single-mass Gaussian
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
     s2 = free_two_point(packet, packet, 1.0)
-    assert len(pairings(6)) == 15
+    assert len(list(own_pairings(tuple(range(6))))) == 15
     assert moment_analytic(leaf, [packet] * 6) == pytest.approx(
         15 * s2 ** 3, rel=1e-12)
 
@@ -212,6 +213,20 @@ def test_numeric_matches_analytic_n4(grid_2d, packet, model_idx):
 def test_numeric_cap():
     with pytest.raises(BoundsError, match="1..4"):
         moment_numeric(two_mass_mixture(1.0, 4.0), [None] * 5)
+
+
+def test_numeric_steps_and_stencils_outside_float64_raise():
+    # on the acceptance packet the order-4 step product prod(2 h_i) is normal
+    # at 1e75 x packet, subnormal at 1e77 and 0 at 1e80; a leaf of weight 1e6
+    # keeps normal steps at 1e75 but its extrapolant overflows
+    packet = gaussian_packet(Grid(2, 32, 0.25), [4.0, 4.0], 1.0)
+    mix = two_mass_mixture(1.0, 4.0)
+    got = moment_numeric(mix, [1e75 * packet] * 4)
+    assert np.all(np.isfinite([got.value, *got.stencils, got.disagreement]))
+    for model, scale, what in ((mix, 1e77, "underflow"), (mix, 1e80, "underflow"),
+                               (QuasiFree(SpectralMeasure(((1.0, 1e6),))), 1e75, "leave")):
+        with pytest.raises(DomainError, match=f"moment_numeric .*{what}"):
+            moment_numeric(model, [scale * packet] * 4)
 
 
 def _numeric_loop(G, fs):
@@ -644,37 +659,13 @@ def test_cumulant_agrees_with_log_derivative_definition(packet, mixture_14):
 # cumulants by conditioning on the leaf
 # ---------------------------------------------------------------------------
 
-def own_pairings(items):
-    """Perfect matchings of a tuple: its first element paired with each other."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for j, other in enumerate(rest):
-        for tail in own_pairings(rest[:j] + rest[j + 1:]):
-            yield ((first, other),) + tail
-
-
-def own_partitions(items):
-    """Set partitions of a tuple: its last element put into each block of
-    every partition of the rest, or into a block of its own."""
-    if not items:
-        yield ()
-        return
-    *rest, last = items
-    for smaller in own_partitions(tuple(rest)):
-        for i in range(len(smaller)):
-            yield smaller[:i] + (smaller[i] + (last,),) + smaller[i + 1:]
-        yield smaller + ((last,),)
-
-
 def leaf_joint_cumulant(weights, xs):
     """Joint cumulant of random variables over the leaves, a leaf drawn with
     its path weight; xs[j][l] is the j-th variable on leaf l."""
     total = 0j
-    for blocks in own_partitions(tuple(range(len(xs)))):
+    for blocks in insertion_partitions(len(xs)):
         k = len(blocks)
-        mixed = [weights @ np.prod([xs[j] for j in block], axis=0) for block in blocks]
+        mixed = [weights @ np.prod([xs[j - 1] for j in block], axis=0) for block in blocks]
         total += (-1) ** (k - 1) * math.factorial(k - 1) * math.prod(mixed)
     return total
 
@@ -726,11 +717,11 @@ def test_cumulant_scale_is_the_absolute_moebius_sum(model, fs):
     # analytic moment of the sub-collection B
     moments = {}
     want = 0.0
-    for blocks in own_partitions(tuple(range(len(fs)))):
+    for blocks in insertion_partitions(len(fs)):
         prod = math.factorial(len(blocks) - 1)
         for block in blocks:
             if block not in moments:
-                moments[block] = abs(moment_analytic(model, [fs[i] for i in block]))
+                moments[block] = abs(moment_analytic(model, [fs[i - 1] for i in block]))
             prod *= moments[block]
         want += prod
     assert cumulant_scale(model, fs) == pytest.approx(want, rel=1e-12, abs=0)

@@ -231,6 +231,12 @@ def test_random_real_functions_redraw_as_the_per_probe_recipe(grid_args, monkeyp
     assert _assert_batch_matches_the_recipe(grid, range(3), (1, 7, 24)) >= 5
 
 
+def test_no_positive_time_functions_draw_nothing():
+    rng = rng_from_seed(3)
+    assert random_positive_time_functions(Grid(2, 16, 0.5), rng, 0) == []
+    assert rng.random() == rng_from_seed(3).random()
+
+
 def _positive_time_recipe(grid, rng):
     """One probe at a time: the oracle of random_positive_time_functions'
     bits and draws."""

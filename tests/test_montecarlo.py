@@ -11,6 +11,8 @@ from schwingerlab.fixtures import random_model_tree, rng_from_seed
 from schwingerlab.lattice import Grid
 from schwingerlab.montecarlo import _Stream, model_digest, pair_values, write_samples
 
+from oracles import covariance_kernel
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -285,7 +287,6 @@ def test_sample_dump_holds_the_stream_bit_for_bit(tmp_path, grid):
 
 def test_sampler_reproduces_the_covariance_kernel():
     # volume-averaged E[phi(x) phi(x+d)] against the analytic kernel
-    from schwingerlab import covariance_kernel
     small = Grid(2, 16, 0.5)
     m2 = 1.0
     ker = covariance_kernel(small, m2)

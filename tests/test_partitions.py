@@ -1,12 +1,9 @@
-"""Partition enumeration, moment/cumulant transforms and the subset
-exp/log over bitmasks.
+"""The moment/cumulant transforms as exp/log over bitmask set functions.
 
-Oracles used here are deliberately different algorithms from the library:
-partitions by recursive element insertion (the library grows
-restricted-growth strings), Bell numbers by the Bell-triangle recurrence
-(the library uses the binomial recurrence), pairings by filtering the
-insertion enumeration, and the subset exp, log and -log(1 - .) by the sum
-over `enumerate_partitions`.
+The oracles in `oracles` are deliberately different algorithms: partitions
+by recursive element insertion, Bell numbers by the Bell triangle, pairings
+by pairing the first element with each other one, and the lattice sums over
+the insertion enumeration.
 """
 
 import itertools
@@ -17,66 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schwingerlab import (BoundsError, DomainError, IncompleteInputError,
-                          Partition, bell_number, cumulants_from_moments,
-                          enumerate_partitions, moments_from_cumulants, pairings)
-from schwingerlab.partitions import (pair_exp, subset_exp, subset_log, subset_neglog1m,
-                                     validate_partition)
+from schwingerlab import BoundsError, DomainError
+from schwingerlab.partitions import pair_exp, subset_exp, subset_log, subset_neglog1m
 
 from conftest import random_complex
+from oracles import (bell_triangle, insertion_partitions, oracle_cumulant,
+                     oracle_moment, own_pairings)
 from schwingerlab.fixtures import rng_from_seed
-
-
-# ---------------------------------------------------------------------------
-# Oracles
-# ---------------------------------------------------------------------------
-
-def insertion_partitions(n):
-    """All partitions of {1..n} by inserting element n into each partition
-    of {1..n-1} (every block, plus a new singleton)."""
-    if n == 1:
-        return [[[1]]]
-    out = []
-    for smaller in insertion_partitions(n - 1):
-        for i in range(len(smaller)):
-            out.append([b + [n] if j == i else list(b) for j, b in enumerate(smaller)])
-        out.append([list(b) for b in smaller] + [[n]])
-    return out
 
 
 def as_set(blocks):
     return frozenset(frozenset(b) for b in blocks)
-
-
-def bell_triangle(n):
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
-
-def oracle_moment(cums, n):
-    total = 0j
-    for blocks in insertion_partitions(n):
-        prod = 1 + 0j
-        for b in blocks:
-            prod *= cums[tuple(sorted(b))]
-        total += prod
-    return total
-
-
-def oracle_cumulant(moms, n):
-    total = 0j
-    for blocks in insertion_partitions(n):
-        k = len(blocks)
-        prod = 1 + 0j
-        for b in blocks:
-            prod *= moms[tuple(sorted(b))]
-        total += math.factorial(k - 1) * (-1) ** (k - 1) * prod
-    return total
 
 
 def all_subsets(n):
@@ -84,66 +32,62 @@ def all_subsets(n):
         yield from itertools.combinations(range(1, n + 1), r)
 
 
-# ---------------------------------------------------------------------------
-# Enumeration
-# ---------------------------------------------------------------------------
+def mask(block):
+    return sum(1 << (i - 1) for i in block)
 
-def test_single_element():
-    parts = enumerate_partitions(1)
-    assert parts == [Partition(1, ((1,),))]
 
+def as_array(table, n):
+    """A set function keyed by ascending tuples as its bitmask array."""
+    out = np.zeros(1 << n, dtype=np.complex128)
+    for key, value in table.items():
+        out[mask(key)] = value
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Counting: exp of the all-ones set function counts partitions
+# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,count", [(4, 15), (5, 52)])
 def test_counts_match_insertion_oracle(n, count):
-    parts = enumerate_partitions(n)
     oracle = insertion_partitions(n)
     assert len(oracle) == count
-    assert len(parts) == count
-    assert {as_set(p.blocks) for p in parts} == {as_set(b) for b in oracle}
-
-
-def test_each_partition_returned_once_and_canonical():
-    for n in range(1, 7):
-        parts = enumerate_partitions(n)
-        assert len({as_set(p.blocks) for p in parts}) == len(parts)
-        for p in parts:
-            validate_partition(p)
+    assert len({as_set(b) for b in oracle}) == count
+    assert subset_exp(np.ones(1 << n))[-1] == count
 
 
 def test_counts_match_bell_recurrence_up_to_8():
-    for n in range(1, 9):
-        assert len(enumerate_partitions(n)) == bell_number(n)
+    counts = subset_exp(np.ones(1 << 8))
+    assert all(counts[s] == bell_triangle(s.bit_count()) for s in range(1 << 8))
 
 
 def test_bell_numbers_against_triangle_oracle():
     expected = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
     for n, val in enumerate(expected):
-        assert bell_number(n) == val == bell_triangle(n)
+        assert len(insertion_partitions(n)) == val == bell_triangle(n)
 
 
 def test_order_bounds():
     with pytest.raises(BoundsError, match="1..10"):
-        enumerate_partitions(11)
+        subset_exp(np.zeros(1 << 11))
     with pytest.raises(BoundsError):
-        enumerate_partitions(0)
+        pair_exp(np.zeros(1))
 
 
 def test_pairings_counts_and_oracle():
-    assert len(pairings(2)) == 1
-    got4 = {as_set(p.blocks) for p in pairings(4)}
+    got4 = {as_set(p) for p in own_pairings((1, 2, 3, 4))}
     want4 = {as_set([[1, 2], [3, 4]]), as_set([[1, 3], [2, 4]]),
              as_set([[1, 4], [2, 3]])}
     assert got4 == want4
-    # (n-1)!! against the filter oracle
+    # (s-1)!! at every even subset, against the filter oracle
+    table = np.zeros(1 << 6)
+    for pair in itertools.combinations(range(1, 7), 2):
+        table[mask(pair)] = 1.0
+    counts = pair_exp(table)
     for n in (2, 4, 6):
         filt = [b for b in insertion_partitions(n) if all(len(x) == 2 for x in b)]
-        assert len(pairings(n)) == len(filt)
-    assert len(pairings(6)) == 15
-
-
-def test_pairings_odd_rejected():
-    with pytest.raises(DomainError, match="even"):
-        pairings(3)
+        assert counts[(1 << n) - 1] == len(filt) == len(list(own_pairings(tuple(range(n)))))
+    assert counts[-1] == 15
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +96,12 @@ def test_pairings_odd_rejected():
 
 def test_moment_n1_is_the_cumulant():
     cums = {(1,): 2.5 - 1j}
-    assert moments_from_cumulants(cums, 1) == cums[(1,)]
+    assert subset_exp(as_array(cums, 1))[1] == cums[(1,)]
 
 
 def test_cumulant_n2_closed_form():
     moms = {(1,): 0.3 + 0.4j, (2,): -1.1j, (1, 2): 2.0 + 0.1j}
-    got = cumulants_from_moments(moms, 2)
+    got = subset_log(as_array(moms, 2))[0b11]
     assert got == pytest.approx(moms[(1, 2)] - moms[(1,)] * moms[(2,)])
 
 
@@ -172,13 +116,13 @@ def test_moments_reduce_to_pairing_sum_when_higher_cumulants_vanish():
             cums[key] = random_complex(rng)
         else:
             cums[key] = 0j
-    got = moments_from_cumulants(cums, n)
+    got = subset_exp(as_array(cums, n))[-1]
     want = 0j
-    for p in enumerate_partitions(n):
-        if max(len(b) for b in p.blocks) > 2:
+    for blocks in insertion_partitions(n):
+        if max(len(b) for b in blocks) > 2:
             continue
         prod = 1 + 0j
-        for b in p.blocks:
+        for b in blocks:
             prod *= cums[b]
         want += prod
     assert got == pytest.approx(want, rel=1e-14)
@@ -198,7 +142,7 @@ def test_centered_gaussian_moments_have_zero_fourth_cumulant():
             a, b, c, d = key
             moms[key] = (pair[(a, b)] * pair[(c, d)] + pair[(a, c)] * pair[(b, d)]
                          + pair[(a, d)] * pair[(b, c)])
-    got = cumulants_from_moments(moms, 4)
+    got = subset_log(as_array(moms, 4))[-1]
     scale = sum(abs(v) for v in moms.values())
     assert abs(got) <= 1e-14 * scale
 
@@ -207,19 +151,10 @@ def test_centered_gaussian_moments_have_zero_fourth_cumulant():
 def test_transforms_match_direct_oracles(n):
     rng = rng_from_seed(100 + n)
     table = {key: random_complex(rng) for key in all_subsets(n)}
-    assert moments_from_cumulants(table, n) == pytest.approx(
+    assert subset_exp(as_array(table, n))[-1] == pytest.approx(
         oracle_moment(table, n), rel=1e-13)
-    assert cumulants_from_moments(table, n) == pytest.approx(
+    assert subset_log(as_array(table, n))[-1] == pytest.approx(
         oracle_cumulant(table, n), rel=1e-13)
-
-
-def _relabel(table, key):
-    pos = {v: i + 1 for i, v in enumerate(key)}
-    out = {}
-    for r in range(1, len(key) + 1):
-        for sub in itertools.combinations(key, r):
-            out[tuple(sorted(pos[v] for v in sub))] = table[sub]
-    return out
 
 
 def roundtrip_error(n, seed):
@@ -227,9 +162,7 @@ def roundtrip_error(n, seed):
     return the relative error on the recovered top cumulant."""
     rng = rng_from_seed(seed)
     cums = {key: random_complex(rng) for key in all_subsets(n)}
-    moms = {key: moments_from_cumulants(_relabel(cums, key), len(key))
-            for key in all_subsets(n)}
-    back = cumulants_from_moments(moms, n)
+    back = subset_log(subset_exp(as_array(cums, n)))[-1]
     top = cums[tuple(range(1, n + 1))]
     return abs(back - top) / abs(top)
 
@@ -246,46 +179,18 @@ def test_roundtrip_identity_property(n, seed):
     assert roundtrip_error(n, seed) <= 1e-12
 
 
-def test_missing_subset_entry_is_reported():
-    cums = {key: 1.0 + 0j for key in all_subsets(3)}
-    del cums[(1, 3)]
-    with pytest.raises(IncompleteInputError, match=r"\(1, 3\)"):
-        moments_from_cumulants(cums, 3)
-    with pytest.raises(IncompleteInputError):
-        cumulants_from_moments(cums, 3)
-
-
-def test_validate_partition_rejects_defects():
-    with pytest.raises(DomainError):
-        validate_partition(Partition(3, ((1, 2),)))          # not covering
-    with pytest.raises(DomainError):
-        validate_partition(Partition(2, ((1,), (1, 2))))     # duplicate index
-    with pytest.raises(DomainError):
-        validate_partition(Partition(2, ((2,), (1,))))       # bad block order
-
-
-def test_enumeration_order_is_the_growth_string_order():
-    # deterministic fixture promise: lexicographic restricted-growth order
-    got = [str(p) for p in enumerate_partitions(3)]
-    assert got == ["123", "12|3", "13|2", "1|23", "1|2|3"]
-
-
 # ---------------------------------------------------------------------------
 # Set functions over bitmasks
 # ---------------------------------------------------------------------------
 
-def mask(block):
-    return sum(1 << (i - 1) for i in block)
-
-
 def lattice_sum(table, n, coefficient):
     """sum over partitions pi of {1..n} of coefficient(|pi|) prod_B table[B]."""
     total = 0j
-    for part in enumerate_partitions(n):
+    for blocks in insertion_partitions(n):
         prod = 1 + 0j
-        for block in part.blocks:
+        for block in blocks:
             prod *= table[mask(block)]
-        total += coefficient(len(part.blocks)) * prod
+        total += coefficient(len(blocks)) * prod
     return total
 
 
@@ -337,7 +242,8 @@ def test_pair_exp_is_the_hafnian_of_every_subset(n):
     if n % 2:
         assert got[full] == 0
     else:
-        want = sum(math.prod(table[mask(b)] for b in p.blocks) for p in pairings(n))
+        want = sum(math.prod(table[mask(b)] for b in p)
+                   for p in own_pairings(tuple(range(1, n + 1))))
         assert got[full] == pytest.approx(want, rel=1e-13)
 
 

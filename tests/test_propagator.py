@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from schwingerlab import (DomainError, Grid, SpectralMeasure, TestFunction,
-                          apply_isometry, covariance_kernel, free_two_point,
-                          spectral_two_point)
+                          apply_isometry, free_two_point, spectral_two_point)
 from schwingerlab.axioms import point_group
 from schwingerlab.fixtures import random_real_function, random_real_functions, rng_from_seed
 from schwingerlab.functional import QuasiFree, _leaf_grams, envelope
 from schwingerlab.lattice import lattice_symbol, negation_index, reflect_momentum, stacked_hats
 from schwingerlab.propagator import MASS_FLOOR_SQ, two_point_grams, two_point_pairs
+from oracles import covariance_kernel
 from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal
 
 
