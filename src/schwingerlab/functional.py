@@ -310,15 +310,24 @@ def moment_numeric(G: SchwingerFunctional,
     and 1/4) are exactly those at h scaled, and -z^2/2 is exactly -2, -1/2
     and -1/8, so every exponent, and so every stencil, has the bits of its
     own combinations built and evaluated at that step.  A step product
-    prod(2 h_i) below the smallest normal float64, or a stencil or
-    extrapolant that is not finite, raises DomainError.
+    prod(2 h_i) that is not a finite normal float64 (it under- or
+    overflows), or a stencil or extrapolant that is not finite, raises
+    DomainError.
     """
     _check_moment_args(fs, NUMERIC_MOMENT_CAP)
     n = len(fs)
     norms = sobolev_norms(fs, min_mass_sq(G)).tolist()
     if any(nu == 0.0 for nu in norms):
         return NumericMoment(0j, (0j, 0j, 0j), 0.0, False)
-    h0 = np.finfo(float).eps ** (1.0 / (n + 4))
+    h0 = float(np.finfo(float).eps ** (1.0 / (n + 4)))
+    # per step: prod_i 2 h_i, each h_i rounded as scale / nu_i
+    steps = [math.prod(2.0 * (scale / nu) for nu in norms) for scale in (2.0 * h0, h0, h0 / 2.0)]
+    for step in steps:
+        if not sys.float_info.min <= step <= sys.float_info.max:
+            what, size = ("overflow", "small") if step > 1.0 else ("underflow", "large")
+            raise DomainError(f"moment_numeric steps {what}: prod(2 h_i) = {step:.3g} is not "
+                              f"a finite normal float64; the arguments are too {size} "
+                              f"in the model's floor norm")
     signs = list(itertools.product((1.0, -1.0), repeat=n))
     # every combination sum_i s_i h_i f_i, built as (s h) * f added in order
     combos = np.zeros((len(signs),) + fs[0].grid.shape, dtype=np.complex128)
@@ -326,11 +335,7 @@ def moment_numeric(G: SchwingerFunctional,
         combos = combos + np.multiply.outer([s[i] * (h0 / nu) for s in signs], f.values)
     values = G.evaluate_many([TestFunction(fs[0].grid, c, copy=False) for c in combos],
                              [2.0, 1.0, 0.5])
-    # per step: the signed sum of its values over prod_i 2 h_i, each h_i rounded as scale / nu_i
-    steps = [math.prod(2.0 * (scale / nu) for nu in norms) for scale in (2.0 * h0, h0, h0 / 2.0)]
-    if min(steps) < sys.float_info.min:
-        raise DomainError(f"moment_numeric steps underflow: prod(2 h_i) = {min(steps):.3g} "
-                          f"is below the smallest normal float64; the arguments are too large")
+    # per step: the signed sum of its values over its prod_i 2 h_i
     d_2h, d_h, d_h2 = (sum((math.prod(s) * v for s, v in zip(signs, column)), 0j) / step
                        for step, column in zip(steps, values.T.tolist()))
     extrap_coarse = (4.0 * d_h - d_2h) / 3.0
@@ -442,8 +447,17 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     trials share one Gram kernel call over a leading trial axis: the
     transforms are per row and each trial's slice is the matmul its own call
     would make, so every Gram, and so k, has the bits of a per-trial call.
+
+    Odd moments of centered leaves are 0, so an odd order only draws its
+    trials * n probes' parameters (real_function_draws) to advance the
+    stream as building them would, and builds nothing.  Unlike a built
+    probe, a drawn one is never redrawn for a norm below 1e-12; that rule
+    cannot fire on a one-packet probe, whose real part has norm^2 >=
+    (1 - exp(-(4 pi / N)^2)) / 2 >= 0.019 at width >= 2a, |mode| <= 2 and
+    N <= 64 sites per axis, and fires on a two-packet probe only if both
+    packets' parameters cancel to about 1e-12.
     """
-    from .fixtures import random_real_functions, rng_from_seed
+    from .fixtures import random_real_functions, real_function_draws, rng_from_seed
 
     if not 1 <= n_max <= MAX_MOMENT_ORDER:
         raise BoundsError(f"n_max={n_max} outside 1..{MAX_MOMENT_ORDER}")
@@ -453,9 +467,11 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     rng = rng_from_seed(seed)
     rows = []
     for n in range(1, n_max + 1):
-        probes = random_real_functions(grid, rng, trials * n)
         mags = []
-        if n % 2 == 0:      # odd moments of centered leaves are 0
+        if n % 2:
+            real_function_draws(grid, rng, trials * n)
+        else:
+            probes = random_real_functions(grid, rng, trials * n)
             # moments of the unit-norm f_i / nu_i: each trial's raw Gram / (nu_i nu_j)
             grams = _leaf_grams(G, [probes[t:t + n] for t in range(0, trials * n, n)])[1]
             norms = sobolev_norms(probes, floor).reshape(trials, 1, n)

@@ -253,21 +253,23 @@ def gaussian_packet(grid: Grid, center, width: float, momentum=None) -> TestFunc
 def packet_values(grid: Grid, centers, widths, momenta) -> np.ndarray:
     """gaussian_packet(grid, centers[j], widths[j], momenta[j]).values, bit for
     bit, as the rows of one (k, *grid.shape) array; (k, d) centers and momenta,
-    unchecked widths."""
+    unchecked widths.  Arithmetic that leaves float64 is silent: its rows come
+    out non-finite, and TestFunction refuses them."""
     k, n = len(widths), grid.n_per_axis
     # Python's w ** 2 is libm pow, which can differ from numpy's square in the last bit
     two_w2 = np.array([2.0 * w ** 2 for w in widths]).reshape(k, 1, 1)
-    # xi[m, j, i]: axis i of row j at image m, summed from 0 in order (outermost axis)
-    xi = (grid.axis_coordinates() - centers[..., None]) + _IMAGES * grid.extent
-    terms = np.exp(-(xi ** 2) / two_w2 + (1j * momenta)[..., None] * xi)
-    axes = np.add.reduce(terms, axis=0, initial=0j)
-    vals = axes[:, 0]
-    for i in range(1, grid.d):
-        vals = vals[..., None] * axes[:, i].reshape((k,) + (1,) * i + (n,))
-    sq = np.abs(vals.reshape(k, -1))
-    sq *= sq
-    norms = np.sqrt(grid.cell * np.add.reduce(sq, axis=1))
-    vals *= (1.0 / norms).reshape((k,) + (1,) * grid.d)
+    with np.errstate(all="ignore"):
+        # xi[m, j, i]: axis i of row j at image m, summed from 0 in order (outermost axis)
+        xi = (grid.axis_coordinates() - centers[..., None]) + _IMAGES * grid.extent
+        terms = np.exp(-(xi ** 2) / two_w2 + (1j * momenta)[..., None] * xi)
+        axes = np.add.reduce(terms, axis=0, initial=0j)
+        vals = axes[:, 0]
+        for i in range(1, grid.d):
+            vals = vals[..., None] * axes[:, i].reshape((k,) + (1,) * i + (n,))
+        sq = np.abs(vals.reshape(k, -1))
+        sq *= sq
+        norms = np.sqrt(grid.cell * np.add.reduce(sq, axis=1))
+        vals *= (1.0 / norms).reshape((k,) + (1,) * grid.d)
     return vals
 
 
@@ -282,8 +284,11 @@ def packet_from_doc(grid: Grid, doc: dict, ctx: str) -> TestFunction:
         return json_number(value, f"{ctx}.{key}")
 
     momentum = None if doc.get("momentum") is None else numbers("momentum")
-    return gaussian_packet(grid, numbers("center"),
-                           float(json_number(doc["width"], f"{ctx}.width")), momentum)
+    center, width = numbers("center"), float(json_number(doc["width"], f"{ctx}.width"))
+    try:
+        return gaussian_packet(grid, center, width, momentum)
+    except DomainError as exc:    # a shape, a width, or values that leave float64
+        raise type(exc)(f"{ctx}: {exc}") from None
 
 
 def site_indicator(grid: Grid, site) -> TestFunction:

@@ -279,6 +279,29 @@ def test_two_point_overflow_exits_two_without_output(recipe_file, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,doc,argv,ctx", [
+    ("recipe.json", {"functions": [{"center": [1e308, 4.0], "width": 1.0}]},
+     ["moments", "{model}", "--recipe", "{doc}", "--grid", "2,32,0.25"], "recipe.functions[0]"),
+    ("recipe.json", {"functions": [{"center": [4.0, 4.0], "width": 1.0, "momentum": [1e308, 0]}]},
+     ["moments", "{model}", "--recipe", "{doc}", "--grid", "2,32,0.25"], "recipe.functions[0]"),
+    ("spec.json", {"experiment_id": "iteration", "grid": _GRID,
+                   "params": {"families": [[[1.0, 1.0]], [[4.0, 1.0]]],
+                              "lambda_weights": [1.0, 0.0],
+                              "packet": {"center": [1e308, 4.0], "width": 1.0}}},
+     ["experiment", "{doc}"], "iteration packet"),
+], ids=["recipe_center", "recipe_momentum", "iteration_center"])
+def test_overflowing_packet_exits_two_naming_it(model_file, tmp_path, capsys,
+                                                name, doc, argv, ctx):
+    path = tmp_path / name
+    write_json(path, doc)
+    out = tmp_path / "o"
+    argv = [a.format(model=model_file, doc=path) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {ctx}: test function values must be finite\n"
+    assert not out.exists()
+
+
 def test_non_finite_json_is_refused_before_the_file_is_opened(tmp_path):
     path = tmp_path / "nan.json"
     with pytest.raises(DomainError, match="nan.json"):

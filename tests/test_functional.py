@@ -17,17 +17,19 @@ from schwingerlab import (BoundsError, DomainError, ModelError, Mixture, QuasiFr
                           moment_numeric, regularity_certificate, save_model,
                           sobolev_norm, spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
-from schwingerlab.fixtures import (_packet_draw, random_model_tree,
-                                   random_real_function, rng_from_seed)
-from schwingerlab.lattice import Grid
+from schwingerlab import fixtures, partitions
+from schwingerlab.fixtures import (_packet_draw, random_model_tree, random_real_function,
+                                   random_real_functions, rng_from_seed)
+from schwingerlab.lattice import Grid, sobolev_norms
 from schwingerlab.functional import (GROWTH_K_CEILING, MAX_MOMENT_ORDER,
                                      MAX_TREE_DEPTH, NUMERIC_TOLERANCE_SCHEDULE,
                                      REGULARITY_C_CEILING, REGULARITY_Z_FLOOR,
                                      MomentTable,
-                                     NumericMoment, _leaf_grams, default_z_grid,
-                                     min_mass_sq, validate_model)
+                                     NumericMoment, _leaf_grams, _pair_table,
+                                     default_z_grid, min_mass_sq, validate_model)
 
 from oracles import insertion_partitions, own_pairings
+from test_lattice import _bits_equal
 
 
 def nested_mixture():
@@ -218,13 +220,16 @@ def test_numeric_cap():
 def test_numeric_steps_and_stencils_outside_float64_raise():
     # on the acceptance packet the order-4 step product prod(2 h_i) is normal
     # at 1e75 x packet, subnormal at 1e77 and 0 at 1e80; a leaf of weight 1e6
-    # keeps normal steps at 1e75 but its extrapolant overflows
+    # keeps normal steps at 1e75 but its extrapolant overflows; at floor mass^2
+    # 1e300 the packet's floor norm is 1e-150, so the step product overflows
     packet = gaussian_packet(Grid(2, 32, 0.25), [4.0, 4.0], 1.0)
     mix = two_mass_mixture(1.0, 4.0)
     got = moment_numeric(mix, [1e75 * packet] * 4)
     assert np.all(np.isfinite([got.value, *got.stencils, got.disagreement]))
     for model, scale, what in ((mix, 1e77, "underflow"), (mix, 1e80, "underflow"),
-                               (QuasiFree(SpectralMeasure(((1.0, 1e6),))), 1e75, "leave")):
+                               (QuasiFree(SpectralMeasure(((1.0, 1e6),))), 1e75, "leave"),
+                               (QuasiFree(SpectralMeasure(((1e300, 1e300),))), 1.0, "overflow"),
+                               (QuasiFree(SpectralMeasure(((1e300, 1.0),))), 1.0, "overflow")):
         with pytest.raises(DomainError, match=f"moment_numeric .*{what}"):
             moment_numeric(model, [scale * packet] * 4)
 
@@ -569,6 +574,53 @@ def test_moment_growth_matches_the_per_trial_loop(grid_2d, grid_3d, model_idx):
         assert abs(rep.k - worst) <= 1e-12 * worst
         assert rep.passed == (worst <= GROWTH_K_CEILING)
         assert type(rep.k) is float and type(rep.passed) is bool
+
+
+def _growth_drawing_every_order(G, grid, n_max, trials, seed):
+    """moment_growth_check with every order's probes built, odd orders too:
+    the oracle of its bits and draws."""
+    floor = min_mass_sq(G)
+    rng = rng_from_seed(seed)
+    rows = []
+    for n in range(1, n_max + 1):
+        probes = random_real_functions(grid, rng, trials * n)
+        mags = []
+        if n % 2 == 0:
+            grams = _leaf_grams(G, [probes[t:t + n] for t in range(0, trials * n, n)])[1]
+            norms = sobolev_norms(probes, floor).reshape(trials, 1, n)
+            pairs = _pair_table(grams / (norms[..., None] * norms[..., None, :]))
+            mags = np.abs(partitions.pair_exp(pairs)[..., -1] @ G._atom_table[0]).tolist()
+        rows.append((n, max([(m / math.sqrt(math.factorial(n))) ** (1.0 / (n + 1))
+                             for m in mags if m > 0], default=0.0)))
+    return rows
+
+
+@pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 2))
+def test_growth_check_is_bit_identical_to_drawing_every_order(grid_2d, grid_3d, model_idx):
+    rng = rng_from_seed(149)
+    model = (MODEL_FAMILY + [random_model_tree(rng, max_depth=d) for d in (3, 4)])[model_idx]
+    for grid, (n_max, trials, seed) in itertools.product(
+            (grid_2d, grid_3d), ((8, 4, 0), (8, 3, 5), (5, 2, 11), (3, 1, 7))):
+        rep = moment_growth_check(model, grid, n_max=n_max, trials=trials, seed=seed)
+        want = _growth_drawing_every_order(model, grid, n_max, trials, seed)
+        assert [n for n, _ in rep.per_order] == [n for n, _ in want]
+        assert _bits_equal([k for _, k in rep.per_order], [k for _, k in want])
+        assert _bits_equal(rep.k, max(k for _, k in want))
+
+
+def test_growth_check_builds_packets_for_the_even_orders_only(grid_2d, monkeypatch):
+    build, rows = fixtures.packet_values, []
+
+    def counted(grid, centers, widths, momenta):
+        rows.append(len(widths))
+        return build(grid, centers, widths, momenta)
+
+    monkeypatch.setattr(fixtures, "packet_values", counted)
+    moment_growth_check(two_mass_mixture(1.0, 4.0), grid_2d, n_max=8, trials=4)
+    # one stacked call per even order: its 4 n first packets and up to 4 n second ones
+    assert len(rows) == 4
+    for n, k in zip((2, 4, 6, 8), rows):
+        assert 4 * n <= k <= 8 * n
 
 
 @pytest.mark.parametrize("kwargs", [{"n_max": 0}, {"n_max": -2}, {"n_max": 9},

@@ -13,7 +13,8 @@ from schwingerlab import (DomainError, Grid, Isometry, ResolutionError,
                           site_indicator, sobolev_norm)
 from schwingerlab import fixtures, free_two_point, lattice
 from schwingerlab.fixtures import (random_positive_time_function, random_positive_time_functions,
-                                   random_real_function, random_real_functions, rng_from_seed)
+                                   random_real_function, random_real_functions,
+                                   real_function_draws, rng_from_seed)
 from schwingerlab.lattice import (REALITY_TOL, lattice_symbol, negation_index, packet_values,
                                   positive_time_part, reflect_momentum, sobolev_norms,
                                   stacked_hats)
@@ -229,6 +230,21 @@ def test_random_real_functions_redraw_as_the_per_probe_recipe(grid_args, monkeyp
     monkeypatch.setattr(fixtures, "packet_values", imaginary_near_the_origin)
     grid = Grid(*grid_args)
     assert _assert_batch_matches_the_recipe(grid, range(3), (1, 7, 24)) >= 5
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_real_function_draws_advance_the_stream_as_building_them(grid_args):
+    grid = Grid(*grid_args)
+    for seed in range(4):
+        for count in (1, 7, 24):
+            draw_rng, build_rng = rng_from_seed(seed), rng_from_seed(seed)
+            firsts, rows, coeffs, seconds = real_function_draws(grid, draw_rng, count)
+            random_real_functions(grid, build_rng, count)
+            assert draw_rng.random() == build_rng.random()
+            assert len(firsts) == count and len(rows) == len(coeffs) == len(seconds)
+    rng = rng_from_seed(3)
+    assert real_function_draws(grid, rng, 0) == ([], [], [], [])
+    assert rng.random() == rng_from_seed(3).random()
 
 
 def test_no_positive_time_functions_draw_nothing():
