@@ -21,6 +21,10 @@ explicit witness quantity and tolerance:
 Both PSD checks take real test functions and read their matrix from the
 leaf Grams (`difference_matrix`).  PSD witnesses are reported as
 (min eigenvalue / trace); defect witnesses as absolute deviations.
+
+The suite's quasi-free flag is no axiom and takes no test function: every
+leaf of positive weight must have the covariance symbol of the first one,
+to within 64 eps of its largest value (`quasi_free_defect`).
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
-from .fixtures import (fixture_packet, random_positive_time_functions,
-                       random_real_functions, rng_from_seed)
-from .functional import MomentTable, SchwingerFunctional, model_to_dict
+from .errors import DomainError
+from .fixtures import (random_positive_time_functions, random_real_functions,
+                       rng_from_seed)
+from .functional import (ROUNDOFF_FLOOR, SchwingerFunctional, model_to_dict,
+                         quasi_free_defect)
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       positive_time_support, site_indicator)
 from .serialize import canonical_digest, complex_pair, overrides
@@ -49,10 +54,6 @@ DEFAULT_TOLERANCES = {
     "euclidean_invariance": 1e-10,
     "cluster": 1e-6,
 }
-
-# |S4T| <= 1e-9 * scale separates exact Gaussians (cancellation ~1e-14)
-# from genuine mixtures (defect >= 1e-6 * scale on the fixture packet).
-QUASI_FREE_CLASSIFICATION_TOL = 1e-9
 
 _GRAM_SIZE_RANGE = (2, 12)
 
@@ -118,9 +119,9 @@ def check_normalization_neutrality(G: SchwingerFunctional,
                                    config_digest: str = "") -> CheckReport:
     """Gamma(0) = 1 and Gamma(-f) = Gamma(f)* on a set of real functions."""
     if not test_set:
-        raise PreconditionError("need at least one test function")
+        raise DomainError("need at least one test function")
     if not all(f.is_real for f in test_set):
-        raise PreconditionError("neutrality is stated for real test functions")
+        raise DomainError("neutrality is stated for real test functions")
     zero, *values = G.evaluate_many([TestFunction.zeros(test_set[0].grid)]
                                     + [h for f in test_set for h in (-f, f)])
     worst = max([abs(zero - 1.0)] + [abs(neg - pos.conjugate())
@@ -136,10 +137,10 @@ def _difference_psd(check_id: str, G, fs: Sequence[TestFunction],
     """PSD check of M_ij = Gamma(f_i - partners_j) for real f_i."""
     lo, hi = _GRAM_SIZE_RANGE
     if not lo <= len(fs) <= hi:
-        raise PreconditionError(f"need {lo}..{hi} functions, got {len(fs)}")
+        raise DomainError(f"need {lo}..{hi} functions, got {len(fs)}")
     for idx, f in enumerate(fs):
         if not f.is_real:
-            raise PreconditionError(f"test function {idx} is not real")
+            raise DomainError(f"test function {idx} is not real")
     M = G.difference_matrix(fs, partners)
     details: dict = {"size": len(fs)}
     witness = _psd_witness(M, details)
@@ -153,9 +154,7 @@ def check_reflection_positivity(G: SchwingerFunctional,
     """PSD of M_ij = Gamma(f_i - R f_j) for positive-time supported f."""
     for idx, f in enumerate(fs):
         if not positive_time_support(f):
-            raise PreconditionError(
-                f"test function {idx} is not supported on positive times"
-            )
+            raise DomainError(f"test function {idx} is not supported on positive times")
     reflected = [apply_isometry(f, Isometry.time_reflection()) for f in fs]
     return _difference_psd("reflection_positivity", G, fs, reflected,
                            tolerance, config_digest)
@@ -175,7 +174,7 @@ def check_euclidean_invariance(G, fs: Sequence[TestFunction],
                                config_digest: str = "") -> CheckReport:
     """max |Gamma(g.f) - Gamma(f)| over the supplied lattice isometries."""
     if not fs or not isometries:
-        raise PreconditionError("need at least one test function and one isometry")
+        raise DomainError("need at least one test function and one isometry")
     worst = 0.0
     worst_kind = ""
     for f in fs:
@@ -269,6 +268,9 @@ class SuiteConfig:
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """Check reports, whether all passed, and the quasi-free flag, which is
+    quasi_free_defect <= ROUNDOFF_FLOOR and does not depend on the seed."""
+
     reports: tuple[CheckReport, ...]
     quasi_free: bool
     passed: bool
@@ -328,12 +330,9 @@ def run_axiom_suite(G: SchwingerFunctional, config: SuiteConfig) -> SuiteResult:
         config_digest=digest)
     reports.append(cluster_report)
 
-    table = MomentTable(G, [fixture_packet(grid)] * 4)
-    s4t, scale = table.cumulants[-1], table.scales[-1]
-    quasi_free = abs(s4t) <= QUASI_FREE_CLASSIFICATION_TOL * scale
-
+    quasi_free = quasi_free_defect(G, grid) <= ROUNDOFF_FLOOR
     passed = all(r.passed for r in reports)
-    return SuiteResult(tuple(reports), bool(quasi_free), passed, digest)
+    return SuiteResult(tuple(reports), quasi_free, passed, digest)
 
 
 def summary_lines(result: SuiteResult) -> list[str]:

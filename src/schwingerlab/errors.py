@@ -13,18 +13,6 @@ class DomainError(SchwingerLabError, ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class BoundsError(DomainError):
-    """A size cap was exceeded (the message names the cap)."""
-
-
-class ResolutionError(DomainError):
-    """A requested object cannot be represented on the given grid."""
-
-
-class PreconditionError(DomainError):
-    """A documented precondition of a check was violated."""
-
-
 class ModelError(SchwingerLabError, ValueError):
     """A functional tree violates one of its structural invariants."""
 

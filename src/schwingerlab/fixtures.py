@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Grid, TestFunction, gaussian_packet, packet_values
+from .lattice import Grid, TestFunction, packet_values
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
@@ -83,7 +83,7 @@ def random_real_functions(grid: Grid, rng: np.random.Generator,
     keep = norms >= 1e-12    # astronomically unlikely cancellation; redraw
     fs = [TestFunction(grid, v.reshape(grid.shape), copy=False)
           for v in real[keep] * (1.0 / norms[keep])[:, None]]
-    return fs + random_real_functions(grid, rng, count - len(fs))
+    return fs if len(fs) == count else fs + random_real_functions(grid, rng, count - len(fs))
 
 
 def random_real_function(grid: Grid, rng: np.random.Generator) -> TestFunction:
@@ -130,13 +130,6 @@ def random_positive_time_function(grid: Grid,
                                   rng: np.random.Generator) -> TestFunction:
     """Random real function gated onto the strictly positive time slices."""
     return random_positive_time_functions(grid, rng, 1)[0]
-
-
-def fixture_packet(grid: Grid) -> TestFunction:
-    """The standard probe: centered packet, width L/8, zero momentum."""
-    center = np.full(grid.d, grid.extent / 2.0)
-    width = max(2.0 * grid.spacing, grid.extent / 8.0)
-    return gaussian_packet(grid, center, width)
 
 
 def random_model_tree(rng: np.random.Generator, max_depth: int = 3):

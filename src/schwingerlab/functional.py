@@ -19,8 +19,8 @@ finite-difference moments, one table of the analytic moments, cumulants
 and cumulant scales of every sub-collection of the arguments (subset exp
 and log of the leaf Grams, the cumulants conditioned on the leaf),
 gaussianization (the quasi-free functional with the same two-point
-function), regularity and moment-growth certificates, and the model file
-format.
+function), the quasi-free defect of the leaves' covariance symbols,
+regularity and moment-growth certificates, and the model file format.
 """
 
 from __future__ import annotations
@@ -36,17 +36,17 @@ from typing import Sequence
 import numpy as np
 
 from . import partitions
-from .errors import BoundsError, DomainError, ModelError, SchemaError
+from .errors import DomainError, ModelError, SchemaError
 from .lattice import Grid, TestFunction, sobolev_norm, sobolev_norms
-from .propagator import SpectralMeasure, two_point_grams, two_point_pairs
+from .propagator import SpectralMeasure, propagator_rows, two_point_grams, two_point_pairs
 from .serialize import json_number, read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
 MAX_MOMENT_ORDER = 8
 NUMERIC_MOMENT_CAP = 4
 REGULARITY_C_CEILING = 1.0
-# worst_z: the first z with C within this relative floor of the best (C is flat along rays)
-REGULARITY_Z_FLOOR = 64 * np.finfo(float).eps
+# Relative roundoff floor of worst_z (C is flat along rays) and quasi_free_defect
+ROUNDOFF_FLOOR = 64 * sys.float_info.epsilon
 GROWTH_K_CEILING = 4.0
 # default_z_grid: rings of 8 points each in |z| <= Z_GRID_RADIUS
 Z_GRID_RINGS = 8
@@ -181,13 +181,27 @@ def min_mass_sq(G: SchwingerFunctional) -> float:
     return float(G._atom_table[1][0])
 
 
+def quasi_free_defect(G: SchwingerFunctional, grid: Grid) -> float:
+    """max |P_l(k) - P_1(k)| / max P_1(k) over k and the leaves l of positive
+    weight, P_l(k) = sum_m a_lm / (khat^2 + m^2) the symbol of leaf l's
+    covariance and P_1 the first such leaf's.  A finite mixture of centered
+    Gaussians is Gaussian exactly when its components of positive weight
+    share one covariance, so G is quasi-free on the grid exactly when this is
+    0, up to roundoff below ROUNDOFF_FLOOR (atoms merged in another order); it
+    is exactly 0 for identical leaves and when no leaf has positive weight."""
+    weights, masses, atoms = G._atom_table
+    rows = propagator_rows(grid, masses, atoms[weights > 0])
+    first = rows[:1]
+    return float(np.max(np.abs(rows - first) / first.max(axis=1, keepdims=True), initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # Moments and cumulants
 # ---------------------------------------------------------------------------
 
 def _check_moment_args(fs: Sequence[TestFunction], cap: int) -> None:
     if not 1 <= len(fs) <= cap:
-        raise BoundsError(f"moment order n={len(fs)} outside 1..{cap}")
+        raise DomainError(f"moment order n={len(fs)} outside 1..{cap}")
     if any(f.grid != fs[0].grid for f in fs):
         raise DomainError("moments need every argument on one grid")
 
@@ -422,7 +436,7 @@ def regularity_certificate(G: SchwingerFunctional,
     cs = [math.log(val) / (abs(z) * abs(z) * nu2) if val > 0 else -math.inf
           for z, val in zip(pts, map(abs, G.evaluate_many([f], pts)[0].tolist()))]
     best = max(cs)
-    floor = best - REGULARITY_Z_FLOOR * abs(best) if math.isfinite(best) else best
+    floor = best - ROUNDOFF_FLOOR * abs(best) if math.isfinite(best) else best
     worst = next(z for z, c in zip(pts, cs) if c >= floor)
     constant = max(best, 1e-15)
     bound = RegularityBound("sobolev_minus1_floor", constant, 2.0, 2.0)
@@ -460,9 +474,9 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     from .fixtures import random_real_functions, real_function_draws, rng_from_seed
 
     if not 1 <= n_max <= MAX_MOMENT_ORDER:
-        raise BoundsError(f"n_max={n_max} outside 1..{MAX_MOMENT_ORDER}")
+        raise DomainError(f"n_max={n_max} outside 1..{MAX_MOMENT_ORDER}")
     if trials < 1:
-        raise BoundsError(f"trials={trials} must be >= 1")
+        raise DomainError(f"trials={trials} must be >= 1")
     floor = min_mass_sq(G)
     rng = rng_from_seed(seed)
     rows = []

@@ -24,7 +24,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError
 from .serialize import json_integer, json_number, require_keys
 
 TIME_AXIS = 0
@@ -240,11 +240,11 @@ def gaussian_packet(grid: Grid, center, width: float, momentum=None) -> TestFunc
         if p.shape != (grid.d,):
             raise DomainError(f"momentum must have {grid.d} components, got {p.shape}")
     if width < 2 * grid.spacing * (1 - 1e-12):
-        raise ResolutionError(
+        raise DomainError(
             f"width {width} is not resolvable: need >= 2*spacing = {2 * grid.spacing}"
         )
     if width > grid.extent / 4 * (1 + 1e-12):
-        raise ResolutionError(
+        raise DomainError(
             f"width {width} exceeds L/4 = {grid.extent / 4}: wrap-around not negligible"
         )
     return TestFunction(grid, packet_values(grid, c[None], [width], p[None])[0], copy=False)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BoundsError, DomainError
+from .errors import DomainError
 
 # A transform pays (3^n - 1)/2 subset splits, 29524 at n = 10, the desk-scale ceiling.
 MAX_PARTITION_N = 10
@@ -32,7 +32,7 @@ def _check_order(n: int) -> None:
     if not isinstance(n, int):
         raise DomainError(f"partition order must be an integer, got {n!r}")
     if not 1 <= n <= MAX_PARTITION_N:
-        raise BoundsError(
+        raise DomainError(
             f"partition order n={n} outside 1..{MAX_PARTITION_N} "
             f"(cap keeps the O(3^n) subset splits desk-scale)"
         )

@@ -100,6 +100,12 @@ def _inverse_propagators(grid: Grid, masses_sq: Sequence[float]) -> np.ndarray:
                   + lattice_symbol(grid).ravel())
 
 
+def propagator_rows(grid: Grid, masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
+    """The covariance symbol P_r(k) = sum_m atoms[r, m] / (khat^2 + m^2) of
+    every row r of atoms, shape (rows, sites)."""
+    return atoms @ _inverse_propagators(grid, masses_sq)
+
+
 def _finite(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise DomainError("two-point values overflow float64: the spectral "
@@ -146,9 +152,8 @@ def two_point_grams(fs: Sequence, masses_sq: Sequence[float], atoms: np.ndarray)
         hats = stacked_hats(flat).reshape(batch + (-1, grid.volume))
         negs = hats[..., negation_index(grid)]
         scaled = np.empty_like(negs)   # one (n x sites) temporary per set for every row
-        rows = atoms @ _inverse_propagators(grid, masses_sq)
         grams = np.array([np.multiply(negs, row, out=scaled) @ np.swapaxes(hats, -1, -2)
-                          for row in rows])
+                          for row in propagator_rows(grid, masses_sq, atoms)])
         return _finite(np.moveaxis(grams, 0, -3) / grid.extent ** grid.d)
 
 

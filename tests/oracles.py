@@ -4,8 +4,10 @@ Each is a deliberately different algorithm from the package's: set
 partitions by recursive element insertion and moments/cumulants by the sum
 over them (the package runs exp/log over bitmask set functions), Bell
 numbers by the Bell triangle, perfect matchings by pairing the first
-element with each other one, and the covariance kernel in position space
-(the package sums in momentum space).
+element with each other one, the covariance kernel in position space
+(the package sums in momentum space), and quasi-freeness from the
+connected 4-point function on one probe (the package compares the leaves'
+covariance symbols).
 """
 
 import math
@@ -13,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from schwingerlab.lattice import lattice_symbol
+from schwingerlab.functional import MomentTable
+from schwingerlab.lattice import gaussian_packet, lattice_symbol
 
 
 @lru_cache(maxsize=None)
@@ -85,3 +88,19 @@ def covariance_kernel(grid, m2):
     zero displacement.  Satisfies a^(2d) sum_{x,y} f(x) C(x-y) g(y) = S2(f,g).
     """
     return np.fft.ifftn(1.0 / (lattice_symbol(grid) + m2)).real / grid.cell
+
+
+def fixture_packet(grid):
+    """The standard probe: centered packet, width L/8, zero momentum."""
+    center = np.full(grid.d, grid.extent / 2.0)
+    width = max(2.0 * grid.spacing, grid.extent / 8.0)
+    return gaussian_packet(grid, center, width)
+
+
+def probe_quasi_free(G, grid):
+    """Quasi-freeness read off one probe: |S4T(f, f, f, f)| <= 1e-9 * its
+    cumulant scale on the fixture packet f.  Exact Gaussians cancel to about
+    1e-14 of the scale; a mixture whose leaves differ on f leaves a defect of
+    at least 1e-6 of it.  Leaves tuned to agree on f fool it."""
+    table = MomentTable(G, [fixture_packet(grid)] * 4)
+    return bool(abs(table.cumulants[-1]) <= 1e-9 * table.scales[-1])

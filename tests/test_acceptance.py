@@ -23,12 +23,12 @@ from schwingerlab import (Grid, QuasiFree, SpectralMeasure, SuiteConfig,
 from schwingerlab.experiments import (ExperimentSpec, run_iteration,
                                       run_two_mass_fourth_cumulant,
                                       two_mass_mixture)
-from schwingerlab.fixtures import (fixture_packet, random_model_tree,
-                                   random_real_function, rng_from_seed)
+from schwingerlab.fixtures import (random_model_tree, random_real_function,
+                                   rng_from_seed)
 from schwingerlab.montecarlo import estimate_fourth_cumulant, pair_values
 from schwingerlab.partitions import subset_exp, subset_log
 
-from oracles import bell_triangle, insertion_partitions, oracle_moment
+from oracles import bell_triangle, fixture_packet, insertion_partitions, oracle_moment
 
 GRID = Grid(2, 32, 0.25)
 PACKET = gaussian_packet(GRID, [4.0, 4.0], 1.0)  # width 4a, centered

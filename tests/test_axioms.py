@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from schwingerlab import (CheckReport, DomainError, Isometry, Mixture,
-                          PreconditionError, QuasiFree, SpectralMeasure,
+                          QuasiFree, SpectralMeasure,
                           SuiteConfig, apply_isometry, check_cluster_defect,
                           check_euclidean_invariance,
                           check_normalization_neutrality,
@@ -15,13 +15,18 @@ from schwingerlab import (CheckReport, DomainError, Isometry, Mixture,
                           site_indicator, summary_lines)
 from schwingerlab.axioms import _psd_witness, point_group
 from schwingerlab.errors import SchemaError
+from schwingerlab.errors import ModelError
 from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.fixtures import (random_model_tree,
                                    random_positive_time_function,
                                    random_real_function, rng_from_seed)
-from schwingerlab.functional import default_z_grid
+from schwingerlab.functional import (ROUNDOFF_FLOOR, default_z_grid, envelope,
+                                     quasi_free_defect, validate_model)
 from schwingerlab.lattice import Grid, TestFunction, gaussian_packet, reflect_momentum
 from schwingerlab.propagator import spectral_two_point
+
+from oracles import fixture_packet, probe_quasi_free
+from test_functional import MODEL_FAMILY
 
 
 def evaluate_loop(G, fs, partners):
@@ -95,7 +100,7 @@ def test_normalization_passes_on_valid_models(real_set, free_leaf, mixture_14):
 
 
 def test_normalization_rejects_an_empty_set(free_leaf):
-    with pytest.raises(PreconditionError, match="at least one"):
+    with pytest.raises(DomainError, match="at least one"):
         check_normalization_neutrality(free_leaf, [])
 
 
@@ -151,19 +156,19 @@ def test_mixture_witness_dominated_by_children(rp_set):
 def test_reflection_positivity_names_offending_function(grid_2d, free_leaf, rp_set):
     bad = list(rp_set)
     bad[3] = random_real_function(grid_2d, rng_from_seed(105))  # unrestricted
-    with pytest.raises(PreconditionError, match="function 3"):
+    with pytest.raises(DomainError, match="function 3"):
         check_reflection_positivity(free_leaf, bad)
 
 
 def test_gram_size_bounds(free_leaf, rp_set):
-    with pytest.raises(PreconditionError, match="2..12"):
+    with pytest.raises(DomainError, match="2..12"):
         check_reflection_positivity(free_leaf, rp_set[:1])
 
 
 def test_reflection_positivity_rejects_complex_functions(free_leaf, rp_set):
     bad = list(rp_set)
     bad[2] = 1j * bad[2]
-    with pytest.raises(PreconditionError, match="function 2 is not real"):
+    with pytest.raises(DomainError, match="function 2 is not real"):
         check_reflection_positivity(free_leaf, bad)
 
 
@@ -303,7 +308,7 @@ def test_stochastic_positivity_rejects_sign_flipped_functional(real_set):
 def test_stochastic_positivity_rejects_complex_functions(free_leaf, real_set):
     bad = list(real_set)
     bad[5] = 1j * bad[5]
-    with pytest.raises(PreconditionError, match="function 5 is not real"):
+    with pytest.raises(DomainError, match="function 5 is not real"):
         check_stochastic_positivity(free_leaf, bad)
 
 
@@ -331,7 +336,7 @@ def test_invariance_fails_on_anisotropic_propagator(grid_2d, real_set):
 def test_invariance_rejects_empty_sets(grid_2d, real_set, free_leaf,
                                        n_functions, n_isometries):
     isos = point_group(grid_2d)[:n_isometries]
-    with pytest.raises(PreconditionError, match="at least one"):
+    with pytest.raises(DomainError, match="at least one"):
         check_euclidean_invariance(free_leaf, real_set[:n_functions], isos)
 
 
@@ -504,3 +509,95 @@ def test_suite_runs_on_every_supported_dimension(grid_args, mixture_14):
     res = run_axiom_suite(mixture_14, SuiteConfig(grid=grid, seed=4))
     assert res.passed
     assert not res.quasi_free
+
+
+# ---------------------------------------------------------------------------
+# quasi-free classification
+# ---------------------------------------------------------------------------
+
+GRIDS = [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)]
+ONE = QuasiFree(SpectralMeasure.delta(1.0))
+
+
+def _tied_leaf(f):
+    """Atoms at m2 = 1/4 and 4 of total weight 1 whose S2(f, f) is ONE's."""
+    s_one, s_light, s_heavy = (spectral_two_point(f, f, SpectralMeasure.delta(m2)).real
+                               for m2 in (1.0, 0.25, 4.0))
+    a = (s_one - s_heavy) / (s_light - s_heavy)
+    assert 0.0 < a < 1.0
+    return QuasiFree(SpectralMeasure(((0.25, a), (4.0, 1.0 - a))))
+
+
+@pytest.mark.parametrize("grid_args", GRIDS, ids=["1d", "2d", "3d"])
+def test_tuned_ties_are_not_quasi_free(grid_args):
+    grid = Grid(*grid_args)
+    probes = [fixture_packet(grid),
+              gaussian_packet(grid, [grid.extent / 3] * grid.d, 2 * grid.spacing),
+              random_real_function(grid, rng_from_seed(233))]
+    for f in probes:
+        tied = envelope([(0.5, ONE), (0.5, _tied_leaf(f))])
+        s2 = tied.leaf_two_point([f], [f])[0].real
+        assert s2[1] == pytest.approx(s2[0], rel=1e-14, abs=0)
+        assert quasi_free_defect(tied, grid) > 0.05
+        res = run_axiom_suite(tied, SuiteConfig(grid=grid, seed=3))
+        assert res.passed and res.quasi_free is False
+    # tied on the fixture packet, the fourth cumulant there vanishes: the
+    # one-probe rule calls the mixture quasi-free
+    assert probe_quasi_free(envelope([(0.5, ONE), (0.5, _tied_leaf(probes[0]))]), grid)
+
+
+def test_leaves_of_weight_zero_are_ignored(grid_2d):
+    other = QuasiFree(SpectralMeasure(((4.0, 1.0),)))
+    for model in (envelope([(1.0, ONE), (0.0, other)]),
+                  envelope([(0.0, other), (1.0, ONE)]),
+                  envelope([(0.0, envelope([(0.5, other), (0.5, ONE)])), (1.0, ONE)]),
+                  Mixture(((0.0, ONE), (0.0, other)))):    # no leaf of positive weight
+        assert quasi_free_defect(model, grid_2d) == 0.0
+    res = run_axiom_suite(envelope([(0.0, other), (1.0, ONE)]), SuiteConfig(grid=grid_2d))
+    assert res.passed and res.quasi_free
+
+
+def test_identical_leaves_in_any_tree_shape_are_exactly_quasi_free(grid_2d):
+    def leaf():
+        return QuasiFree(SpectralMeasure(((1.0, 0.5), (4.0, 0.3), (9.0, 0.2))))
+    shapes = [leaf(),
+              envelope([(0.3, leaf()), (0.7, leaf())]),
+              envelope([(0.5, envelope([(0.2, leaf()), (0.8, leaf())])), (0.5, leaf())]),
+              envelope([(0.1, leaf()), (0.6, envelope([(0.5, leaf()), (0.5, envelope(
+                  [(0.25, leaf()), (0.75, leaf())]))])), (0.3, leaf())])]
+    for model in shapes:
+        assert quasi_free_defect(model, grid_2d) == 0.0
+    res = run_axiom_suite(shapes[-1], SuiteConfig(grid=grid_2d, seed=6))
+    assert res.passed and res.quasi_free
+
+
+@pytest.mark.parametrize("grid_args", GRIDS, ids=["1d", "2d", "3d"])
+def test_measures_equal_up_to_roundoff_are_quasi_free(grid_args):
+    grid = Grid(*grid_args)
+    pairs = [(((1.0, 0.1), (1.0, 0.2)), ((1.0, 0.3),)),
+             (((4.0, 0.2), (1.0, 0.1), (1.0, 0.7)), ((1.0, 0.8), (4.0, 0.2)))]
+    for merged, direct in pairs:
+        model = envelope([(0.5, QuasiFree(SpectralMeasure(merged))),
+                          (0.5, QuasiFree(SpectralMeasure(direct)))])
+        assert model._atom_table[2][0].tolist() != model._atom_table[2][1].tolist()
+        assert 0.0 < quasi_free_defect(model, grid) <= ROUNDOFF_FLOOR
+        assert probe_quasi_free(model, grid)
+
+
+def _valid(tree):
+    try:
+        validate_model(tree)
+    except ModelError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("grid_args", GRIDS, ids=["1d", "2d", "3d"])
+def test_classification_agrees_with_the_one_probe_rule(grid_args):
+    grid = Grid(*grid_args)
+    rng = rng_from_seed(239)
+    models = (MODEL_FAMILY + [tree for _, tree in ORACLE_TREES if _valid(tree)]
+              + [random_model_tree(rng, max_depth=3) for _ in range(12)])
+    flags = [quasi_free_defect(model, grid) <= ROUNDOFF_FLOOR for model in models]
+    assert flags == [probe_quasi_free(model, grid) for model in models]
+    assert True in flags and False in flags

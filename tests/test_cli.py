@@ -70,6 +70,19 @@ def test_verify_mixture_reports_not_quasifree(model_file, tmp_path):
     assert doc["passed"] and doc["quasi_free"] is False
 
 
+@pytest.mark.parametrize("grid", ["2,32,0.25", "3,16,0.5", "1,64,0.5", "2,16,0.5"])
+def test_verify_tied_mixture_is_not_quasi_free_on_any_grid(tmp_path, capsys, grid):
+    # the second leaf's S2 equals the first's on the fixture packet of 2,32,0.25
+    path = tmp_path / "tied.json"
+    write_json(path, {"format": "schwinger-model", "version": 1, "model": {
+        "kind": "mixture", "children": [
+            {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [[1.0, 1.0]]}},
+            {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [
+                [0.25, 0.3096322759589235], [4.0, 0.6903677240410765]]}}]}})
+    assert main(["verify", str(path), "--grid", grid, "--out", str(tmp_path / "out")]) == 0
+    assert "quasi-free: false" in capsys.readouterr().out.splitlines()
+
+
 def test_verify_malformed_weights_uses_schema_exit(tmp_path):
     path = tmp_path / "broken.json"
     write_json(path, {

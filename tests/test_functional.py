@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from schwingerlab import (BoundsError, DomainError, ModelError, Mixture, QuasiFree,
+from schwingerlab import (DomainError, ModelError, Mixture, QuasiFree,
                           SchemaError, SpectralMeasure, TestFunction,
                           cumulant, cumulant_scale, envelope, free_two_point,
                           gaussian_packet, gaussianize, load_model, model_from_dict,
@@ -23,7 +23,7 @@ from schwingerlab.fixtures import (_packet_draw, random_model_tree, random_real_
 from schwingerlab.lattice import Grid, sobolev_norms
 from schwingerlab.functional import (GROWTH_K_CEILING, MAX_MOMENT_ORDER,
                                      MAX_TREE_DEPTH, NUMERIC_TOLERANCE_SCHEDULE,
-                                     REGULARITY_C_CEILING, REGULARITY_Z_FLOOR,
+                                     REGULARITY_C_CEILING, ROUNDOFF_FLOOR,
                                      MomentTable,
                                      NumericMoment, _leaf_grams, _pair_table,
                                      default_z_grid, min_mass_sq, validate_model)
@@ -179,7 +179,7 @@ def test_leaf_table_matches_per_leaf_two_point(model):
 
 def test_moment_order_cap():
     grid = two_mass_mixture(1.0, 4.0)
-    with pytest.raises(BoundsError, match="1..8"):
+    with pytest.raises(DomainError, match="1..8"):
         moment_analytic(grid, [None] * 9)
 
 
@@ -213,7 +213,7 @@ def test_numeric_matches_analytic_n4(grid_2d, packet, model_idx):
 
 
 def test_numeric_cap():
-    with pytest.raises(BoundsError, match="1..4"):
+    with pytest.raises(DomainError, match="1..4"):
         moment_numeric(two_mass_mixture(1.0, 4.0), [None] * 5)
 
 
@@ -499,7 +499,7 @@ def test_regularity_certificate_matches_the_per_z_loop(grid_2d, packet):
                 cs.append(math.log(val) / (abs(z) * abs(z) * nu2) if val > 0 else -math.inf)
             best = max(cs)
             # the first z in grid order within the roundoff floor of the best C
-            worst = default_z_grid()[[c >= best - REGULARITY_Z_FLOOR * abs(best)
+            worst = default_z_grid()[[c >= best - ROUNDOFF_FLOOR * abs(best)
                                       for c in cs].index(True)]
             cert = regularity_certificate(model, f)
             assert cert.bound.constant == max(best, 1e-15)
@@ -626,7 +626,8 @@ def test_growth_check_builds_packets_for_the_even_orders_only(grid_2d, monkeypat
 @pytest.mark.parametrize("kwargs", [{"n_max": 0}, {"n_max": -2}, {"n_max": 9},
                                     {"trials": 0}, {"trials": -1}])
 def test_moment_growth_rejects_an_empty_or_oversized_probe_set(grid_2d, kwargs):
-    with pytest.raises(BoundsError):
+    (key, value), = kwargs.items()
+    with pytest.raises(DomainError, match=f"{key}={value} "):
         moment_growth_check(two_mass_mixture(1.0, 4.0), grid_2d, **kwargs)
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schwingerlab import (DomainError, Grid, Isometry, ResolutionError,
-                          TestFunction, apply_isometry, gaussian_packet,
+from schwingerlab import (DomainError, Grid, Isometry, TestFunction,
+                          apply_isometry, gaussian_packet,
                           positive_time_part, positive_time_support,
                           site_indicator, sobolev_norm)
 from schwingerlab import fixtures, free_two_point, lattice
@@ -301,9 +301,9 @@ def test_random_positive_time_functions_are_the_per_probe_bits(grid_args, imagin
 
 
 def test_packet_width_preconditions(grid_2d):
-    with pytest.raises(ResolutionError, match="2\\*spacing"):
+    with pytest.raises(DomainError, match="2\\*spacing"):
         gaussian_packet(grid_2d, [4.0, 4.0], 0.3)
-    with pytest.raises(ResolutionError, match="L/4"):
+    with pytest.raises(DomainError, match="L/4"):
         gaussian_packet(grid_2d, [4.0, 4.0], 3.0)
 
 
