@@ -8,6 +8,9 @@ Conventions (used consistently by the whole package):
 * Discrete Fourier transform  f^(k) = a^d sum_x exp(-i k.x) f(x)  on the
   momentum grid k = (2 pi / L) * integer mode vector.  Parseval then reads
   a^d sum_x |f|^2 = L^-d sum_k |f^|^2.
+* A real u has u^(-k) = conj u^(k), so Grams and Sobolev norms sum over the
+  rfftn half grid (last axis 0..N/2) of Re f and Im f, each mode weighted by
+  its multiplicity: 1 on the planes k_last in {0, N/2}, which hold their -k.
 * The one momentum symbol is  khat^2 = sum_i (2/a)^2 sin^2(k_i a / 2);
   refinement studies approach the continuum k^2 by shrinking the spacing.
 * Time is axis 0.  Time reflection is the *link* reflection through the
@@ -122,17 +125,28 @@ def reflect_momentum(arr: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def negation_index(grid: Grid) -> np.ndarray:
-    """Flat index of -k for every flat momentum index k, read-only."""
+    """Flat index of -k for every flat momentum index k, read-only; two_point_pairs reads it."""
     out = reflect_momentum(np.arange(grid.volume).reshape(grid.shape)).ravel()
     out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def half_spectrum(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """khat^2 and the multiplicity mu of every rfftn half-grid mode, flat and read-only."""
+    half = grid.n_per_axis // 2 + 1
+    mu = np.tile(np.where(np.arange(half) % (half - 1), 2.0, 1.0), grid.n_per_axis ** (grid.d - 1))
+    out = lattice_symbol(grid)[..., :half].ravel(), mu
+    for arr in out:
+        arr.setflags(write=False)
     return out
 
 
 class TestFunction:
     """Complex-valued function sampled on a Grid; argument of every functional.
 
-    Values are immutable after construction.  The momentum-space view is
-    cached on first use because every two-point evaluation needs it; the
+    Values are immutable after construction.  The full spectrum (evaluation)
+    and the half spectra (Grams and norms) are each cached on first use; the
     reality flag is cached on first read, since most functions (stencil
     combinations, isometry images, sums) never have it read.
     Values carry units field^-1 volume^-1 so that pairings phi(f) are
@@ -140,7 +154,7 @@ class TestFunction:
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("grid", "values", "_is_real", "_hat")
+    __slots__ = ("grid", "values", "_is_real", "_hat", "_half")
 
     def __init__(self, grid: Grid, values, copy: bool = True):
         arr = np.array(values, dtype=np.complex128, copy=copy)
@@ -153,7 +167,7 @@ class TestFunction:
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
-        self._is_real = self._hat = None
+        self._is_real = self._hat = self._half = None
 
     @classmethod
     def zeros(cls, grid: Grid) -> "TestFunction":
@@ -216,6 +230,26 @@ def stacked_hats(fs: list[TestFunction]) -> np.ndarray:
             f._hat = h.copy()
             f._hat.setflags(write=False)
     return np.array([f._hat.ravel() for f in fs])
+
+
+def stacked_half_spectra(fs: list[TestFunction]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [Re h | Im h], h = rfftn(part) * a^d, of the parts Re f and Im f (if
+    nonzero) of fs, and each f's first row; the uncached from one batched rfftn."""
+    grid = fs[0].grid
+    if any(f.grid != grid for f in fs):
+        raise DomainError("stacked transforms need every function on one grid")
+    todo = list({id(f): f for f in fs if f._half is None}.values())
+    if todo:
+        split = [[f.values.real, f.values.imag][:1 + f.values.imag.any()] for f in todo]
+        batch = np.fft.rfftn(np.array([p for ps in split for p in ps]),
+                             axes=tuple(range(1, grid.d + 1))) * grid.cell
+        flat = batch.reshape(len(batch), -1)
+        rows = np.concatenate([flat.real, flat.imag], axis=1)
+        for f, h in zip(todo, np.split(rows, np.cumsum([len(ps) for ps in split])[:-1])):
+            f._half = h.copy()   # own arrays: a cache keeps no batch alive
+            f._half.setflags(write=False)
+    return (np.concatenate([f._half for f in fs]),
+            np.cumsum([0] + [len(f._half) for f in fs[:-1]]))
 
 
 _IMAGES = np.arange(-3, 4).reshape(7, 1, 1, 1)  # images beyond +-3L are < exp(-50) here
@@ -310,16 +344,17 @@ def sobolev_norm(f: TestFunction, m2: float) -> float:
 
 
 def sobolev_norms(fs: list[TestFunction], m2: float) -> np.ndarray:
-    """The Sobolev norm of every f in fs from one stacked array.  Each row's
-    momentum sum is pairwise, as np.sum of one function's is, so a norm's
-    bits do not depend on the rest of the stack."""
+    """The Sobolev norm of every f in fs: per half-spectrum row a pairwise sum of
+    mu |h|^2 / (khat^2 + m2), Re f's plus Im f's, so no bit depends on the stack."""
     if m2 <= 0:
         raise DomainError(
             f"sobolev_norm needs m2 > 0 (zero mode diverges at m2=0), got {m2}"
         )
     grid = fs[0].grid
-    terms = np.abs(stacked_hats(fs)) ** 2 / (lattice_symbol(grid).ravel() + m2)
-    return np.sqrt(np.add.reduce(terms, axis=1) / grid.extent ** grid.d)
+    rows, starts = stacked_half_spectra(fs)
+    symbol, mu = half_spectrum(grid)
+    sq = np.add.reduce(rows * rows * np.tile(mu / (symbol + m2), 2), axis=1)
+    return np.sqrt(np.add.reduceat(sq, starts) / grid.extent ** grid.d)
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,16 @@ S2_m(f, f) is pinned to the squared mass-regularized Sobolev norm for real f.
 
 The momentum sum is written once, in two kernels over an atom-weight matrix
 with one measure per row (a model's leaves): `two_point_pairs` pairs each f_i
-with its g_i, and `two_point_grams` pairs every f_i with every f_j.  Both
-start from one reciprocal table 1 / (khat^2 + m^2) of every mass, formed per
-call.  The Grams contract it with the atom weights first, into one propagator
-P_r(k) = sum_m atoms[r, m] / (khat^2 + m^2) per row, and pay one matmul per
-row; a batch of equal-size sets shares one transform pass and one stacked
-matmul per row, whose per-set slices keep the bits of one set's call.  The pairs stay per mass: numpy divides a complex by a real by Smith's
-rule, which multiplies both parts by 1/d, so their products have the bits of
-a per-mass division (except that a -0 part of the numerator may come out as
-a zero of the other sign), and evaluate's argmax witnesses rest on those
-bits.  A kernel whose values overflow float64 raises DomainError.
+with its g_i, and `two_point_grams` pairs every f_i with every f_j, both from
+one reciprocal table 1 / (khat^2 + m^2) of every mass.  The Grams contract it
+into one propagator P_r per row, and pay one real matmul X diag(mu P_r) X^T
+per row, X = [Re | Im] of the half spectra of Re f and Im f (see `lattice`):
+S2(u + i v, u' + i v') = S2(u, u') - S2(v, v') + i (S2(u, v') + S2(v, u')).
+The pairs keep the full spectrum, read at -k, and stay per mass while the
+worst_kind argmax rests on evaluate's bits: numpy divides a complex by a real
+by Smith's rule, which multiplies both parts by 1/d, so their products have
+the bits of a per-mass division (except that a -0 part of the numerator may
+come out as a zero of the other sign).  Overflow raises DomainError.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .lattice import Grid, TestFunction, lattice_symbol, negation_index, stacked_hats
+from .lattice import (Grid, TestFunction, half_spectrum, lattice_symbol, negation_index,
+                      stacked_half_spectra, stacked_hats)
 from .serialize import json_number
 
 # Guards the massless infrared divergence; models set their own, larger
@@ -94,16 +95,17 @@ class SpectralMeasure:
         return SpectralMeasure(((float(m2), 1.0),))
 
 
-def _inverse_propagators(grid: Grid, masses_sq: Sequence[float]) -> np.ndarray:
-    """1 / (m2 + khat^2) of every mass m2, shape (len(masses_sq), sites)."""
-    return 1.0 / (np.asarray(masses_sq, dtype=np.float64)[:, None]
-                  + lattice_symbol(grid).ravel())
+def _inverse_propagators(grid: Grid, masses_sq: Sequence[float], half: bool = False) -> np.ndarray:
+    """1 / (m2 + khat^2) of every mass m2 by mode; on the half grid, times each multiplicity."""
+    symbol, mu = half_spectrum(grid) if half else (lattice_symbol(grid).ravel(), 1.0)
+    return mu / (np.asarray(masses_sq, dtype=np.float64)[:, None] + symbol)
 
 
-def propagator_rows(grid: Grid, masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
+def propagator_rows(grid: Grid, masses_sq: Sequence[float], atoms: np.ndarray,
+                    half: bool = False) -> np.ndarray:
     """The covariance symbol P_r(k) = sum_m atoms[r, m] / (khat^2 + m^2) of
-    every row r of atoms, shape (rows, sites)."""
-    return atoms @ _inverse_propagators(grid, masses_sq)
+    every row r of atoms, shape (rows, modes); see _inverse_propagators for half."""
+    return atoms @ _inverse_propagators(grid, masses_sq, half)
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -137,24 +139,27 @@ def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
 
 
 def two_point_grams(fs: Sequence, masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
-    """Grams S2_r(f_i, f_j) of fs under every row r of atoms, shape
-    (rows, n, n): each row's propagator is formed first, then one matmul per
-    row over the stacked transforms.  fs may also be a sequence of equal-size
-    sets, with Grams of shape (sets, rows, n, n) from one batched transform and
-    one stacked matmul per row; each set's slice is the zgemm of its own call,
-    so it has that call's bits.  The transforms at -k are read from the stack
-    by index, not cached.  The values agree with a per-mass sum to roundoff
-    (about 1e-15 * max|G|), not bit for bit."""
+    """Grams S2_r(f_i, f_j) of fs under every row r of atoms, shape (rows, n, n),
+    or (sets, rows, n, n) for equal-size sets: one batched transform and, unless
+    a set holds a complex f, one stacked matmul per row, each set's slice with its
+    own call's bits.  They agree with a per-mass sum to about 1e-15 * max|G|."""
     batch = () if isinstance(fs[0], TestFunction) else (len(fs),)
     flat = [f for s in fs for f in s] if batch else fs
     grid = flat[0].grid
     with np.errstate(over="ignore", invalid="ignore"):
-        hats = stacked_hats(flat).reshape(batch + (-1, grid.volume))
-        negs = hats[..., negation_index(grid)]
-        scaled = np.empty_like(negs)   # one (n x sites) temporary per set for every row
-        grams = np.array([np.multiply(negs, row, out=scaled) @ np.swapaxes(hats, -1, -2)
-                          for row in propagator_rows(grid, masses_sq, atoms)])
-        return _finite(np.moveaxis(grams, 0, -3) / grid.extent ** grid.d)
+        rows, starts = stacked_half_spectra(flat)
+        if batch and len(rows) > len(flat):
+            return np.array([two_point_grams(s, masses_sq, atoms) for s in fs])
+        x = rows.reshape(batch + (-1, rows.shape[1]))
+        scaled = np.empty_like(x)   # one temporary for every row
+        weights = np.tile(propagator_rows(grid, masses_sq, atoms, half=True), 2)
+        real = np.stack([np.multiply(x, w, out=scaled) @ np.swapaxes(x, -1, -2)
+                         for w in weights], axis=-3) / grid.extent ** grid.d
+        if len(rows) == len(flat):
+            return _finite(real.astype(np.complex128))
+        two = np.diff(starts, append=len(rows))[:, None] > 1   # f_i = sum_p c_ip part_p
+        c = np.eye(len(rows))[starts] + 1j * two * np.eye(len(rows), k=1)[starts]
+        return _finite(c @ real @ c.T)
 
 
 def free_two_point(f: TestFunction, g: TestFunction, m2: float) -> complex:

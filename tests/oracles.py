@@ -7,7 +7,8 @@ numbers by the Bell triangle, perfect matchings by pairing the first
 element with each other one, the covariance kernel in position space
 (the package sums in momentum space), and quasi-freeness from the
 connected 4-point function on one probe (the package compares the leaves'
-covariance symbols).
+covariance symbols), and the half-spectrum multiplicities by folding every
+full-grid mode onto the rfftn half grid (the package writes the rule down).
 """
 
 import math
@@ -104,3 +105,22 @@ def probe_quasi_free(G, grid):
     at least 1e-6 of it.  Leaves tuned to agree on f fool it."""
     table = MomentTable(G, [fixture_packet(grid)] * 4)
     return bool(abs(table.cumulants[-1]) <= 1e-9 * table.scales[-1])
+
+
+def half_multiplicity(grid):
+    """How many full-grid modes land on each rfftn half-grid mode, flat: each
+    mode k itself, or its -k when k_last > N/2."""
+    n, half = grid.n_per_axis, grid.n_per_axis // 2 + 1
+    full = np.indices(grid.shape).reshape(grid.d, -1)
+    folded = np.where(full[-1] < half, full, (-full) % n)
+    count = np.zeros(grid.shape[:-1] + (half,))
+    np.add.at(count, tuple(folded), 1.0)
+    return count.ravel()
+
+
+def half_rows(f):
+    """[Re h | Im h] of h = rfftn(part) * a^d, one unbatched transform per
+    part: Re f, then Im f when it is not all zero."""
+    parts = [f.values.real] + ([f.values.imag] if np.any(f.values.imag) else [])
+    hats = [(np.fft.rfftn(p) * f.grid.cell).ravel() for p in parts]
+    return [np.concatenate([h.real, h.imag]) for h in hats]

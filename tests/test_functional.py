@@ -183,6 +183,22 @@ def test_moment_order_cap():
         moment_analytic(grid, [None] * 9)
 
 
+def test_grammed_and_normed_arguments_pay_no_complex_transform(grid_2d):
+    # Grams and norms read the real half spectra; evaluation reads the full one
+    model = nested_mixture()
+    rng = rng_from_seed(41)
+    moment_args, fs, partners, normed, evaluated = (
+        random_real_functions(grid_2d, rng, 4) for _ in range(5))
+    moment_args[1] = (0.5 - 2j) * moment_args[1]
+    MomentTable(model, moment_args).cumulants
+    model.difference_matrix(fs, partners)
+    sobolev_norms(normed, min_mass_sq(model))
+    for f in moment_args + fs + partners + normed:
+        assert f._hat is None and f._half is not None
+    model.evaluate_many(evaluated)
+    assert all(f._half is None and f._hat is not None for f in evaluated)
+
+
 # ---------------------------------------------------------------------------
 # moment_numeric
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ from schwingerlab import fixtures, free_two_point, lattice
 from schwingerlab.fixtures import (random_positive_time_function, random_positive_time_functions,
                                    random_real_function, random_real_functions,
                                    real_function_draws, rng_from_seed)
-from schwingerlab.lattice import (REALITY_TOL, lattice_symbol, negation_index, packet_values,
-                                  positive_time_part, reflect_momentum, sobolev_norms,
-                                  stacked_hats)
+from schwingerlab.lattice import (REALITY_TOL, half_spectrum, lattice_symbol, negation_index,
+                                  packet_values, positive_time_part, reflect_momentum,
+                                  sobolev_norms, stacked_half_spectra, stacked_hats)
+from oracles import half_multiplicity, half_rows
 
 
 def dft_oracle(f):
@@ -342,6 +343,37 @@ def test_stacked_hats_fill_the_caches_with_the_single_transform_bits(grid_2d):
         assert not f.hat.flags.writeable
 
 
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_half_spectrum_multiplicities_fold_the_full_grid(grid_args):
+    grid = Grid(*grid_args)
+    symbol, mu = half_spectrum(grid)
+    assert np.array_equal(mu, half_multiplicity(grid)) and mu.sum() == grid.volume
+    assert np.array_equal(symbol, lattice_symbol(grid)[..., :grid.n_per_axis // 2 + 1].ravel())
+    assert not (symbol.flags.writeable or mu.flags.writeable)
+    # Parseval on the half grid: sum mu |h|^2 = sum |f^|^2, for each real part
+    f = random_complex_function(grid, 21)
+    for part in (f.values.real, f.values.imag):
+        full = np.sum(np.abs(np.fft.fftn(part)) ** 2)
+        assert abs(np.sum(mu * np.abs(np.fft.rfftn(part).ravel()) ** 2) - full) <= 1e-14 * full
+
+
+def test_stacked_half_spectra_fill_the_caches_with_the_single_transform_bits(grid_2d):
+    fs = random_real_functions(grid_2d, rng_from_seed(5), 5)
+    fs[2] = (0.5 - 2j) * fs[2]
+    stacked_half_spectra(fs[1:2])   # one transform cached beforehand
+    rows, starts = stacked_half_spectra(fs + [fs[0]])
+    assert rows.shape == (7, 2 * 32 * 17)
+    assert np.array_equal(starts, [0, 1, 2, 4, 5, 6])   # the complex f has two rows
+    for f, start in zip(fs + [fs[0]], starts):
+        want = half_rows(f)
+        assert _bits_equal(rows[start:start + len(want)], want)
+        assert _bits_equal(f._half, want)
+        assert not f._half.flags.writeable and f._hat is None
+    other = random_real_function(Grid(2, 32, 0.5), rng_from_seed(7))
+    with pytest.raises(DomainError, match="one grid"):
+        stacked_half_spectra([fs[0], other])
+
+
 def test_negation_index_gathers_the_reflected_transform(grid_2d):
     f = random_complex_function(grid_2d, 4)
     index = negation_index(grid_2d)
@@ -402,12 +434,26 @@ def test_sobolev_norms_are_the_per_function_bits(grid_args):
     grid = Grid(*grid_args)
     fs = random_real_functions(grid, rng_from_seed(5), 6) + [
         random_complex_function(grid, 6), TestFunction.zeros(grid)]
-    w = lattice_symbol(grid)
+    symbol = lattice_symbol(grid)[..., :grid.n_per_axis // 2 + 1].ravel()
     for m2 in (1e-6, 0.37, 4.0):
-        want = [math.sqrt(float(np.sum(np.abs(f.hat) ** 2 / (w + m2))) / grid.extent ** grid.d)
-                for f in fs]
+        # each part's pairwise sum over the half grid, mu / (khat^2 + m2) per mode
+        w = np.tile(half_multiplicity(grid) / (symbol + m2), 2)
+        want = [math.sqrt(sum(float(np.sum(row * row * w)) for row in half_rows(f))
+                          / grid.extent ** grid.d) for f in fs]
         assert _bits_equal(sobolev_norms(fs, m2), want)
         assert _bits_equal([sobolev_norm(f, m2) for f in fs], want)
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_half_spectrum_norms_agree_with_the_full_spectrum_sum(grid_args):
+    grid = Grid(*grid_args)
+    fs = random_real_functions(grid, rng_from_seed(15), 4) + [
+        random_complex_function(grid, 16), (0.5 - 2j) * random_real_function(
+            grid, rng_from_seed(17)), TestFunction.zeros(grid)]
+    for m2 in (1e-6, 0.37, 4.0):
+        terms = np.abs(stacked_hats(fs)) ** 2 / (lattice_symbol(grid).ravel() + m2)
+        want = np.sqrt(terms.sum(axis=1) / grid.extent ** grid.d)
+        assert np.all(np.abs(sobolev_norms(fs, m2) - want) <= 1e-14 * want)
 
 
 def test_sobolev_rejects_nonpositive_mass(packet):

@@ -10,7 +10,7 @@ from schwingerlab.fixtures import random_real_function, random_real_functions, r
 from schwingerlab.functional import QuasiFree, _leaf_grams, envelope
 from schwingerlab.lattice import lattice_symbol, negation_index, reflect_momentum, stacked_hats
 from schwingerlab.propagator import MASS_FLOOR_SQ, two_point_grams, two_point_pairs
-from oracles import covariance_kernel
+from oracles import covariance_kernel, half_multiplicity, half_rows
 from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal
 
 
@@ -220,15 +220,32 @@ def _reciprocal_grams(fs, masses_sq, atoms):
     return np.einsum("rm,mij->rij", atoms, sums) / grid.extent ** grid.d
 
 
-def _row_grams(fs, masses_sq, atoms):
-    """two_point_grams with each row's propagator formed first from the
-    per-mass reciprocals, one matmul per row: the oracle of its bits."""
+def _half_spectrum_grams(fs, masses_sq, atoms):
+    """two_point_grams as one real matmul per row over the rows [Re | Im] of
+    the half spectra of every part, weighted by each mode's multiplicity,
+    then S2(f, g) = S2(u, u') - S2(v, v') + i (S2(u, v') + S2(v, u')) entry
+    by entry for f = u + i v, g = u' + i v': the oracle of its bits."""
     grid = fs[0].grid
-    hats = stacked_hats(fs)
-    negs = hats[:, negation_index(grid)]
-    symbol = lattice_symbol(grid).ravel()
-    rows = atoms @ np.array([1.0 / (m2 + symbol) for m2 in masses_sq])
-    return np.array([(negs * row) @ hats.T for row in rows]) / grid.extent ** grid.d
+    x, u, v = [], [], []
+    for f in fs:
+        rows = half_rows(f)
+        u.append(len(x))
+        v.append(len(x) + 1 if len(rows) > 1 else None)
+        x += rows
+    x = np.array(x)
+    symbol = lattice_symbol(grid)[..., :grid.n_per_axis // 2 + 1].ravel()
+    props = atoms @ (1.0 / (np.asarray(masses_sq)[:, None] + symbol))
+    real = np.array([(x * np.tile(half_multiplicity(grid) * p, 2)) @ x.T
+                     for p in props]) / grid.extent ** grid.d
+    if len(x) == len(fs):
+        return real.astype(np.complex128)
+
+    def s2(p, q):
+        return 0.0 if p is None or q is None else real[:, p, q]
+    grams = np.empty(real.shape[:1] + (len(fs), len(fs)), np.complex128)
+    for i, j in np.ndindex(len(fs), len(fs)):
+        grams[:, i, j] = s2(u[i], u[j]) - s2(v[i], v[j]) + 1j * (s2(u[i], v[j]) + s2(v[i], u[j]))
+    return grams
 
 
 def _assert_near_per_mass(grams, fs, masses_sq, atoms, rel=1e-13):
@@ -251,7 +268,7 @@ def test_kernels_are_the_per_mass_division_bits(grid_args):
                            _divided_pairs(f_set, g_set, masses_sq, atoms).copy())
     for f_set in (fs, gs):
         grams = two_point_grams(f_set, masses_sq, atoms)
-        assert _bits_equal(grams, _row_grams(f_set, masses_sq, atoms))
+        assert _bits_equal(grams, _half_spectrum_grams(f_set, masses_sq, atoms))
         _assert_near_per_mass(grams, f_set, masses_sq, atoms)
 
 
