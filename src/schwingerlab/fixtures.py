@@ -45,7 +45,7 @@ def _packet_draw(grid: Grid, rng: np.random.Generator) -> tuple:
 
 def real_function_draws(grid: Grid, rng: np.random.Generator, count: int) -> tuple:
     """The parameters of `count` random real functions, drawn as
-    random_real_functions draws them and nothing built.
+    random_real_values draws them and nothing built.
 
     Per probe the draws are the first packet's center, width and modes, a
     coin, and on heads a coefficient and the second packet's draws.  Returns
@@ -63,16 +63,15 @@ def real_function_draws(grid: Grid, rng: np.random.Generator, count: int) -> tup
     return firsts, rows, coeffs, seconds
 
 
-def random_real_functions(grid: Grid, rng: np.random.Generator,
-                          count: int) -> list[TestFunction]:
-    """`count` random real functions, bit for bit and draw for draw those
-    drawn one probe at a time, with every packet built in one stacked pass.
+def random_real_values(grid: Grid, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random real functions' values, shape (count, *grid.shape), bit for bit
+    and draw for draw those drawn one probe at a time, every packet in one stacked pass.
 
     The draws are real_function_draws'.  A probe whose norm is below 1e-12
     is dropped and the next draws replace it.
     """
     if count < 1:
-        return []
+        return np.empty((0,) + grid.shape)
     firsts, rows, coeffs, seconds = real_function_draws(grid, rng, count)
     centers, widths, momenta = zip(*firsts, *seconds)
     vals = packet_values(grid, np.array(centers), widths, np.array(momenta))
@@ -81,9 +80,15 @@ def random_real_functions(grid: Grid, rng: np.random.Generator,
     real = vals[:count].real.reshape(count, -1).astype(np.complex128)
     norms = np.sqrt((grid.cell * np.add.reduce(np.conj(real) * real, axis=1)).real)
     keep = norms >= 1e-12    # astronomically unlikely cancellation; redraw
-    fs = [TestFunction(grid, v.reshape(grid.shape), copy=False)
-          for v in real[keep] * (1.0 / norms[keep])[:, None]]
-    return fs if len(fs) == count else fs + random_real_functions(grid, rng, count - len(fs))
+    out = (real[keep].real * (1.0 / norms[keep])[:, None]).reshape((-1,) + grid.shape)
+    return out if len(out) == count else np.concatenate(
+        [out, random_real_values(grid, rng, count - len(out))])
+
+
+def random_real_functions(grid: Grid, rng: np.random.Generator,
+                          count: int) -> list[TestFunction]:
+    """random_real_values as test functions; every imaginary part is +0.0."""
+    return [TestFunction(grid, v) for v in random_real_values(grid, rng, count)]
 
 
 def random_real_function(grid: Grid, rng: np.random.Generator) -> TestFunction:

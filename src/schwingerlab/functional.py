@@ -37,8 +37,10 @@ import numpy as np
 
 from . import partitions
 from .errors import DomainError, ModelError, SchemaError
-from .lattice import Grid, TestFunction, sobolev_norm, sobolev_norms
-from .propagator import SpectralMeasure, propagator_rows, two_point_grams, two_point_pairs
+from .lattice import (Grid, TestFunction, half_sobolev_norms, half_spectrum_rows,
+                      sobolev_norm, sobolev_norms)
+from .propagator import (SpectralMeasure, propagator_rows, row_grams, two_point_grams,
+                         two_point_pairs)
 from .serialize import json_number, read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
@@ -207,8 +209,7 @@ def _check_moment_args(fs: Sequence[TestFunction], cap: int) -> None:
 
 
 def _leaf_grams(G: SchwingerFunctional, fs: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n),
-    or (sets, L, n, n) for a sequence of equal-size sets."""
+    """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n)."""
     return G._atom_table[0], two_point_grams(fs, *G._atom_table[1:])
 
 
@@ -458,9 +459,10 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
 
     Probes are random real functions of unit norm in the model's floor
     Sobolev norm, so the norm product in the bound is 1.  An even order's
-    trials share one Gram kernel call over a leading trial axis: the
-    transforms are per row and each trial's slice is the matmul its own call
-    would make, so every Gram, and so k, has the bits of a per-trial call.
+    probes are one float batch (random_real_values) and one rfftn of it; their
+    norms and one row_grams call over a leading trial axis read those rows, and
+    no TestFunction is built.  Transforms are per row and each trial's slice is
+    the matmul its own two_point_grams call would make, so k keeps those bits.
 
     Odd moments of centered leaves are 0, so an odd order only draws its
     trials * n probes' parameters (real_function_draws) to advance the
@@ -471,7 +473,7 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     N <= 64 sites per axis, and fires on a two-packet probe only if both
     packets' parameters cancel to about 1e-12.
     """
-    from .fixtures import random_real_functions, real_function_draws, rng_from_seed
+    from .fixtures import random_real_values, real_function_draws, rng_from_seed
 
     if not 1 <= n_max <= MAX_MOMENT_ORDER:
         raise DomainError(f"n_max={n_max} outside 1..{MAX_MOMENT_ORDER}")
@@ -485,10 +487,10 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
         if n % 2:
             real_function_draws(grid, rng, trials * n)
         else:
-            probes = random_real_functions(grid, rng, trials * n)
-            # moments of the unit-norm f_i / nu_i: each trial's raw Gram / (nu_i nu_j)
-            grams = _leaf_grams(G, [probes[t:t + n] for t in range(0, trials * n, n)])[1]
-            norms = sobolev_norms(probes, floor).reshape(trials, 1, n)
+            x = half_spectrum_rows(grid, random_real_values(grid, rng, trials * n))
+            grams = row_grams(x.reshape(trials, n, -1), grid, *G._atom_table[1:]).astype(complex)
+            norms = half_sobolev_norms(grid, x, np.arange(trials * n), floor).reshape(trials, 1, n)
+            # moments of the unit-norm f_i / nu_i: each trial's complex Gram / (nu_i nu_j)
             pairs = _pair_table(grams / (norms[..., None] * norms[..., None, :]))
             mags = np.abs(partitions.pair_exp(pairs)[..., -1] @ G._atom_table[0]).tolist()
         rows.append((n, max([(m / math.sqrt(math.factorial(n))) ** (1.0 / (n + 1))

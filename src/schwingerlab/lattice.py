@@ -232,19 +232,22 @@ def stacked_hats(fs: list[TestFunction]) -> np.ndarray:
     return np.array([f._hat.ravel() for f in fs])
 
 
+def half_spectrum_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Rows [Re h | Im h], h = rfftn(v) * a^d, of every real v of a (k, *grid.shape) batch."""
+    flat = (np.fft.rfftn(values, axes=range(1, grid.d + 1)) * grid.cell).reshape(len(values), -1)
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
 def stacked_half_spectra(fs: list[TestFunction]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows [Re h | Im h], h = rfftn(part) * a^d, of the parts Re f and Im f (if
-    nonzero) of fs, and each f's first row; the uncached from one batched rfftn."""
+    """half_spectrum_rows of the parts Re f and Im f (if nonzero) of fs, and each
+    f's first row; the uncached from one batched rfftn, which fills their caches."""
     grid = fs[0].grid
     if any(f.grid != grid for f in fs):
         raise DomainError("stacked transforms need every function on one grid")
     todo = list({id(f): f for f in fs if f._half is None}.values())
     if todo:
         split = [[f.values.real, f.values.imag][:1 + f.values.imag.any()] for f in todo]
-        batch = np.fft.rfftn(np.array([p for ps in split for p in ps]),
-                             axes=tuple(range(1, grid.d + 1))) * grid.cell
-        flat = batch.reshape(len(batch), -1)
-        rows = np.concatenate([flat.real, flat.imag], axis=1)
+        rows = half_spectrum_rows(grid, np.array([p for ps in split for p in ps]))
         for f, h in zip(todo, np.split(rows, np.cumsum([len(ps) for ps in split])[:-1])):
             f._half = h.copy()   # own arrays: a cache keeps no batch alive
             f._half.setflags(write=False)
@@ -344,14 +347,15 @@ def sobolev_norm(f: TestFunction, m2: float) -> float:
 
 
 def sobolev_norms(fs: list[TestFunction], m2: float) -> np.ndarray:
-    """The Sobolev norm of every f in fs: per half-spectrum row a pairwise sum of
-    mu |h|^2 / (khat^2 + m2), Re f's plus Im f's, so no bit depends on the stack."""
+    """The Sobolev norm of every f in fs, from its half-spectrum rows."""
+    return half_sobolev_norms(fs[0].grid, *stacked_half_spectra(fs), m2)
+
+
+def half_sobolev_norms(grid: Grid, rows: np.ndarray, starts, m2: float) -> np.ndarray:
+    """Norms of the functions whose half-spectrum rows start at starts: per row a pairwise
+    sum of mu |h|^2 / (khat^2 + m2), then Re f's plus Im f's, so no bit depends on the stack."""
     if m2 <= 0:
-        raise DomainError(
-            f"sobolev_norm needs m2 > 0 (zero mode diverges at m2=0), got {m2}"
-        )
-    grid = fs[0].grid
-    rows, starts = stacked_half_spectra(fs)
+        raise DomainError(f"sobolev_norm needs m2 > 0 (zero mode diverges at m2=0), got {m2}")
     symbol, mu = half_spectrum(grid)
     sq = np.add.reduce(rows * rows * np.tile(mu / (symbol + m2), 2), axis=1)
     return np.sqrt(np.add.reduceat(sq, starts) / grid.extent ** grid.d)

@@ -18,7 +18,7 @@ with one measure per row (a model's leaves): `two_point_pairs` pairs each f_i
 with its g_i, and `two_point_grams` pairs every f_i with every f_j, both from
 one reciprocal table 1 / (khat^2 + m^2) of every mass.  The Grams contract it
 into one propagator P_r per row, and pay one real matmul X diag(mu P_r) X^T
-per row, X = [Re | Im] of the half spectra of Re f and Im f (see `lattice`):
+per row (`row_grams`), X = [Re | Im] of the half spectra of Re f and Im f:
 S2(u + i v, u' + i v') = S2(u, u') - S2(v, v') + i (S2(u, v') + S2(v, u')).
 The pairs keep the full spectrum, read at -k, and stay per mass while the
 worst_kind argmax rests on evaluate's bits: numpy divides a complex by a real
@@ -138,25 +138,24 @@ def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
                        / grid.extent ** grid.d)
 
 
-def two_point_grams(fs: Sequence, masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
-    """Grams S2_r(f_i, f_j) of fs under every row r of atoms, shape (rows, n, n),
-    or (sets, rows, n, n) for equal-size sets: one batched transform and, unless
-    a set holds a complex f, one stacked matmul per row, each set's slice with its
-    own call's bits.  They agree with a per-mass sum to about 1e-15 * max|G|."""
-    batch = () if isinstance(fs[0], TestFunction) else (len(fs),)
-    flat = [f for s in fs for f in s] if batch else fs
-    grid = flat[0].grid
+def row_grams(x: np.ndarray, grid: Grid, masses_sq: Sequence, atoms: np.ndarray) -> np.ndarray:
+    """X diag(mu P_r) X^T / L^d of every (n, modes) stack X of half-spectrum rows in x under
+    every row r of atoms, shape (..., rows, n, n); each X's slice has its own call's bits."""
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, starts = stacked_half_spectra(flat)
-        if batch and len(rows) > len(flat):
-            return np.array([two_point_grams(s, masses_sq, atoms) for s in fs])
-        x = rows.reshape(batch + (-1, rows.shape[1]))
         scaled = np.empty_like(x)   # one temporary for every row
         weights = np.tile(propagator_rows(grid, masses_sq, atoms, half=True), 2)
-        real = np.stack([np.multiply(x, w, out=scaled) @ np.swapaxes(x, -1, -2)
-                         for w in weights], axis=-3) / grid.extent ** grid.d
-        if len(rows) == len(flat):
-            return _finite(real.astype(np.complex128))
+        return _finite(np.stack([np.multiply(x, w, out=scaled) @ np.swapaxes(x, -1, -2)
+                                 for w in weights], axis=-3) / grid.extent ** grid.d)
+
+
+def two_point_grams(fs: Sequence, masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
+    """Grams S2_r(f_i, f_j) of fs under every row r of atoms, shape (rows, n, n): the row_grams
+    of their parts, recombined for a complex f; within about 1e-15 * max|G| of a per-mass sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, starts = stacked_half_spectra(fs)
+        real = row_grams(rows, fs[0].grid, masses_sq, atoms)
+        if len(rows) == len(fs):
+            return real.astype(np.complex128)
         two = np.diff(starts, append=len(rows))[:, None] > 1   # f_i = sum_p c_ip part_p
         c = np.eye(len(rows))[starts] + 1j * two * np.eye(len(rows), k=1)[starts]
         return _finite(c @ real @ c.T)

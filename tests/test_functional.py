@@ -602,7 +602,8 @@ def _growth_drawing_every_order(G, grid, n_max, trials, seed):
         probes = random_real_functions(grid, rng, trials * n)
         mags = []
         if n % 2 == 0:
-            grams = _leaf_grams(G, [probes[t:t + n] for t in range(0, trials * n, n)])[1]
+            grams = np.array([_leaf_grams(G, probes[t:t + n])[1]
+                              for t in range(0, trials * n, n)])
             norms = sobolev_norms(probes, floor).reshape(trials, 1, n)
             pairs = _pair_table(grams / (norms[..., None] * norms[..., None, :]))
             mags = np.abs(partitions.pair_exp(pairs)[..., -1] @ G._atom_table[0]).tolist()
@@ -637,6 +638,23 @@ def test_growth_check_builds_packets_for_the_even_orders_only(grid_2d, monkeypat
     assert len(rows) == 4
     for n, k in zip((2, 4, 6, 8), rows):
         assert 4 * n <= k <= 8 * n
+
+
+def test_growth_check_takes_one_rfftn_per_even_order_and_no_test_function(grid_2d,
+                                                                          monkeypatch):
+    calls = {"rfftn": 0, "fftn": 0, "TestFunction": 0}
+
+    def counted(name, call):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        return counting
+
+    monkeypatch.setattr(np.fft, "rfftn", counted("rfftn", np.fft.rfftn))
+    monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
+    monkeypatch.setattr(TestFunction, "__init__", counted("TestFunction", TestFunction.__init__))
+    moment_growth_check(two_mass_mixture(1.0, 4.0), grid_2d, n_max=8, trials=4)
+    assert calls == {"rfftn": 4, "fftn": 0, "TestFunction": 0}
 
 
 @pytest.mark.parametrize("kwargs", [{"n_max": 0}, {"n_max": -2}, {"n_max": 9},

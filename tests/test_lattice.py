@@ -14,7 +14,7 @@ from schwingerlab import (DomainError, Grid, Isometry, TestFunction,
 from schwingerlab import fixtures, free_two_point, lattice
 from schwingerlab.fixtures import (random_positive_time_function, random_positive_time_functions,
                                    random_real_function, random_real_functions,
-                                   real_function_draws, rng_from_seed)
+                                   random_real_values, real_function_draws, rng_from_seed)
 from schwingerlab.lattice import (REALITY_TOL, half_spectrum, lattice_symbol, negation_index,
                                   packet_values, positive_time_part, reflect_momentum,
                                   sobolev_norms, stacked_half_spectra, stacked_hats)
@@ -215,13 +215,14 @@ def test_random_real_functions_are_the_per_probe_bits(grid_args):
     _assert_batch_matches_the_recipe(grid, range(4), (1, 7, 24))
 
 
-@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
-def test_random_real_functions_redraw_as_the_per_probe_recipe(grid_args, monkeypatch):
-    # packets centered at x0 < L/6 get an exactly zero real part, so a
-    # one-packet probe there (and a two-packet probe with both there) is redrawn
-    build = lattice.packet_values
+def _force_redraws(monkeypatch):
+    """Packets centered at x0 < L/6 get an exactly zero real part, so a
+    one-packet probe there (and a two-packet probe with both there) is
+    redrawn.  Returns the list of stacked packet calls' sizes."""
+    build, calls = lattice.packet_values, []
 
     def imaginary_near_the_origin(grid, centers, widths, momenta):
+        calls.append(len(widths))
         vals = build(grid, centers, widths, momenta)
         near = np.asarray(centers)[:, 0] < grid.extent / 6
         vals[near] = 1j * np.abs(vals[near])
@@ -229,8 +230,34 @@ def test_random_real_functions_redraw_as_the_per_probe_recipe(grid_args, monkeyp
 
     monkeypatch.setattr(lattice, "packet_values", imaginary_near_the_origin)
     monkeypatch.setattr(fixtures, "packet_values", imaginary_near_the_origin)
+    return calls
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_random_real_functions_redraw_as_the_per_probe_recipe(grid_args, monkeypatch):
+    _force_redraws(monkeypatch)
     grid = Grid(*grid_args)
     assert _assert_batch_matches_the_recipe(grid, range(3), (1, 7, 24)) >= 5
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+@pytest.mark.parametrize("redraw", [False, True], ids=["drawn", "redrawn"])
+def test_probe_values_are_the_real_parts_of_the_functions(grid_args, redraw, monkeypatch):
+    calls = _force_redraws(monkeypatch) if redraw else []
+    grid = Grid(*grid_args)
+    assert random_real_values(grid, rng_from_seed(1), 0).shape == (0,) + grid.shape
+    for seed in range(3):
+        for count in (1, 7, 24):
+            value_rng, function_rng = rng_from_seed(seed), rng_from_seed(seed)
+            values = random_real_values(grid, value_rng, count)
+            fs = random_real_functions(grid, function_rng, count)
+            assert values.dtype == np.float64 and values.shape == (count,) + grid.shape
+            assert _bits_equal(values, [f.values.real for f in fs])
+            # +0.0: zero, with the sign bit clear
+            assert _bits_equal([f.values.imag for f in fs], np.zeros(values.shape))
+            assert value_rng.random() == function_rng.random()
+    # a redraw is one more stacked call than the 2 x 3 x 3 calls asked for
+    assert len(calls) > 18 if redraw else calls == []
 
 
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)

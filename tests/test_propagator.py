@@ -6,10 +6,12 @@ import pytest
 from schwingerlab import (DomainError, Grid, SpectralMeasure, TestFunction,
                           apply_isometry, free_two_point, spectral_two_point)
 from schwingerlab.axioms import point_group
-from schwingerlab.fixtures import random_real_function, random_real_functions, rng_from_seed
+from schwingerlab.fixtures import (random_real_function, random_real_functions,
+                                   random_real_values, rng_from_seed)
 from schwingerlab.functional import QuasiFree, _leaf_grams, envelope
-from schwingerlab.lattice import lattice_symbol, negation_index, reflect_momentum, stacked_hats
-from schwingerlab.propagator import MASS_FLOOR_SQ, two_point_grams, two_point_pairs
+from schwingerlab.lattice import (half_spectrum_rows, lattice_symbol, negation_index,
+                                  reflect_momentum, stacked_hats)
+from schwingerlab.propagator import MASS_FLOOR_SQ, row_grams, two_point_grams, two_point_pairs
 from oracles import covariance_kernel, half_multiplicity, half_rows
 from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal
 
@@ -293,18 +295,18 @@ def test_batched_grams_are_the_per_set_bits(grid_args):
     masses_sq = np.array([MASS_FLOOR_SQ, 0.37, 1.0, 4.5])
     atoms = 10.0 ** rng.uniform(-6.0, 6.0, (3, len(masses_sq)))
     for n, count in ((1, 1), (2, 3), (4, 4), (8, 2)):
-        probes = random_real_functions(grid, rng, n * count - 1) + [
-            random_complex_function(grid, 822 + n)]
-        sets = [probes[t:t + n] for t in range(0, n * count, n)]
-        batched = two_point_grams(sets, masses_sq, atoms)
-        assert batched.shape == (count, len(atoms), n, n)
-        for got, fs in zip(batched, sets):
+        values = random_real_values(grid, rng, n * count)
+        x = half_spectrum_rows(grid, values).reshape(count, n, -1)
+        batched = row_grams(x, grid, masses_sq, atoms)
+        assert batched.shape == (count, len(atoms), n, n) and batched.dtype == np.float64
+        for t, got in enumerate(batched):
             # fresh functions: each set's own call pays its own transforms
-            own = [TestFunction(grid, f.values) for f in fs]
-            assert _bits_equal(got.copy(), two_point_grams(own, masses_sq, atoms))
-    heavy = [probes[:2], [probes[2], 1e160 * probes[3]]]
+            own = [TestFunction(grid, v) for v in values[t * n:(t + 1) * n]]
+            assert _bits_equal(got.astype(np.complex128), two_point_grams(own, masses_sq, atoms))
+    heavy = values[:4].copy()
+    heavy[3] *= 1e160
     with pytest.raises(DomainError, match="overflow"):
-        two_point_grams(heavy, masses_sq, atoms)
+        row_grams(half_spectrum_rows(grid, heavy).reshape(2, 2, -1), grid, masses_sq, atoms)
 
 
 def test_leaf_grams_of_leaves_that_share_masses(grid_2d_small):
