@@ -37,10 +37,9 @@ import numpy as np
 
 from . import partitions
 from .errors import DomainError, ModelError, SchemaError
-from .lattice import (Grid, TestFunction, half_sobolev_norms, half_spectrum_rows,
-                      sobolev_norm, sobolev_norms)
-from .propagator import (SpectralMeasure, propagator_rows, row_grams, two_point_grams,
-                         two_point_pairs)
+from .lattice import Grid, TestFunction, half_spectrum_rows
+from .propagator import (SpectralMeasure, half_sobolev_norms, propagator_rows, row_grams,
+                         sobolev_norm, sobolev_norms, two_point_grams, two_point_pairs)
 from .serialize import json_number, read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
@@ -186,11 +185,13 @@ def min_mass_sq(G: SchwingerFunctional) -> float:
 def quasi_free_defect(G: SchwingerFunctional, grid: Grid) -> float:
     """max |P_l(k) - P_1(k)| / max P_1(k) over k and the leaves l of positive
     weight, P_l(k) = sum_m a_lm / (khat^2 + m^2) the symbol of leaf l's
-    covariance and P_1 the first such leaf's.  A finite mixture of centered
-    Gaussians is Gaussian exactly when its components of positive weight
-    share one covariance, so G is quasi-free on the grid exactly when this is
-    0, up to roundoff below ROUNDOFF_FLOOR (atoms merged in another order); it
-    is exactly 0 for identical leaves and when no leaf has positive weight."""
+    covariance and P_1 the first such leaf's; k runs over the half grid,
+    which holds every value, since khat^2 is even in k.  A finite mixture of
+    centered Gaussians is Gaussian exactly when its components of positive
+    weight share one covariance, so G is quasi-free on the grid exactly when
+    this is 0, up to roundoff below ROUNDOFF_FLOOR (atoms merged in another
+    order); it is exactly 0 for identical leaves and when no leaf has positive
+    weight."""
     weights, masses, atoms = G._atom_table
     rows = propagator_rows(grid, masses, atoms[weights > 0])
     first = rows[:1]

@@ -116,21 +116,6 @@ def lattice_symbol(grid: Grid) -> np.ndarray:
     return out
 
 
-def reflect_momentum(arr: np.ndarray) -> np.ndarray:
-    """Index map k -> -k (mod the Brillouin zone) on an FFT-ordered array."""
-    for ax in range(arr.ndim):
-        arr = _negate_axis(arr, ax)
-    return arr
-
-
-@lru_cache(maxsize=64)
-def negation_index(grid: Grid) -> np.ndarray:
-    """Flat index of -k for every flat momentum index k, read-only; two_point_pairs reads it."""
-    out = reflect_momentum(np.arange(grid.volume).reshape(grid.shape)).ravel()
-    out.setflags(write=False)
-    return out
-
-
 @lru_cache(maxsize=64)
 def half_spectrum(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """khat^2 and the multiplicity mu of every rfftn half-grid mode, flat and read-only."""
@@ -145,16 +130,16 @@ def half_spectrum(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 class TestFunction:
     """Complex-valued function sampled on a Grid; argument of every functional.
 
-    Values are immutable after construction.  The full spectrum (evaluation)
-    and the half spectra (Grams and norms) are each cached on first use; the
-    reality flag is cached on first read, since most functions (stencil
-    combinations, isometry images, sums) never have it read.
+    Values are immutable after construction.  The half spectra (Grams and
+    norms) are cached on first use; the reality flag is cached on first
+    read, since most functions (stencil combinations, isometry images, sums)
+    never have it read.
     Values carry units field^-1 volume^-1 so that pairings phi(f) are
     dimensionless.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("grid", "values", "_is_real", "_hat", "_half")
+    __slots__ = ("grid", "values", "_is_real", "_half")
 
     def __init__(self, grid: Grid, values, copy: bool = True):
         arr = np.array(values, dtype=np.complex128, copy=copy)
@@ -167,7 +152,7 @@ class TestFunction:
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
-        self._is_real = self._hat = self._half = None
+        self._is_real = self._half = None
 
     @classmethod
     def zeros(cls, grid: Grid) -> "TestFunction":
@@ -179,13 +164,6 @@ class TestFunction:
         if self._is_real is None:
             self._is_real = bool(np.max(np.abs(self.values.imag), initial=0.0) <= REALITY_TOL)
         return self._is_real
-
-    @property
-    def hat(self) -> np.ndarray:
-        """f^(k) = a^d sum_x exp(-i k.x) f(x), FFT layout."""
-        if self._hat is None:
-            stacked_hats([self])
-        return self._hat
 
     def _same_grid(self, other: "TestFunction") -> None:
         if self.grid != other.grid:
@@ -214,22 +192,6 @@ class TestFunction:
 
     def l2_norm(self) -> float:
         return math.sqrt(self.inner(self).real)
-
-
-def stacked_hats(fs: list[TestFunction]) -> np.ndarray:
-    """The transforms f^ of fs as the rows of one (len(fs), sites) array;
-    the uncached ones come from one batched FFT, which fills their caches."""
-    grid = fs[0].grid
-    if any(f.grid != grid for f in fs):
-        raise DomainError("stacked transforms need every function on one grid")
-    todo = list({id(f): f for f in fs if f._hat is None}.values())
-    if todo:
-        batch = np.fft.fftn(np.array([f.values for f in todo]),
-                            axes=tuple(range(1, grid.d + 1))) * grid.cell
-        for f, h in zip(todo, batch):   # own arrays: a cache keeps no batch alive
-            f._hat = h.copy()
-            f._hat.setflags(write=False)
-    return np.array([f._hat.ravel() for f in fs])
 
 
 def half_spectrum_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -336,29 +298,6 @@ def site_indicator(grid: Grid, site) -> TestFunction:
     vals = np.zeros(grid.shape, dtype=np.complex128)
     vals[idx] = 1.0 / math.sqrt(grid.cell)
     return TestFunction(grid, vals, copy=False)
-
-
-def sobolev_norm(f: TestFunction, m2: float) -> float:
-    """Mass-regularized Sobolev norm  sqrt( L^-d sum_k |f^|^2 / (khat^2+m2) ).
-
-    Equals sqrt(S2(f,f)) of the free mass-m2 two-point function for real f.
-    """
-    return float(sobolev_norms([f], m2)[0])
-
-
-def sobolev_norms(fs: list[TestFunction], m2: float) -> np.ndarray:
-    """The Sobolev norm of every f in fs, from its half-spectrum rows."""
-    return half_sobolev_norms(fs[0].grid, *stacked_half_spectra(fs), m2)
-
-
-def half_sobolev_norms(grid: Grid, rows: np.ndarray, starts, m2: float) -> np.ndarray:
-    """Norms of the functions whose half-spectrum rows start at starts: per row a pairwise
-    sum of mu |h|^2 / (khat^2 + m2), then Re f's plus Im f's, so no bit depends on the stack."""
-    if m2 <= 0:
-        raise DomainError(f"sobolev_norm needs m2 > 0 (zero mode diverges at m2=0), got {m2}")
-    symbol, mu = half_spectrum(grid)
-    sq = np.add.reduce(rows * rows * np.tile(mu / (symbol + m2), 2), axis=1)
-    return np.sqrt(np.add.reduceat(sq, starts) / grid.extent ** grid.d)
 
 
 @dataclass(frozen=True)

@@ -2,25 +2,28 @@
 
 A quasi-free leaf is the law of a centered Gaussian field with covariance
 sum_atoms w / (khat^2 + m^2); it is drawn spectrally: one white-noise field
-per atom, shaped by C_j = IFFT amp_j FFT with amp_j = 1/sqrt(a^d (khat^2 +
-m_j^2)), weighted by sqrt(w_j) and summed in atom order.  A mixture is
-sampled by first drawing a leaf with its path weight, then drawing that
-leaf's Gaussian, so empirical moments of phi(f) estimate the model's
-analytic moments.
+per atom j, shaped on the rfftn half grid by the amplitude row amp_j =
+sqrt(w_j / (a^d (khat^2 + m_j^2))), read off propagator's one half-grid
+table, so sum_j amp_j^2 a^d is the leaf's covariance symbol.  A sample's
+field is irfftn(sum_j amp_j rfftn(white_j)), the spectra summed in atom
+order.  A mixture is sampled by first drawing a leaf with its path weight,
+then drawing that leaf's Gaussian, so empirical moments of phi(f) estimate
+the model's analytic moments.
 
 There is one draw path, `_Stream.draw`, with two consumers: `pair_values`
 and `sample_stream`.  `sample_stream` yields each sample as a
 (component, values) tuple, values a plain float64 array on the grid, and
 `write_samples` writes them to a text dump (dumps are write-only).
 
-`pair_values` never builds the fields.  amp_j is real and even, so C_j is
-a real symmetric matrix and
+`pair_values` never builds the fields.  amp_j is real and even, so C_j =
+irfftn amp_j rfftn is a real symmetric matrix and
 
-    Re phi(f) = a^d <sum_j sqrt(w_j) C_j white_j, Re f> = sum_j <white_j, r_j>,
-    r_j = sqrt(w_j) a^d Re IFFT(amp_j FFT(Re f)).
+    Re phi(f) = a^d <sum_j C_j white_j, Re f> = sum_j <white_j, r_j>,
+    r_j = a^d irfftn(amp_j rfftn(Re f)).
 
-Re f is filtered once per call and distinct mass; each sample then costs
-its random draws and one dot product with the picked leaf's rows r_j.
+Re f is transformed once per call and filtered in one batched irfftn per
+leaf; each sample then costs its random draws and one dot product with the
+picked leaf's rows r_j.
 
 Randomness is counter based: every sample owns a Philox stream keyed by
 (seed, sample index), and sites are consumed in a fixed row-major order,
@@ -45,7 +48,8 @@ import numpy as np
 from .errors import DomainError
 from .fixtures import philox_state, rng_from_seed
 from .functional import SchwingerFunctional, model_to_dict
-from .lattice import Grid, TestFunction, lattice_symbol
+from .lattice import Grid, TestFunction
+from .propagator import inverse_propagators
 from .serialize import canonical_digest
 
 # samples per run: about 26 s of pair_values; a dump on 32^2 holds about
@@ -61,17 +65,19 @@ class _Stream:
     """The draws of one model on one grid along the Philox streams of a seed.
 
     Built once per stream from the atom table: the cumulative leaf weights,
-    amp per distinct mass, each leaf's atoms as (mass column, sqrt(w_j)) and
-    the shape of its white-noise block, and the Philox state of stream 0.
+    each leaf's amplitude rows amp_j on the half grid, one per atom of
+    positive weight in mass order, the shape of its white-noise block, and
+    the Philox state of stream 0.
     """
 
     def __init__(self, G: SchwingerFunctional, grid: Grid, seed: int):
         weights, masses, atoms = G._atom_table
-        symbol = lattice_symbol(grid)
+        table = inverse_propagators(grid, masses)
+        half = grid.shape[:-1] + (grid.n_per_axis // 2 + 1,)
         self.cum_weights = list(itertools.accumulate(weights.tolist()))
-        self.amps = [1.0 / np.sqrt(grid.cell * (symbol + m2)) for m2 in masses.tolist()]
-        self.atoms = [[(j, math.sqrt(a[j])) for j in np.flatnonzero(a)] for a in atoms]
-        self.shapes = [(len(leaf),) + grid.shape for leaf in self.atoms]
+        self.amps = [np.sqrt(a[a > 0, None] * table[a > 0] / grid.cell).reshape((-1,) + half)
+                     for a in atoms]
+        self.shapes = [(len(amps),) + grid.shape for amps in self.amps]
         self.rng = rng_from_seed(seed)
         self.state = philox_state(seed, 0)
         self.key = self.state["state"]["key"]
@@ -91,14 +97,13 @@ class _Stream:
 def sample_stream(G: SchwingerFunctional, grid: Grid, seed: int,
                   count: int) -> Iterator[tuple[int, np.ndarray]]:
     """(component, values) for samples 0..count-1: the picked leaf and its
-    real field sum_j sqrt(w_j) C_j white_j, summed in atom order."""
+    real field irfftn(sum_j amp_j rfftn(white_j)), summed in atom order."""
     stream = _Stream(G, grid, seed)
+    batch, field = tuple(range(1, grid.d + 1)), tuple(range(grid.d))
     for index in range(count):
         component, white = stream.draw(index)
-        values = np.zeros(grid.shape)
-        for (j, sqrt_w), noise in zip(stream.atoms[component], white):
-            values += sqrt_w * np.fft.ifftn(np.fft.fftn(noise) * stream.amps[j]).real
-        yield component, values
+        spectra = stream.amps[component] * np.fft.rfftn(white, axes=batch)
+        yield component, np.fft.irfftn(spectra.sum(axis=0), s=grid.shape, axes=field)
 
 
 def estimate_fourth_cumulant(pairings: np.ndarray) -> tuple[float, float]:
@@ -126,10 +131,10 @@ def pair_values(G: SchwingerFunctional, grid: Grid, f: TestFunction,
     if f.grid != grid:
         raise DomainError("test function lives on a different grid")
     stream = _Stream(G, grid, seed)
-    f_hat = np.fft.fftn(f.values.real)
-    filtered = [np.fft.ifftn(amp * f_hat).real.ravel() for amp in stream.amps]
-    rows = [np.concatenate([sqrt_w * grid.cell * filtered[j] for j, sqrt_w in leaf])
-            for leaf in stream.atoms]
+    axes = tuple(range(1, grid.d + 1))
+    f_half = np.fft.rfftn(f.values.real)
+    rows = [grid.cell * np.fft.irfftn(amps * f_half, s=grid.shape, axes=axes).ravel()
+            for amps in stream.amps]
     out = np.empty(count, dtype=np.float64)
     for index in range(count):
         component, white = stream.draw(index)

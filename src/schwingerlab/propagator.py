@@ -15,29 +15,34 @@ S2_m(f, f) is pinned to the squared mass-regularized Sobolev norm for real f.
 
 The momentum sum is written once, in two kernels over an atom-weight matrix
 with one measure per row (a model's leaves): `two_point_pairs` pairs each f_i
-with its g_i, and `two_point_grams` pairs every f_i with every f_j, both from
-one reciprocal table 1 / (khat^2 + m^2) of every mass.  The Grams contract it
-into one propagator P_r per row, and pay one real matmul X diag(mu P_r) X^T
-per row (`row_grams`), X = [Re | Im] of the half spectra of Re f and Im f:
+with its g_i, and `two_point_grams` pairs every f_i with every f_j.  Every
+real-field transform (the Grams, the Sobolev norms, the sampler's amplitudes
+in `montecarlo`) reads one table, `inverse_propagators`: 1 / (khat^2 + m^2)
+of every mass on the rfftn half grid, where a mode k_last in (0, N/2) stands
+for itself and its -k, so it counts with multiplicity mu = 2.  The Grams
+contract it into one propagator P_r per row, and pay one real matmul
+X diag(mu P_r) X^T per row (`row_grams`), X = [Re | Im] of the half spectra
+of Re f and Im f:
 S2(u + i v, u' + i v') = S2(u, u') - S2(v, v') + i (S2(u, v') + S2(v, u')).
-The pairs keep the full spectrum, read at -k, and stay per mass while the
-worst_kind argmax rests on evaluate's bits: numpy divides a complex by a real
-by Smith's rule, which multiplies both parts by 1/d, so their products have
-the bits of a per-mass division (except that a -0 part of the numerator may
-come out as a zero of the other sign).  Overflow raises DomainError.
+The pairs alone take the complex full spectrum, from their own FFT, read at
+-k, and stay per mass over a full-grid table while the worst_kind argmax
+rests on evaluate's bits: numpy divides a complex by a real by Smith's rule,
+which multiplies both parts by 1/d, so their products have the bits of a
+per-mass division (except that a -0 part of the numerator may come out as a
+zero of the other sign).  Overflow raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .lattice import (Grid, TestFunction, half_spectrum, lattice_symbol, negation_index,
-                      stacked_half_spectra, stacked_hats)
+from .lattice import Grid, TestFunction, half_spectrum, lattice_symbol, stacked_half_spectra
 from .serialize import json_number
 
 # Guards the massless infrared divergence; models set their own, larger
@@ -95,17 +100,16 @@ class SpectralMeasure:
         return SpectralMeasure(((float(m2), 1.0),))
 
 
-def _inverse_propagators(grid: Grid, masses_sq: Sequence[float], half: bool = False) -> np.ndarray:
-    """1 / (m2 + khat^2) of every mass m2 by mode; on the half grid, times each multiplicity."""
-    symbol, mu = half_spectrum(grid) if half else (lattice_symbol(grid).ravel(), 1.0)
-    return mu / (np.asarray(masses_sq, dtype=np.float64)[:, None] + symbol)
+def inverse_propagators(grid: Grid, masses_sq: Sequence[float]) -> np.ndarray:
+    """1 / (m2 + khat^2) of every mass m2 on every rfftn half-grid mode, shape (masses, modes):
+    the one table of the real-field transforms (Grams, norms, sampler)."""
+    return 1.0 / (np.asarray(masses_sq, dtype=np.float64)[:, None] + half_spectrum(grid)[0])
 
 
-def propagator_rows(grid: Grid, masses_sq: Sequence[float], atoms: np.ndarray,
-                    half: bool = False) -> np.ndarray:
-    """The covariance symbol P_r(k) = sum_m atoms[r, m] / (khat^2 + m^2) of
-    every row r of atoms, shape (rows, modes); see _inverse_propagators for half."""
-    return atoms @ _inverse_propagators(grid, masses_sq, half)
+def propagator_rows(grid: Grid, masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
+    """The covariance symbol P_r(k) = sum_m atoms[r, m] / (khat^2 + m^2) of every row r
+    of atoms on the half grid, shape (rows, modes)."""
+    return atoms @ inverse_propagators(grid, masses_sq)
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -115,23 +119,46 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
+@lru_cache(maxsize=64)
+def _negation_index(grid: Grid) -> np.ndarray:
+    """Flat FFT-order index of -k (mod N per axis) for every flat momentum index k."""
+    modes = np.indices(grid.shape).reshape(grid.d, -1)
+    out = np.ravel_multi_index(tuple(-modes % grid.n_per_axis), grid.shape)
+    out.setflags(write=False)
+    return out
+
+
+def _spectra(fs: Sequence[TestFunction]) -> np.ndarray:
+    """f^(k) = a^d sum_x exp(-i k.x) f(x) of every f in fs as flat FFT-order rows,
+    from one batched FFT of the distinct functions (a row has its own FFT's bits)."""
+    grid = fs[0].grid
+    if any(f.grid != grid for f in fs):
+        raise DomainError("two-point functions need every function on one grid")
+    distinct = {id(f): f for f in fs}
+    row = {key: i for i, key in enumerate(distinct)}
+    hats = np.fft.fftn(np.array([f.values for f in distinct.values()]),
+                       axes=tuple(range(1, grid.d + 1))) * grid.cell
+    return hats.reshape(len(distinct), -1)[[row[id(f)] for f in fs]]
+
+
 def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
                     masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
     """S2_r(f_i, g_i) of every pair i and every row r of atoms, shape
     (len(fs), rows); row r weights masses_sq[m] by atoms[r, m].
 
     Per mass one (len(fs), sites) temporary is multiplied by that mass's
-    row of the reciprocal table and row-summed, so a pair's momentum sum
-    has the same bits whichever other pairs and masses share the call;
-    each row then adds its atoms in mass order.
+    row of the full-grid reciprocal table and row-summed, so a pair's
+    momentum sum has the same bits whichever other pairs and masses share
+    the call; each row then adds its atoms in mass order.
     """
     grid = fs[0].grid
     with np.errstate(over="ignore", invalid="ignore"):
-        hats = stacked_hats(fs if gs is fs else list(fs) + list(gs))
-        prod = hats[:len(fs), negation_index(grid)] * hats[-len(gs):]
+        hats = _spectra(fs if gs is fs else list(fs) + list(gs))
+        prod = hats[:len(fs), _negation_index(grid)] * hats[-len(gs):]
         scaled = np.empty_like(prod)
-        sums = np.array([np.multiply(prod, inv, out=scaled).sum(axis=1)
-                         for inv in _inverse_propagators(grid, masses_sq)]).T
+        inverse = 1.0 / (np.asarray(masses_sq, dtype=np.float64)[:, None]
+                         + lattice_symbol(grid).ravel())
+        sums = np.array([np.multiply(prod, inv, out=scaled).sum(axis=1) for inv in inverse]).T
         # a running sum in atom order, not np.sum's pairwise order: evaluate's
         # bits, and every witness built on them, depend on it
         return _finite(np.cumsum(atoms * sums[:, None, :], axis=2)[:, :, -1]
@@ -143,7 +170,8 @@ def row_grams(x: np.ndarray, grid: Grid, masses_sq: Sequence, atoms: np.ndarray)
     every row r of atoms, shape (..., rows, n, n); each X's slice has its own call's bits."""
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.empty_like(x)   # one temporary for every row
-        weights = np.tile(propagator_rows(grid, masses_sq, atoms, half=True), 2)
+        # mu is 1 or 2, so scaling by it is exact
+        weights = np.tile(half_spectrum(grid)[1] * propagator_rows(grid, masses_sq, atoms), 2)
         return _finite(np.stack([np.multiply(x, w, out=scaled) @ np.swapaxes(x, -1, -2)
                                  for w in weights], axis=-3) / grid.extent ** grid.d)
 
@@ -159,6 +187,29 @@ def two_point_grams(fs: Sequence, masses_sq: Sequence[float], atoms: np.ndarray)
         two = np.diff(starts, append=len(rows))[:, None] > 1   # f_i = sum_p c_ip part_p
         c = np.eye(len(rows))[starts] + 1j * two * np.eye(len(rows), k=1)[starts]
         return _finite(c @ real @ c.T)
+
+
+def sobolev_norm(f: TestFunction, m2: float) -> float:
+    """Mass-regularized Sobolev norm  sqrt( L^-d sum_k |f^|^2 / (khat^2+m2) ).
+
+    Equals sqrt(S2(f,f)) of the free mass-m2 two-point function for real f.
+    """
+    return float(sobolev_norms([f], m2)[0])
+
+
+def sobolev_norms(fs: Sequence[TestFunction], m2: float) -> np.ndarray:
+    """The Sobolev norm of every f in fs, from its half-spectrum rows."""
+    return half_sobolev_norms(fs[0].grid, *stacked_half_spectra(fs), m2)
+
+
+def half_sobolev_norms(grid: Grid, rows: np.ndarray, starts, m2: float) -> np.ndarray:
+    """Norms of the functions whose half-spectrum rows start at starts: per row a pairwise
+    sum of mu |h|^2 / (khat^2 + m2), then Re f's plus Im f's, so no bit depends on the stack."""
+    if m2 <= 0:
+        raise DomainError(f"sobolev_norm needs m2 > 0 (zero mode diverges at m2=0), got {m2}")
+    weights = np.tile(half_spectrum(grid)[1] * inverse_propagators(grid, [m2])[0], 2)
+    sq = np.add.reduce(rows * rows * weights, axis=1)
+    return np.sqrt(np.add.reduceat(sq, starts) / grid.extent ** grid.d)
 
 
 def free_two_point(f: TestFunction, g: TestFunction, m2: float) -> complex:

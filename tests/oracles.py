@@ -5,10 +5,13 @@ partitions by recursive element insertion and moments/cumulants by the sum
 over them (the package runs exp/log over bitmask set functions), Bell
 numbers by the Bell triangle, perfect matchings by pairing the first
 element with each other one, the covariance kernel in position space
-(the package sums in momentum space), and quasi-freeness from the
+(the package sums in momentum space), quasi-freeness from the
 connected 4-point function on one probe (the package compares the leaves'
-covariance symbols), and the half-spectrum multiplicities by folding every
-full-grid mode onto the rfftn half grid (the package writes the rule down).
+covariance symbols), the quasi-free defect over every full-grid mode (the
+package reads the half grid), the half-spectrum multiplicities by folding
+every full-grid mode onto the rfftn half grid (the package writes the rule
+down), and the momentum negation k -> -k by flipping and rolling each axis
+(the package computes the flat index of -k mod N).
 """
 
 import math
@@ -105,6 +108,23 @@ def probe_quasi_free(G, grid):
     at least 1e-6 of it.  Leaves tuned to agree on f fool it."""
     table = MomentTable(G, [fixture_packet(grid)] * 4)
     return bool(abs(table.cumulants[-1]) <= 1e-9 * table.scales[-1])
+
+
+def full_grid_quasi_free_defect(G, grid):
+    """quasi_free_defect with the leaf symbols P_l(k) on every FFT-ordered
+    full-grid mode k, not only on the half grid."""
+    weights, masses, atoms = G._atom_table
+    rows = atoms[weights > 0] @ (1.0 / (masses[:, None] + lattice_symbol(grid).ravel()))
+    first = rows[:1]
+    return float(np.max(np.abs(rows - first) / first.max(axis=1, keepdims=True), initial=0.0))
+
+
+def reflect_momentum(arr):
+    """Index map k -> -k (mod the Brillouin zone) on an FFT-ordered array:
+    every axis flipped, then rolled by one."""
+    for ax in range(arr.ndim):
+        arr = np.roll(np.flip(arr, axis=ax), 1, axis=ax)
+    return arr
 
 
 def half_multiplicity(grid):

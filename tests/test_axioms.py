@@ -22,11 +22,13 @@ from schwingerlab.fixtures import (random_model_tree,
                                    random_real_function, rng_from_seed)
 from schwingerlab.functional import (ROUNDOFF_FLOOR, default_z_grid, envelope,
                                      quasi_free_defect, validate_model)
-from schwingerlab.lattice import Grid, TestFunction, gaussian_packet, reflect_momentum
+from schwingerlab.lattice import Grid, TestFunction, gaussian_packet
 from schwingerlab.propagator import spectral_two_point
 
-from oracles import fixture_packet, probe_quasi_free
+from oracles import (fixture_packet, full_grid_quasi_free_defect, probe_quasi_free,
+                     reflect_momentum)
 from test_functional import MODEL_FAMILY
+from test_lattice import spectrum
 
 
 def evaluate_loop(G, fs, partners):
@@ -71,7 +73,8 @@ class Anisotropic:
         k1 = 2.0 * np.pi * np.fft.fftfreq(g.n_per_axis, d=g.spacing)
         s1 = (2.0 / g.spacing) ** 2 * np.sin(k1 * g.spacing / 2.0) ** 2
         sym = self.weights[0] * s1[:, None] + self.weights[1] * s1[None, :]
-        s2 = np.sum(reflect_momentum(f.hat) * f.hat / (sym + self.m2)) / g.extent ** g.d
+        hat = spectrum(f)
+        s2 = np.sum(reflect_momentum(hat) * hat / (sym + self.m2)) / g.extent ** g.d
         zz = complex(z)
         return complex(np.exp(-0.5 * zz * zz * s2))
 
@@ -582,6 +585,24 @@ def test_measures_equal_up_to_roundoff_are_quasi_free(grid_args):
         assert model._atom_table[2][0].tolist() != model._atom_table[2][1].tolist()
         assert 0.0 < quasi_free_defect(model, grid) <= ROUNDOFF_FLOOR
         assert probe_quasi_free(model, grid)
+
+
+@pytest.mark.parametrize("grid_args", GRIDS, ids=["1d", "2d", "3d"])
+def test_quasi_free_defect_on_the_half_grid_is_bit_identical_to_the_full_grid(grid_args):
+    # khat^2 is even in k, so the half grid holds every value of every symbol
+    grid = Grid(*grid_args)
+    tied = QuasiFree(SpectralMeasure(((0.25, 0.3096322759589235), (4.0, 0.6903677240410765))))
+    other = QuasiFree(SpectralMeasure.delta(4.0))
+    same = QuasiFree(SpectralMeasure(((1.0, 0.5), (4.0, 0.3), (9.0, 0.2))))
+    pool = rng_from_seed(424242)   # the benchmark's model pool
+    models = (MODEL_FAMILY + [envelope([(0.5, ONE), (0.5, tied)]),
+                              envelope([(0.0, other), (0.4, ONE), (0.6, tied)]),
+                              envelope([(0.3, same), (0.7, same)]),
+                              Mixture(((0.0, ONE), (0.0, other)))]
+              + [random_model_tree(pool, max_depth=3) for _ in range(48)])
+    for model in models:
+        assert (quasi_free_defect(model, grid).hex()
+                == full_grid_quasi_free_defect(model, grid).hex())
 
 
 def _valid(tree):

@@ -622,6 +622,13 @@ def test_moments_rerun_is_byte_identical_across_processes(model_file, tmp_path):
     assert all(row["connected"] == [0.0, 0.0] for row in rows[::2])
 
 
+def test_sample_rerun_is_byte_identical_across_processes(model_file, tmp_path):
+    first, second = rerun_bytes(["sample", model_file, "--count", "8", "--seed", "5"],
+                                "samples.txt", tmp_path)
+    assert first == second
+    assert first.count(b"\nsample index=") == 8
+
+
 def test_refine_writes_curves_csv(tmp_path):
     spec = tmp_path / "ref.json"
     write_json(spec, {

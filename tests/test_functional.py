@@ -20,7 +20,8 @@ from schwingerlab.experiments import two_mass_mixture
 from schwingerlab import fixtures, partitions
 from schwingerlab.fixtures import (_packet_draw, random_model_tree, random_real_function,
                                    random_real_functions, rng_from_seed)
-from schwingerlab.lattice import Grid, sobolev_norms
+from schwingerlab.lattice import Grid
+from schwingerlab.propagator import sobolev_norms
 from schwingerlab.functional import (GROWTH_K_CEILING, MAX_MOMENT_ORDER,
                                      MAX_TREE_DEPTH, NUMERIC_TOLERANCE_SCHEDULE,
                                      REGULARITY_C_CEILING, ROUNDOFF_FLOOR,
@@ -183,8 +184,16 @@ def test_moment_order_cap():
         moment_analytic(grid, [None] * 9)
 
 
-def test_grammed_and_normed_arguments_pay_no_complex_transform(grid_2d):
-    # Grams and norms read the real half spectra; evaluation reads the full one
+def test_grammed_and_normed_arguments_pay_no_complex_transform(grid_2d, monkeypatch):
+    # Grams and norms read the real half spectra; only evaluation takes the
+    # full one, in one uncached batched FFT per call
+    fftn, ffts = np.fft.fftn, []
+
+    def counted(values, *args, **kwargs):
+        ffts.append(len(values))   # the batch size of each call
+        return fftn(values, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
     model = nested_mixture()
     rng = rng_from_seed(41)
     moment_args, fs, partners, normed, evaluated = (
@@ -193,10 +202,9 @@ def test_grammed_and_normed_arguments_pay_no_complex_transform(grid_2d):
     MomentTable(model, moment_args).cumulants
     model.difference_matrix(fs, partners)
     sobolev_norms(normed, min_mass_sq(model))
-    for f in moment_args + fs + partners + normed:
-        assert f._hat is None and f._half is not None
-    model.evaluate_many(evaluated)
-    assert all(f._half is None and f._hat is not None for f in evaluated)
+    assert ffts == [] and all(f._half is not None for f in moment_args + fs + partners + normed)
+    model.evaluate_many(evaluated + evaluated[:2])
+    assert ffts == [4] and all(f._half is None for f in evaluated)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,15 @@ from hypothesis import given, settings, strategies as st
 from schwingerlab import (DomainError, Grid, Isometry, TestFunction,
                           apply_isometry, gaussian_packet,
                           positive_time_part, positive_time_support,
-                          site_indicator, sobolev_norm)
+                          site_indicator)
 from schwingerlab import fixtures, free_two_point, lattice
 from schwingerlab.fixtures import (random_positive_time_function, random_positive_time_functions,
                                    random_real_function, random_real_functions,
                                    random_real_values, real_function_draws, rng_from_seed)
-from schwingerlab.lattice import (REALITY_TOL, half_spectrum, lattice_symbol, negation_index,
-                                  packet_values, positive_time_part, reflect_momentum,
-                                  sobolev_norms, stacked_half_spectra, stacked_hats)
-from oracles import half_multiplicity, half_rows
+from schwingerlab.lattice import (REALITY_TOL, half_spectrum, lattice_symbol, packet_values,
+                                  positive_time_part, stacked_half_spectra)
+from schwingerlab.propagator import _negation_index, _spectra, sobolev_norm, sobolev_norms
+from oracles import half_multiplicity, half_rows, reflect_momentum
 
 
 def dft_oracle(f):
@@ -36,6 +36,11 @@ def dft_oracle(f):
             acc += np.exp(-1j * np.dot(k, x)) * f.values[xidx]
         out[kidx] = acc * g.cell
     return out
+
+
+def spectrum(f):
+    """f^ in FFT layout, from the two-point kernel's transform."""
+    return _spectra([f])[0].reshape(f.grid.shape)
 
 
 def random_complex_function(grid, seed):
@@ -347,27 +352,14 @@ def test_site_indicator_unit_norm(grid_2d):
 
 def test_hat_matches_direct_oracle(grid_2d_small):
     f = random_complex_function(grid_2d_small, 9)
-    assert np.allclose(f.hat, dft_oracle(f), rtol=1e-12, atol=1e-12)
+    assert np.allclose(spectrum(f), dft_oracle(f), rtol=1e-12, atol=1e-12)
 
 
 def test_constant_function_is_a_zero_momentum_peak(grid_1d):
     f = TestFunction(grid_1d, np.ones(grid_1d.shape))
-    h = f.hat
+    h = spectrum(f)
     assert h[0] == pytest.approx(grid_1d.cell * grid_1d.volume)
     assert np.max(np.abs(h[1:])) <= 1e-12
-
-
-def test_stacked_hats_fill_the_caches_with_the_single_transform_bits(grid_2d):
-    rng = rng_from_seed(5)
-    fs = [random_real_function(grid_2d, rng) for _ in range(5)]
-    fs[2] = (0.5 - 2j) * fs[2]
-    assert fs[1].hat is not None   # one transform cached beforehand
-    rows = stacked_hats(fs + [fs[0]])
-    for f, row in zip(fs + [fs[0]], rows):
-        want = np.fft.fftn(f.values) * grid_2d.cell
-        assert np.array_equal(row.view(np.uint64), want.ravel().view(np.uint64))
-        assert np.array_equal(f.hat, want)
-        assert not f.hat.flags.writeable
 
 
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
@@ -395,32 +387,34 @@ def test_stacked_half_spectra_fill_the_caches_with_the_single_transform_bits(gri
         want = half_rows(f)
         assert _bits_equal(rows[start:start + len(want)], want)
         assert _bits_equal(f._half, want)
-        assert not f._half.flags.writeable and f._hat is None
+        assert not f._half.flags.writeable
     other = random_real_function(Grid(2, 32, 0.5), rng_from_seed(7))
     with pytest.raises(DomainError, match="one grid"):
         stacked_half_spectra([fs[0], other])
 
 
-def test_negation_index_gathers_the_reflected_transform(grid_2d):
-    f = random_complex_function(grid_2d, 4)
-    index = negation_index(grid_2d)
-    assert np.array_equal(f.hat.ravel()[index].view(np.uint64),
-                          reflect_momentum(f.hat).ravel().view(np.uint64))
-    assert not index.flags.writeable
-    assert np.array_equal(np.sort(index), np.arange(grid_2d.volume))
-    assert np.array_equal(index[index], np.arange(grid_2d.volume))
+def test_negation_index_gathers_the_reflected_transform():
+    for grid_args in _BIT_GRIDS:
+        grid = Grid(*grid_args)
+        hat = spectrum(random_complex_function(grid, 4))
+        index = _negation_index(grid)
+        assert np.array_equal(hat.ravel()[index].view(np.uint64),
+                              reflect_momentum(hat).ravel().view(np.uint64))
+        assert not index.flags.writeable
+        assert np.array_equal(np.sort(index), np.arange(grid.volume))
+        assert np.array_equal(index[index], np.arange(grid.volume))
 
 
 def test_reality_symmetry(grid_2d):
     f = random_real_function(grid_2d, rng_from_seed(3))
-    assert np.allclose(reflect_momentum(f.hat), np.conj(f.hat),
+    assert np.allclose(reflect_momentum(spectrum(f)), np.conj(spectrum(f)),
                        rtol=1e-12, atol=1e-14)
 
 
 def test_parseval_with_stated_weights(grid_2d):
     f = random_complex_function(grid_2d, 11)
     pos = grid_2d.cell * np.sum(np.abs(f.values) ** 2)
-    mom = np.sum(np.abs(f.hat) ** 2) / grid_2d.extent ** grid_2d.d
+    mom = np.sum(np.abs(spectrum(f)) ** 2) / grid_2d.extent ** grid_2d.d
     assert pos == pytest.approx(mom, rel=1e-12)
 
 
@@ -430,7 +424,7 @@ def test_fourier_intertwines_translation_with_phase(grid_1d):
     moved = apply_isometry(f, Isometry.translation([shift]))
     k = 2 * np.pi * np.fft.fftfreq(grid_1d.n_per_axis, d=grid_1d.spacing)
     phase = np.exp(-1j * k * shift * grid_1d.spacing)
-    assert np.allclose(moved.hat, phase * f.hat, rtol=1e-12, atol=1e-12)
+    assert np.allclose(spectrum(moved), phase * spectrum(f), rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +472,7 @@ def test_half_spectrum_norms_agree_with_the_full_spectrum_sum(grid_args):
         random_complex_function(grid, 16), (0.5 - 2j) * random_real_function(
             grid, rng_from_seed(17)), TestFunction.zeros(grid)]
     for m2 in (1e-6, 0.37, 4.0):
-        terms = np.abs(stacked_hats(fs)) ** 2 / (lattice_symbol(grid).ravel() + m2)
+        terms = np.abs(_spectra(fs)) ** 2 / (lattice_symbol(grid).ravel() + m2)
         want = np.sqrt(terms.sum(axis=1) / grid.extent ** grid.d)
         assert np.all(np.abs(sobolev_norms(fs, m2) - want) <= 1e-14 * want)
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from schwingerlab import (DomainError, QuasiFree, SpectralMeasure, cumulant,
+from schwingerlab import (DomainError, Mixture, QuasiFree, SpectralMeasure, cumulant,
                           envelope, estimate_fourth_cumulant, free_two_point,
                           moment_analytic, sample_stream, spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.fixtures import random_model_tree, rng_from_seed
 from schwingerlab.lattice import Grid
 from schwingerlab.montecarlo import _Stream, model_digest, pair_values, write_samples
+from schwingerlab.propagator import propagator_rows
 
 from oracles import covariance_kernel
 
@@ -77,7 +78,7 @@ def test_rekeyed_generator_matches_fresh_stream(seed, index):
     fresh = rng_from_seed(seed, index)
     assert component == (0 if fresh.random() < 0.5 else 1)
     assert np.array_equal(white, np.stack([fresh.standard_normal(g.shape)
-                                           for _ in stream.atoms[component]]))
+                                           for _ in stream.amps[component]]))
 
 
 @pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
@@ -98,56 +99,79 @@ def test_pair_values_matches_field_route(grid_args):
 
 def _per_leaf_atom_route(G, grid, f, seed, indices):
     """pair_values and (component, field) draws of the samples `indices`,
-    built leaf atom by leaf atom from G.leaves(): one (sqrt(w), amp) pair and
-    one filtered row per leaf atom, each sample keyed by (seed, index) alone."""
+    built leaf atom by leaf atom from G.leaves(): one half-grid amplitude
+    sqrt(w / (a^d (khat^2 + m^2))) and one filtered row per leaf atom, from
+    unbatched rfftn/irfftn, the spectra of a field summed in atom order; each
+    sample keyed by (seed, index) alone."""
     import bisect
+    import functools
     import itertools
-    import math
-    from schwingerlab.lattice import lattice_symbol
+    from schwingerlab.lattice import half_spectrum
     leaves = G.leaves()
-    symbol = lattice_symbol(grid)
+    half = grid.shape[:-1] + (grid.n_per_axis // 2 + 1,)
+    symbol = half_spectrum(grid)[0].reshape(half)
+    axes = tuple(range(grid.d))
     cum = list(itertools.accumulate(w for w, _ in leaves))
-    filters = [[(math.sqrt(w), 1.0 / np.sqrt(grid.cell * (symbol + m2)))
-                for m2, w in leaf.rho.atoms] for _, leaf in leaves]
-    f_hat = np.fft.fftn(f.values.real)
-    rows = [np.concatenate([(sqrt_w * grid.cell * np.fft.ifftn(amp * f_hat).real).ravel()
-                            for sqrt_w, amp in leaf]) for leaf in filters]
+    amps = [[np.sqrt(w * (1.0 / (m2 + symbol)) / grid.cell) for m2, w in leaf.rho.atoms]
+            for _, leaf in leaves]
+    f_half = np.fft.rfftn(f.values.real)
+    rows = [np.concatenate([grid.cell * np.fft.irfftn(amp * f_half, s=grid.shape, axes=axes).ravel()
+                            for amp in leaf]) for leaf in amps]
     pairs, draws = [], []
     for index in indices:
         rng = rng_from_seed(seed, index)
         component = 0
         if len(cum) > 1:
             component = min(bisect.bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
-        white = rng.standard_normal((len(filters[component]),) + grid.shape)
+        white = rng.standard_normal((len(amps[component]),) + grid.shape)
         pairs.append(white.ravel() @ rows[component])
-        values = np.zeros(grid.shape)
-        for (sqrt_w, amp), noise in zip(filters[component], white):
-            values += sqrt_w * np.fft.ifftn(np.fft.fftn(noise) * amp).real
-        draws.append((component, values))
+        spectrum = functools.reduce(np.add, [amp * np.fft.rfftn(noise)
+                                             for amp, noise in zip(amps[component], white)])
+        draws.append((component, np.fft.irfftn(spectrum, s=grid.shape, axes=axes)))
     return np.array(pairs), draws
+
+
+# leaves sharing masses, and a zero-weight child
+SHARED_MASSES = Mixture(((0.0, QuasiFree(SpectralMeasure.delta(9.0))),
+                         (0.3, QuasiFree(SpectralMeasure(((1.0, 0.5), (4.0, 0.5))))),
+                         (0.7, QuasiFree(SpectralMeasure(((4.0, 0.2), (9.0, 0.8)))))))
 
 
 @pytest.mark.parametrize("grid_args", [(1, 32, 0.5), (2, 16, 0.5), (3, 8, 0.5)],
                          ids=["1d", "2d", "3d"])
 def test_atom_table_stream_matches_the_per_leaf_atom_route(grid_args):
-    # the sampler reads one amplitude and one filtered row per distinct mass;
-    # every value must keep the bits of the per-leaf-atom construction
-    from schwingerlab import Mixture, gaussian_packet
+    # the sampler batches each leaf's amplitude and filtered rows; every value
+    # must keep the bits of the per-leaf-atom construction
+    from schwingerlab import gaussian_packet
     g = Grid(*grid_args)
     f = gaussian_packet(g, [g.extent / 3.0] * g.d, 2.0 * g.spacing)
     rng = rng_from_seed(77)
     models = [two_mass_mixture(1.0, 4.0), random_model_tree(rng, max_depth=1)]
     models += [random_model_tree(rng, max_depth=depth) for depth in (2, 3, 3, 4)]
-    # leaves sharing masses, and a zero-weight child
-    models.append(Mixture(((0.0, QuasiFree(SpectralMeasure.delta(9.0))),
-                           (0.3, QuasiFree(SpectralMeasure(((1.0, 0.5), (4.0, 0.5))))),
-                           (0.7, QuasiFree(SpectralMeasure(((4.0, 0.2), (9.0, 0.8))))))))
+    models.append(SHARED_MASSES)
     for k, model in enumerate(models):
         pairs, draws = _per_leaf_atom_route(model, g, f, 300 + k, range(24))
         assert np.array_equal(pair_values(model, g, f, 300 + k, 24), pairs)
         drawn = list(sample_stream(model, g, 300 + k, 6))
         assert all(c == want_c and np.array_equal(values, want)
                    for (c, values), (want_c, want) in zip(drawn, draws))
+
+
+@pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
+                         ids=["1d", "2d", "3d"])
+def test_sampler_amplitudes_and_grams_read_one_covariance(grid_args):
+    # per leaf, the sampled variance of each mode is the Grams' symbol P_l
+    g = Grid(*grid_args)
+    rng = rng_from_seed(83)
+    models = [two_mass_mixture(1.0, 4.0), SHARED_MASSES]
+    models += [random_model_tree(rng, max_depth=3) for _ in range(6)]
+    for model in models:
+        rows = propagator_rows(g, *model._atom_table[1:])
+        amps = _Stream(model, g, seed=1).amps
+        assert len(amps) == len(rows)
+        for amp, row in zip(amps, rows):
+            variance = np.sum(amp * amp, axis=0).ravel() * g.cell
+            assert np.max(np.abs(variance - row) / row) <= 1e-15
 
 
 def test_pair_values_rejects_function_on_another_grid(grid):

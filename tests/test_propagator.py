@@ -9,11 +9,11 @@ from schwingerlab.axioms import point_group
 from schwingerlab.fixtures import (random_real_function, random_real_functions,
                                    random_real_values, rng_from_seed)
 from schwingerlab.functional import QuasiFree, _leaf_grams, envelope
-from schwingerlab.lattice import (half_spectrum_rows, lattice_symbol, negation_index,
-                                  reflect_momentum, stacked_hats)
-from schwingerlab.propagator import MASS_FLOOR_SQ, row_grams, two_point_grams, two_point_pairs
-from oracles import covariance_kernel, half_multiplicity, half_rows
-from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal
+from schwingerlab.lattice import half_spectrum_rows, lattice_symbol
+from schwingerlab.propagator import (MASS_FLOOR_SQ, _spectra, row_grams, two_point_grams,
+                                     two_point_pairs)
+from oracles import covariance_kernel, half_multiplicity, half_rows, reflect_momentum
+from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal, spectrum
 
 
 def kernel_direct(grid, m2):
@@ -151,7 +151,7 @@ def test_two_atoms_against_weighted_sum_oracle(grid_2d_small):
 def per_atom_two_point(f, g, rho):
     """One momentum sum per atom, accumulated in atom order."""
     w = lattice_symbol(f.grid)
-    cross = reflect_momentum(f.hat) * g.hat
+    cross = reflect_momentum(spectrum(f)) * spectrum(g)
     total = 0j
     for m2, weight in rho.atoms:
         total += weight * np.sum(cross / (w + m2))
@@ -173,6 +173,25 @@ def test_spectral_two_point_is_bit_identical_to_per_atom_sums(grid):
         assert spectral_two_point(f, g, rho) == per_atom_two_point(f, g, rho)
         assert free_two_point(f, g, atoms[0][0]) == per_atom_two_point(
             f, g, SpectralMeasure.delta(atoms[0][0]))
+
+
+def test_spectra_rows_have_the_single_transform_bits(grid_2d, monkeypatch):
+    fftn, batches = np.fft.fftn, []
+
+    def counted(values, *args, **kwargs):
+        batches.append(len(values))
+        return fftn(values, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    fs = random_real_functions(grid_2d, rng_from_seed(5), 5)
+    fs[2] = (0.5 - 2j) * fs[2]
+    rows = _spectra(fs + [fs[0]])
+    assert batches == [5]   # one batched transform of the distinct functions
+    for f, row in zip(fs + [fs[0]], rows):
+        assert _bits_equal(row, (fftn(f.values) * grid_2d.cell).ravel())
+    other = random_real_function(Grid(2, 32, 0.5), rng_from_seed(7))
+    with pytest.raises(DomainError, match="one grid"):
+        _spectra([fs[0], other])
 
 
 def test_complex_division_by_a_positive_real_is_the_reciprocal_multiply():
@@ -202,8 +221,7 @@ def test_complex_division_by_a_positive_real_is_the_reciprocal_multiply():
 def _divided_pairs(fs, gs, masses_sq, atoms):
     """two_point_pairs as one np.divide per mass: the oracle of its bits."""
     grid = fs[0].grid
-    hats = stacked_hats(fs if gs is fs else list(fs) + list(gs))
-    prod = hats[:len(fs), negation_index(grid)] * hats[-len(gs):]
+    prod = np.array([(reflect_momentum(spectrum(f)) * spectrum(g)).ravel() for f, g in zip(fs, gs)])
     symbol = lattice_symbol(grid).ravel()
     scaled = np.empty_like(prod)
     sums = np.array([np.divide(prod, m2 + symbol, out=scaled).sum(axis=1)
@@ -215,8 +233,8 @@ def _reciprocal_grams(fs, masses_sq, atoms):
     """Grams as one matmul per mass, contracted with the atoms last: the
     per-mass route, an accuracy bound on two_point_grams."""
     grid = fs[0].grid
-    hats = stacked_hats(fs)
-    negs = hats[:, negation_index(grid)]
+    hats = np.array([spectrum(f).ravel() for f in fs])
+    negs = np.array([reflect_momentum(spectrum(f)).ravel() for f in fs])
     symbol = lattice_symbol(grid).ravel()
     sums = np.array([(negs * (1.0 / (m2 + symbol))) @ hats.T for m2 in masses_sq])
     return np.einsum("rm,mij->rij", atoms, sums) / grid.extent ** grid.d
