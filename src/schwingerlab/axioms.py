@@ -37,8 +37,8 @@ import numpy as np
 from .errors import DomainError
 from .fixtures import (random_positive_time_functions, random_real_functions,
                        rng_from_seed)
-from .functional import (ROUNDOFF_FLOOR, SchwingerFunctional, model_to_dict,
-                         quasi_free_defect)
+from .functional import (ROUNDOFF_FLOOR, SchwingerFunctional, _leaf_exp, _leaf_sum,
+                         model_to_dict, quasi_free_defect)
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       positive_time_support, site_indicator)
 from .serialize import canonical_digest, complex_pair, overrides
@@ -231,13 +231,14 @@ def check_cluster_defect(G: SchwingerFunctional, f: TestFunction,
     weights = G._atom_table[0]
 
     shifted = [apply_isometry(g, Isometry.translation(vec)) for vec in seps]
-    gamma_f, gamma_g, *values = G.evaluate_many([f, g] + [f + s for s in shifted])
+    sums = [f + s for s in shifted]
+    # one kernel call: (f, f), (g, g), every (f + s, f + s), and (f, g^a_max) last
+    s2 = G.leaf_two_point([f, g, *sums, f], [f, g, *sums, shifted[-1]])
+    leaf = _leaf_exp(s2[:-1])[:, 0]
+    gamma_f, gamma_g, *values = _leaf_sum(weights * leaf).tolist()
     curve = [(vec, complex(v - gamma_f * gamma_g)) for vec, v in zip(seps, values)]
-    # running sums in leaf order, not np.sum's pairwise order, fix these bits
-    leaf_f, leaf_g = np.exp(-0.5 * G.leaf_two_point([f, g], [f, g]))
-    delta_inf = np.cumsum(weights * leaf_f * leaf_g)[-1] - gamma_f * gamma_g
-    tail = G.leaf_two_point([f], shifted[-1:])[0]
-    budget = 2.0 * np.cumsum(np.abs(weights) * np.abs(tail))[-1]
+    delta_inf = _leaf_sum(weights * leaf[0] * leaf[1]) - gamma_f * gamma_g
+    budget = 2.0 * _leaf_sum(np.abs(weights) * np.abs(s2[-1]))
     tol = max(DEFAULT_TOLERANCES["cluster"], budget) if tolerance is None else tolerance
 
     witness = abs(curve[-1][1] - delta_inf)

@@ -43,16 +43,16 @@ def _packet_draw(grid: Grid, rng: np.random.Generator) -> tuple:
     return center, width, 2.0 * np.pi / L * modes
 
 
-def real_function_draws(grid: Grid, rng: np.random.Generator, count: int) -> tuple:
-    """The parameters of `count` random real functions, drawn as
-    random_real_values draws them and nothing built.
+def random_real_values(grid: Grid, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random real functions' values, shape (count, *grid.shape), bit for bit
+    and draw for draw those drawn one probe at a time, every packet in one stacked pass.
 
     Per probe the draws are the first packet's center, width and modes, a
-    coin, and on heads a coefficient and the second packet's draws.  Returns
-    (firsts, rows, coeffs, seconds): every probe's first packet, the indices
-    of the probes that drew a second packet, and their coefficients and
-    second packets, each packet as (center, width, momentum).
+    coin, and on heads a coefficient and the second packet's draws.  A probe
+    whose norm is below 1e-12 is dropped and the next draws replace it.
     """
+    if count < 1:
+        return np.empty((0,) + grid.shape)
     firsts, rows, coeffs, seconds = [], [], [], []
     for j in range(count):
         firsts.append(_packet_draw(grid, rng))
@@ -60,19 +60,6 @@ def real_function_draws(grid: Grid, rng: np.random.Generator, count: int) -> tup
             rows.append(j)
             coeffs.append(rng.uniform(-1.0, 1.0))
             seconds.append(_packet_draw(grid, rng))
-    return firsts, rows, coeffs, seconds
-
-
-def random_real_values(grid: Grid, rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` random real functions' values, shape (count, *grid.shape), bit for bit
-    and draw for draw those drawn one probe at a time, every packet in one stacked pass.
-
-    The draws are real_function_draws'.  A probe whose norm is below 1e-12
-    is dropped and the next draws replace it.
-    """
-    if count < 1:
-        return np.empty((0,) + grid.shape)
-    firsts, rows, coeffs, seconds = real_function_draws(grid, rng, count)
     centers, widths, momenta = zip(*firsts, *seconds)
     vals = packet_values(grid, np.array(centers), widths, np.array(momenta))
     vals[rows] += np.reshape(coeffs, (-1,) + (1,) * grid.d) * vals[count:]

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import partitions
 from .errors import DomainError, ModelError, SchemaError
+from .fixtures import random_real_values, rng_from_seed
 from .lattice import Grid, TestFunction, half_spectrum_rows
 from .propagator import (SpectralMeasure, half_sobolev_norms, propagator_rows, row_grams,
                          sobolev_norm, sobolev_norms, two_point_grams, two_point_pairs)
@@ -49,6 +50,9 @@ REGULARITY_C_CEILING = 1.0
 # Relative roundoff floor of worst_z (C is flat along rays) and quasi_free_defect
 ROUNDOFF_FLOOR = 64 * sys.float_info.epsilon
 GROWTH_K_CEILING = 4.0
+# The growth probe cache keeps 4 sets of sum_{even n <= n_max} trials * n half-spectrum
+# rows, each at most 320 rows of 36,864 B (3,16,0.5), 11.8 MB: 47.2 MB in all
+GROWTH_TRIALS_CAP = 16
 # default_z_grid: rings of 8 points each in |z| <= Z_GRID_RADIUS
 Z_GRID_RINGS = 8
 Z_GRID_RADIUS = 4.0
@@ -67,13 +71,9 @@ class SchwingerFunctional:
 
     def evaluate_many(self, fs: Sequence[TestFunction], z=1.0) -> list[complex] | np.ndarray:
         """Gamma(z f) = sum_l w_l exp(-z^2/2 S2_l(f, f)) for every f in fs: a
-        list for a scalar z, a (len(fs), len(z)) array for a 1-D z.  Each
-        -c^2/2 is a Python complex and the leaves add in a running sum in leaf
-        order, so every value has the bits of evaluate(f, c)."""
-        weights = self._atom_table[0]
-        s2 = self.leaf_two_point(fs, fs) if fs else np.zeros((0, len(weights)))
-        scaled = np.stack([-0.5 * c * c * s2 for c in map(complex, np.ravel(z))], axis=-1)
-        values = np.cumsum(weights[:, None] * np.exp(scaled), axis=1)[:, -1]
+        list for a scalar z, a (len(fs), len(z)) array for a 1-D z.  Each -c^2/2 is a
+        Python complex and the leaves add in leaf order, so each value has evaluate(f, c)'s bits."""
+        values = _leaf_sum(self._atom_table[0] * _leaf_exp(self.leaf_two_point(fs, fs), z))
         return values if np.ndim(z) else values[:, 0].tolist()
 
     def leaf_two_point(self, fs: Sequence[TestFunction],
@@ -175,6 +175,17 @@ def validate_model(G: SchwingerFunctional) -> None:
             raise ModelError(f"tree depth {G.depth()} exceeds bound {MAX_TREE_DEPTH}")
         return
     raise ModelError(f"unknown node type {type(G).__name__}")
+
+
+def _leaf_exp(s2: np.ndarray, z=1.0) -> np.ndarray:
+    """exp(-z^2/2 s2) of leaf rows s2 (n, L) at every z in np.ravel(z), shape (n, len(z), L)."""
+    return np.exp(np.stack([-0.5 * c * c * s2 for c in map(complex, np.ravel(z))], axis=1))
+
+
+def _leaf_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last (leaf) axis as a running sum in leaf order, not np.sum's
+    pairwise order: evaluate's bits, and every witness built on them, depend on it."""
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def min_mass_sq(G: SchwingerFunctional) -> float:
@@ -383,8 +394,7 @@ def gaussianize(G: SchwingerFunctional) -> QuasiFree:
     if isinstance(G, QuasiFree):
         return G
     weights, masses, atoms = G._atom_table
-    # running sums in leaf order, not np.sum's pairwise order, fix the atoms' bits
-    pushed = np.cumsum(weights[:, None] * atoms, axis=0)[-1]
+    pushed = _leaf_sum(weights * atoms.T)
     return QuasiFree(SpectralMeasure(tuple(zip(masses.tolist(), pushed.tolist()))))
 
 
@@ -459,36 +469,22 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     """Find the smallest K with |S_n| <= K^(n+1) sqrt(n!) on random probes.
 
     Probes are random real functions of unit norm in the model's floor
-    Sobolev norm, so the norm product in the bound is 1.  An even order's
-    probes are one float batch (random_real_values) and one rfftn of it; their
-    norms and one row_grams call over a leading trial axis read those rows, and
-    no TestFunction is built.  Transforms are per row and each trial's slice is
-    the matmul its own two_point_grams call would make, so k keeps those bits.
-
-    Odd moments of centered leaves are 0, so an odd order only draws its
-    trials * n probes' parameters (real_function_draws) to advance the
-    stream as building them would, and builds nothing.  Unlike a built
-    probe, a drawn one is never redrawn for a norm below 1e-12; that rule
-    cannot fire on a one-packet probe, whose real part has norm^2 >=
-    (1 - exp(-(4 pi / N)^2)) / 2 >= 0.019 at width >= 2a, |mode| <= 2 and
-    N <= 64 sites per axis, and fires on a two-packet probe only if both
-    packets' parameters cancel to about 1e-12.
+    Sobolev norm, so the norm product in the bound is 1.  They do not depend
+    on G: _growth_probes draws them once per (grid, n_max, trials, seed).  A
+    call takes the floor norms of an even order's cached rows and one row_grams
+    call over a leading trial axis, whose trial slices are the matmuls of their
+    own two_point_grams calls, so k keeps those bits; odd moments of centered
+    leaves are 0.  n_max is in 1..MAX_MOMENT_ORDER, trials in 1..GROWTH_TRIALS_CAP.
     """
-    from .fixtures import random_real_values, real_function_draws, rng_from_seed
-
-    if not 1 <= n_max <= MAX_MOMENT_ORDER:
-        raise DomainError(f"n_max={n_max} outside 1..{MAX_MOMENT_ORDER}")
-    if trials < 1:
-        raise DomainError(f"trials={trials} must be >= 1")
+    for name, value, top in (("n_max", n_max, MAX_MOMENT_ORDER),
+                             ("trials", trials, GROWTH_TRIALS_CAP)):
+        if not (isinstance(value, (int, np.integer)) and 1 <= value <= top):
+            raise DomainError(f"{name}={value} is not an integer in 1..{top}")
     floor = min_mass_sq(G)
-    rng = rng_from_seed(seed)
     rows = []
-    for n in range(1, n_max + 1):
+    for n, x in enumerate(_growth_probes(grid, n_max, trials, seed), 1):
         mags = []
-        if n % 2:
-            real_function_draws(grid, rng, trials * n)
-        else:
-            x = half_spectrum_rows(grid, random_real_values(grid, rng, trials * n))
+        if x is not None:
             grams = row_grams(x.reshape(trials, n, -1), grid, *G._atom_table[1:]).astype(complex)
             norms = half_sobolev_norms(grid, x, np.arange(trials * n), floor).reshape(trials, 1, n)
             # moments of the unit-norm f_i / nu_i: each trial's complex Gram / (nu_i nu_j)
@@ -498,6 +494,20 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
                              for m in mags if m > 0], default=0.0)))
     worst = max(k for _, k in rows)
     return GrowthReport(worst <= GROWTH_K_CEILING, worst, tuple(rows))
+
+
+@lru_cache(maxsize=4)
+def _growth_probes(grid: Grid, n_max: int, trials: int, seed: int) -> tuple:
+    """Per order n = 1..n_max, from one stream: the read-only rows [Re h | Im h]
+    (half_spectrum_rows) of an even order's trials * n probes (random_real_values),
+    and None for an odd order, whose probes are drawn and dropped."""
+    rng, out = rng_from_seed(seed), []
+    for n in range(1, n_max + 1):
+        values = random_real_values(grid, rng, trials * n)
+        out.append(None if n % 2 else half_spectrum_rows(grid, values))
+    for x in out[1::2]:
+        x.setflags(write=False)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

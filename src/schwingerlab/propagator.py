@@ -151,6 +151,8 @@ def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
     momentum sum has the same bits whichever other pairs and masses share
     the call; each row then adds its atoms in mass order.
     """
+    if not fs:
+        return np.zeros((0, len(atoms)))
     grid = fs[0].grid
     with np.errstate(over="ignore", invalid="ignore"):
         hats = _spectra(fs if gs is fs else list(fs) + list(gs))
@@ -198,8 +200,8 @@ def sobolev_norm(f: TestFunction, m2: float) -> float:
 
 
 def sobolev_norms(fs: Sequence[TestFunction], m2: float) -> np.ndarray:
-    """The Sobolev norm of every f in fs, from its half-spectrum rows."""
-    return half_sobolev_norms(fs[0].grid, *stacked_half_spectra(fs), m2)
+    """The Sobolev norm of every f in fs, from its half-spectrum rows; shape (len(fs),)."""
+    return half_sobolev_norms(fs[0].grid, *stacked_half_spectra(fs), m2) if fs else np.zeros(0)
 
 
 def half_sobolev_norms(grid: Grid, rows: np.ndarray, starts, m2: float) -> np.ndarray:

@@ -285,6 +285,12 @@ def test_evaluate_many_is_bit_identical_to_evaluate(grid_args):
 def test_evaluate_many_of_no_functions_is_empty(free_leaf, mixture_14):
     for model in (free_leaf, mixture_14):
         assert model.evaluate_many([]) == []
+        assert model.evaluate_many([], [1.0, 2.0]).shape == (0, 2)
+
+
+def test_leaf_two_point_of_no_pairs_is_empty(free_leaf, mixture_14):
+    for model in (free_leaf, mixture_14):
+        assert model.leaf_two_point([], []).shape == (0, len(model.leaves()))
 
 
 def test_evaluate_many_rejects_functions_on_two_grids(free_leaf, real_set):

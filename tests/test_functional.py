@@ -22,11 +22,11 @@ from schwingerlab.fixtures import (_packet_draw, random_model_tree, random_real_
                                    random_real_functions, rng_from_seed)
 from schwingerlab.lattice import Grid
 from schwingerlab.propagator import sobolev_norms
-from schwingerlab.functional import (GROWTH_K_CEILING, MAX_MOMENT_ORDER,
+from schwingerlab.functional import (GROWTH_K_CEILING, GROWTH_TRIALS_CAP, MAX_MOMENT_ORDER,
                                      MAX_TREE_DEPTH, NUMERIC_TOLERANCE_SCHEDULE,
                                      REGULARITY_C_CEILING, ROUNDOFF_FLOOR,
                                      MomentTable,
-                                     NumericMoment, _leaf_grams, _pair_table,
+                                     NumericMoment, _growth_probes, _leaf_grams, _pair_table,
                                      default_z_grid, min_mass_sq, validate_model)
 
 from oracles import insertion_partitions, own_pairings
@@ -633,24 +633,15 @@ def test_growth_check_is_bit_identical_to_drawing_every_order(grid_2d, grid_3d, 
         assert _bits_equal(rep.k, max(k for _, k in want))
 
 
-def test_growth_check_builds_packets_for_the_even_orders_only(grid_2d, monkeypatch):
-    build, rows = fixtures.packet_values, []
+def _count_growth_work(monkeypatch):
+    """Count packet_values calls (with their row counts), rfftn and fftn calls and
+    TestFunction constructions from here on."""
+    calls = {"packet_values": [], "rfftn": 0, "fftn": 0, "TestFunction": 0}
+    build = fixtures.packet_values
 
-    def counted(grid, centers, widths, momenta):
-        rows.append(len(widths))
+    def counted_build(grid, centers, widths, momenta):
+        calls["packet_values"].append(len(widths))
         return build(grid, centers, widths, momenta)
-
-    monkeypatch.setattr(fixtures, "packet_values", counted)
-    moment_growth_check(two_mass_mixture(1.0, 4.0), grid_2d, n_max=8, trials=4)
-    # one stacked call per even order: its 4 n first packets and up to 4 n second ones
-    assert len(rows) == 4
-    for n, k in zip((2, 4, 6, 8), rows):
-        assert 4 * n <= k <= 8 * n
-
-
-def test_growth_check_takes_one_rfftn_per_even_order_and_no_test_function(grid_2d,
-                                                                          monkeypatch):
-    calls = {"rfftn": 0, "fftn": 0, "TestFunction": 0}
 
     def counted(name, call):
         def counting(*args, **kwargs):
@@ -658,15 +649,68 @@ def test_growth_check_takes_one_rfftn_per_even_order_and_no_test_function(grid_2
             return call(*args, **kwargs)
         return counting
 
+    monkeypatch.setattr(fixtures, "packet_values", counted_build)
     monkeypatch.setattr(np.fft, "rfftn", counted("rfftn", np.fft.rfftn))
     monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
     monkeypatch.setattr(TestFunction, "__init__", counted("TestFunction", TestFunction.__init__))
+    return calls
+
+
+def test_growth_check_builds_every_order_s_packets_on_a_cold_call(grid_2d, monkeypatch):
+    _growth_probes.cache_clear()
+    calls = _count_growth_work(monkeypatch)
     moment_growth_check(two_mass_mixture(1.0, 4.0), grid_2d, n_max=8, trials=4)
-    assert calls == {"rfftn": 4, "fftn": 0, "TestFunction": 0}
+    # one stacked call per order: its 4 n first packets and up to 4 n second ones
+    assert len(calls["packet_values"]) == 8
+    for n, k in zip(range(1, 9), calls["packet_values"]):
+        assert 4 * n <= k <= 8 * n
+
+
+def test_growth_check_takes_one_rfftn_per_even_order_and_no_test_function(grid_2d,
+                                                                          monkeypatch):
+    _growth_probes.cache_clear()
+    calls = _count_growth_work(monkeypatch)
+    moment_growth_check(two_mass_mixture(1.0, 4.0), grid_2d, n_max=8, trials=4)
+    assert {key: calls[key] for key in ("rfftn", "fftn", "TestFunction")} == {
+        "rfftn": 4, "fftn": 0, "TestFunction": 0}
+
+
+def test_growth_probes_are_drawn_once_per_key_and_read_only(grid_2d, grid_3d, monkeypatch):
+    models = [two_mass_mixture(1.0, 4.0), nested_mixture()]
+    keys = [(grid, seed) for seed in (0, 5) for grid in (grid_2d, grid_3d)]
+    cold = {}
+    for (grid, seed), G in itertools.product(keys, models):
+        _growth_probes.cache_clear()
+        cold[grid, seed, G] = moment_growth_check(G, grid, n_max=8, trials=4, seed=seed)
+    _growth_probes.cache_clear()
+    # the first round fills the cache, the next two read it with the other model
+    for r in range(3):
+        for i, (grid, seed) in enumerate(keys):
+            G = models[(i + r) % 2]
+            got = moment_growth_check(G, grid, n_max=8, trials=4, seed=seed)
+            want = cold[grid, seed, G]
+            assert _bits_equal(got.k, want.k)
+            assert _bits_equal([k for _, k in got.per_order], [k for _, k in want.per_order])
+    info = _growth_probes.cache_info()
+    assert (info.misses, info.hits) == (4, 8)
+    rows = _growth_probes(grid_2d, 8, 4, 5)
+    assert [x is None for x in rows] == [n % 2 == 1 for n in range(1, 9)]
+    for x in rows[1::2]:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 1.0
+    _growth_probes.cache_clear()
+    calls = _count_growth_work(monkeypatch)
+    moment_growth_check(models[0], grid_2d, n_max=8, trials=4)
+    assert {**calls, "packet_values": len(calls["packet_values"])} == {
+        "packet_values": 8, "rfftn": 4, "fftn": 0, "TestFunction": 0}
+    calls.update(packet_values=[], rfftn=0)
+    moment_growth_check(models[1], grid_2d, n_max=8, trials=4)
+    assert {**calls, "packet_values": len(calls["packet_values"])} == dict.fromkeys(calls, 0)
 
 
 @pytest.mark.parametrize("kwargs", [{"n_max": 0}, {"n_max": -2}, {"n_max": 9},
-                                    {"trials": 0}, {"trials": -1}])
+                                    {"trials": 0}, {"trials": -1}, {"trials": 2.5},
+                                    {"n_max": 2.0}, {"trials": GROWTH_TRIALS_CAP + 1}])
 def test_moment_growth_rejects_an_empty_or_oversized_probe_set(grid_2d, kwargs):
     (key, value), = kwargs.items()
     with pytest.raises(DomainError, match=f"{key}={value} "):

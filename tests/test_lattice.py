@@ -14,7 +14,7 @@ from schwingerlab import (DomainError, Grid, Isometry, TestFunction,
 from schwingerlab import fixtures, free_two_point, lattice
 from schwingerlab.fixtures import (random_positive_time_function, random_positive_time_functions,
                                    random_real_function, random_real_functions,
-                                   random_real_values, real_function_draws, rng_from_seed)
+                                   random_real_values, rng_from_seed)
 from schwingerlab.lattice import (REALITY_TOL, half_spectrum, lattice_symbol, packet_values,
                                   positive_time_part, stacked_half_spectra)
 from schwingerlab.propagator import _negation_index, _spectra, sobolev_norm, sobolev_norms
@@ -265,21 +265,6 @@ def test_probe_values_are_the_real_parts_of_the_functions(grid_args, redraw, mon
     assert len(calls) > 18 if redraw else calls == []
 
 
-@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
-def test_real_function_draws_advance_the_stream_as_building_them(grid_args):
-    grid = Grid(*grid_args)
-    for seed in range(4):
-        for count in (1, 7, 24):
-            draw_rng, build_rng = rng_from_seed(seed), rng_from_seed(seed)
-            firsts, rows, coeffs, seconds = real_function_draws(grid, draw_rng, count)
-            random_real_functions(grid, build_rng, count)
-            assert draw_rng.random() == build_rng.random()
-            assert len(firsts) == count and len(rows) == len(coeffs) == len(seconds)
-    rng = rng_from_seed(3)
-    assert real_function_draws(grid, rng, 0) == ([], [], [], [])
-    assert rng.random() == rng_from_seed(3).random()
-
-
 def test_no_positive_time_functions_draw_nothing():
     rng = rng_from_seed(3)
     assert random_positive_time_functions(Grid(2, 16, 0.5), rng, 0) == []
@@ -480,6 +465,11 @@ def test_half_spectrum_norms_agree_with_the_full_spectrum_sum(grid_args):
 def test_sobolev_rejects_nonpositive_mass(packet):
     with pytest.raises(DomainError, match="m2 > 0"):
         sobolev_norm(packet, 0.0)
+
+
+def test_sobolev_norms_of_no_functions_are_empty():
+    norms = sobolev_norms([], 1.0)
+    assert norms.shape == (0,) and norms.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
