@@ -474,12 +474,15 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     call takes the floor norms of an even order's cached rows and one row_grams
     call over a leading trial axis, whose trial slices are the matmuls of their
     own two_point_grams calls, so k keeps those bits; odd moments of centered
-    leaves are 0.  n_max is in 1..MAX_MOMENT_ORDER, trials in 1..GROWTH_TRIALS_CAP.
+    leaves are 0.  n_max is in 1..MAX_MOMENT_ORDER, trials in 1..GROWTH_TRIALS_CAP and
+    seed in 0..2^64 - 1 (the Philox key word), so no two cache keys share probes.
     """
-    for name, value, top in (("n_max", n_max, MAX_MOMENT_ORDER),
-                             ("trials", trials, GROWTH_TRIALS_CAP)):
-        if not (isinstance(value, (int, np.integer)) and 1 <= value <= top):
-            raise DomainError(f"{name}={value} is not an integer in 1..{top}")
+    for name, value, low, top in (("n_max", n_max, 1, MAX_MOMENT_ORDER),
+                                  ("trials", trials, 1, GROWTH_TRIALS_CAP),
+                                  ("seed", seed, 0, (1 << 64) - 1)):
+        if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                and low <= value <= top):
+            raise DomainError(f"{name}={value} is not an integer in {low}..{top}")
     floor = min_mass_sq(G)
     rows = []
     for n, x in enumerate(_growth_probes(grid, n_max, trials, seed), 1):

@@ -60,6 +60,13 @@ def _rooted_splits(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], .
     return tuple((masks, split, masks[:, None] ^ split) for masks, split in layers)
 
 
+@lru_cache(maxsize=None)
+def _pair_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    # the even sizes' rooted splits, cut to the columns 2^j, whose block is a pair
+    return tuple((masks, blocks[:, 1 << np.arange(s - 1)], rests[:, 1 << np.arange(s - 1)])
+                 for s, (masks, blocks, rests) in enumerate(_rooted_splits(n), 1) if s % 2 == 0)
+
+
 def _layers(a: np.ndarray):
     n = a.shape[-1].bit_length() - 1
     if a.shape[-1] != 1 << n:
@@ -86,11 +93,7 @@ def pair_exp(a: np.ndarray) -> np.ndarray:
     """subset_exp of an `a` that vanishes off the two-element subsets, by the
     hafnian recursion E[S] = sum over j in S - {i} of a[{i,j}] E[S - {i,j}],
     i = min S.  Entries of odd size are exactly 0."""
-    layers = []
-    for s, (masks, blocks, rests) in list(enumerate(_layers(a), 1))[1::2]:
-        pairs = 1 << np.arange(s - 1)   # the columns whose block is a pair
-        layers.append((masks, blocks[:, pairs], rests[:, pairs]))
-    return _exp(a, layers)
+    return _exp(a, _pair_layers(len(_layers(a))))   # _layers has one layer per size 1..n
 
 
 def subset_log(f: np.ndarray) -> np.ndarray:

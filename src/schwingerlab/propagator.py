@@ -24,6 +24,8 @@ contract it into one propagator P_r per row, and pay one real matmul
 X diag(mu P_r) X^T per row (`row_grams`), X = [Re | Im] of the half spectra
 of Re f and Im f:
 S2(u + i v, u' + i v') = S2(u, u') - S2(v, v') + i (S2(u, v') + S2(v, u')).
+The weights tile(mu P_r, 2) of a model on a grid are formed once, read-only, in a 4-entry
+cache keyed by the grid and the bytes of the masses and atoms (a norm's: ([m2], [[1.0]])).
 The pairs alone take the complex full spectrum, from their own FFT, read at
 -k, and stay per mass over a full-grid table while the worst_kind argmax
 rests on evaluate's bits: numpy divides a complex by a real by Smith's rule,
@@ -167,20 +169,36 @@ def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
                        / grid.extent ** grid.d)
 
 
+def _weights(grid: Grid, masses_sq: Sequence[float], atoms) -> np.ndarray:
+    """tile(mu P_r, 2) of every row r of atoms, shape (rows, 2 * modes), from the cache."""
+    return _weight_table(grid, *(np.asarray(a, np.float64).tobytes() for a in (masses_sq, atoms)))
+
+
+@lru_cache(maxsize=4)
+def _weight_table(grid: Grid, masses_sq: bytes, atoms: bytes) -> np.ndarray:
+    masses = np.frombuffer(masses_sq)
+    rows = propagator_rows(grid, masses, np.frombuffer(atoms).reshape(-1, len(masses)))
+    out = np.tile(half_spectrum(grid)[1] * rows, 2)   # mu is 1 or 2, so this is exact
+    out.setflags(write=False)
+    return out
+
+
 def row_grams(x: np.ndarray, grid: Grid, masses_sq: Sequence, atoms: np.ndarray) -> np.ndarray:
     """X diag(mu P_r) X^T / L^d of every (n, modes) stack X of half-spectrum rows in x under
-    every row r of atoms, shape (..., rows, n, n); each X's slice has its own call's bits."""
+    every row r of atoms, shape (..., rows, n, n); each X's slice has its own call's bits.
+    The weights mu P_r are the cached table of (grid, masses_sq, atoms)."""
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.empty_like(x)   # one temporary for every row
-        # mu is 1 or 2, so scaling by it is exact
-        weights = np.tile(half_spectrum(grid)[1] * propagator_rows(grid, masses_sq, atoms), 2)
         return _finite(np.stack([np.multiply(x, w, out=scaled) @ np.swapaxes(x, -1, -2)
-                                 for w in weights], axis=-3) / grid.extent ** grid.d)
+                                 for w in _weights(grid, masses_sq, atoms)], axis=-3)
+                       / grid.extent ** grid.d)
 
 
 def two_point_grams(fs: Sequence, masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
     """Grams S2_r(f_i, f_j) of fs under every row r of atoms, shape (rows, n, n): the row_grams
     of their parts, recombined for a complex f; within about 1e-15 * max|G| of a per-mass sum."""
+    if not fs:
+        return np.zeros((len(atoms), 0, 0), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         rows, starts = stacked_half_spectra(fs)
         real = row_grams(rows, fs[0].grid, masses_sq, atoms)
@@ -206,11 +224,11 @@ def sobolev_norms(fs: Sequence[TestFunction], m2: float) -> np.ndarray:
 
 def half_sobolev_norms(grid: Grid, rows: np.ndarray, starts, m2: float) -> np.ndarray:
     """Norms of the functions whose half-spectrum rows start at starts: per row a pairwise
-    sum of mu |h|^2 / (khat^2 + m2), then Re f's plus Im f's, so no bit depends on the stack."""
-    if m2 <= 0:
-        raise DomainError(f"sobolev_norm needs m2 > 0 (zero mode diverges at m2=0), got {m2}")
-    weights = np.tile(half_spectrum(grid)[1] * inverse_propagators(grid, [m2])[0], 2)
-    sq = np.add.reduce(rows * rows * weights, axis=1)
+    sum of mu |h|^2 / (khat^2 + m2), then Re f's plus Im f's, so no bit depends on the stack.
+    Its weights are the cached ([m2], [[1.0]]) table: 1.0 * x and a one-term matmul are exact."""
+    if not (math.isfinite(m2) and m2 > 0):   # the zero mode diverges at m2 = 0
+        raise DomainError(f"sobolev_norm needs a finite m2 > 0, got {m2}")
+    sq = np.add.reduce(rows * rows * _weights(grid, [m2], [[1.0]])[0], axis=1)
     return np.sqrt(np.add.reduceat(sq, starts) / grid.extent ** grid.d)
 
 

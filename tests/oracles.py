@@ -11,7 +11,9 @@ covariance symbols), the quasi-free defect over every full-grid mode (the
 package reads the half grid), the half-spectrum multiplicities by folding
 every full-grid mode onto the rfftn half grid (the package writes the rule
 down), and the momentum negation k -> -k by flipping and rolling each axis
-(the package computes the flat index of -k mod N).
+(the package computes the flat index of -k mod N).  `per_call_pair_exp` is
+the one oracle of bits alone: the hafnian recursion with its layers cut from
+the rooted splits on every call, where the package caches them per order.
 """
 
 import math
@@ -21,6 +23,7 @@ import numpy as np
 
 from schwingerlab.functional import MomentTable
 from schwingerlab.lattice import gaussian_packet, lattice_symbol
+from schwingerlab.partitions import _exp, _layers
 
 
 @lru_cache(maxsize=None)
@@ -72,6 +75,16 @@ def oracle_cumulant(moms, n):
             prod *= moms[b]
         total += math.factorial(k - 1) * (-1) ** (k - 1) * prod
     return total
+
+
+def per_call_pair_exp(a):
+    """pair_exp with its layers built on every call: each even size's rooted
+    splits cut to the columns 2^j, whose block is a pair."""
+    layers = []
+    for s, (masks, blocks, rests) in list(enumerate(_layers(a), 1))[1::2]:
+        pairs = 1 << np.arange(s - 1)
+        layers.append((masks, blocks[:, pairs], rests[:, pairs]))
+    return _exp(a, layers)
 
 
 def own_pairings(items):

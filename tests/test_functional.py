@@ -5,6 +5,7 @@ conditioning on the leaf (law of total cumulance)."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ from schwingerlab.functional import (GROWTH_K_CEILING, GROWTH_TRIALS_CAP, MAX_MO
                                      NumericMoment, _growth_probes, _leaf_grams, _pair_table,
                                      default_z_grid, min_mass_sq, validate_model)
 
-from oracles import insertion_partitions, own_pairings
-from test_lattice import _bits_equal
+from oracles import insertion_partitions, own_pairings, per_call_pair_exp
+from schwingerlab.propagator import _weight_table
+from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal
 
 
 def nested_mixture():
@@ -708,13 +710,47 @@ def test_growth_probes_are_drawn_once_per_key_and_read_only(grid_2d, grid_3d, mo
     assert {**calls, "packet_values": len(calls["packet_values"])} == dict.fromkeys(calls, 0)
 
 
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_cumulants_from_warm_tables_are_the_two_call_bits(grid_args):
+    """K = Qbar + log(sum_l w_l exp(Q_l - Qbar) + (1 - W) exp(-Qbar)) with the
+    two exps as two pair_exp calls.  One call over the stacked rows would move
+    the last bits of a raw tree's order-6 and order-8 cumulants: numpy sums
+    the one-mask top layer in another order when the batch has one row."""
+    grid = Grid(*grid_args)
+    fs = random_real_functions(grid, rng_from_seed(941), 7) + [
+        (0.5 - 2j) * random_real_function(grid, rng_from_seed(942))]
+    raw = [Mixture(((0.5, nested_mixture()), (0.9, QuasiFree(SpectralMeasure.delta(3.0))))),
+           Mixture(((0.5, QuasiFree(SpectralMeasure.delta(2.0))),))]
+    _weight_table.cache_clear()
+    for model in MODEL_FAMILY + raw:
+        for n in (4, 6, 8):
+            table = MomentTable(model, fs[-n:])
+            mean = table.weights @ table.pairs
+            inner = (table.weights @ per_call_pair_exp(table.pairs - mean)
+                     + (1.0 - table.weights.sum()) * per_call_pair_exp(-mean))
+            assert _bits_equal(table.cumulants, mean + partitions.subset_log(inner))
+            assert _bits_equal(MomentTable(model, fs[-n:]).cumulants, table.cumulants)
+
+
 @pytest.mark.parametrize("kwargs", [{"n_max": 0}, {"n_max": -2}, {"n_max": 9},
                                     {"trials": 0}, {"trials": -1}, {"trials": 2.5},
-                                    {"n_max": 2.0}, {"trials": GROWTH_TRIALS_CAP + 1}])
+                                    {"n_max": 2.0}, {"trials": GROWTH_TRIALS_CAP + 1},
+                                    {"seed": 2.5}, {"seed": True}, {"seed": -1},
+                                    {"seed": 1 << 64}, {"seed": [1]}])
 def test_moment_growth_rejects_an_empty_or_oversized_probe_set(grid_2d, kwargs):
     (key, value), = kwargs.items()
-    with pytest.raises(DomainError, match=f"{key}={value} "):
+    before = _growth_probes.cache_info()
+    with pytest.raises(DomainError, match=re.escape(f"{key}={value} ")):
         moment_growth_check(two_mass_mixture(1.0, 4.0), grid_2d, **kwargs)
+    assert _growth_probes.cache_info() == before   # refused before the cache is read
+
+
+def test_moment_growth_takes_every_64_bit_seed(grid_2d):
+    model = two_mass_mixture(1.0, 4.0)
+    for seed in (0, (1 << 64) - 1):
+        report = moment_growth_check(model, grid_2d, n_max=2, trials=1, seed=seed)
+        assert moment_growth_check(model, grid_2d, n_max=2, trials=1,
+                                   seed=np.uint64(seed)) == report
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from schwingerlab.fixtures import (random_positive_time_function, random_positiv
                                    random_real_values, rng_from_seed)
 from schwingerlab.lattice import (REALITY_TOL, half_spectrum, lattice_symbol, packet_values,
                                   positive_time_part, stacked_half_spectra)
-from schwingerlab.propagator import _negation_index, _spectra, sobolev_norm, sobolev_norms
+from schwingerlab.propagator import (_negation_index, _spectra, _weight_table, sobolev_norm,
+                                     sobolev_norms)
 from oracles import half_multiplicity, half_rows, reflect_momentum
 
 
@@ -441,7 +442,7 @@ def test_sobolev_norms_are_the_per_function_bits(grid_args):
     fs = random_real_functions(grid, rng_from_seed(5), 6) + [
         random_complex_function(grid, 6), TestFunction.zeros(grid)]
     symbol = lattice_symbol(grid)[..., :grid.n_per_axis // 2 + 1].ravel()
-    for m2 in (1e-6, 0.37, 4.0):
+    for m2 in (1e-6, 0.37, 4.0, 1e300):
         # each part's pairwise sum over the half grid, mu / (khat^2 + m2) per mode
         w = np.tile(half_multiplicity(grid) / (symbol + m2), 2)
         want = [math.sqrt(sum(float(np.sum(row * row * w)) for row in half_rows(f))
@@ -463,8 +464,13 @@ def test_half_spectrum_norms_agree_with_the_full_spectrum_sum(grid_args):
 
 
 def test_sobolev_rejects_nonpositive_mass(packet):
-    with pytest.raises(DomainError, match="m2 > 0"):
-        sobolev_norm(packet, 0.0)
+    # and a non-finite one, before the weight cache is read
+    before = _weight_table.cache_info()
+    for m2 in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for norm in (sobolev_norm, lambda f, m: sobolev_norms([f], m)):
+            with pytest.raises(DomainError, match="finite m2 > 0"):
+                norm(packet, m2)
+    assert _weight_table.cache_info() == before
 
 
 def test_sobolev_norms_of_no_functions_are_empty():

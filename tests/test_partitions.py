@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schwingerlab import DomainError
-from schwingerlab.partitions import pair_exp, subset_exp, subset_log, subset_neglog1m
+from schwingerlab import DomainError, partitions
+from schwingerlab.partitions import (MAX_PARTITION_N, pair_exp, subset_exp, subset_log,
+                                     subset_neglog1m)
 
 from conftest import random_complex
 from oracles import (bell_triangle, insertion_partitions, oracle_cumulant,
-                     oracle_moment, own_pairings)
+                     oracle_moment, own_pairings, per_call_pair_exp)
 from schwingerlab.fixtures import rng_from_seed
+from test_lattice import _bits_equal
 
 
 def as_set(blocks):
@@ -245,6 +247,22 @@ def test_pair_exp_is_the_hafnian_of_every_subset(n):
         want = sum(math.prod(table[mask(b)] for b in p)
                    for p in own_pairings(tuple(range(1, n + 1))))
         assert got[full] == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_PARTITION_N + 1))
+def test_pair_exp_warm_tables_are_the_per_call_layer_bits(n):
+    rng = rng_from_seed(950 + n)
+    table = np.zeros((2, 3, 1 << n), dtype=np.complex128)
+    for pair in itertools.combinations(range(1, n + 1), 2):
+        table[..., mask(pair)] = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    # a one-row call is its own case: numpy sums a layer of one mask in another
+    # order when the batch has one row, so only the same shapes share bits
+    want, row = per_call_pair_exp(table), per_call_pair_exp(table[1, 2])
+    partitions._pair_layers.cache_clear()
+    for _ in range(2):   # cold, then warm
+        assert _bits_equal(pair_exp(table), want)
+        assert _bits_equal(pair_exp(table[1, 2]), row)
+    assert partitions._pair_layers.cache_info()[:2] == (3, 1)
 
 
 def test_set_function_length_must_be_a_power_of_two():

@@ -8,9 +8,10 @@ from schwingerlab import (DomainError, Grid, SpectralMeasure, TestFunction,
 from schwingerlab.axioms import point_group
 from schwingerlab.fixtures import (random_real_function, random_real_functions,
                                    random_real_values, rng_from_seed)
-from schwingerlab.functional import QuasiFree, _leaf_grams, envelope
+from schwingerlab.functional import MomentTable, QuasiFree, _leaf_grams, envelope
 from schwingerlab.lattice import half_spectrum_rows, lattice_symbol
-from schwingerlab.propagator import (MASS_FLOOR_SQ, _spectra, row_grams, two_point_grams,
+from schwingerlab.propagator import (MASS_FLOOR_SQ, _spectra, _weight_table, _weights,
+                                     row_grams, sobolev_norms, two_point_grams,
                                      two_point_pairs)
 from oracles import covariance_kernel, half_multiplicity, half_rows, reflect_momentum
 from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal, spectrum
@@ -325,6 +326,58 @@ def test_batched_grams_are_the_per_set_bits(grid_args):
     heavy[3] *= 1e160
     with pytest.raises(DomainError, match="overflow"):
         row_grams(half_spectrum_rows(grid, heavy).reshape(2, 2, -1), grid, masses_sq, atoms)
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_grams_and_norms_from_warm_tables_are_the_cold_bits(grid_args):
+    grid = Grid(*grid_args)
+    rng = rng_from_seed(907)
+    values = [f.values for f in random_real_functions(grid, rng, 3)] + [
+        random_complex_function(grid, 908).values]
+    x = half_spectrum_rows(grid, random_real_values(grid, rng, 6)).reshape(3, 2, -1)
+    model = envelope([(0.3, QuasiFree(SpectralMeasure.delta(1.0))),
+                      (0.7, QuasiFree(SpectralMeasure(((0.37, 0.5), (4.5, 2.0)))))])
+    _, masses_sq, atoms = model._atom_table
+
+    def results():
+        fs = [TestFunction(grid, v) for v in values]   # fresh: no cached spectra
+        table = MomentTable(model, fs)
+        return [two_point_grams(fs, masses_sq, atoms), two_point_grams(fs[:3], masses_sq, atoms),
+                sobolev_norms(fs, 0.37), row_grams(x, grid, masses_sq, atoms),
+                table.moments, table.cumulants, table.scales]
+    _weight_table.cache_clear()
+    cold = results()
+    assert _weight_table.cache_info()[:2] == (3, 2)   # the model's table and the norm's
+    warm = results()
+    assert _weight_table.cache_info()[:2] == (8, 2)
+    _weight_table.cache_clear()
+    cleared = results()
+    for c, w, r in zip(cold, warm, cleared):
+        assert _bits_equal(w, c) and _bits_equal(r, c)
+    fs = [TestFunction(grid, v) for v in values]
+    assert _bits_equal(cold[0], _half_spectrum_grams(fs, masses_sq, atoms))
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_warm_tables_are_read_only_and_bounded(grid_args):
+    grid = Grid(*grid_args)
+    fs = random_real_functions(grid, rng_from_seed(913), 2)
+    _weight_table.cache_clear()
+    for i in range(10):
+        model = envelope([(0.5, QuasiFree(SpectralMeasure.delta(1.0 + i))),
+                          (0.5, QuasiFree(SpectralMeasure.delta(0.5)))])
+        _leaf_grams(model, fs)
+        assert _weight_table.cache_info().currsize <= 4
+    assert _weight_table.cache_info()[:2] == (0, 10)
+    table = _weights(grid, model._atom_table[1], model._atom_table[2])
+    assert table.shape == (2, 2 * grid.n_per_axis ** (grid.d - 1) * (grid.n_per_axis // 2 + 1))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+
+
+def test_grams_of_no_functions_are_empty():
+    grams = two_point_grams([], [1.0, 4.0], np.ones((3, 2)))
+    assert grams.shape == (3, 0, 0) and grams.dtype == np.complex128
 
 
 def test_leaf_grams_of_leaves_that_share_masses(grid_2d_small):
