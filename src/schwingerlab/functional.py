@@ -71,8 +71,11 @@ class SchwingerFunctional:
 
     def evaluate_many(self, fs: Sequence[TestFunction], z=1.0) -> list[complex] | np.ndarray:
         """Gamma(z f) = sum_l w_l exp(-z^2/2 S2_l(f, f)) for every f in fs: a
-        list for a scalar z, a (len(fs), len(z)) array for a 1-D z.  Each -c^2/2 is a
-        Python complex and the leaves add in leaf order, so each value has evaluate(f, c)'s bits."""
+        list for a scalar z, a (len(fs), len(z)) array for a 1-D z, empty or not; a z of
+        ndim > 1 raises DomainError.  Each -c^2/2 is a Python complex and the leaves add
+        in leaf order, so each value has evaluate(f, c)'s bits."""
+        if np.ndim(z) > 1:
+            raise DomainError(f"z must be a scalar or a 1-D array, got shape {np.shape(z)}")
         values = _leaf_sum(self._atom_table[0] * _leaf_exp(self.leaf_two_point(fs, fs), z))
         return values if np.ndim(z) else values[:, 0].tolist()
 
@@ -179,7 +182,9 @@ def validate_model(G: SchwingerFunctional) -> None:
 
 def _leaf_exp(s2: np.ndarray, z=1.0) -> np.ndarray:
     """exp(-z^2/2 s2) of leaf rows s2 (n, L) at every z in np.ravel(z), shape (n, len(z), L)."""
-    return np.exp(np.stack([-0.5 * c * c * s2 for c in map(complex, np.ravel(z))], axis=1))
+    terms = [-0.5 * c * c * s2 for c in map(complex, np.ravel(z))]
+    return np.exp(np.stack(terms, axis=1) if terms
+                  else np.zeros((len(s2), 0) + s2.shape[1:], complex))
 
 
 def _leaf_sum(terms: np.ndarray) -> np.ndarray:
@@ -280,21 +285,38 @@ class MomentTable:
         return partitions.subset_neglog1m(np.abs(self.moments))
 
 
+_shared = (None, (), None)   # (G, tuple(fs), MomentTable) of the last reader call
+
+
+def _shared_table(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> MomentTable:
+    """MomentTable(G, fs) from a one-entry memo keyed on G and each f in fs, in order,
+    by `is` (models are frozen, test function values read-only).  The entry's strong
+    references keep every id from reuse; a build that raises keeps the old entry."""
+    global _shared
+    fs = tuple(fs)
+    model, args, table = _shared
+    if model is not G or len(args) != len(fs) or any(a is not b for a, b in zip(args, fs)):
+        table = MomentTable(G, fs)
+        _shared = (G, fs, table)
+    return table
+
+
 def moment_analytic(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> complex:
     """Order-n moment: the leaves' Wick pairing sums, mixed by leaf weight.
 
     Centered leaves: odd orders vanish, even orders are (n-1)!! pairing
-    sums of two-point values.
+    sums of two-point values.  This, cumulant and cumulant_scale read entry -1
+    of one _shared_table; read a MomentTable directly for many entries.
     """
     if len(fs) % 2 == 1:
         _check_moment_args(fs, MAX_MOMENT_ORDER)
         return 0j
-    return complex(MomentTable(G, fs).moments[-1])
+    return complex(_shared_table(G, fs).moments[-1])
 
 
 def cumulant(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> complex:
     """Order-n connected moment, conditioned on the leaf (see MomentTable)."""
-    return complex(MomentTable(G, fs).cumulants[-1])
+    return complex(_shared_table(G, fs).cumulants[-1])
 
 
 def cumulant_scale(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> float:
@@ -304,7 +326,7 @@ def cumulant_scale(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> float:
     Useful as the reference magnitude when asserting that a cumulant
     vanishes: cancellation cannot beat roundoff times this scale.
     """
-    return float(MomentTable(G, fs).scales[-1])
+    return float(_shared_table(G, fs).scales[-1])
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from schwingerlab.propagator import spectral_two_point
 from oracles import (fixture_packet, full_grid_quasi_free_defect, probe_quasi_free,
                      reflect_momentum)
 from test_functional import MODEL_FAMILY
-from test_lattice import spectrum
+from test_lattice import _bits_equal, spectrum
 
 
 def evaluate_loop(G, fs, partners):
@@ -286,6 +286,20 @@ def test_evaluate_many_of_no_functions_is_empty(free_leaf, mixture_14):
     for model in (free_leaf, mixture_14):
         assert model.evaluate_many([]) == []
         assert model.evaluate_many([], [1.0, 2.0]).shape == (0, 2)
+
+
+def test_evaluate_many_at_no_z_is_empty_and_refuses_a_2d_z(free_leaf, mixture_14, real_set):
+    for model in (free_leaf, mixture_14):
+        for fs in ([], real_set[:3]):
+            values = model.evaluate_many(fs, np.array([]))
+            assert values.shape == (len(fs), 0) and values.dtype == np.complex128
+        for z in (np.ones((2, 2)), [[1.0]]):
+            with pytest.raises(DomainError, match=r"^z must be a scalar or a 1-D array"):
+                model.evaluate_many(real_set[:1], z)
+        zs = [1.0, 0.5 - 2j, 3.0]
+        values = model.evaluate_many(real_set[:3], zs)
+        assert all(_bits_equal(values[:, k].copy(), model.evaluate_many(real_set[:3], z))
+                   for k, z in enumerate(zs))
 
 
 def test_leaf_two_point_of_no_pairs_is_empty(free_leaf, mixture_14):

@@ -3,9 +3,11 @@ regularity.  Oracles: explicit pairing expansions, finite differences,
 hand-derived closed forms for the two-mass mixture, and cumulants by
 conditioning on the leaf (law of total cumulance)."""
 
+import gc
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from schwingerlab import (DomainError, ModelError, Mixture, QuasiFree,
                           moment_numeric, regularity_certificate, save_model,
                           sobolev_norm, spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
-from schwingerlab import fixtures, partitions
+from schwingerlab import fixtures, functional, partitions, propagator
 from schwingerlab.fixtures import (_packet_draw, random_model_tree, random_real_function,
                                    random_real_functions, rng_from_seed)
 from schwingerlab.lattice import Grid
@@ -710,6 +712,11 @@ def test_growth_probes_are_drawn_once_per_key_and_read_only(grid_2d, grid_3d, mo
     assert {**calls, "packet_values": len(calls["packet_values"])} == dict.fromkeys(calls, 0)
 
 
+# raw trees: weights summing to 1.4 and to 0.5
+RAW_TREES = [Mixture(((0.5, nested_mixture()), (0.9, QuasiFree(SpectralMeasure.delta(3.0))))),
+             Mixture(((0.5, QuasiFree(SpectralMeasure.delta(2.0))),))]
+
+
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_cumulants_from_warm_tables_are_the_two_call_bits(grid_args):
     """K = Qbar + log(sum_l w_l exp(Q_l - Qbar) + (1 - W) exp(-Qbar)) with the
@@ -719,10 +726,8 @@ def test_cumulants_from_warm_tables_are_the_two_call_bits(grid_args):
     grid = Grid(*grid_args)
     fs = random_real_functions(grid, rng_from_seed(941), 7) + [
         (0.5 - 2j) * random_real_function(grid, rng_from_seed(942))]
-    raw = [Mixture(((0.5, nested_mixture()), (0.9, QuasiFree(SpectralMeasure.delta(3.0))))),
-           Mixture(((0.5, QuasiFree(SpectralMeasure.delta(2.0))),))]
     _weight_table.cache_clear()
-    for model in MODEL_FAMILY + raw:
+    for model in MODEL_FAMILY + RAW_TREES:
         for n in (4, 6, 8):
             table = MomentTable(model, fs[-n:])
             mean = table.weights @ table.pairs
@@ -730,6 +735,132 @@ def test_cumulants_from_warm_tables_are_the_two_call_bits(grid_args):
                      + (1.0 - table.weights.sum()) * per_call_pair_exp(-mean))
             assert _bits_equal(table.cumulants, mean + partitions.subset_log(inner))
             assert _bits_equal(MomentTable(model, fs[-n:]).cumulants, table.cumulants)
+
+
+def _shared_args(grid):
+    """Eight fresh arguments, the last two complex: fs[:n] is real for n <= 6."""
+    return random_real_functions(grid, rng_from_seed(951), 6) + [
+        (0.5 - 2j) * f for f in random_real_functions(grid, rng_from_seed(952), 2)]
+
+
+def _fresh_reads(model, fs) -> list:
+    """moment_analytic, cumulant and cumulant_scale as entries -1 of a fresh MomentTable."""
+    table = MomentTable(model, list(fs))
+    return [complex(table.moments[-1]), complex(table.cumulants[-1]), float(table.scales[-1])]
+
+
+def _reads(model, fs) -> list:
+    return [moment_analytic(model, fs), cumulant(model, fs), cumulant_scale(model, fs)]
+
+
+def _same_reads(got, want) -> bool:
+    return all(_bits_equal([g], [w]) for g, w in zip(got, want, strict=True))
+
+
+def _count_table_builds(monkeypatch) -> list:
+    """The argument count of every MomentTable built from now on; empties the memo."""
+    builds, init = [], MomentTable.__init__
+
+    def counted(self, G, fs):
+        builds.append(len(fs))
+        init(self, G, fs)
+    monkeypatch.setattr(MomentTable, "__init__", counted)
+    monkeypatch.setattr(functional, "_shared", (None, (), None))
+    return builds
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_readers_from_the_shared_table_are_fresh_table_bits(grid_args, monkeypatch):
+    """Each reader, cold (first on its key) and warm, has the bits of entry -1 of a
+    fresh table: real and complex arguments, normalized and raw trees."""
+    fs = _shared_args(Grid(*grid_args))
+    for model in MODEL_FAMILY + RAW_TREES:
+        for n in range(1, MAX_MOMENT_ORDER + 1):
+            for args in (fs[:n], fs[-n:]):
+                want = _fresh_reads(model, args)
+                for k, read in enumerate((moment_analytic, cumulant, cumulant_scale)):
+                    monkeypatch.setattr(functional, "_shared", (None, (), None))
+                    cold, warm = read(model, args), read(model, list(args))
+                    assert _bits_equal([cold], [want[k]]) and _bits_equal([warm], [want[k]])
+                assert _same_reads(_reads(model, args), want)
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_shared_table_misses_on_other_objects(grid_args, monkeypatch):
+    """The memo compares by `is`: an equal but distinct function or model, a
+    reordered or a shortened fs each build their own table, with their own bits."""
+    grid = Grid(*grid_args)
+    fs = random_real_functions(grid, rng_from_seed(953), 3) + [
+        (1.5 + 1j) * random_real_function(grid, rng_from_seed(954))]
+    model, twin = two_mass_mixture(1.0, 4.0), two_mass_mixture(1.0, 4.0)
+    copy = TestFunction(grid, fs[0].values)
+    assert twin == model and twin is not model
+    assert np.array_equal(copy.values, fs[0].values) and copy is not fs[0]
+    builds = _count_table_builds(monkeypatch)
+    _reads(model, fs)
+    _reads(model, tuple(fs))
+    assert builds == [4]
+    for G, args in ((model, [copy] + fs[1:]), (twin, fs), (model, fs[::-1]), (model, fs[:3])):
+        want = _fresh_reads(G, args)
+        _reads(model, fs)                          # the entry is (model, fs) again
+        count = len(builds)
+        assert _same_reads(_reads(G, args), want)
+        assert len(builds) == count + 1            # one miss, then the other readers hit
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_shared_table_alternating_models_keep_their_own_bits(grid_args, monkeypatch):
+    fs = _shared_args(Grid(*grid_args))[2:]
+    models = [MODEL_FAMILY[3], RAW_TREES[0]]
+    want = [_fresh_reads(model, fs) for model in models]
+    monkeypatch.setattr(functional, "_shared", (None, (), None))
+    for _ in range(3):
+        for model, bits in zip(models, want):
+            assert _same_reads(_reads(model, fs), bits)
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_shared_table_pins_one_table(grid_args, monkeypatch):
+    fs = _shared_args(Grid(*grid_args))[:4]
+    model = two_mass_mixture(1.0, 4.0)
+    monkeypatch.setattr(functional, "_shared", (None, (), None))
+    ref = weakref.ref(functional._shared_table(model, fs))
+    gc.collect()
+    assert ref() is not None and cumulant(model, fs) == complex(ref().cumulants[-1])
+    cumulant(model, fs[:2])
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_shared_table_keeps_no_failed_build(grid_args, monkeypatch):
+    grid = Grid(*grid_args)
+    fs = _shared_args(grid)
+    other = random_real_function(Grid(2, 16, 0.5), rng_from_seed(955))
+    model = two_mass_mixture(1.0, 4.0)
+    builds = _count_table_builds(monkeypatch)
+    want = _reads(model, fs[:4])
+    entry = functional._shared
+    for bad, message in ((fs[:3] + [other], "one grid"), (fs + fs[:1], "outside 1..8")):
+        for read in (moment_analytic, cumulant, cumulant_scale):
+            with pytest.raises(DomainError, match=message):
+                read(model, bad)
+        assert functional._shared is entry
+    count = len(builds)
+    assert _same_reads(_reads(model, fs[:4]), want) and len(builds) == count
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_readers_build_one_shared_table_per_order(grid_args, monkeypatch):
+    """The three readers at n = 1..8 on fresh functions, read as the cumulant_orders
+    op reads them, build 8 tables and 8 Grams; one table per reader call built 20."""
+    fs = _shared_args(Grid(*grid_args))
+    builds = _count_table_builds(monkeypatch)
+    grams, row_grams = [], propagator.row_grams
+    monkeypatch.setattr(propagator, "row_grams", lambda *a: grams.append(1) or row_grams(*a))
+    for n in range(1, MAX_MOMENT_ORDER + 1):
+        _reads(MODEL_FAMILY[3], fs[:n])
+    assert builds == list(range(1, MAX_MOMENT_ORDER + 1)) and len(grams) == 8
 
 
 @pytest.mark.parametrize("kwargs", [{"n_max": 0}, {"n_max": -2}, {"n_max": 9},
