@@ -114,8 +114,9 @@ def random_positive_time_functions(grid: Grid, rng: np.random.Generator,
     flat = (parts.astype(np.complex128)
             * keep.reshape((1, -1) + (1,) * (grid.d - 1))).reshape(count, -1)
     norms = np.sqrt((grid.cell * np.add.reduce(np.conj(flat) * flat, axis=1)).real)
-    return [TestFunction(grid, v.reshape(grid.shape), copy=False)
-            for v in flat * np.array([complex(1.0 / nm) for nm in norms])[:, None]]
+    vals = flat * np.array([complex(1.0 / nm) for nm in norms])[:, None]
+    vals.setflags(write=False)   # so its rows are wrapped without a copy
+    return [TestFunction(grid, v.reshape(grid.shape), copy=False) for v in vals]
 
 
 def random_positive_time_function(grid: Grid,

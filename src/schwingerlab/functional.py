@@ -41,7 +41,7 @@ from .fixtures import random_real_values, rng_from_seed
 from .lattice import Grid, TestFunction, half_spectrum_rows
 from .propagator import (SpectralMeasure, half_sobolev_norms, propagator_rows, row_grams,
                          sobolev_norm, sobolev_norms, two_point_grams, two_point_pairs)
-from .serialize import json_number, read_json, require_keys, write_json
+from .serialize import json_integer, json_number, read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
 MAX_MOMENT_ORDER = 8
@@ -382,6 +382,7 @@ def moment_numeric(G: SchwingerFunctional,
     combos = np.zeros((len(signs),) + fs[0].grid.shape, dtype=np.complex128)
     for i, (nu, f) in enumerate(zip(norms, fs)):
         combos = combos + np.multiply.outer([s[i] * (h0 / nu) for s in signs], f.values)
+    combos.setflags(write=False)   # so its rows are wrapped without a copy
     values = G.evaluate_many([TestFunction(fs[0].grid, c, copy=False) for c in combos],
                              [2.0, 1.0, 0.5])
     # per step: the signed sum of its values over its prod_i 2 h_i
@@ -511,7 +512,7 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
         mags = []
         if x is not None:
             grams = row_grams(x.reshape(trials, n, -1), grid, *G._atom_table[1:]).astype(complex)
-            norms = half_sobolev_norms(grid, x, np.arange(trials * n), floor).reshape(trials, 1, n)
+            norms = half_sobolev_norms(grid, x, floor).reshape(trials, 1, n)
             # moments of the unit-norm f_i / nu_i: each trial's complex Gram / (nu_i nu_j)
             pairs = _pair_table(grams / (norms[..., None] * norms[..., None, :]))
             mags = np.abs(partitions.pair_exp(pairs)[..., -1] @ G._atom_table[0]).tolist()
@@ -592,7 +593,7 @@ def save_model(G: SchwingerFunctional, path) -> None:
 def load_model(path) -> SchwingerFunctional:
     doc = read_json(path)
     require_keys(doc, ["format", "version", "model"], (), str(path))
-    if doc["format"] != MODEL_FORMAT or doc["version"] != MODEL_VERSION:
+    if doc["format"] != MODEL_FORMAT or json_integer(doc["version"], "version") != MODEL_VERSION:
         raise SchemaError(
             f"{path}: expected {MODEL_FORMAT} v{MODEL_VERSION}, "
             f"got {doc.get('format')!r} v{doc.get('version')!r}"

@@ -8,9 +8,9 @@ Conventions (used consistently by the whole package):
 * Discrete Fourier transform  f^(k) = a^d sum_x exp(-i k.x) f(x)  on the
   momentum grid k = (2 pi / L) * integer mode vector.  Parseval then reads
   a^d sum_x |f|^2 = L^-d sum_k |f^|^2.
-* A real u has u^(-k) = conj u^(k), so Grams and Sobolev norms sum over the
-  rfftn half grid (last axis 0..N/2) of Re f and Im f, each mode weighted by
-  its multiplicity: 1 on the planes k_last in {0, N/2}, which hold their -k.
+* A real u has u^(-k) = conj u^(k), so Grams and Sobolev norms read one row X_f =
+  rows(Re f) + i rows(Im f), rows(u) = [Re | Im] of rfftn(u) a^d on the half grid (last
+  axis 0..N/2), each mode weighted by its multiplicity: 1 on the planes k_last in {0, N/2}.
 * The one momentum symbol is  khat^2 = sum_i (2/a)^2 sin^2(k_i a / 2);
   refinement studies approach the continuum k^2 by shrinking the spacing.
 * Time is axis 0.  Time reflection is the *link* reflection through the
@@ -130,10 +130,10 @@ def half_spectrum(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 class TestFunction:
     """Complex-valued function sampled on a Grid; argument of every functional.
 
-    Values are immutable after construction.  The half spectra (Grams and
-    norms) are cached on first use; the reality flag is cached on first
-    read, since most functions (stencil combinations, isometry images, sums)
-    never have it read.
+    Values are immutable after construction (copy=False copies unless no other
+    array can write the given one).  The half-spectrum row X_f (Grams and norms)
+    is cached on first use, the reality flag on first read, since most functions
+    (stencil combinations, isometry images, sums) never have it read.
     Values carry units field^-1 volume^-1 so that pairings phi(f) are
     dimensionless.
     """
@@ -142,7 +142,10 @@ class TestFunction:
     __slots__ = ("grid", "values", "_is_real", "_half")
 
     def __init__(self, grid: Grid, values, copy: bool = True):
-        arr = np.array(values, dtype=np.complex128, copy=copy)
+        arr = np.array(values, dtype=np.complex128, copy=copy or None)
+        base = arr.base   # kept only if it owns its memory or views a read-only owning array
+        if base is not None and (getattr(base, "base", base) is not None or base.flags.writeable):
+            arr = arr.copy()
         if arr.shape != grid.shape:
             raise DomainError(
                 f"values shape {arr.shape} does not match grid shape {grid.shape}"
@@ -200,21 +203,20 @@ def half_spectrum_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
-def stacked_half_spectra(fs: list[TestFunction]) -> tuple[np.ndarray, np.ndarray]:
-    """half_spectrum_rows of the parts Re f and Im f (if nonzero) of fs, and each
-    f's first row; the uncached from one batched rfftn, which fills their caches."""
+def stacked_half_spectra(fs: list[TestFunction]) -> np.ndarray:
+    """Rows X_f = rows(Re f) + i rows(Im f) of fs (rows = half_spectrum_rows; Im f = 0: rows(Re f)),
+    float64 if every f is real; the uncached from one batched rfftn, copied into their caches."""
     grid = fs[0].grid
     if any(f.grid != grid for f in fs):
         raise DomainError("stacked transforms need every function on one grid")
     todo = list({id(f): f for f in fs if f._half is None}.values())
     if todo:
         split = [[f.values.real, f.values.imag][:1 + f.values.imag.any()] for f in todo]
-        rows = half_spectrum_rows(grid, np.array([p for ps in split for p in ps]))
-        for f, h in zip(todo, np.split(rows, np.cumsum([len(ps) for ps in split])[:-1])):
-            f._half = h.copy()   # own arrays: a cache keeps no batch alive
+        rows = iter(half_spectrum_rows(grid, np.array([p for ps in split for p in ps])))
+        for f, ps in zip(todo, split):
+            f._half = next(rows).copy() if len(ps) == 1 else next(rows) + 1j * next(rows)
             f._half.setflags(write=False)
-    return (np.concatenate([f._half for f in fs]),
-            np.cumsum([0] + [len(f._half) for f in fs[:-1]]))
+    return np.stack([f._half for f in fs])
 
 
 _IMAGES = np.arange(-3, 4).reshape(7, 1, 1, 1)  # images beyond +-3L are < exp(-50) here
@@ -246,7 +248,9 @@ def gaussian_packet(grid: Grid, center, width: float, momentum=None) -> TestFunc
         raise DomainError(
             f"width {width} exceeds L/4 = {grid.extent / 4}: wrap-around not negligible"
         )
-    return TestFunction(grid, packet_values(grid, c[None], [width], p[None])[0], copy=False)
+    vals = packet_values(grid, c[None], [width], p[None])
+    vals.setflags(write=False)
+    return TestFunction(grid, vals[0], copy=False)
 
 
 def packet_values(grid: Grid, centers, widths, momenta) -> np.ndarray:

@@ -20,10 +20,10 @@ real-field transform (the Grams, the Sobolev norms, the sampler's amplitudes
 in `montecarlo`) reads one table, `inverse_propagators`: 1 / (khat^2 + m^2)
 of every mass on the rfftn half grid, where a mode k_last in (0, N/2) stands
 for itself and its -k, so it counts with multiplicity mu = 2.  The Grams
-contract it into one propagator P_r per row, and pay one real matmul
-X diag(mu P_r) X^T per row (`row_grams`), X = [Re | Im] of the half spectra
-of Re f and Im f:
-S2(u + i v, u' + i v') = S2(u, u') - S2(v, v') + i (S2(u, v') + S2(v, u')).
+contract it into one propagator P_r per row, and pay one matmul X diag(mu P_r) X^T
+per row (`row_grams`) over the rows X_f = rows(Re f) + i rows(Im f) of the functions
+(`lattice.stacked_half_spectra`), real for real f.  The form is bilinear, so a row gives
+S2(u + i v, u' + i v') = S2(u, u') - S2(v, v') + i (S2(u, v') + S2(v, u')) at once.
 The weights tile(mu P_r, 2) of a model on a grid are formed once, read-only, in a 4-entry
 cache keyed by the grid and the bytes of the masses and atoms (a norm's: ([m2], [[1.0]])).
 The pairs alone take the complex full spectrum, from their own FFT, read at
@@ -184,7 +184,7 @@ def _weight_table(grid: Grid, masses_sq: bytes, atoms: bytes) -> np.ndarray:
 
 
 def row_grams(x: np.ndarray, grid: Grid, masses_sq: Sequence, atoms: np.ndarray) -> np.ndarray:
-    """X diag(mu P_r) X^T / L^d of every (n, modes) stack X of half-spectrum rows in x under
+    """X diag(mu P_r) X^T / L^d of every (n, 2 * modes) stack X of half-spectrum rows in x under
     every row r of atoms, shape (..., rows, n, n); each X's slice has its own call's bits.
     The weights mu P_r are the cached table of (grid, masses_sq, atoms)."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -196,17 +196,12 @@ def row_grams(x: np.ndarray, grid: Grid, masses_sq: Sequence, atoms: np.ndarray)
 
 def two_point_grams(fs: Sequence, masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:
     """Grams S2_r(f_i, f_j) of fs under every row r of atoms, shape (rows, n, n): the row_grams
-    of their parts, recombined for a complex f; within about 1e-15 * max|G| of a per-mass sum."""
+    of their stacked rows X_f, complex; within about 1e-15 * max|G| of a per-mass sum."""
     if not fs:
         return np.zeros((len(atoms), 0, 0), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, starts = stacked_half_spectra(fs)
-        real = row_grams(rows, fs[0].grid, masses_sq, atoms)
-        if len(rows) == len(fs):
-            return real.astype(np.complex128)
-        two = np.diff(starts, append=len(rows))[:, None] > 1   # f_i = sum_p c_ip part_p
-        c = np.eye(len(rows))[starts] + 1j * two * np.eye(len(rows), k=1)[starts]
-        return _finite(c @ real @ c.T)
+        x = stacked_half_spectra(fs)
+    return row_grams(x, fs[0].grid, masses_sq, atoms).astype(np.complex128, copy=False)
 
 
 def sobolev_norm(f: TestFunction, m2: float) -> float:
@@ -218,18 +213,17 @@ def sobolev_norm(f: TestFunction, m2: float) -> float:
 
 
 def sobolev_norms(fs: Sequence[TestFunction], m2: float) -> np.ndarray:
-    """The Sobolev norm of every f in fs, from its half-spectrum rows; shape (len(fs),)."""
-    return half_sobolev_norms(fs[0].grid, *stacked_half_spectra(fs), m2) if fs else np.zeros(0)
+    """The Sobolev norm of every f in fs, from its half-spectrum row; shape (len(fs),)."""
+    return half_sobolev_norms(fs[0].grid, stacked_half_spectra(fs), m2) if fs else np.zeros(0)
 
 
-def half_sobolev_norms(grid: Grid, rows: np.ndarray, starts, m2: float) -> np.ndarray:
-    """Norms of the functions whose half-spectrum rows start at starts: per row a pairwise
-    sum of mu |h|^2 / (khat^2 + m2), then Re f's plus Im f's, so no bit depends on the stack.
-    Its weights are the cached ([m2], [[1.0]]) table: 1.0 * x and a one-term matmul are exact."""
+def half_sobolev_norms(grid: Grid, rows: np.ndarray, m2: float) -> np.ndarray:
+    """The norm of every half-spectrum row X: per row a pairwise sum of mu |X|^2 / (khat^2 + m2),
+    so no bit depends on the stack; the weights are the cached ([m2], [[1.0]]) table, exact."""
     if not (math.isfinite(m2) and m2 > 0):   # the zero mode diverges at m2 = 0
         raise DomainError(f"sobolev_norm needs a finite m2 > 0, got {m2}")
-    sq = np.add.reduce(rows * rows * _weights(grid, [m2], [[1.0]])[0], axis=1)
-    return np.sqrt(np.add.reduceat(sq, starts) / grid.extent ** grid.d)
+    sq = np.add.reduce((rows * rows.conj()).real * _weights(grid, [m2], [[1.0]])[0], axis=1)
+    return np.sqrt(sq / grid.extent ** grid.d)
 
 
 def free_two_point(f: TestFunction, g: TestFunction, m2: float) -> complex:

@@ -157,3 +157,10 @@ def half_rows(f):
     parts = [f.values.real] + ([f.values.imag] if np.any(f.values.imag) else [])
     hats = [(np.fft.rfftn(p) * f.grid.cell).ravel() for p in parts]
     return [np.concatenate([h.real, h.imag]) for h in hats]
+
+
+def half_row(f):
+    """The one row X_f = rows(Re f) + 1j * rows(Im f) of half_rows, or the
+    real row alone when Im f is all zero."""
+    rows = half_rows(f)
+    return rows[0] if len(rows) == 1 else rows[0] + 1j * rows[1]

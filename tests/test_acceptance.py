@@ -191,6 +191,7 @@ def test_criterion_05_derivative_consistency():
     ok(5, "numeric vs analytic: n=2 within 1e-7, n=4 within 1e-5")
 
 
+@pytest.mark.bits
 def test_criterion_06_regularity_and_growth():
     """Gaussian bound certified with e=e'=2 on |z|<=4; K <= 4 for n <= 8."""
     rng = rng_from_seed(717171)

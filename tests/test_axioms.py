@@ -256,6 +256,7 @@ def test_evaluate_is_within_4_ulp_of_the_nested_walk(grid_args):
                 assert abs(tree.evaluate(f, z) - _nested_evaluate(tree, f, z)) <= 4 * eps * terms
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
                          ids=["1d", "2d", "3d"])
 def test_evaluate_many_is_bit_identical_to_evaluate(grid_args):
@@ -288,6 +289,7 @@ def test_evaluate_many_of_no_functions_is_empty(free_leaf, mixture_14):
         assert model.evaluate_many([], [1.0, 2.0]).shape == (0, 2)
 
 
+@pytest.mark.bits
 def test_evaluate_many_at_no_z_is_empty_and_refuses_a_2d_z(free_leaf, mixture_14, real_set):
     for model in (free_leaf, mixture_14):
         for fs in ([], real_set[:3]):
@@ -607,6 +609,7 @@ def test_measures_equal_up_to_roundoff_are_quasi_free(grid_args):
         assert probe_quasi_free(model, grid)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", GRIDS, ids=["1d", "2d", "3d"])
 def test_quasi_free_defect_on_the_half_grid_is_bit_identical_to_the_full_grid(grid_args):
     # khat^2 is even in k, so the half grid holds every value of every symbol

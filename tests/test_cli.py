@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schwingerlab import DomainError, QuasiFree, SpectralMeasure, save_model
+from schwingerlab import (DomainError, QuasiFree, SpectralMeasure, load_model, model_to_dict,
+                          save_model)
 from schwingerlab.cli import main
 from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.montecarlo import MAX_SAMPLE_COUNT
@@ -121,6 +122,22 @@ def test_nonfinite_or_malformed_input_is_schema_error(tmp_path, model, grid):
     path.write_text(json.dumps({"format": "schwinger-model", "version": 1, "model": model}))
     assert main(["verify", str(path), "--grid", grid,
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("version", [True, "1", 2, 1.5, None],
+                         ids=["true", "string", "two", "fraction", "null"])
+def test_model_version_other_than_one_is_schema_error(tmp_path, capsys, version):
+    # True == 1 in Python, so the version is read as a JSON integer
+    path, out = tmp_path / "model.json", tmp_path / "o"
+    model = {"kind": "quasifree", "atoms": [[1.0, 1.0]]}
+    write_json(path, {"format": "schwinger-model", "version": version, "model": model})
+    assert main(["verify", str(path), "--grid", "2,16,0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "Traceback" not in err
+    assert not out.exists()
+    for version in (1, 1.0):
+        write_json(path, {"format": "schwinger-model", "version": version, "model": model})
+        assert model_to_dict(load_model(path)) == model
 
 
 _GRID = {"d": 2, "n_per_axis": 32, "spacing": 0.25}
@@ -622,6 +639,7 @@ def test_moments_rerun_is_byte_identical_across_processes(model_file, tmp_path):
     assert all(row["connected"] == [0.0, 0.0] for row in rows[::2])
 
 
+@pytest.mark.bits
 def test_sample_rerun_is_byte_identical_across_processes(model_file, tmp_path):
     first, second = rerun_bytes(["sample", model_file, "--count", "8", "--seed", "5"],
                                 "samples.txt", tmp_path)

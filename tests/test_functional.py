@@ -310,6 +310,7 @@ SPREAD_WEIGHTS = envelope([
 HEAVY_LEAF = QuasiFree(SpectralMeasure(((1e-6, 1e306),)))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 4))
 def test_numeric_is_bit_identical_to_the_combination_loop(grid_1d, grid_2d, grid_3d, model_idx):
     rng = rng_from_seed(137)
@@ -560,6 +561,7 @@ def test_mixture_constant_bounded_by_children(packet):
     assert c_mix <= c_children + 1e-12
 
 
+@pytest.mark.bits
 def test_moment_growth_bound(grid_2d):
     for model in (QuasiFree(SpectralMeasure.delta(1.0)), two_mass_mixture(1.0, 4.0)):
         rep = moment_growth_check(model, grid_2d, n_max=8, trials=3, seed=5)
@@ -587,6 +589,7 @@ def _growth_loop(G, grid, n_max, trials, seed):
     return rows
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 2))
 def test_moment_growth_matches_the_per_trial_loop(grid_2d, grid_3d, model_idx):
     rng = rng_from_seed(139)
@@ -624,6 +627,7 @@ def _growth_drawing_every_order(G, grid, n_max, trials, seed):
     return rows
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 2))
 def test_growth_check_is_bit_identical_to_drawing_every_order(grid_2d, grid_3d, model_idx):
     rng = rng_from_seed(149)
@@ -660,6 +664,7 @@ def _count_growth_work(monkeypatch):
     return calls
 
 
+@pytest.mark.bits
 def test_growth_check_builds_every_order_s_packets_on_a_cold_call(grid_2d, monkeypatch):
     _growth_probes.cache_clear()
     calls = _count_growth_work(monkeypatch)
@@ -670,6 +675,7 @@ def test_growth_check_builds_every_order_s_packets_on_a_cold_call(grid_2d, monke
         assert 4 * n <= k <= 8 * n
 
 
+@pytest.mark.bits
 def test_growth_check_takes_one_rfftn_per_even_order_and_no_test_function(grid_2d,
                                                                           monkeypatch):
     _growth_probes.cache_clear()
@@ -679,6 +685,7 @@ def test_growth_check_takes_one_rfftn_per_even_order_and_no_test_function(grid_2
         "rfftn": 4, "fftn": 0, "TestFunction": 0}
 
 
+@pytest.mark.bits
 def test_growth_probes_are_drawn_once_per_key_and_read_only(grid_2d, grid_3d, monkeypatch):
     models = [two_mass_mixture(1.0, 4.0), nested_mixture()]
     keys = [(grid, seed) for seed in (0, 5) for grid in (grid_2d, grid_3d)]
@@ -717,6 +724,7 @@ RAW_TREES = [Mixture(((0.5, nested_mixture()), (0.9, QuasiFree(SpectralMeasure.d
              Mixture(((0.5, QuasiFree(SpectralMeasure.delta(2.0))),))]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_cumulants_from_warm_tables_are_the_two_call_bits(grid_args):
     """K = Qbar + log(sum_l w_l exp(Q_l - Qbar) + (1 - W) exp(-Qbar)) with the
@@ -769,6 +777,7 @@ def _count_table_builds(monkeypatch) -> list:
     return builds
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_readers_from_the_shared_table_are_fresh_table_bits(grid_args, monkeypatch):
     """Each reader, cold (first on its key) and warm, has the bits of entry -1 of a
@@ -785,6 +794,7 @@ def test_readers_from_the_shared_table_are_fresh_table_bits(grid_args, monkeypat
                 assert _same_reads(_reads(model, args), want)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_shared_table_misses_on_other_objects(grid_args, monkeypatch):
     """The memo compares by `is`: an equal but distinct function or model, a
@@ -808,6 +818,7 @@ def test_shared_table_misses_on_other_objects(grid_args, monkeypatch):
         assert len(builds) == count + 1            # one miss, then the other readers hit
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_shared_table_alternating_models_keep_their_own_bits(grid_args, monkeypatch):
     fs = _shared_args(Grid(*grid_args))[2:]
@@ -819,6 +830,7 @@ def test_shared_table_alternating_models_keep_their_own_bits(grid_args, monkeypa
             assert _same_reads(_reads(model, fs), bits)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_shared_table_pins_one_table(grid_args, monkeypatch):
     fs = _shared_args(Grid(*grid_args))[:4]
@@ -832,6 +844,7 @@ def test_shared_table_pins_one_table(grid_args, monkeypatch):
     assert ref() is None
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_shared_table_keeps_no_failed_build(grid_args, monkeypatch):
     grid = Grid(*grid_args)
@@ -850,6 +863,7 @@ def test_shared_table_keeps_no_failed_build(grid_args, monkeypatch):
     assert _same_reads(_reads(model, fs[:4]), want) and len(builds) == count
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_readers_build_one_shared_table_per_order(grid_args, monkeypatch):
     """The three readers at n = 1..8 on fresh functions, read as the cumulant_orders
@@ -863,6 +877,7 @@ def test_readers_build_one_shared_table_per_order(grid_args, monkeypatch):
     assert builds == list(range(1, MAX_MOMENT_ORDER + 1)) and len(grams) == 8
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("kwargs", [{"n_max": 0}, {"n_max": -2}, {"n_max": 9},
                                     {"trials": 0}, {"trials": -1}, {"trials": 2.5},
                                     {"n_max": 2.0}, {"trials": GROWTH_TRIALS_CAP + 1},
@@ -876,6 +891,7 @@ def test_moment_growth_rejects_an_empty_or_oversized_probe_set(grid_2d, kwargs):
     assert _growth_probes.cache_info() == before   # refused before the cache is read
 
 
+@pytest.mark.bits
 def test_moment_growth_takes_every_64_bit_seed(grid_2d):
     model = two_mass_mixture(1.0, 4.0)
     for seed in (0, (1 << 64) - 1):
@@ -1114,6 +1130,7 @@ def test_moments_match_the_contour_integral_of_gamma(tree, grid, kind, equal):
         assert abs(_contour_moment(tree, args) - table.moments[-1]) <= 1e-11 * scale
 
 
+@pytest.mark.bits
 def test_batched_grams_match_the_two_point_kernel():
     # spectral_two_point (divide, then row-sum, one pair) is the oracle for
     # the per-mass matmul

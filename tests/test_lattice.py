@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schwingerlab import (DomainError, Grid, Isometry, TestFunction,
+from schwingerlab import (DomainError, Grid, Isometry, SpectralMeasure, TestFunction,
                           apply_isometry, gaussian_packet,
                           positive_time_part, positive_time_support,
                           site_indicator)
 from schwingerlab import fixtures, free_two_point, lattice
+from schwingerlab.functional import QuasiFree, cumulant, envelope
 from schwingerlab.fixtures import (random_positive_time_function, random_positive_time_functions,
                                    random_real_function, random_real_functions,
                                    random_real_values, rng_from_seed)
@@ -19,7 +20,7 @@ from schwingerlab.lattice import (REALITY_TOL, half_spectrum, lattice_symbol, pa
                                   positive_time_part, stacked_half_spectra)
 from schwingerlab.propagator import (_negation_index, _spectra, _weight_table, sobolev_norm,
                                      sobolev_norms)
-from oracles import half_multiplicity, half_rows, reflect_momentum
+from oracles import half_multiplicity, half_row, half_rows, reflect_momentum
 
 
 def dft_oracle(f):
@@ -154,6 +155,7 @@ def _bits_equal(a, b):
     return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_packet_is_bit_identical_to_the_image_loop(grid_args):
     grid = Grid(*grid_args)
@@ -246,6 +248,7 @@ def test_random_real_functions_redraw_as_the_per_probe_recipe(grid_args, monkeyp
     assert _assert_batch_matches_the_recipe(grid, range(3), (1, 7, 24)) >= 5
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 @pytest.mark.parametrize("redraw", [False, True], ids=["drawn", "redrawn"])
 def test_probe_values_are_the_real_parts_of_the_functions(grid_args, redraw, monkeypatch):
@@ -289,6 +292,7 @@ def _positive_time_recipe(grid, rng):
     return positive_time_part(real)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 @pytest.mark.parametrize("imaginary", [False, True], ids=["real", "fallback"])
 def test_random_positive_time_functions_are_the_per_probe_bits(grid_args, imaginary,
@@ -348,6 +352,7 @@ def test_constant_function_is_a_zero_momentum_peak(grid_1d):
     assert np.max(np.abs(h[1:])) <= 1e-12
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_half_spectrum_multiplicities_fold_the_full_grid(grid_args):
     grid = Grid(*grid_args)
@@ -362,23 +367,31 @@ def test_half_spectrum_multiplicities_fold_the_full_grid(grid_args):
         assert abs(np.sum(mu * np.abs(np.fft.rfftn(part).ravel()) ** 2) - full) <= 1e-14 * full
 
 
-def test_stacked_half_spectra_fill_the_caches_with_the_single_transform_bits(grid_2d):
-    fs = random_real_functions(grid_2d, rng_from_seed(5), 5)
-    fs[2] = (0.5 - 2j) * fs[2]
-    stacked_half_spectra(fs[1:2])   # one transform cached beforehand
-    rows, starts = stacked_half_spectra(fs + [fs[0]])
-    assert rows.shape == (7, 2 * 32 * 17)
-    assert np.array_equal(starts, [0, 1, 2, 4, 5, 6])   # the complex f has two rows
-    for f, start in zip(fs + [fs[0]], starts):
-        want = half_rows(f)
-        assert _bits_equal(rows[start:start + len(want)], want)
-        assert _bits_equal(f._half, want)
-        assert not f._half.flags.writeable
-    other = random_real_function(Grid(2, 32, 0.5), rng_from_seed(7))
-    with pytest.raises(DomainError, match="one grid"):
-        stacked_half_spectra([fs[0], other])
+@pytest.mark.bits
+def test_stacked_half_spectra_fill_the_caches_with_the_single_transform_bits():
+    for grid_args in _BIT_GRIDS:
+        grid = Grid(*grid_args)
+        fs = random_real_functions(grid, rng_from_seed(5), 5)
+        fs[2] = (0.5 - 2j) * fs[2]
+        modes = grid.n_per_axis ** (grid.d - 1) * (grid.n_per_axis // 2 + 1)
+        stacked_half_spectra(fs[1:2])   # one transform cached beforehand
+        for stack, dtype in ((fs + [fs[0]], np.complex128), (fs[:2] + fs[3:], np.float64)):
+            rows = stacked_half_spectra(stack)
+            # one row per function; float64 exactly when every f is real
+            assert rows.shape == (len(stack), 2 * modes) and rows.dtype == dtype
+            for f, row in zip(stack, rows):
+                re, *im = half_rows(f)   # one unbatched transform per part
+                want = re + 1j * im[0] if im else re
+                assert f._half.dtype == (np.complex128 if im else np.float64)
+                assert _bits_equal(f._half, want) and _bits_equal(row, want.astype(dtype))
+                assert not f._half.flags.writeable
+        other = random_real_function(Grid(grid.d, grid.n_per_axis, 2 * grid.spacing),
+                                     rng_from_seed(7))
+        with pytest.raises(DomainError, match="one grid"):
+            stacked_half_spectra([fs[0], other])
 
 
+@pytest.mark.bits
 def test_negation_index_gathers_the_reflected_transform():
     for grid_args in _BIT_GRIDS:
         grid = Grid(*grid_args)
@@ -436,6 +449,7 @@ def test_sobolev_homogeneity_and_mass_bound(packet):
     assert sobolev_norm(packet, m2) <= packet.l2_norm() / math.sqrt(m2) + 1e-12
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_sobolev_norms_are_the_per_function_bits(grid_args):
     grid = Grid(*grid_args)
@@ -443,14 +457,15 @@ def test_sobolev_norms_are_the_per_function_bits(grid_args):
         random_complex_function(grid, 6), TestFunction.zeros(grid)]
     symbol = lattice_symbol(grid)[..., :grid.n_per_axis // 2 + 1].ravel()
     for m2 in (1e-6, 0.37, 4.0, 1e300):
-        # each part's pairwise sum over the half grid, mu / (khat^2 + m2) per mode
+        # each row's pairwise sum of |X_f|^2 over the half grid, mu / (khat^2 + m2) per mode
         w = np.tile(half_multiplicity(grid) / (symbol + m2), 2)
-        want = [math.sqrt(sum(float(np.sum(row * row * w)) for row in half_rows(f))
-                          / grid.extent ** grid.d) for f in fs]
+        want = [math.sqrt(float(np.sum((x * x.conj()).real * w)) / grid.extent ** grid.d)
+                for x in map(half_row, fs)]
         assert _bits_equal(sobolev_norms(fs, m2), want)
         assert _bits_equal([sobolev_norm(f, m2) for f in fs], want)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_half_spectrum_norms_agree_with_the_full_spectrum_sum(grid_args):
     grid = Grid(*grid_args)
@@ -482,12 +497,14 @@ def test_sobolev_norms_of_no_functions_are_empty():
 # Isometries
 # ---------------------------------------------------------------------------
 
+@pytest.mark.bits
 def test_identity_isometry(grid_2d):
     f = random_complex_function(grid_2d, 29)
     out = apply_isometry(f, Isometry.translation((0, 0)))
     assert np.array_equal(out.values, f.values)
 
 
+@pytest.mark.bits
 def test_time_reflection_is_an_involution(grid_2d):
     f = random_complex_function(grid_2d, 31)
     twice = apply_isometry(apply_isometry(f, Isometry.time_reflection()),
@@ -503,12 +520,14 @@ def test_time_reflection_maps_slices_across_the_link(grid_1d):
         assert out.values[t] == f.values[n - 1 - t]
 
 
+@pytest.mark.bits
 def test_full_period_translation_is_identity(grid_2d):
     f = random_complex_function(grid_2d, 41)
     out = apply_isometry(f, Isometry.translation([grid_2d.n_per_axis, 0]))
     assert np.array_equal(out.values, f.values)
 
 
+@pytest.mark.bits
 def test_rotation_has_order_four(grid_2d):
     f = random_complex_function(grid_2d, 43)
     rot = Isometry.rotation(0, 1)
@@ -585,6 +604,45 @@ def test_test_function_values_are_immutable(grid_1d):
         f.values[0] = 2.0
 
 
+def _two_mass_model():
+    return envelope([(0.5, QuasiFree(SpectralMeasure.delta(1.0))),
+                     (0.5, QuasiFree(SpectralMeasure.delta(4.0)))])
+
+
+@pytest.mark.bits
+def test_copy_false_over_a_writable_batch_keeps_its_values():
+    grid, model = Grid(2, 16, 0.5), _two_mass_model()
+    base = np.array([f.values for f in random_real_functions(grid, rng_from_seed(31), 4)])
+    original = base.copy()
+    fs = [TestFunction(grid, v, copy=False) for v in base]
+    before = cumulant(model, fs), sobolev_norms(fs, 1.0)
+    base[0] *= 2   # a writable base: the rows were copied, so nothing moves
+    assert not any(np.shares_memory(f.values, base) for f in fs)
+    assert all(_bits_equal(f.values, v) for f, v in zip(fs, original))
+    fresh = [TestFunction(grid, v) for v in original]
+    assert cumulant(model, fs) == before[0] == cumulant(model, fresh)
+    assert _bits_equal(sobolev_norms(fs, 1.0), before[1])
+    assert _bits_equal(sobolev_norms(fresh, 1.0), before[1])
+    # a read-only view of a writable array is copied too
+    view = base[1]
+    view.setflags(write=False)
+    assert not np.shares_memory(TestFunction(grid, view, copy=False).values, base)
+
+
+@pytest.mark.bits
+def test_copy_false_keeps_the_rows_of_a_read_only_batch():
+    grid = Grid(2, 16, 0.5)
+    base = np.array([f.values for f in random_real_functions(grid, rng_from_seed(37), 3)])
+    base.setflags(write=False)
+    fs = [TestFunction(grid, v, copy=False) for v in base]
+    assert all(np.shares_memory(f.values, base) for f in fs)
+    # the package's own batches are made read-only before their rows are wrapped
+    probes = random_positive_time_functions(grid, rng_from_seed(38), 3)
+    assert np.shares_memory(probes[0].values.base, probes[2].values)
+    packet = gaussian_packet(grid, [4.0, 4.0], 1.0, [0.0, 0.0])
+    assert packet.values.base is not None and not packet.values.base.flags.writeable
+
+
 def test_nonfinite_values_rejected(grid_1d):
     vals = np.ones(grid_1d.shape, dtype=complex)
     vals[0] = np.nan
@@ -592,6 +650,7 @@ def test_nonfinite_values_rejected(grid_1d):
         TestFunction(grid_1d, vals)
 
 
+@pytest.mark.bits
 def test_rotations_have_order_four_in_3d():
     grid = Grid(3, 8, 0.5)
     f = random_complex_function(grid, 71)

@@ -42,6 +42,7 @@ def mixture_values(grid, packet_m):
 # reproducibility
 # ---------------------------------------------------------------------------
 
+@pytest.mark.bits
 def test_same_seed_and_index_reproduce_bit_exactly(grid):
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
     (ca, a), (cb, b) = (list(sample_stream(leaf, grid, seed=7, count=4))[3]
@@ -50,12 +51,14 @@ def test_same_seed_and_index_reproduce_bit_exactly(grid):
     assert ca == cb
 
 
+@pytest.mark.bits
 def test_different_indices_differ(grid):
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
     drawn = list(sample_stream(leaf, grid, seed=7, count=5))
     assert not np.array_equal(drawn[3][1], drawn[4][1])
 
 
+@pytest.mark.bits
 def test_stream_is_schedule_independent(grid, packet_m):
     mix = two_mass_mixture(1.0, 4.0)
     forward = list(sample_stream(mix, grid, seed=13, count=4))
@@ -65,6 +68,7 @@ def test_stream_is_schedule_independent(grid, packet_m):
     assert np.array_equal(forward[2][1], alone)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("seed,index", [(0, 0), (2**63 + 5, 0), (2**64 + 7, 3),
                                         (-1, 2**64 - 1), (20240801, 99999)])
 def test_rekeyed_generator_matches_fresh_stream(seed, index):
@@ -137,6 +141,7 @@ SHARED_MASSES = Mixture(((0.0, QuasiFree(SpectralMeasure.delta(9.0))),
                          (0.7, QuasiFree(SpectralMeasure(((4.0, 0.2), (9.0, 0.8)))))))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", [(1, 32, 0.5), (2, 16, 0.5), (3, 8, 0.5)],
                          ids=["1d", "2d", "3d"])
 def test_atom_table_stream_matches_the_per_leaf_atom_route(grid_args):
@@ -157,6 +162,7 @@ def test_atom_table_stream_matches_the_per_leaf_atom_route(grid_args):
                    for (c, values), (want_c, want) in zip(drawn, draws))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
                          ids=["1d", "2d", "3d"])
 def test_sampler_amplitudes_and_grams_read_one_covariance(grid_args):
@@ -293,6 +299,7 @@ def test_stderr_shrinks_like_inverse_sqrt(mixture_values):
 # dumps
 # ---------------------------------------------------------------------------
 
+@pytest.mark.bits
 def test_sample_dump_holds_the_stream_bit_for_bit(tmp_path, grid):
     mix = two_mass_mixture(1.0, 4.0)
     path = tmp_path / "samples.txt"

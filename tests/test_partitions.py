@@ -249,6 +249,7 @@ def test_pair_exp_is_the_hafnian_of_every_subset(n):
         assert got[full] == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("n", range(2, MAX_PARTITION_N + 1))
 def test_pair_exp_warm_tables_are_the_per_call_layer_bits(n):
     rng = rng_from_seed(950 + n)

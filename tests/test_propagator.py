@@ -13,8 +13,8 @@ from schwingerlab.lattice import half_spectrum_rows, lattice_symbol
 from schwingerlab.propagator import (MASS_FLOOR_SQ, _spectra, _weight_table, _weights,
                                      row_grams, sobolev_norms, two_point_grams,
                                      two_point_pairs)
-from oracles import covariance_kernel, half_multiplicity, half_rows, reflect_momentum
-from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal, spectrum
+from oracles import covariance_kernel, half_multiplicity, half_row, reflect_momentum
+from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal, random_complex_function, spectrum
 
 
 def kernel_direct(grid, m2):
@@ -159,6 +159,7 @@ def per_atom_two_point(f, g, rho):
     return complex(total / f.grid.extent ** f.grid.d)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid", [Grid(1, 64, 0.5), Grid(2, 32, 0.25),
                                   Grid(3, 16, 0.5), Grid(2, 8, 0.3)],
                          ids=["1d", "2d", "3d", "2d_small"])
@@ -176,6 +177,7 @@ def test_spectral_two_point_is_bit_identical_to_per_atom_sums(grid):
             f, g, SpectralMeasure.delta(atoms[0][0]))
 
 
+@pytest.mark.bits
 def test_spectra_rows_have_the_single_transform_bits(grid_2d, monkeypatch):
     fftn, batches = np.fft.fftn, []
 
@@ -195,6 +197,7 @@ def test_spectra_rows_have_the_single_transform_bits(grid_2d, monkeypatch):
         _spectra([fs[0], other])
 
 
+@pytest.mark.bits
 def test_complex_division_by_a_positive_real_is_the_reciprocal_multiply():
     # numpy divides complex by real as Smith does: s = 1/d, then both parts
     # times s, each plus or minus a zero product; the kernels rest on this
@@ -242,31 +245,16 @@ def _reciprocal_grams(fs, masses_sq, atoms):
 
 
 def _half_spectrum_grams(fs, masses_sq, atoms):
-    """two_point_grams as one real matmul per row over the rows [Re | Im] of
-    the half spectra of every part, weighted by each mode's multiplicity,
-    then S2(f, g) = S2(u, u') - S2(v, v') + i (S2(u, v') + S2(v, u')) entry
-    by entry for f = u + i v, g = u' + i v': the oracle of its bits."""
+    """two_point_grams as one matmul per row over the rows X_f = rows(Re f) +
+    i rows(Im f) of every f, each mode weighted by its multiplicity; bilinear,
+    so a complex row gives S2(u + i v, u' + i v') at once: the oracle of its bits."""
     grid = fs[0].grid
-    x, u, v = [], [], []
-    for f in fs:
-        rows = half_rows(f)
-        u.append(len(x))
-        v.append(len(x) + 1 if len(rows) > 1 else None)
-        x += rows
-    x = np.array(x)
+    x = np.array([half_row(f) for f in fs])
     symbol = lattice_symbol(grid)[..., :grid.n_per_axis // 2 + 1].ravel()
     props = atoms @ (1.0 / (np.asarray(masses_sq)[:, None] + symbol))
-    real = np.array([(x * np.tile(half_multiplicity(grid) * p, 2)) @ x.T
-                     for p in props]) / grid.extent ** grid.d
-    if len(x) == len(fs):
-        return real.astype(np.complex128)
-
-    def s2(p, q):
-        return 0.0 if p is None or q is None else real[:, p, q]
-    grams = np.empty(real.shape[:1] + (len(fs), len(fs)), np.complex128)
-    for i, j in np.ndindex(len(fs), len(fs)):
-        grams[:, i, j] = s2(u[i], u[j]) - s2(v[i], v[j]) + 1j * (s2(u[i], v[j]) + s2(v[i], u[j]))
-    return grams
+    grams = np.array([(x * np.tile(half_multiplicity(grid) * p, 2)) @ x.T
+                      for p in props]) / grid.extent ** grid.d
+    return grams.astype(np.complex128)
 
 
 def _assert_near_per_mass(grams, fs, masses_sq, atoms, rel=1e-13):
@@ -274,6 +262,7 @@ def _assert_near_per_mass(grams, fs, masses_sq, atoms, rel=1e-13):
     assert np.max(np.abs(grams - want)) <= rel * np.max(np.abs(want))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_kernels_are_the_per_mass_division_bits(grid_args):
     grid = Grid(*grid_args)
@@ -293,6 +282,48 @@ def test_kernels_are_the_per_mass_division_bits(grid_args):
         _assert_near_per_mass(grams, f_set, masses_sq, atoms)
 
 
+@pytest.mark.bits
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_complex_grams_are_bilinear_in_the_real_parts(grid_args):
+    grid = Grid(*grid_args)
+    rng = rng_from_seed(941)
+    masses_sq = np.array([MASS_FLOOR_SQ, 0.37, 1.0, 4.5])
+    # f = u + i v and g = u' + i v': their Gram from the real parts' Gram
+    c = np.array([[1.0, 1j, 0.0, 0.0], [0.0, 0.0, 1.0, 1j]])
+    for trial in range(6):
+        atoms = 10.0 ** rng.uniform(-3.0, 3.0, (1 + trial % 3, len(masses_sq)))
+        values = random_real_values(grid, rng, 4)
+        fs = [TestFunction(grid, values[0] + 1j * values[1]),
+              TestFunction(grid, values[2] + 1j * values[3])]
+        parts = [TestFunction(grid, v) for f in fs for v in (f.values.real, f.values.imag)]
+        grams = two_point_grams(fs, masses_sq, atoms)
+        want = c @ two_point_grams(parts, masses_sq, atoms) @ c.T
+        assert grams.shape == (len(atoms), 2, 2)
+        # two roundoff routes over 2 * modes terms: they part by up to 4.6e-15 * max|G|
+        assert np.max(np.abs(grams - want)) <= 1e-14 * np.max(np.abs(grams))
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_real_stacks_keep_their_bits_after_a_complex_gram(grid_args):
+    grid = Grid(*grid_args)
+    values = random_real_values(grid, rng_from_seed(953), 4)
+    z = random_complex_function(grid, 954)
+    masses_sq, atoms = np.array([0.37, 1.0, 4.5]), np.array([[1.0, 0.0, 2.0], [0.5, 0.5, 0.0]])
+
+    def results(after_complex):
+        fs = [TestFunction(grid, v) for v in values]   # fresh: no cached rows
+        if after_complex:   # rows of the real fs cached from a batch that holds z's parts
+            two_point_grams([z] + fs[::-1], masses_sq, atoms)
+            sobolev_norms([fs[1], z], 0.37)
+        return two_point_grams(fs, masses_sq, atoms), sobolev_norms(fs, 0.37)
+    cold = results(False)
+    for got, want in zip(results(True), cold):
+        assert _bits_equal(got, want)
+    assert not np.any(cold[0].imag)
+
+
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_row_grams_agree_with_the_per_mass_route(grid_args):
     grid = Grid(*grid_args)
@@ -307,6 +338,7 @@ def test_row_grams_agree_with_the_per_mass_route(grid_args):
             _assert_near_per_mass(two_point_grams(fs, masses_sq, atoms), fs, masses_sq, atoms)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS[:3], ids=_BIT_IDS[:3])
 def test_batched_grams_are_the_per_set_bits(grid_args):
     grid = Grid(*grid_args)
@@ -328,6 +360,7 @@ def test_batched_grams_are_the_per_set_bits(grid_args):
         row_grams(half_spectrum_rows(grid, heavy).reshape(2, 2, -1), grid, masses_sq, atoms)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_grams_and_norms_from_warm_tables_are_the_cold_bits(grid_args):
     grid = Grid(*grid_args)
@@ -358,6 +391,7 @@ def test_grams_and_norms_from_warm_tables_are_the_cold_bits(grid_args):
     assert _bits_equal(cold[0], _half_spectrum_grams(fs, masses_sq, atoms))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_warm_tables_are_read_only_and_bounded(grid_args):
     grid = Grid(*grid_args)
@@ -375,11 +409,13 @@ def test_warm_tables_are_read_only_and_bounded(grid_args):
         table[0, 0] = 1.0
 
 
+@pytest.mark.bits
 def test_grams_of_no_functions_are_empty():
     grams = two_point_grams([], [1.0, 4.0], np.ones((3, 2)))
     assert grams.shape == (3, 0, 0) and grams.dtype == np.complex128
 
 
+@pytest.mark.bits
 def test_leaf_grams_of_leaves_that_share_masses(grid_2d_small):
     # five leaves over three masses: more rows than matmuls of the per-mass route
     leaves = [[(1.0, 1e-6), (4.0, 1.0)], [(1.0, 2.0), (4.0, 1e6)], [(1.0, 1.0)],
@@ -411,6 +447,7 @@ def test_monotone_under_measure_domination(packet):
 # covariance_kernel
 # ---------------------------------------------------------------------------
 
+@pytest.mark.bits
 def test_kernel_even_and_peaked_at_zero(grid_2d):
     ker = covariance_kernel(grid_2d, 1.0)
     flipped = ker
