@@ -21,13 +21,14 @@ from . import __version__
 from .axioms import SuiteConfig, run_axiom_suite, summary_lines
 from .errors import SchemaError, SchwingerLabError
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment
+from .fixtures import MAX_SEED
 from .functional import (MAX_MOMENT_ORDER, NUMERIC_MOMENT_CAP,
                          NUMERIC_TOLERANCE_SCHEDULE, MomentTable, load_model,
                          model_to_dict, moment_numeric)
 from .lattice import Grid, packet_from_doc
 from .montecarlo import MAX_SAMPLE_COUNT, write_samples
-from .serialize import (canonical_digest, overrides, read_json, require_keys,
-                        write_json)
+from .serialize import (canonical_digest, json_integer, overrides, read_json,
+                        require_keys, write_json)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -68,7 +69,8 @@ def cmd_verify(args) -> int:
     grid = _parse_grid(args.grid)
     model = load_model(args.model)
     tols = _load_tolerances(args.tolerance_file)
-    config = SuiteConfig(grid=grid, seed=args.seed, tolerances=tols)
+    seed = json_integer(args.seed, "--seed", 0, MAX_SEED)
+    config = SuiteConfig(grid=grid, seed=seed, tolerances=tols)
     result = run_axiom_suite(model, config)
     _emit(Path(args.out), "checks", result.as_dict(), summary_lines(result))
     if result.passed:
@@ -178,10 +180,11 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     if not 1 <= args.count <= MAX_SAMPLE_COUNT:
         raise SchemaError(f"--count must be 1..{MAX_SAMPLE_COUNT}, got {args.count}")
+    seed = json_integer(args.seed, "--seed", 0, MAX_SEED)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "samples.txt"
-    write_samples(path, model, grid, args.seed, args.count)
+    write_samples(path, model, grid, seed, args.count)
     sys.stdout.write(f"wrote {args.count} samples to {path}\n")
     return EXIT_PASS
 

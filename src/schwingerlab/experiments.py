@@ -43,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, SchemaError
+from .fixtures import MAX_SEED
 from .functional import MomentTable, QuasiFree, SchwingerFunctional, envelope, gaussianize
 from .lattice import Grid, TestFunction, gaussian_packet, packet_from_doc
 from .montecarlo import MAX_SAMPLE_COUNT, estimate_fourth_cumulant, pair_values
@@ -111,8 +112,8 @@ class ExperimentSpec:
         tolerances = doc.get("tolerances", {})
         overrides(tolerances, family.tolerances, "experiment spec.tolerances")
         return ExperimentSpec(exp_id, dict(doc["grid"]), dict(doc["params"]),
-                              json_integer(doc.get("seed", 0), "experiment spec.seed"),
-                              dict(tolerances))
+                              json_integer(doc.get("seed", 0), "experiment spec.seed", 0,
+                                           MAX_SEED), dict(tolerances))
 
 
 @dataclass(frozen=True)

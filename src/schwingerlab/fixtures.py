@@ -12,26 +12,15 @@ import numpy as np
 from .lattice import Grid, TestFunction, packet_values
 
 
-def _philox_key(seed: int, stream: int) -> np.ndarray:
-    """The 128-bit Philox key of (seed, stream): words [stream, seed] mod 2^64."""
-    return np.array([int(stream) % (1 << 64), int(seed) % (1 << 64)], dtype=np.uint64)
+# seeds from outside the program are integers in 0..MAX_SEED, the Philox key
+# word, so no two of them key the same stream
+MAX_SEED = (1 << 64) - 1
 
 
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
-
-
-def philox_state(seed: int, stream: int) -> dict:
-    """The bit-generator state rng_from_seed(seed, stream) starts in: the
-    key, a zero counter and an empty buffer.  Assigning it to a Philox
-    generator's `bit_generator.state` costs a few microseconds; constructing
-    a new generator costs several times that.  The key array is the dict's
-    own, so a caller may write its stream word and assign the dict again."""
-    zeros = np.zeros(4, dtype=np.uint64)
-    return {"bit_generator": "Philox",
-            "state": {"counter": zeros, "key": _philox_key(seed, stream)},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    """Philox generator keyed by (seed, stream): key words [stream, seed] mod 2^64."""
+    key = np.array([int(stream) % (1 << 64), int(seed) % (1 << 64)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _packet_draw(grid: Grid, rng: np.random.Generator) -> tuple:
@@ -78,11 +67,6 @@ def random_real_functions(grid: Grid, rng: np.random.Generator,
     return [TestFunction(grid, v) for v in random_real_values(grid, rng, count)]
 
 
-def random_real_function(grid: Grid, rng: np.random.Generator) -> TestFunction:
-    """Random real superposition of one or two modulated packets, unit L2 norm."""
-    return random_real_functions(grid, rng, 1)[0]
-
-
 def random_positive_time_functions(grid: Grid, rng: np.random.Generator,
                                    count: int) -> list[TestFunction]:
     """`count` random real packets gated onto the strictly positive time
@@ -117,12 +101,6 @@ def random_positive_time_functions(grid: Grid, rng: np.random.Generator,
     vals = flat * np.array([complex(1.0 / nm) for nm in norms])[:, None]
     vals.setflags(write=False)   # so its rows are wrapped without a copy
     return [TestFunction(grid, v.reshape(grid.shape), copy=False) for v in vals]
-
-
-def random_positive_time_function(grid: Grid,
-                                  rng: np.random.Generator) -> TestFunction:
-    """Random real function gated onto the strictly positive time slices."""
-    return random_positive_time_functions(grid, rng, 1)[0]
 
 
 def random_model_tree(rng: np.random.Generator, max_depth: int = 3):

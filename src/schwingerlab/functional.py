@@ -37,7 +37,7 @@ import numpy as np
 
 from . import partitions
 from .errors import DomainError, ModelError, SchemaError
-from .fixtures import random_real_values, rng_from_seed
+from .fixtures import MAX_SEED, random_real_values, rng_from_seed
 from .lattice import Grid, TestFunction, half_spectrum_rows
 from .propagator import (SpectralMeasure, half_sobolev_norms, propagator_rows, row_grams,
                          sobolev_norm, sobolev_norms, two_point_grams, two_point_pairs)
@@ -498,11 +498,11 @@ def moment_growth_check(G: SchwingerFunctional, grid: Grid, n_max: int = 8,
     call over a leading trial axis, whose trial slices are the matmuls of their
     own two_point_grams calls, so k keeps those bits; odd moments of centered
     leaves are 0.  n_max is in 1..MAX_MOMENT_ORDER, trials in 1..GROWTH_TRIALS_CAP and
-    seed in 0..2^64 - 1 (the Philox key word), so no two cache keys share probes.
+    seed in 0..MAX_SEED (the Philox key word), so no two cache keys share probes.
     """
     for name, value, low, top in (("n_max", n_max, 1, MAX_MOMENT_ORDER),
                                   ("trials", trials, 1, GROWTH_TRIALS_CAP),
-                                  ("seed", seed, 0, (1 << 64) - 1)):
+                                  ("seed", seed, 0, MAX_SEED)):
         if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
                 and low <= value <= top):
             raise DomainError(f"{name}={value} is not an integer in {low}..{top}")

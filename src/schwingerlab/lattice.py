@@ -130,8 +130,9 @@ def half_spectrum(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 class TestFunction:
     """Complex-valued function sampled on a Grid; argument of every functional.
 
-    Values are immutable after construction (copy=False copies unless no other
-    array can write the given one).  The half-spectrum row X_f (Grams and norms)
+    Values are immutable after construction (copy=False keeps the given array
+    only if it is read-only and owns its memory or views a read-only array
+    that does; otherwise it copies).  The half-spectrum row X_f (Grams and norms)
     is cached on first use, the reality flag on first read, since most functions
     (stencil combinations, isometry images, sums) never have it read.
     Values carry units field^-1 volume^-1 so that pairings phi(f) are
@@ -143,8 +144,9 @@ class TestFunction:
 
     def __init__(self, grid: Grid, values, copy: bool = True):
         arr = np.array(values, dtype=np.complex128, copy=copy or None)
-        base = arr.base   # kept only if it owns its memory or views a read-only owning array
-        if base is not None and (getattr(base, "base", base) is not None or base.flags.writeable):
+        base = arr if arr.base is None else arr.base   # the array that owns the memory
+        if not copy and (arr.flags.writeable or getattr(base, "base", base) is not None
+                         or base.flags.writeable):
             arr = arr.copy()
         if arr.shape != grid.shape:
             raise DomainError(
@@ -159,7 +161,7 @@ class TestFunction:
 
     @classmethod
     def zeros(cls, grid: Grid) -> "TestFunction":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128), copy=False)
+        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
     @property
     def is_real(self) -> bool:
@@ -174,17 +176,17 @@ class TestFunction:
 
     def __add__(self, other: "TestFunction") -> "TestFunction":
         self._same_grid(other)
-        return TestFunction(self.grid, self.values + other.values, copy=False)
+        return TestFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other: "TestFunction") -> "TestFunction":
         self._same_grid(other)
-        return TestFunction(self.grid, self.values - other.values, copy=False)
+        return TestFunction(self.grid, self.values - other.values)
 
     def __neg__(self) -> "TestFunction":
-        return TestFunction(self.grid, -self.values, copy=False)
+        return TestFunction(self.grid, -self.values)
 
     def __mul__(self, c) -> "TestFunction":
-        return TestFunction(self.grid, self.values * complex(c), copy=False)
+        return TestFunction(self.grid, self.values * complex(c))
 
     __rmul__ = __mul__
 
@@ -301,7 +303,7 @@ def site_indicator(grid: Grid, site) -> TestFunction:
         raise DomainError(f"site must have {grid.d} components, got {len(idx)}")
     vals = np.zeros(grid.shape, dtype=np.complex128)
     vals[idx] = 1.0 / math.sqrt(grid.cell)
-    return TestFunction(grid, vals, copy=False)
+    return TestFunction(grid, vals)
 
 
 @dataclass(frozen=True)
@@ -391,7 +393,7 @@ def positive_time_part(f: TestFunction) -> TestFunction:
     t = f.grid.signed_axis_coordinates()
     keep = t >= f.grid.spacing / 2
     vals = f.values * keep.reshape((-1,) + (1,) * (f.grid.d - 1))
-    out = TestFunction(f.grid, vals, copy=False)
+    out = TestFunction(f.grid, vals)
     norm = out.l2_norm()
     if norm == 0.0:
         raise DomainError("function has no support at positive times")

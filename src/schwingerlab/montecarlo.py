@@ -28,12 +28,13 @@ picked leaf's rows r_j.
 Randomness is counter based: every sample owns a Philox stream keyed by
 (seed, sample index), and sites are consumed in a fixed row-major order,
 so streams are bit-reproducible no matter how sample generation is
-scheduled.  A stream uses one generator and one state dict built once
-(`fixtures.philox_state`); per sample it writes the index into the key's
-stream word and assigns the dict, which gives the same bits as a fresh
-`rng_from_seed(seed, index)`.  A sample draws one `random()` to pick the
-leaf (none for a single leaf), then the leaf's k white-noise fields as one
-(k,) + grid.shape block, the same numbers as k sequential draws.
+scheduled.  A stream uses one generator and keeps the state dict it
+reports at the start of stream 0, whose key array the stream owns; per
+sample it writes the index into the key's stream word and assigns the dict
+back, which gives the same bits as a fresh `rng_from_seed(seed, index)`.
+A sample draws one `random()` to pick the leaf (none for a single leaf),
+then the leaf's k white-noise fields as one (k,) + grid.shape block, the
+same numbers as k sequential draws.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError
-from .fixtures import philox_state, rng_from_seed
+from .fixtures import rng_from_seed
 from .functional import SchwingerFunctional, model_to_dict
 from .lattice import Grid, TestFunction
 from .propagator import inverse_propagators
@@ -79,7 +80,7 @@ class _Stream:
                      for a in atoms]
         self.shapes = [(len(amps),) + grid.shape for amps in self.amps]
         self.rng = rng_from_seed(seed)
-        self.state = philox_state(seed, 0)
+        self.state = self.rng.bit_generator.state   # a fresh dict: its key is ours
         self.key = self.state["state"]["key"]
 
     def draw(self, index: int) -> tuple[int, np.ndarray]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from typing import Iterable
 
@@ -43,11 +44,13 @@ def json_number(value, ctx: str):
     return value
 
 
-def json_integer(value, ctx: str) -> int:
+def json_integer(value, ctx: str, low=-math.inf, high=math.inf) -> int:
     """`value` as an int if it is a finite JSON number with an integral
-    value (`32` or `32.0`), else a SchemaError naming `ctx`."""
+    value (`32` or `32.0`) in low..high, else a SchemaError naming `ctx`."""
     if json_number(value, ctx) != int(value):
         raise SchemaError(f"{ctx} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise SchemaError(f"{ctx} must be an integer in {low}..{high}, got {value!r}")
     return int(value)
 
 

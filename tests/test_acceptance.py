@@ -23,7 +23,7 @@ from schwingerlab import (Grid, QuasiFree, SpectralMeasure, SuiteConfig,
 from schwingerlab.experiments import (ExperimentSpec, run_iteration,
                                       run_two_mass_fourth_cumulant,
                                       two_mass_mixture)
-from schwingerlab.fixtures import (random_model_tree, random_real_function,
+from schwingerlab.fixtures import (random_model_tree, random_real_functions,
                                    rng_from_seed)
 from schwingerlab.montecarlo import estimate_fourth_cumulant, pair_values
 from schwingerlab.partitions import subset_exp, subset_log
@@ -119,7 +119,7 @@ def test_criterion_03_quasifree_characterization():
         ((1.0, 0.25), (3.0, 0.5), (7.0, 0.25)))))
     for leaf in leaves:
         for n in (3, 4, 5, 6):
-            fs = [random_real_function(GRID, rng) for _ in range(n)]
+            fs = random_real_functions(GRID, rng, n)
             got = cumulant(leaf, fs)
             scale = cumulant_scale(leaf, fs)
             assert abs(got) <= 1e-12 * max(scale, 1e-300), (n, got, scale)
@@ -179,7 +179,7 @@ def test_criterion_05_derivative_consistency():
         MIXTURE,
         envelope([(0.4, MIXTURE), (0.6, QuasiFree(SpectralMeasure.delta(9.0)))]),
     ]
-    g = random_real_function(GRID, rng)
+    g = random_real_functions(GRID, rng, 1)[0]
     for model in family:
         an2 = moment_analytic(model, [PACKET, g])
         nm2 = moment_numeric(model, [PACKET, g])

@@ -18,8 +18,8 @@ from schwingerlab.errors import SchemaError
 from schwingerlab.errors import ModelError
 from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.fixtures import (random_model_tree,
-                                   random_positive_time_function,
-                                   random_real_function, rng_from_seed)
+                                   random_positive_time_functions,
+                                   random_real_functions, rng_from_seed)
 from schwingerlab.functional import (ROUNDOFF_FLOOR, default_z_grid, envelope,
                                      quasi_free_defect, validate_model)
 from schwingerlab.lattice import Grid, TestFunction, gaussian_packet
@@ -82,13 +82,13 @@ class Anisotropic:
 @pytest.fixture
 def rp_set(grid_2d):
     rng = rng_from_seed(99)
-    return [random_positive_time_function(grid_2d, rng) for _ in range(8)]
+    return random_positive_time_functions(grid_2d, rng, 8)
 
 
 @pytest.fixture
 def real_set(grid_2d):
     rng = rng_from_seed(101)
-    return [random_real_function(grid_2d, rng) for _ in range(8)]
+    return random_real_functions(grid_2d, rng, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def test_normalization_fails_on_corrupted_weights(real_set, free_leaf):
 
 def test_single_function_reflection_value_is_nonnegative(grid_2d, free_leaf):
     rng = rng_from_seed(103)
-    f = random_positive_time_function(grid_2d, rng)
+    f = random_positive_time_functions(grid_2d, rng, 1)[0]
     val = free_leaf.evaluate(f - apply_isometry(f, Isometry.time_reflection()))
     assert abs(val.imag) <= 1e-14
     assert val.real >= 0
@@ -158,7 +158,7 @@ def test_mixture_witness_dominated_by_children(rp_set):
 
 def test_reflection_positivity_names_offending_function(grid_2d, free_leaf, rp_set):
     bad = list(rp_set)
-    bad[3] = random_real_function(grid_2d, rng_from_seed(105))  # unrestricted
+    bad[3] = random_real_functions(grid_2d, rng_from_seed(105), 1)[0]  # unrestricted
     with pytest.raises(DomainError, match="function 3"):
         check_reflection_positivity(free_leaf, bad)
 
@@ -211,8 +211,8 @@ ORACLE_TREES = _oracle_trees()
 def test_difference_matrix_matches_the_evaluate_loop(grid_args, tree):
     grid = Grid(*grid_args)
     rng = rng_from_seed(223)
-    rp = [random_positive_time_function(grid, rng) for _ in range(6)]
-    sp = [random_real_function(grid, rng) for _ in range(6)]
+    rp = random_positive_time_functions(grid, rng, 6)
+    sp = random_real_functions(grid, rng, 6)
     reflected = [apply_isometry(f, Isometry.time_reflection()) for f in rp]
     for fs, partners in ((rp, reflected), (sp, sp)):
         got = tree.difference_matrix(fs, partners)
@@ -223,7 +223,7 @@ def test_difference_matrix_matches_the_evaluate_loop(grid_args, tree):
 
 
 def test_difference_matrix_rejects_functions_on_two_grids(free_leaf, real_set):
-    other = random_real_function(Grid(2, 32, 0.5), rng_from_seed(7))
+    other = random_real_functions(Grid(2, 32, 0.5), rng_from_seed(7), 1)[0]
     with pytest.raises(DomainError, match="one grid"):
         free_leaf.difference_matrix(real_set[:2], [real_set[0], other])
 
@@ -245,7 +245,7 @@ def test_evaluate_is_within_4_ulp_of_the_nested_walk(grid_args):
     rng = rng_from_seed(227)
     trees = [tree for _, tree in ORACLE_TREES]
     trees += [_tree_of_depth(rng, d) for d in (3, 3, 4, 4)]
-    fs = [random_real_function(grid, rng) for _ in range(2)]
+    fs = random_real_functions(grid, rng, 2)
     fs.append(gaussian_packet(grid, [grid.extent / 3] * grid.d, 2 * grid.spacing,
                               [2 * np.pi / grid.extent] * grid.d))
     eps = np.finfo(float).eps
@@ -263,7 +263,7 @@ def test_evaluate_many_is_bit_identical_to_evaluate(grid_args):
     grid = Grid(*grid_args)
     rng = rng_from_seed(229)
     trees = [_tree_of_depth(rng, d) for d in (3, 3, 4, 4)]
-    values = [random_real_function(grid, rng).values for _ in range(48)]
+    values = [f.values for f in random_real_functions(grid, rng, 48)]
     values[5] = values[5] * (0.4 - 1.3j)
     zs = np.array(default_z_grid() + [1.0, 0.3 + 2j, -1.7j])
     for tree in trees:
@@ -310,7 +310,7 @@ def test_leaf_two_point_of_no_pairs_is_empty(free_leaf, mixture_14):
 
 
 def test_evaluate_many_rejects_functions_on_two_grids(free_leaf, real_set):
-    other = random_real_function(Grid(2, 32, 0.5), rng_from_seed(7))
+    other = random_real_functions(Grid(2, 32, 0.5), rng_from_seed(7), 1)[0]
     with pytest.raises(DomainError, match="one grid"):
         free_leaf.evaluate_many([real_set[0], other])
 
@@ -558,7 +558,7 @@ def test_tuned_ties_are_not_quasi_free(grid_args):
     grid = Grid(*grid_args)
     probes = [fixture_packet(grid),
               gaussian_packet(grid, [grid.extent / 3] * grid.d, 2 * grid.spacing),
-              random_real_function(grid, rng_from_seed(233))]
+              random_real_functions(grid, rng_from_seed(233), 1)[0]]
     for f in probes:
         tied = envelope([(0.5, ONE), (0.5, _tied_leaf(f))])
         s2 = tied.leaf_two_point([f], [f])[0].real

@@ -248,6 +248,31 @@ _SPEC_DOC = {"experiment_id": "two_mass_fourth_cumulant", "grid": _GRID,
              "params": {"masses_sq": [1.0, 4.0], "packet": _PACKET}}
 
 
+@pytest.mark.parametrize("command", ["verify", "sample", "experiment"])
+@pytest.mark.parametrize("seed,code", [(-1, 2), (1 << 64, 2), (0, 0), ((1 << 64) - 1, 0)],
+                         ids=["minus_one", "two_to_64", "zero", "two_to_64_minus_one"])
+def test_seed_outside_the_philox_key_word_is_schema_error(model_file, tmp_path, capsys,
+                                                          command, seed, code):
+    # the Philox key takes a seed mod 2^64: -1 would draw the streams of 2^64 - 1
+    out = tmp_path / "o"
+    if command == "experiment":
+        path, name = tmp_path / "spec.json", "experiment spec.seed"
+        write_json(path, {**_SPEC_DOC, "seed": seed})
+        argv = ["experiment", str(path)]
+    else:
+        name = "--seed"
+        argv = [command, model_file, "--grid", "2,16,0.5", "--seed", str(seed)]
+        argv += ["--count", "1"] if command == "sample" else []
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"schema error: {name} must be an integer in "
+                              f"0..{(1 << 64) - 1}, got {seed}") and "Traceback" not in err
+        assert not out.exists()
+    else:
+        assert err == "" and out.is_dir()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "{dir}"],
     ["moments", "{model}", "--recipe", "{dir}"],

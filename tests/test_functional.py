@@ -21,8 +21,8 @@ from schwingerlab import (DomainError, ModelError, Mixture, QuasiFree,
                           sobolev_norm, spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
 from schwingerlab import fixtures, functional, partitions, propagator
-from schwingerlab.fixtures import (_packet_draw, random_model_tree, random_real_function,
-                                   random_real_functions, rng_from_seed)
+from schwingerlab.fixtures import (_packet_draw, random_model_tree, random_real_functions,
+                                   rng_from_seed)
 from schwingerlab.lattice import Grid
 from schwingerlab.propagator import sobolev_norms
 from schwingerlab.functional import (GROWTH_K_CEILING, GROWTH_TRIALS_CAP, MAX_MOMENT_ORDER,
@@ -69,7 +69,7 @@ def test_normalization(grid_2d):
 
 def test_neutrality(grid_2d):
     # equality up to the roundoff imaginary residue of the momentum sum
-    f = random_real_function(grid_2d, rng_from_seed(7))
+    f = random_real_functions(grid_2d, rng_from_seed(7), 1)[0]
     for model in MODEL_FAMILY:
         assert abs(model.evaluate(-f) - model.evaluate(f).conjugate()) <= 1e-15
 
@@ -94,7 +94,7 @@ def test_quasifree_gaussian_in_z(packet, free_leaf):
 
 def test_odd_moments_vanish(grid_2d, packet):
     rng = rng_from_seed(11)
-    g = random_real_function(grid_2d, rng)
+    g = random_real_functions(grid_2d, rng, 1)[0]
     for model in MODEL_FAMILY:
         assert moment_analytic(model, [packet]) == 0
         assert moment_analytic(model, [packet, g, packet]) == 0
@@ -102,7 +102,7 @@ def test_odd_moments_vanish(grid_2d, packet):
 
 def test_second_moment_is_the_two_point_function(grid_2d, packet):
     rng = rng_from_seed(13)
-    g = random_real_function(grid_2d, rng)
+    g = random_real_functions(grid_2d, rng, 1)[0]
     leaf = QuasiFree(SpectralMeasure(((1.0, 0.5), (4.0, 0.5))))
     assert moment_analytic(leaf, [packet, g]) == pytest.approx(
         spectral_two_point(packet, g, leaf.rho), rel=1e-14)
@@ -113,7 +113,7 @@ def test_second_moment_is_the_two_point_function(grid_2d, packet):
 
 def test_fourth_moment_is_the_three_pairing_sum(grid_2d):
     rng = rng_from_seed(17)
-    fs = [random_real_function(grid_2d, rng) for _ in range(4)]
+    fs = random_real_functions(grid_2d, rng, 4)
     m2 = 1.0
     leaf = QuasiFree(SpectralMeasure.delta(m2))
 
@@ -135,7 +135,7 @@ def test_sixth_moment_pairing_count(grid_2d, packet):
 
 def test_mixture_moments_are_weight_linear(grid_2d):
     rng = rng_from_seed(19)
-    fs = [random_real_function(grid_2d, rng) for _ in range(4)]
+    fs = random_real_functions(grid_2d, rng, 4)
     g1 = QuasiFree(SpectralMeasure.delta(1.0))
     g2 = QuasiFree(SpectralMeasure(((2.0, 0.5), (6.0, 0.5))))
     mix = envelope([(0.3, g1), (0.7, g2)])
@@ -176,7 +176,7 @@ def test_leaf_table_matches_per_leaf_two_point(model):
     assert model.leaves() == tuple(recursive_leaves(model))
     grid = Grid(2, 16, 0.5)
     rng = rng_from_seed(131)
-    f, g = (random_real_function(grid, rng) for _ in range(2))
+    f, g = random_real_functions(grid, rng, 2)
     want = sum(w * spectral_two_point(f, g, leaf.rho)
                for w, leaf in recursive_leaves(model))
     assert moment_analytic(model, [f, g]) == pytest.approx(want, rel=1e-13, abs=0)
@@ -224,7 +224,7 @@ def test_numeric_first_moment_vanishes(packet, mixture_14):
 @pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY)))
 def test_numeric_matches_analytic_n2(grid_2d, packet, model_idx):
     model = MODEL_FAMILY[model_idx]
-    g = random_real_function(grid_2d, rng_from_seed(23))
+    g = random_real_functions(grid_2d, rng_from_seed(23), 1)[0]
     want = moment_analytic(model, [packet, g])
     got = moment_numeric(model, [packet, g])
     assert abs(got.value - want) <= 1e-7 * abs(want)
@@ -318,7 +318,7 @@ def test_numeric_is_bit_identical_to_the_combination_loop(grid_1d, grid_2d, grid
                              envelope([(0.5, HEAVY_LEAF), (0.5, MODEL_FAMILY[2])])])[model_idx]
     for grid in (grid_2d, grid_1d, grid_3d):
         packet = gaussian_packet(grid, [4.0] * grid.d, 1.0)
-        fs = [random_real_function(grid, rng) for _ in range(4)]
+        fs = random_real_functions(grid, rng, 4)
         for n in range(1, 5):
             for args in (fs[:n], [packet] * n):
                 assert (_numeric_outcome(moment_numeric, model, args)
@@ -341,7 +341,7 @@ def test_two_mass_fourth_cumulant_closed_form(grid_2d):
     # quarter sum over the three pairings of products of two-point
     # differences, for distinct arguments
     rng = rng_from_seed(29)
-    fs = [random_real_function(grid_2d, rng) for _ in range(4)]
+    fs = random_real_functions(grid_2d, rng, 4)
     mix = two_mass_mixture(1.0, 4.0)
 
     def ds2(i, j):
@@ -365,7 +365,7 @@ def test_quasifree_characterization_both_directions(grid_2d, packet):
     rng = rng_from_seed(31)
     leaf = QuasiFree(SpectralMeasure(((1.0, 0.25), (3.0, 0.75))))
     for n in (3, 4, 5, 6):
-        fs = [random_real_function(grid_2d, rng) for _ in range(n)]
+        fs = random_real_functions(grid_2d, rng, n)
         got = cumulant(leaf, fs)
         scale = cumulant_scale(leaf, fs)
         assert abs(got) <= 1e-12 * max(scale, 1e-300)
@@ -431,7 +431,7 @@ def test_gaussianize_flattens_path_weights(grid_2d, packet):
 def test_single_child_envelope_is_transparent(grid_2d, packet):
     leaf = QuasiFree(SpectralMeasure.delta(2.0))
     wrapped = envelope([(1.0, leaf)])
-    g = random_real_function(grid_2d, rng_from_seed(37))
+    g = random_real_functions(grid_2d, rng_from_seed(37), 1)[0]
     assert wrapped.evaluate(packet) == leaf.evaluate(packet)
     for n in (2, 4):
         assert moment_analytic(wrapped, [packet, g] * (n // 2)) == \
@@ -520,7 +520,7 @@ def test_regularity_certificate_matches_the_per_z_loop(grid_2d, packet):
     rng = rng_from_seed(233)
     models = MODEL_FAMILY + [random_model_tree(rng, max_depth=3) for _ in range(4)]
     for model in models:
-        for f in (packet, random_real_function(grid_2d, rng)):
+        for f in (packet, random_real_functions(grid_2d, rng, 1)[0]):
             nu2 = sobolev_norm(f, min_mass_sq(model)) ** 2
             cs = []
             for z in default_z_grid():
@@ -581,7 +581,7 @@ def _growth_loop(G, grid, n_max, trials, seed):
         k_n = 0.0
         for _ in range(trials):
             fs = [(1.0 / sobolev_norm(f, floor)) * f
-                  for f in (random_real_function(grid, rng) for _ in range(n))]
+                  for f in random_real_functions(grid, rng, n)]
             mag = abs(moment_analytic(G, fs))
             if mag > 0:
                 k_n = max(k_n, (mag / math.sqrt(math.factorial(n))) ** (1.0 / (n + 1)))
@@ -733,7 +733,7 @@ def test_cumulants_from_warm_tables_are_the_two_call_bits(grid_args):
     the one-mask top layer in another order when the batch has one row."""
     grid = Grid(*grid_args)
     fs = random_real_functions(grid, rng_from_seed(941), 7) + [
-        (0.5 - 2j) * random_real_function(grid, rng_from_seed(942))]
+        (0.5 - 2j) * random_real_functions(grid, rng_from_seed(942), 1)[0]]
     _weight_table.cache_clear()
     for model in MODEL_FAMILY + RAW_TREES:
         for n in (4, 6, 8):
@@ -801,7 +801,7 @@ def test_shared_table_misses_on_other_objects(grid_args, monkeypatch):
     reordered or a shortened fs each build their own table, with their own bits."""
     grid = Grid(*grid_args)
     fs = random_real_functions(grid, rng_from_seed(953), 3) + [
-        (1.5 + 1j) * random_real_function(grid, rng_from_seed(954))]
+        (1.5 + 1j) * random_real_functions(grid, rng_from_seed(954), 1)[0]]
     model, twin = two_mass_mixture(1.0, 4.0), two_mass_mixture(1.0, 4.0)
     copy = TestFunction(grid, fs[0].values)
     assert twin == model and twin is not model
@@ -849,7 +849,7 @@ def test_shared_table_pins_one_table(grid_args, monkeypatch):
 def test_shared_table_keeps_no_failed_build(grid_args, monkeypatch):
     grid = Grid(*grid_args)
     fs = _shared_args(grid)
-    other = random_real_function(Grid(2, 16, 0.5), rng_from_seed(955))
+    other = random_real_functions(Grid(2, 16, 0.5), rng_from_seed(955), 1)[0]
     model = two_mass_mixture(1.0, 4.0)
     builds = _count_table_builds(monkeypatch)
     want = _reads(model, fs[:4])
@@ -1118,7 +1118,7 @@ def test_moments_match_the_contour_integral_of_gamma(tree, grid, kind, equal):
     # the oracle uses Gamma alone, not the Wick sums of the leaf Grams
     rng = rng_from_seed(239)
     if kind == "real":
-        fs = [random_real_function(grid, rng) for _ in range(8)]
+        fs = random_real_functions(grid, rng, 8)
     else:
         fs = [gaussian_packet(grid, *_packet_draw(grid, rng)) for _ in range(8)]
     for n in range(2, MAX_MOMENT_ORDER + 1):

@@ -12,9 +12,8 @@ from schwingerlab import (DomainError, Grid, Isometry, SpectralMeasure, TestFunc
                           positive_time_part, positive_time_support,
                           site_indicator)
 from schwingerlab import fixtures, free_two_point, lattice
-from schwingerlab.functional import QuasiFree, cumulant, envelope
-from schwingerlab.fixtures import (random_positive_time_function, random_positive_time_functions,
-                                   random_real_function, random_real_functions,
+from schwingerlab.functional import QuasiFree, cumulant, envelope, moment_numeric
+from schwingerlab.fixtures import (random_positive_time_functions, random_real_functions,
                                    random_real_values, rng_from_seed)
 from schwingerlab.lattice import (REALITY_TOL, half_spectrum, lattice_symbol, packet_values,
                                   positive_time_part, stacked_half_spectra)
@@ -98,7 +97,7 @@ def test_packet_unit_norm(grid_2d):
 
 
 def test_is_real_reads_the_imaginary_part(grid_2d):
-    vals = random_real_function(grid_2d, rng_from_seed(8)).values
+    vals = random_real_functions(grid_2d, rng_from_seed(8), 1)[0].values
     assert TestFunction(grid_2d, vals.real).is_real
     assert not TestFunction(grid_2d, vals + 1j * vals).is_real
     assert TestFunction(grid_2d, vals + 1e-15j).is_real
@@ -319,8 +318,6 @@ def test_random_positive_time_functions_are_the_per_probe_bits(grid_args, imagin
             for f, g in zip(got, want):
                 assert _bits_equal(f.values, g.values)
             assert batch_rng.random() == probe_rng.random()
-        one = random_positive_time_function(grid, rng_from_seed(seed))
-        assert _bits_equal(one.values, _positive_time_recipe(grid, rng_from_seed(seed)).values)
 
 
 def test_packet_width_preconditions(grid_2d):
@@ -385,8 +382,8 @@ def test_stacked_half_spectra_fill_the_caches_with_the_single_transform_bits():
                 assert f._half.dtype == (np.complex128 if im else np.float64)
                 assert _bits_equal(f._half, want) and _bits_equal(row, want.astype(dtype))
                 assert not f._half.flags.writeable
-        other = random_real_function(Grid(grid.d, grid.n_per_axis, 2 * grid.spacing),
-                                     rng_from_seed(7))
+        other = random_real_functions(Grid(grid.d, grid.n_per_axis, 2 * grid.spacing),
+                                      rng_from_seed(7), 1)[0]
         with pytest.raises(DomainError, match="one grid"):
             stacked_half_spectra([fs[0], other])
 
@@ -405,7 +402,7 @@ def test_negation_index_gathers_the_reflected_transform():
 
 
 def test_reality_symmetry(grid_2d):
-    f = random_real_function(grid_2d, rng_from_seed(3))
+    f = random_real_functions(grid_2d, rng_from_seed(3), 1)[0]
     assert np.allclose(reflect_momentum(spectrum(f)), np.conj(spectrum(f)),
                        rtol=1e-12, atol=1e-14)
 
@@ -436,7 +433,7 @@ def test_sobolev_monotone_in_mass(packet):
 
 
 def test_sobolev_equals_free_two_point_for_real_f(grid_2d):
-    f = random_real_function(grid_2d, rng_from_seed(23))
+    f = random_real_functions(grid_2d, rng_from_seed(23), 1)[0]
     for m2 in (1.0, 4.0):
         assert sobolev_norm(f, m2) == pytest.approx(
             math.sqrt(free_two_point(f, f, m2).real), rel=1e-12)
@@ -470,8 +467,8 @@ def test_sobolev_norms_are_the_per_function_bits(grid_args):
 def test_half_spectrum_norms_agree_with_the_full_spectrum_sum(grid_args):
     grid = Grid(*grid_args)
     fs = random_real_functions(grid, rng_from_seed(15), 4) + [
-        random_complex_function(grid, 16), (0.5 - 2j) * random_real_function(
-            grid, rng_from_seed(17)), TestFunction.zeros(grid)]
+        random_complex_function(grid, 16), (0.5 - 2j) * random_real_functions(
+            grid, rng_from_seed(17), 1)[0], TestFunction.zeros(grid)]
     for m2 in (1e-6, 0.37, 4.0):
         terms = np.abs(_spectra(fs)) ** 2 / (lattice_symbol(grid).ravel() + m2)
         want = np.sqrt(terms.sum(axis=1) / grid.extent ** grid.d)
@@ -641,6 +638,46 @@ def test_copy_false_keeps_the_rows_of_a_read_only_batch():
     assert np.shares_memory(probes[0].values.base, probes[2].values)
     packet = gaussian_packet(grid, [4.0, 4.0], 1.0, [0.0, 0.0])
     assert packet.values.base is not None and not packet.values.base.flags.writeable
+
+
+@pytest.mark.bits
+def test_copy_false_over_an_owned_writable_array_keeps_its_values():
+    grid = Grid(2, 16, 0.5)
+    a = np.array(gaussian_packet(grid, [4.0, 4.0], 1.0, [0.0, 0.0]).values)
+    original, v = a.copy(), a[:]
+    f = TestFunction(grid, a, copy=False)
+    before = sobolev_norms([f], 1.0)
+    v[3, 3] = 2.0   # a writable array: it was copied, so the caller's view moves nothing
+    assert not np.shares_memory(f.values, a) and _bits_equal(f.values, original)
+    assert _bits_equal(sobolev_norms([f], 1.0), before)
+    assert _bits_equal(sobolev_norms([TestFunction(grid, original)], 1.0), before)
+    assert sobolev_norms([TestFunction(grid, a)], 1.0)[0] != before[0]
+    # a writable view of an owner made read-only after the view was taken
+    owner = np.array(original)
+    view = owner[:]
+    owner.setflags(write=False)
+    assert not np.shares_memory(TestFunction(grid, view, copy=False).values, owner)
+
+
+def test_copy_false_wraps_read_only_values_without_a_copy(monkeypatch):
+    grid = Grid(2, 16, 0.5)
+    packet = gaussian_packet(grid, [4.0, 4.0], 1.0, [0.0, 0.0])
+    # another function's values, a row of a read-only batch or an owned array
+    assert np.shares_memory(TestFunction(grid, packet.values, copy=False).values,
+                            packet.values)
+    owned = np.array(packet.values)
+    owned.setflags(write=False)
+    assert np.shares_memory(TestFunction(grid, owned, copy=False).values, owned)
+    # moment_numeric wraps the rows of its read-only batch of sign combinations
+    seen, evaluate_many = [], QuasiFree.evaluate_many
+
+    def spy(self, fs, z=1.0):
+        seen.extend(fs)
+        return evaluate_many(self, fs, z)
+    monkeypatch.setattr(QuasiFree, "evaluate_many", spy)
+    moment_numeric(QuasiFree(SpectralMeasure.delta(1.0)), [packet, packet])
+    assert len(seen) == 4
+    assert all(np.shares_memory(f.values, seen[0].values.base) for f in seen)
 
 
 def test_nonfinite_values_rejected(grid_1d):

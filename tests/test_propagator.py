@@ -6,8 +6,7 @@ import pytest
 from schwingerlab import (DomainError, Grid, SpectralMeasure, TestFunction,
                           apply_isometry, free_two_point, spectral_two_point)
 from schwingerlab.axioms import point_group
-from schwingerlab.fixtures import (random_real_function, random_real_functions,
-                                   random_real_values, rng_from_seed)
+from schwingerlab.fixtures import random_real_functions, random_real_values, rng_from_seed
 from schwingerlab.functional import MomentTable, QuasiFree, _leaf_grams, envelope
 from schwingerlab.lattice import half_spectrum_rows, lattice_symbol
 from schwingerlab.propagator import (MASS_FLOOR_SQ, _spectra, _weight_table, _weights,
@@ -192,7 +191,7 @@ def test_spectra_rows_have_the_single_transform_bits(grid_2d, monkeypatch):
     assert batches == [5]   # one batched transform of the distinct functions
     for f, row in zip(fs + [fs[0]], rows):
         assert _bits_equal(row, (fftn(f.values) * grid_2d.cell).ravel())
-    other = random_real_function(Grid(2, 32, 0.5), rng_from_seed(7))
+    other = random_real_functions(Grid(2, 32, 0.5), rng_from_seed(7), 1)[0]
     with pytest.raises(DomainError, match="one grid"):
         _spectra([fs[0], other])
 
@@ -486,7 +485,7 @@ def test_kernel_reproduces_two_point(grid_2d_small):
 
 def test_two_point_is_positive_semidefinite(grid_2d):
     rng = rng_from_seed(107)
-    fs = [random_real_function(grid_2d, rng) for _ in range(8)]
+    fs = random_real_functions(grid_2d, rng, 8)
     gram = np.array([[free_two_point(a, b, 1.0).real for b in fs] for a in fs])
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     assert eigs[0] >= -1e-10 * np.trace(gram)
@@ -494,8 +493,7 @@ def test_two_point_is_positive_semidefinite(grid_2d):
 
 def test_invariance_under_the_lattice_point_group(grid_2d):
     rng = rng_from_seed(109)
-    f = random_real_function(grid_2d, rng)
-    h = random_real_function(grid_2d, rng)
+    f, h = random_real_functions(grid_2d, rng, 2)
     base = free_two_point(f, h, 1.5)
     for iso in point_group(grid_2d):
         moved = free_two_point(apply_isometry(f, iso), apply_isometry(h, iso), 1.5)
