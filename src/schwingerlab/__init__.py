@@ -4,7 +4,7 @@ field-theory axioms they satisfy."""
 
 __version__ = "0.1.0"
 
-from .errors import DomainError, ModelError, SchemaError, SchwingerLabError
+from .errors import DomainError, SchemaError, SchwingerLabError
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
                       gaussian_packet, positive_time_part,
                       positive_time_support, site_indicator)

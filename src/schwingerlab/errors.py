@@ -10,11 +10,8 @@ class SchwingerLabError(Exception):
 
 
 class DomainError(SchwingerLabError, ValueError):
-    """An argument is outside the mathematical domain of an operation."""
-
-
-class ModelError(SchwingerLabError, ValueError):
-    """A functional tree violates one of its structural invariants."""
+    """An argument is outside the mathematical domain of an operation, such as a
+    tree that violates one of its structural invariants."""
 
 
 class SchemaError(SchwingerLabError, ValueError):

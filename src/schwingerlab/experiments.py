@@ -72,7 +72,7 @@ class ExperimentSpec:
     """Fully determines one experiment run; hashed into every output."""
 
     experiment_id: str
-    grid: dict
+    grid: Grid
     params: dict
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
@@ -81,14 +81,14 @@ class ExperimentSpec:
     def digest(self) -> str:
         return canonical_digest({
             "experiment_id": self.experiment_id,
-            "grid": Grid.from_dict(self.grid).as_dict(),
+            "grid": self.grid.as_dict(),
             "params": self.params,
             "seed": self.seed,
             "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
         })
 
     def as_dict(self) -> dict:
-        return {"experiment_id": self.experiment_id, "grid": self.grid,
+        return {"experiment_id": self.experiment_id, "grid": self.grid.as_dict(),
                 "params": self.params, "seed": self.seed,
                 "tolerances": self.tolerances}
 
@@ -105,13 +105,13 @@ class ExperimentSpec:
             raise SchemaError(
                 f"experiment_id must be one of {EXPERIMENT_IDS}, got {exp_id!r}"
             )
-        Grid.from_dict(doc["grid"])
+        grid = Grid.from_dict(doc["grid"])
         family = FAMILIES[exp_id]
         require_keys(doc["params"], family.required, family.optional,
                      "experiment spec.params")
         tolerances = doc.get("tolerances", {})
         overrides(tolerances, family.tolerances, "experiment spec.tolerances")
-        return ExperimentSpec(exp_id, dict(doc["grid"]), dict(doc["params"]),
+        return ExperimentSpec(exp_id, grid, dict(doc["params"]),
                               json_integer(doc.get("seed", 0), "experiment spec.seed", 0,
                                            MAX_SEED), dict(tolerances))
 
@@ -154,7 +154,6 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
         docstring for the derivation),
     (c) Monte Carlo fourth cumulant of phi(f), when mc_samples > 0.
     """
-    grid = Grid.from_dict(spec.grid)
     masses = _numbers(spec.params["masses_sq"], "two_mass masses_sq")
     if len(masses) != 2:
         raise SchemaError(f"masses_sq must have two entries, got {masses!r}")
@@ -166,7 +165,7 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
     if not (mc_samples == 0 or 3 <= mc_samples <= MAX_SAMPLE_COUNT):
         raise SchemaError(f"two_mass mc_samples must be 0 or in 3..{MAX_SAMPLE_COUNT}, "
                           f"got {mc_samples}")
-    f = packet_from_doc(grid, spec.params["packet"], "two_mass packet")
+    f = packet_from_doc(spec.grid, spec.params["packet"], "two_mass packet")
 
     model = two_mass_mixture(m1_sq, m2_sq, w)  # DomainError below the floor
     table = MomentTable(model, [f] * 4)
@@ -193,7 +192,7 @@ def run_two_mass_fourth_cumulant(spec: ExperimentSpec) -> ExperimentReport:
     notes = []
     passed = agree_ab
     if mc_samples > 0:
-        xs = pair_values(model, grid, f, spec.seed, mc_samples)
+        xs = pair_values(model, spec.grid, f, spec.seed, mc_samples)
         est, err = estimate_fourth_cumulant(xs)
         values["monte_carlo"] = est
         values["monte_carlo_stderr"] = err
@@ -218,7 +217,6 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
     convolved measure, (iii) its connected 4-point function is nonzero
     exactly when the family's two-point functions differ.
     """
-    grid = Grid.from_dict(spec.grid)
     if not isinstance(spec.params["families"], list):
         raise SchemaError("iteration families must be a list")
     families = [SpectralMeasure.from_pairs(pairs) for pairs in spec.params["families"]]
@@ -227,7 +225,7 @@ def run_iteration(spec: ExperimentSpec) -> ExperimentReport:
         raise SchemaError("lambda_weights and families must have equal length")
     if len(families) < 2:
         raise SchemaError("iteration needs at least two families")
-    f = packet_from_doc(grid, spec.params["packet"], "iteration packet")
+    f = packet_from_doc(spec.grid, spec.params["packet"], "iteration packet")
 
     # first step: per-family mixtures over single-mass leaves;
     # second step: gaussianize each; third step: mix with lambda.
@@ -300,9 +298,8 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
     d=2, tracks the defect of an off-axis rotated packet.
     """
     d = json_integer(spec.params["d"], "refinement d")
-    grid_d = Grid.from_dict(spec.grid).d
-    if grid_d != d:
-        raise SchemaError(f"refinement grid d={grid_d} disagrees with params d={d}")
+    if spec.grid.d != d:
+        raise SchemaError(f"refinement grid d={spec.grid.d} disagrees with params d={d}")
     extent = float(json_number(spec.params["extent"], "refinement extent"))
     levels = [json_integer(n, f"refinement levels[{i}]")
               for i, n in enumerate(_numbers(spec.params["levels"], "refinement levels"))]

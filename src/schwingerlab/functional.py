@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import partitions
-from .errors import DomainError, ModelError, SchemaError
+from .errors import DomainError, SchemaError
 from .fixtures import MAX_SEED, random_real_values, rng_from_seed
 from .lattice import Grid, TestFunction, half_spectrum_rows
 from .propagator import (SpectralMeasure, half_sobolev_norms, propagator_rows, row_grams,
@@ -161,23 +161,23 @@ def envelope(children: Sequence[tuple[float, SchwingerFunctional]]) -> Mixture:
 
 
 def validate_model(G: SchwingerFunctional) -> None:
-    """Check every structural invariant of a tree; raise ModelError if violated."""
+    """Check every structural invariant of a tree; raise DomainError if violated."""
     if isinstance(G, QuasiFree):
         return
     if isinstance(G, Mixture):
         if not G.children:
-            raise ModelError("mixture needs at least one child")
+            raise DomainError("mixture needs at least one child")
         for w, child in G.children:
             if not (math.isfinite(w) and w >= 0):
-                raise ModelError(f"mixture weight must be finite and >= 0, got {w}")
+                raise DomainError(f"mixture weight must be finite and >= 0, got {w}")
             validate_model(child)
         total = math.fsum(w for w, _ in G.children)
         if abs(total - 1.0) > 1e-12:
-            raise ModelError(f"mixture weights sum to {total!r}, expected 1")
+            raise DomainError(f"mixture weights sum to {total!r}, expected 1")
         if G.depth() > MAX_TREE_DEPTH:
-            raise ModelError(f"tree depth {G.depth()} exceeds bound {MAX_TREE_DEPTH}")
+            raise DomainError(f"tree depth {G.depth()} exceeds bound {MAX_TREE_DEPTH}")
         return
-    raise ModelError(f"unknown node type {type(G).__name__}")
+    raise DomainError(f"unknown node type {type(G).__name__}")
 
 
 def _leaf_exp(s2: np.ndarray, z=1.0) -> np.ndarray:
@@ -308,9 +308,6 @@ def moment_analytic(G: SchwingerFunctional, fs: Sequence[TestFunction]) -> compl
     sums of two-point values.  This, cumulant and cumulant_scale read entry -1
     of one _shared_table; read a MomentTable directly for many entries.
     """
-    if len(fs) % 2 == 1:
-        _check_moment_args(fs, MAX_MOMENT_ORDER)
-        return 0j
     return complex(_shared_table(G, fs).moments[-1])
 
 
@@ -423,18 +420,12 @@ def gaussianize(G: SchwingerFunctional) -> QuasiFree:
 
 @dataclass(frozen=True)
 class RegularityBound:
-    """Certified bound |Gamma(z f)| <= exp(constant |z|^e |f|^e')."""
+    """Certified bound |Gamma(z f)| <= exp(constant |z|^e |f|^e'), |f| the
+    Sobolev norm at the model's floor mass."""
 
-    norm_id: str
     constant: float
     e: float
     e_prime: float
-
-    def __post_init__(self) -> None:
-        if self.e < 1 or self.e_prime < 1:
-            raise DomainError("regularity exponents must be >= 1")
-        if not self.constant > 0:
-            raise DomainError("regularity constant must be > 0")
 
 
 @dataclass(frozen=True)
@@ -465,7 +456,7 @@ def regularity_certificate(G: SchwingerFunctional,
         raise DomainError("regularity is certified for real test functions")
     nu2 = sobolev_norm(f, min_mass_sq(G)) ** 2
     if nu2 == 0.0:
-        bound = RegularityBound("sobolev_minus1_floor", 1e-15, 2.0, 2.0)
+        bound = RegularityBound(1e-15, 2.0, 2.0)
         return RegularityCertificate(True, bound, 0j, 0)
     pts = default_z_grid()
     cs = [math.log(val) / (abs(z) * abs(z) * nu2) if val > 0 else -math.inf
@@ -474,7 +465,7 @@ def regularity_certificate(G: SchwingerFunctional,
     floor = best - ROUNDOFF_FLOOR * abs(best) if math.isfinite(best) else best
     worst = next(z for z, c in zip(pts, cs) if c >= floor)
     constant = max(best, 1e-15)
-    bound = RegularityBound("sobolev_minus1_floor", constant, 2.0, 2.0)
+    bound = RegularityBound(constant, 2.0, 2.0)
     return RegularityCertificate(constant <= REGULARITY_C_CEILING, bound, worst, len(pts))
 
 
@@ -554,7 +545,7 @@ def model_to_dict(G: SchwingerFunctional) -> dict:
                 {"weight": w, "model": model_to_dict(child)} for w, child in G.children
             ],
         }
-    raise ModelError(f"unknown node type {type(G).__name__}")
+    raise DomainError(f"unknown node type {type(G).__name__}")
 
 
 def model_from_dict(doc: dict, ctx: str = "model") -> SchwingerFunctional:
@@ -580,7 +571,7 @@ def model_from_dict(doc: dict, ctx: str = "model") -> SchwingerFunctional:
                          model_from_dict(entry["model"], ectx + ".model")))
         try:
             return envelope(kids)
-        except ModelError as exc:
+        except DomainError as exc:
             raise SchemaError(f"{ctx}: {exc}") from None
     raise SchemaError(f"{ctx}.kind must be 'quasifree' or 'mixture', got {kind!r}")
 

@@ -268,7 +268,7 @@ def packet_values(grid: Grid, centers, widths, momenta) -> np.ndarray:
         xi = (grid.axis_coordinates() - centers[..., None]) + _IMAGES * grid.extent
         terms = np.exp(-(xi ** 2) / two_w2 + (1j * momenta)[..., None] * xi)
         axes = np.add.reduce(terms, axis=0, initial=0j)
-        vals = axes[:, 0]
+        vals = axes[:, 0].copy()   # an owner in 1-D too, so a read-only vals has read-only rows
         for i in range(1, grid.d):
             vals = vals[..., None] * axes[:, i].reshape((k,) + (1,) * i + (n,))
         sq = np.abs(vals.reshape(k, -1))
@@ -380,9 +380,7 @@ def positive_time_support(f: TestFunction) -> bool:
     strictly positive time slices t in {a, ..., (N/2-1) a}.
     """
     t = f.grid.signed_axis_coordinates()
-    mask = t < f.grid.spacing / 2
-    if not mask.any():
-        return True
+    mask = t < f.grid.spacing / 2   # never empty: site 0 sits at t = 0
     worst = float(np.max(np.abs(f.values[mask])))
     return worst <= REALITY_TOL
 

@@ -28,16 +28,6 @@ from .errors import DomainError
 MAX_PARTITION_N = 10
 
 
-def _check_order(n: int) -> None:
-    if not isinstance(n, int):
-        raise DomainError(f"partition order must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_PARTITION_N:
-        raise DomainError(
-            f"partition order n={n} outside 1..{MAX_PARTITION_N} "
-            f"(cap keeps the O(3^n) subset splits desk-scale)"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Set functions over bitmasks
 # ---------------------------------------------------------------------------
@@ -69,9 +59,11 @@ def _pair_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
 
 def _layers(a: np.ndarray):
     n = a.shape[-1].bit_length() - 1
-    if a.shape[-1] != 1 << n:
+    if n < 0 or a.shape[-1] != 1 << n:
         raise DomainError(f"a set function has 2^n entries, got {a.shape[-1]}")
-    _check_order(n)
+    if not 1 <= n <= MAX_PARTITION_N:
+        raise DomainError(f"partition order n={n} outside 1..{MAX_PARTITION_N} "
+                          f"(cap keeps the O(3^n) subset splits desk-scale)")
     return _rooted_splits(n)
 
 
@@ -109,9 +101,10 @@ def subset_log(f: np.ndarray) -> np.ndarray:
 def subset_neglog1m(t: np.ndarray) -> np.ndarray:
     """-log(1 - t), t[0] unread: entry S != 0 is the sum over the set
     partitions pi of S of (|pi|-1)! prod_B t[B]."""
+    layers = _layers(t)
     out, inv = np.zeros_like(t), np.zeros_like(t)   # inv = 1/(1 - t) = exp(out)
     inv[..., 0] = 1.0
-    for masks, blocks, rests in _layers(t):
+    for masks, blocks, rests in layers:
         out[..., masks] = (t[..., blocks] * inv[..., rests]).sum(-1)
         inv[..., masks] = (out[..., blocks] * inv[..., rests]).sum(-1)
     return out

@@ -15,7 +15,6 @@ from schwingerlab import (CheckReport, DomainError, Isometry, Mixture,
                           site_indicator, summary_lines)
 from schwingerlab.axioms import _psd_witness, point_group
 from schwingerlab.errors import SchemaError
-from schwingerlab.errors import ModelError
 from schwingerlab.experiments import two_mass_mixture
 from schwingerlab.fixtures import (random_model_tree,
                                    random_positive_time_functions,
@@ -631,7 +630,7 @@ def test_quasi_free_defect_on_the_half_grid_is_bit_identical_to_the_full_grid(gr
 def _valid(tree):
     try:
         validate_model(tree)
-    except ModelError:
+    except DomainError:
         return False
     return True
 

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from schwingerlab import (DomainError, ModelError, Mixture, QuasiFree,
+from schwingerlab import (DomainError, Mixture, QuasiFree,
                           SchemaError, SpectralMeasure, TestFunction,
                           cumulant, cumulant_scale, envelope, free_two_point,
                           gaussian_packet, gaussianize, load_model, model_from_dict,
@@ -440,11 +440,11 @@ def test_single_child_envelope_is_transparent(grid_2d, packet):
 
 def test_envelope_rejects_bad_weights():
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
-    with pytest.raises(ModelError, match="sum"):
+    with pytest.raises(DomainError, match="sum"):
         envelope([(0.5, leaf), (0.4, leaf)])
-    with pytest.raises(ModelError, match=">= 0"):
+    with pytest.raises(DomainError, match=">= 0"):
         envelope([(1.5, leaf), (-0.5, leaf)])
-    with pytest.raises(ModelError, match="at least one"):
+    with pytest.raises(DomainError, match="at least one"):
         envelope([])
 
 
@@ -452,14 +452,14 @@ def test_depth_bound_enforced():
     node = QuasiFree(SpectralMeasure.delta(1.0))
     for _ in range(MAX_TREE_DEPTH - 1):
         node = envelope([(1.0, node)])
-    with pytest.raises(ModelError, match="depth"):
+    with pytest.raises(DomainError, match="depth"):
         envelope([(1.0, node)])
 
 
 def test_validate_model_detects_corruption():
     leaf = QuasiFree(SpectralMeasure.delta(1.0))
     bad = Mixture(((0.5, leaf), (0.4, leaf)))  # raw constructor, no gate
-    with pytest.raises(ModelError, match="sum"):
+    with pytest.raises(DomainError, match="sum"):
         validate_model(bad)
     validate_model(nested_mixture())
 
@@ -570,6 +570,66 @@ def test_moment_growth_bound(grid_2d):
         # odd orders contribute nothing
         odd = dict(rep.per_order)
         assert odd[1] == 0.0 and odd[3] == 0.0
+
+
+# Proven bounds.  Let W_l = sum_m a_lm be leaf l's total atom weight.  Every atom mass
+# is at or above the model's floor, so on arguments of unit floor norm |S2_l(f_i, f_j)|
+# <= W_l (Cauchy-Schwarz), a leaf's hafnian is at most (n-1)!! W_l^(n/2), and |Gamma(z f)|
+# <= exp(1/2 max_{w_l > 0} W_l |z|^2 |f|^2).  A kernel that overstates two-point values
+# breaks them.
+
+def _double_factorial(n):
+    return math.prod(range(n, 0, -2))
+
+
+def _pool_trees():
+    pool = rng_from_seed(424242)   # the benchmark's model pool
+    return [random_model_tree(pool, max_depth=3) for _ in range(48)]
+
+
+@pytest.mark.parametrize("grid_args", [(2, 32, 0.25), (3, 16, 0.5)], ids=["2d", "3d"])
+def test_growth_probes_stay_below_the_proven_bound(grid_args):
+    grid = Grid(*grid_args)
+    for model in _pool_trees():
+        weights, _, atoms = model._atom_table
+        totals = atoms.sum(axis=1)
+        for seed in (0, 7):
+            rep = moment_growth_check(model, grid, n_max=8, trials=4, seed=seed)
+            for n, k in rep.per_order:
+                if n % 2:
+                    assert k == 0.0
+                    continue
+                bound = _double_factorial(n - 1) * float(weights @ totals ** (n // 2))
+                assert k <= (bound / math.sqrt(math.factorial(n))) ** (1.0 / (n + 1))
+
+
+@pytest.mark.parametrize("total", [1e-3, 1.0, 7.5])
+def test_a_one_atom_floor_leaf_attains_the_proven_moment_bound(packet, total):
+    leaf = QuasiFree(SpectralMeasure(((2.0, total),)))
+    f = (1.0 / sobolev_norm(packet, min_mass_sq(leaf))) * packet
+    for n in range(2, MAX_MOMENT_ORDER + 1):
+        bound = _double_factorial(n - 1) * total ** (n / 2) if n % 2 == 0 else 0.0
+        assert abs(moment_analytic(leaf, [f] * n) - bound) <= 1e-12 * bound
+
+
+def test_regularity_constant_stays_below_half_the_heaviest_live_leaf(grid_2d, packet):
+    floor_leaves = [QuasiFree(SpectralMeasure(((2.0, w),))) for w in (1e-3, 1.0, 7.5)]
+    # a leaf of weight 0 does not count, however heavy
+    dead_heavy = envelope([(0.0, floor_leaves[2]), (1.0, floor_leaves[0])])
+    models = _pool_trees() + floor_leaves + [dead_heavy]
+    probes = [packet] + random_real_functions(grid_2d, rng_from_seed(71), 2)
+    for model in models:
+        weights, _, atoms = model._atom_table
+        half_max = 0.5 * float(atoms.sum(axis=1)[weights > 0].max())
+        for f in probes:
+            # log|Gamma| is good to a few ulps of max(|log|Gamma||, 1), so C = log|Gamma| /
+            # (|z|^2 nu^2) is good to ROUNDOFF_FLOOR of max(C, 1 / (|z|^2 nu^2)), |z| >= 1/2
+            nu2 = sobolev_norm(f, min_mass_sq(model)) ** 2
+            slack = ROUNDOFF_FLOOR * max(half_max, 1.0 / (abs(default_z_grid()[0]) ** 2 * nu2))
+            constant = regularity_certificate(model, f).bound.constant
+            assert constant <= half_max + slack
+            if model in floor_leaves:   # a one-atom leaf attains it on the imaginary axis
+                assert constant >= half_max - slack
 
 
 def _growth_loop(G, grid, n_max, trials, seed):

@@ -628,16 +628,17 @@ def test_copy_false_over_a_writable_batch_keeps_its_values():
 
 @pytest.mark.bits
 def test_copy_false_keeps_the_rows_of_a_read_only_batch():
-    grid = Grid(2, 16, 0.5)
-    base = np.array([f.values for f in random_real_functions(grid, rng_from_seed(37), 3)])
-    base.setflags(write=False)
-    fs = [TestFunction(grid, v, copy=False) for v in base]
-    assert all(np.shares_memory(f.values, base) for f in fs)
-    # the package's own batches are made read-only before their rows are wrapped
-    probes = random_positive_time_functions(grid, rng_from_seed(38), 3)
-    assert np.shares_memory(probes[0].values.base, probes[2].values)
-    packet = gaussian_packet(grid, [4.0, 4.0], 1.0, [0.0, 0.0])
-    assert packet.values.base is not None and not packet.values.base.flags.writeable
+    for grid in (Grid(1, 16, 0.5), Grid(2, 16, 0.5)):
+        base = np.array([f.values for f in random_real_functions(grid, rng_from_seed(37), 3)])
+        base.setflags(write=False)
+        fs = [TestFunction(grid, v, copy=False) for v in base]
+        assert all(np.shares_memory(f.values, base) for f in fs)
+        # the package's own batches are made read-only before their rows are wrapped
+        probes = random_positive_time_functions(grid, rng_from_seed(38), 3)
+        assert np.shares_memory(probes[0].values.base, probes[2].values)
+        packet = gaussian_packet(grid, [4.0] * grid.d, 1.0, [0.0] * grid.d)
+        assert packet.values.base is not None and not packet.values.base.flags.writeable
+        assert np.shares_memory(packet.values, packet.values.base)
 
 
 @pytest.mark.bits

@@ -269,5 +269,8 @@ def test_pair_exp_warm_tables_are_the_per_call_layer_bits(n):
 def test_set_function_length_must_be_a_power_of_two():
     with pytest.raises(DomainError, match="2\\^n"):
         subset_exp(np.zeros(6))
+    for transform in (subset_exp, pair_exp, subset_log, subset_neglog1m):
+        with pytest.raises(DomainError, match="2\\^n entries, got 0"):
+            transform(np.zeros(0))
     with pytest.raises(DomainError, match="n=0 outside 1..10"):
         subset_log(np.ones(1))
