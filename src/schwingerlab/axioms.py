@@ -39,7 +39,7 @@ from .fixtures import (random_positive_time_functions, random_real_functions,
                        rng_from_seed)
 from .functional import (ROUNDOFF_FLOOR, SchwingerFunctional, _leaf_exp, _leaf_sum,
                          model_to_dict, quasi_free_defect)
-from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
+from .lattice import (Grid, Isometry, TestFunction, apply_isometry, common_grid,
                       positive_time_support, site_indicator)
 from .serialize import canonical_digest, complex_pair, overrides
 
@@ -224,9 +224,7 @@ def check_cluster_defect(G: SchwingerFunctional, f: TestFunction,
     widened by the first-order tail budget 2 sum_l w_l |S2_l(f, g^a_max)|:
     the finite box limits how small a defect the curve can resolve.
     """
-    grid = f.grid
-    if g.grid != grid:
-        raise DomainError("f and g must live on one grid")
+    grid = common_grid((f, g))
     seps = _normalize_separations(grid, separations)
     weights = G._atom_table[0]
 

@@ -79,13 +79,8 @@ class ExperimentSpec:
 
     @property
     def digest(self) -> str:
-        return canonical_digest({
-            "experiment_id": self.experiment_id,
-            "grid": self.grid.as_dict(),
-            "params": self.params,
-            "seed": self.seed,
-            "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
-        })
+        return canonical_digest({**self.as_dict(), "tolerances": {
+            k: float(v) for k, v in sorted(self.tolerances.items())}})
 
     def as_dict(self) -> dict:
         return {"experiment_id": self.experiment_id, "grid": self.grid.as_dict(),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Grid, TestFunction, packet_values
+from .lattice import Grid, TestFunction, packet_values, positive_time_parts
 
 
 # seeds from outside the program are integers in 0..MAX_SEED, the Philox key
@@ -93,14 +93,8 @@ def random_positive_time_functions(grid: Grid, rng: np.random.Generator,
     real = vals.real.reshape(count, -1).astype(np.complex128)
     norms = np.sqrt((grid.cell * np.add.reduce(np.conj(real) * real, axis=1)).real)
     parts = np.where((norms < 1e-12).reshape((-1,) + (1,) * grid.d), vals.imag, vals.real)
-    # as positive_time_part: a complex multiply by the boolean mask keeps signed zeros
-    keep = grid.signed_axis_coordinates() >= a / 2.0
-    flat = (parts.astype(np.complex128)
-            * keep.reshape((1, -1) + (1,) * (grid.d - 1))).reshape(count, -1)
-    norms = np.sqrt((grid.cell * np.add.reduce(np.conj(flat) * flat, axis=1)).real)
-    vals = flat * np.array([complex(1.0 / nm) for nm in norms])[:, None]
-    vals.setflags(write=False)   # so its rows are wrapped without a copy
-    return [TestFunction(grid, v.reshape(grid.shape), copy=False) for v in vals]
+    return [TestFunction(grid, v, copy=False)
+            for v in positive_time_parts(grid, parts.astype(np.complex128))]
 
 
 def random_model_tree(rng: np.random.Generator, max_depth: int = 3):

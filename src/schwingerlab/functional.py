@@ -221,8 +221,6 @@ def quasi_free_defect(G: SchwingerFunctional, grid: Grid) -> float:
 def _check_moment_args(fs: Sequence[TestFunction], cap: int) -> None:
     if not 1 <= len(fs) <= cap:
         raise DomainError(f"moment order n={len(fs)} outside 1..{cap}")
-    if any(f.grid != fs[0].grid for f in fs):
-        raise DomainError("moments need every argument on one grid")
 
 
 def _leaf_grams(G: SchwingerFunctional, fs: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -245,6 +243,20 @@ def _pair_table(grams: np.ndarray) -> np.ndarray:
     return pairs
 
 
+def _finite_table(compute):
+    """cached_property of a set function computed under np.errstate; a non-finite entry
+    raises DomainError naming the table and the lowest order that holds one."""
+    def checked(self):
+        with np.errstate(all="ignore"):
+            table = compute(self)
+        if not np.isfinite(table).all():
+            order = min(bin(s).count("1") for s in np.flatnonzero(~np.isfinite(table)).tolist())
+            raise DomainError(f"{compute.__name__} of order {order} leave float64: the "
+                              "arguments or the spectral weights are too large")
+        return table
+    return cached_property(checked)
+
+
 class MomentTable:
     """Moments, cumulants and cumulant scales of every sub-collection of
     fs = (f_1..f_n), as set functions over bitmasks (see `partitions`):
@@ -261,7 +273,7 @@ class MomentTable:
     Qbar = sum_l w_l Q_l, W = sum_l w_l.  On a single leaf Q_l - Qbar is
     exactly 0, and so is every cumulant above order two.  The (1 - W) term
     keeps M[empty] = 1 for raw trees whose weights do not sum to 1.  Each
-    table is computed on first use.
+    table is computed on first use; one that leaves float64 raises DomainError.
     """
 
     def __init__(self, G: SchwingerFunctional, fs: Sequence[TestFunction]):
@@ -269,18 +281,18 @@ class MomentTable:
         self.weights, grams = _leaf_grams(G, fs)
         self.pairs = _pair_table(grams)
 
-    @cached_property
+    @_finite_table
     def moments(self) -> np.ndarray:
         return self.weights @ partitions.pair_exp(self.pairs)
 
-    @cached_property
+    @_finite_table
     def cumulants(self) -> np.ndarray:
         mean = self.weights @ self.pairs
         inner = (self.weights @ partitions.pair_exp(self.pairs - mean)
                  + (1.0 - self.weights.sum()) * partitions.pair_exp(-mean))
         return mean + partitions.subset_log(inner)
 
-    @cached_property
+    @_finite_table
     def scales(self) -> np.ndarray:
         return partitions.subset_neglog1m(np.abs(self.moments))
 

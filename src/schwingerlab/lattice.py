@@ -133,14 +133,12 @@ class TestFunction:
     Values are immutable after construction (copy=False keeps the given array
     only if it is read-only and owns its memory or views a read-only array
     that does; otherwise it copies).  The half-spectrum row X_f (Grams and norms)
-    is cached on first use, the reality flag on first read, since most functions
-    (stencil combinations, isometry images, sums) never have it read.
-    Values carry units field^-1 volume^-1 so that pairings phi(f) are
-    dimensionless.
+    is cached on first use.  Values carry units field^-1 volume^-1 so that
+    pairings phi(f) are dimensionless.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
-    __slots__ = ("grid", "values", "_is_real", "_half")
+    __slots__ = ("grid", "values", "_half")
 
     def __init__(self, grid: Grid, values, copy: bool = True):
         arr = np.array(values, dtype=np.complex128, copy=copy or None)
@@ -157,7 +155,7 @@ class TestFunction:
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
-        self._is_real = self._half = None
+        self._half = None
 
     @classmethod
     def zeros(cls, grid: Grid) -> "TestFunction":
@@ -166,21 +164,13 @@ class TestFunction:
     @property
     def is_real(self) -> bool:
         """max |Im f| <= REALITY_TOL."""
-        if self._is_real is None:
-            self._is_real = bool(np.max(np.abs(self.values.imag), initial=0.0) <= REALITY_TOL)
-        return self._is_real
-
-    def _same_grid(self, other: "TestFunction") -> None:
-        if self.grid != other.grid:
-            raise DomainError("test functions live on different grids")
+        return bool(np.max(np.abs(self.values.imag), initial=0.0) <= REALITY_TOL)
 
     def __add__(self, other: "TestFunction") -> "TestFunction":
-        self._same_grid(other)
-        return TestFunction(self.grid, self.values + other.values)
+        return TestFunction(common_grid((self, other)), self.values + other.values)
 
     def __sub__(self, other: "TestFunction") -> "TestFunction":
-        self._same_grid(other)
-        return TestFunction(self.grid, self.values - other.values)
+        return TestFunction(common_grid((self, other)), self.values - other.values)
 
     def __neg__(self) -> "TestFunction":
         return TestFunction(self.grid, -self.values)
@@ -192,11 +182,19 @@ class TestFunction:
 
     def inner(self, other: "TestFunction") -> complex:
         """Discrete L2 inner product  a^d sum_x conj(f) g."""
-        self._same_grid(other)
-        return complex(self.grid.cell * np.sum(np.conj(self.values) * other.values))
+        cell = common_grid((self, other)).cell
+        return complex(cell * np.sum(np.conj(self.values) * other.values))
 
     def l2_norm(self) -> float:
         return math.sqrt(self.inner(self).real)
+
+
+def common_grid(fs) -> Grid:
+    """The one grid of every f in fs; DomainError if they are on more than one."""
+    grid = fs[0].grid
+    if any(f.grid != grid for f in fs):
+        raise DomainError("test functions must all live on one grid")
+    return grid
 
 
 def half_spectrum_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -208,9 +206,7 @@ def half_spectrum_rows(grid: Grid, values: np.ndarray) -> np.ndarray:
 def stacked_half_spectra(fs: list[TestFunction]) -> np.ndarray:
     """Rows X_f = rows(Re f) + i rows(Im f) of fs (rows = half_spectrum_rows; Im f = 0: rows(Re f)),
     float64 if every f is real; the uncached from one batched rfftn, copied into their caches."""
-    grid = fs[0].grid
-    if any(f.grid != grid for f in fs):
-        raise DomainError("stacked transforms need every function on one grid")
+    grid = common_grid(fs)
     todo = list({id(f): f for f in fs if f._half is None}.values())
     if todo:
         split = [[f.values.real, f.values.imag][:1 + f.values.imag.any()] for f in todo]
@@ -338,9 +334,10 @@ class Isometry:
         return Isometry("time_reflection")
 
 
-def _negate_axis(v: np.ndarray, ax: int) -> np.ndarray:
-    # index map n -> (-n) mod N along one axis
-    return np.roll(np.flip(v, axis=ax), 1, axis=ax)
+def negate_axes(v: np.ndarray, axes) -> np.ndarray:
+    """v read at -n: the index map n -> (-n) mod N along an axis or a tuple of axes,
+    an exact permutation (on a transform's axes, f^(k) -> f^(-k))."""
+    return np.roll(np.flip(v, axis=axes), 1, axis=axes)
 
 
 def apply_isometry(f: TestFunction, iso: Isometry) -> TestFunction:
@@ -357,7 +354,7 @@ def apply_isometry(f: TestFunction, iso: Isometry) -> TestFunction:
     elif iso.kind == "axis_reflection":
         if len(iso.params) != 1 or not 0 <= iso.params[0] < g.d:
             raise DomainError(f"bad axis_reflection params {iso.params}")
-        out = _negate_axis(v, iso.params[0])
+        out = negate_axes(v, iso.params[0])
     elif iso.kind == "rotation":
         if g.d < 2:
             raise DomainError("rotations need d >= 2")
@@ -366,7 +363,7 @@ def apply_isometry(f: TestFunction, iso: Isometry) -> TestFunction:
         i, j = iso.params
         if i == j or not (0 <= i < g.d and 0 <= j < g.d):
             raise DomainError(f"bad rotation plane {iso.params}")
-        out = np.swapaxes(_negate_axis(v, j), i, j)
+        out = np.swapaxes(negate_axes(v, j), i, j)
     else:
         raise DomainError(f"unknown isometry kind {iso.kind!r}")
     return TestFunction(g, out, copy=True)
@@ -386,13 +383,19 @@ def positive_time_support(f: TestFunction) -> bool:
 
 
 def positive_time_part(f: TestFunction) -> TestFunction:
-    """Project f onto the positive-time slices and renormalize to unit norm
-    (gate for reflection tests)."""
-    t = f.grid.signed_axis_coordinates()
-    keep = t >= f.grid.spacing / 2
-    vals = f.values * keep.reshape((-1,) + (1,) * (f.grid.d - 1))
-    out = TestFunction(f.grid, vals)
-    norm = out.l2_norm()
-    if norm == 0.0:
+    """positive_time_parts of f alone."""
+    return TestFunction(f.grid, positive_time_parts(f.grid, f.values[None])[0], copy=False)
+
+
+def positive_time_parts(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Each row of a complex (k, *grid.shape) batch cut to the positive-time slices (a complex
+    multiply by the mask, which keeps signed zeros) at unit norm, read-only: the gate for
+    reflection tests.  A row with no support there raises DomainError."""
+    keep = grid.signed_axis_coordinates() >= grid.spacing / 2
+    flat = (values * keep.reshape((1, -1) + (1,) * (grid.d - 1))).reshape(len(values), -1)
+    norms = np.sqrt((grid.cell * np.add.reduce(np.conj(flat) * flat, axis=1)).real)
+    if not norms.all():
         raise DomainError("function has no support at positive times")
-    return (1.0 / norm) * out
+    out = flat * np.array([complex(1.0 / nm) for nm in norms])[:, None]
+    out.setflags(write=False)   # so its rows are wrapped without a copy
+    return out.reshape(values.shape)

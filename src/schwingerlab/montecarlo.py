@@ -109,11 +109,14 @@ def sample_stream(G: SchwingerFunctional, grid: Grid, seed: int,
 
 def estimate_fourth_cumulant(pairings: np.ndarray) -> tuple[float, float]:
     """kappa4 = E x^4 - 3 (E x^2)^2 for a centered scalar sample, with a
-    delete-one jackknife error (vectorized through the moment sums)."""
+    delete-one jackknife error (vectorized through the moment sums); both are taken on x 2^-e,
+    e the exponent of frexp(max |x|), and scaled back by the exact 2^4e, so neither underflows."""
     x = np.asarray(pairings, dtype=np.float64)
     n = x.shape[0]
     if n < 3:
         raise DomainError("need at least three samples")
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    x = np.ldexp(x, -e)
     x2, x4 = x * x, x ** 4
     s2, s4 = x2.sum(), x4.sum()
     est = s4 / n - 3.0 * (s2 / n) ** 2
@@ -122,7 +125,7 @@ def estimate_fourth_cumulant(pairings: np.ndarray) -> tuple[float, float]:
     k_loo = m4_loo - 3.0 * m2_loo ** 2
     center = k_loo.mean()
     var = (n - 1) / n * np.sum((k_loo - center) ** 2)
-    return float(est), float(math.sqrt(var))
+    return math.ldexp(float(est), 4 * e), math.ldexp(math.sqrt(var), 4 * e)
 
 
 def pair_values(G: SchwingerFunctional, grid: Grid, f: TestFunction,

@@ -27,11 +27,12 @@ S2(u + i v, u' + i v') = S2(u, u') - S2(v, v') + i (S2(u, v') + S2(v, u')) at on
 The weights tile(mu P_r, 2) of a model on a grid are formed once, read-only, in a 4-entry
 cache keyed by the grid and the bytes of the masses and atoms (a norm's: ([m2], [[1.0]])).
 The pairs alone take the complex full spectrum, from their own FFT, read at
--k, and stay per mass over a full-grid table while the worst_kind argmax
-rests on evaluate's bits: numpy divides a complex by a real by Smith's rule,
-which multiplies both parts by 1/d, so their products have the bits of a
-per-mass division (except that a -0 part of the numerator may come out as a
-zero of the other sign).  Overflow raises DomainError.
+-k through the lattice's negation (`lattice.negate_axes`), and stay per mass
+over a full-grid table while the worst_kind argmax rests on evaluate's bits:
+numpy divides a complex by a real by Smith's rule, which multiplies both parts
+by 1/d, so their products have the bits of a per-mass division (except that a
+-0 part of the numerator may come out as a zero of the other sign).  Overflow
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .lattice import Grid, TestFunction, half_spectrum, lattice_symbol, stacked_half_spectra
+from .lattice import (Grid, TestFunction, common_grid, half_spectrum, lattice_symbol,
+                      negate_axes, stacked_half_spectra)
 from .serialize import json_number
 
 # Guards the massless infrared divergence; models set their own, larger
@@ -121,21 +123,10 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=64)
-def _negation_index(grid: Grid) -> np.ndarray:
-    """Flat FFT-order index of -k (mod N per axis) for every flat momentum index k."""
-    modes = np.indices(grid.shape).reshape(grid.d, -1)
-    out = np.ravel_multi_index(tuple(-modes % grid.n_per_axis), grid.shape)
-    out.setflags(write=False)
-    return out
-
-
 def _spectra(fs: Sequence[TestFunction]) -> np.ndarray:
     """f^(k) = a^d sum_x exp(-i k.x) f(x) of every f in fs as flat FFT-order rows,
     from one batched FFT of the distinct functions (a row has its own FFT's bits)."""
-    grid = fs[0].grid
-    if any(f.grid != grid for f in fs):
-        raise DomainError("two-point functions need every function on one grid")
+    grid = common_grid(fs)
     distinct = {id(f): f for f in fs}
     row = {key: i for i, key in enumerate(distinct)}
     hats = np.fft.fftn(np.array([f.values for f in distinct.values()]),
@@ -158,7 +149,9 @@ def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
     grid = fs[0].grid
     with np.errstate(over="ignore", invalid="ignore"):
         hats = _spectra(fs if gs is fs else list(fs) + list(gs))
-        prod = hats[:len(fs), _negation_index(grid)] * hats[-len(gs):]
+        reflected = negate_axes(hats[:len(fs)].reshape((len(fs),) + grid.shape),
+                                tuple(range(1, grid.d + 1)))
+        prod = reflected.reshape(len(fs), -1) * hats[-len(gs):]
         scaled = np.empty_like(prod)
         inverse = 1.0 / (np.asarray(masses_sq, dtype=np.float64)[:, None]
                          + lattice_symbol(grid).ravel())

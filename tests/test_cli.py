@@ -334,6 +334,24 @@ def test_two_point_overflow_exits_two_without_output(recipe_file, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order", [4, 8])
+def test_moments_that_leave_float64_exit_two_naming_them(recipe_file, tmp_path, capsys, order):
+    # the heavy leaf's S2(f, f) is about 1e288, so its order-4 Wick sums overflow; a
+    # RuntimeWarning would be raised here as an error, since the suite turns warnings into errors
+    path = tmp_path / "heavy.json"
+    write_json(path, {"format": "schwinger-model", "version": 1, "model": {
+        "kind": "mixture", "children": [
+            {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [[1.0, 1.0]]}},
+            {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [[1e12, 1e300]]}}]}})
+    out = tmp_path / "o"
+    argv = ["moments", str(path), "--recipe", recipe_file, "--order", str(order),
+            "--grid", "2,16,0.5", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: moments of order 4 leave float64") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,doc,argv,ctx", [
     ("recipe.json", {"functions": [{"center": [1e308, 4.0], "width": 1.0}]},
      ["moments", "{model}", "--recipe", "{doc}", "--grid", "2,32,0.25"], "recipe.functions[0]"),

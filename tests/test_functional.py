@@ -1204,6 +1204,21 @@ def test_batched_grams_match_the_two_point_kernel():
                 assert grams[l, i, j] == pytest.approx(want, rel=1e-13, abs=1e-16)
 
 
+def test_tables_that_leave_float64_raise_naming_the_table_and_order():
+    f = gaussian_packet(Grid(2, 16, 0.5), [4.0, 4.0], 1.0)
+    heavy = envelope([(0.5, QuasiFree(SpectralMeasure.delta(1.0))),
+                      (0.5, QuasiFree(SpectralMeasure(((1e12, 1e300),))))])
+    for name in ("moments", "cumulants"):
+        with pytest.raises(DomainError, match=f"^{name} of order 4 leave float64"):
+            getattr(MomentTable(heavy, [f] * 4), name)
+    # one leaf with S2(f, f) = 3e76: the order-8 moment 105 S2^4 is finite, its scale is not
+    weight = 3e76 / free_two_point(f, f, 1.0).real
+    table = MomentTable(QuasiFree(SpectralMeasure(((1.0, weight),))), [f] * 8)
+    assert np.isfinite(table.moments).all()
+    with pytest.raises(DomainError, match="^scales of order 8 leave float64"):
+        table.scales
+
+
 @pytest.mark.parametrize("route", [moment_analytic, cumulant, cumulant_scale])
 def test_functions_on_two_grids_are_rejected(route, packet):
     other = gaussian_packet(CONDITIONING_GRID, [4.0, 4.0], 1.0)

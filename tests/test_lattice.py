@@ -12,13 +12,14 @@ from schwingerlab import (DomainError, Grid, Isometry, SpectralMeasure, TestFunc
                           positive_time_part, positive_time_support,
                           site_indicator)
 from schwingerlab import fixtures, free_two_point, lattice
-from schwingerlab.functional import QuasiFree, cumulant, envelope, moment_numeric
+from schwingerlab.axioms import check_cluster_defect
+from schwingerlab.functional import MomentTable, QuasiFree, cumulant, envelope, moment_numeric
 from schwingerlab.fixtures import (random_positive_time_functions, random_real_functions,
                                    random_real_values, rng_from_seed)
 from schwingerlab.lattice import (REALITY_TOL, half_spectrum, lattice_symbol, packet_values,
                                   positive_time_part, stacked_half_spectra)
-from schwingerlab.propagator import (_negation_index, _spectra, _weight_table, sobolev_norm,
-                                     sobolev_norms)
+from schwingerlab.propagator import (_spectra, _weight_table, sobolev_norm, sobolev_norms,
+                                     two_point_pairs)
 from oracles import half_multiplicity, half_row, half_rows, reflect_momentum
 
 
@@ -103,7 +104,7 @@ def test_is_real_reads_the_imaginary_part(grid_2d):
     assert TestFunction(grid_2d, vals + 1e-15j).is_real
     assert not TestFunction(grid_2d, vals + 10 * REALITY_TOL * 1j).is_real
     f = TestFunction(grid_2d, vals - 1e-15j)
-    assert f.is_real and f.is_real       # cached on first read
+    assert f.is_real and f.is_real       # the same flag on every read
 
 
 def test_zero_momentum_packet_real_positive_symmetric(grid_2d):
@@ -388,17 +389,34 @@ def test_stacked_half_spectra_fill_the_caches_with_the_single_transform_bits():
             stacked_half_spectra([fs[0], other])
 
 
+def test_every_entry_point_raises_the_one_grid_error():
+    grid, other = Grid(2, 16, 0.5), Grid(2, 16, 0.25)
+    f, g = (random_real_functions(gr, rng_from_seed(3), 1)[0] for gr in (grid, other))
+    model = envelope([(0.5, QuasiFree(SpectralMeasure.delta(1.0))),
+                      (0.5, QuasiFree(SpectralMeasure.delta(4.0)))])
+    calls = [lambda: f + g, lambda: f - g, lambda: f.inner(g),
+             lambda: stacked_half_spectra([f, g]),
+             lambda: two_point_pairs([f], [g], [1.0], np.array([[1.0]])),
+             lambda: MomentTable(model, [f, g]), lambda: moment_numeric(model, [f, g]),
+             lambda: check_cluster_defect(model, f, g, [4])]
+    messages = set()
+    for call in calls:
+        with pytest.raises(DomainError, match="one grid") as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"test functions must all live on one grid"}
+
+
 @pytest.mark.bits
-def test_negation_index_gathers_the_reflected_transform():
+def test_negate_axes_gathers_the_reflected_transform():
     for grid_args in _BIT_GRIDS:
         grid = Grid(*grid_args)
-        hat = spectrum(random_complex_function(grid, 4))
-        index = _negation_index(grid)
-        assert np.array_equal(hat.ravel()[index].view(np.uint64),
-                              reflect_momentum(hat).ravel().view(np.uint64))
-        assert not index.flags.writeable
-        assert np.array_equal(np.sort(index), np.arange(grid.volume))
-        assert np.array_equal(index[index], np.arange(grid.volume))
+        hats = np.stack([spectrum(random_complex_function(grid, seed)) for seed in (4, 5)])
+        axes = tuple(range(1, grid.d + 1))
+        reflected = lattice.negate_axes(hats, axes)   # every transform axis at once
+        for hat, got in zip(hats, reflected):
+            assert _bits_equal(got, reflect_momentum(hat))
+        assert _bits_equal(lattice.negate_axes(reflected, axes), hats)   # an involution
 
 
 def test_reality_symmetry(grid_2d):

@@ -6,7 +6,7 @@ import pytest
 from schwingerlab import (DomainError, Mixture, QuasiFree, SpectralMeasure, cumulant,
                           envelope, estimate_fourth_cumulant, free_two_point,
                           moment_analytic, sample_stream, spectral_two_point)
-from schwingerlab.experiments import two_mass_mixture
+from schwingerlab.experiments import ExperimentSpec, run_experiment, two_mass_mixture
 from schwingerlab.fixtures import random_model_tree, rng_from_seed
 from schwingerlab.lattice import Grid
 from schwingerlab.montecarlo import _Stream, model_digest, pair_values, write_samples
@@ -332,3 +332,23 @@ def test_sampler_reproduces_the_covariance_kernel():
         est = total / count
         want = ker[d]
         assert est == pytest.approx(want, rel=0.15), d
+
+
+@pytest.mark.parametrize("k", [-240, -40, -1, 3, 60, 240])
+def test_fourth_cumulant_scales_exactly_by_powers_of_two(k):
+    x = rng_from_seed(61).standard_normal(500)
+    est, err = estimate_fourth_cumulant(x)
+    assert estimate_fourth_cumulant(x * 2.0 ** k) == (est * 2.0 ** (4 * k), err * 2.0 ** (4 * k))
+
+
+@pytest.mark.parametrize("masses_sq", [[1e150, 1e150], [1e150, 1e300]])
+def test_two_mass_experiment_with_tiny_pair_values_keeps_its_error_bar(masses_sq):
+    # pair values near 1e-75 put x^4 near 1e-300, where the jackknife's squares underflowed
+    spec = ExperimentSpec.from_dict({
+        "experiment_id": "two_mass_fourth_cumulant",
+        "grid": {"d": 2, "n_per_axis": 16, "spacing": 0.5}, "seed": 3,
+        "params": {"masses_sq": masses_sq, "packet": {"center": [4.0, 4.0], "width": 1.0},
+                   "mc_samples": 2000}})
+    report = run_experiment(spec)
+    assert report.values["monte_carlo_stderr"] > 0.0
+    assert report.passed and report.values["monte_carlo_sigmas"] <= 3.0

@@ -498,3 +498,47 @@ def test_invariance_under_the_lattice_point_group(grid_2d):
     for iso in point_group(grid_2d):
         moved = free_two_point(apply_isometry(f, iso), apply_isometry(h, iso), 1.5)
         assert abs(moved - base) <= 1e-12 * max(1.0, abs(base))
+
+
+# ---------------------------------------------------------------------------
+# The lattice dispersion as a kernel oracle
+# ---------------------------------------------------------------------------
+
+def _slab_correlations(grid, m2, profile):
+    """C_s(t) = S2(f_s, f_{s+t}), t = 0..N-1, of the time-slab functions f_t = profile on
+    slice t, for the bases s = 0 and 3: per kernel (Grams, pairs) a (C_0, C_3) pair."""
+    n = grid.n_per_axis
+    slabs = []
+    for t in range(n):
+        vals = np.zeros(grid.shape)
+        vals[t] = profile
+        slabs.append(TestFunction(grid, vals))
+    atoms = np.array([[1.0]])
+    grams = two_point_grams(slabs, [m2], atoms)[0].real
+    later = [[(s + t) % n for t in range(n)] for s in (0, 3)]
+    return [[grams[s, idx] for s, idx in zip((0, 3), later)],
+            [two_point_pairs([slabs[s]] * n, [slabs[i] for i in idx], [m2], atoms)[:, 0].real
+             for s, idx in zip((0, 3), later)]]
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_time_slab_correlations_obey_the_lattice_dispersion(grid_args):
+    # C(t) = c sum_k0 exp(-i k0 t a) / (khat0^2 + M^2), M^2 = m^2 + phat^2 at the slabs' spatial
+    # momentum; t -> t +- 1 adds up to 2 cos(k0 a) = 2 - a^2 khat0^2, so C(t+1) + C(t-1) -
+    # lambda C(t) = -a^2 c sum_k0 exp(-i k0 t a), which is 0 off t = 0 (mod N)
+    grid = Grid(*grid_args)
+    n, a = grid.n_per_axis, grid.spacing
+    profiles = [(np.ones(grid.shape[1:]), 0.0)]
+    if grid.d >= 2:   # a real cosine at the lowest momentum 2 pi / L along axis 1
+        cos = np.cos(2.0 * np.pi * np.arange(n) / n).reshape((n,) + (1,) * (grid.d - 2))
+        profiles.append((np.broadcast_to(cos, grid.shape[1:]),
+                         (2.0 / a) ** 2 * np.sin(np.pi / n) ** 2))
+    for m2 in (1e-3, 1.0, 4.0, 100.0):
+        for profile, p_hat2 in profiles:
+            lam = 2.0 + a * a * (m2 + p_hat2)
+            for c0, c3 in _slab_correlations(grid, m2, profile):
+                bound = 1e-14 * lam * np.max(np.abs(c0))
+                c = np.append(c0, c0[0])   # C(N) = C(0)
+                assert np.max(np.abs(c[2:] + c[:-2] - lam * c[1:-1])) <= bound
+                # a wrong negation map would pair slice 2s + t with slice s
+                assert np.max(np.abs(c3 - c0)) <= bound
