@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 
 from .errors import DomainError, SchemaError, SchwingerLabError
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry,
-                      gaussian_packet, positive_time_part,
-                      positive_time_support, site_indicator)
-from .propagator import (SpectralMeasure, free_two_point, sobolev_norm, sobolev_norms,
-                         spectral_two_point)
+                      gaussian_packet, positive_time_support, site_indicator)
+from .propagator import SpectralMeasure, free_two_point, sobolev_norms, spectral_two_point
 from .functional import (Mixture, QuasiFree, SchwingerFunctional, cumulant,
                          cumulant_scale, envelope, gaussianize, load_model,
                          model_from_dict, model_to_dict, moment_analytic,

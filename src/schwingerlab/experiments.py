@@ -44,7 +44,8 @@ import numpy as np
 
 from .errors import DomainError, SchemaError
 from .fixtures import MAX_SEED
-from .functional import MomentTable, QuasiFree, SchwingerFunctional, envelope, gaussianize
+from .functional import (ROUNDOFF_FLOOR, MomentTable, QuasiFree, SchwingerFunctional, envelope,
+                         gaussianize)
 from .lattice import Grid, TestFunction, gaussian_packet, packet_from_doc
 from .montecarlo import MAX_SAMPLE_COUNT, estimate_fourth_cumulant, pair_values
 from .propagator import SpectralMeasure, free_two_point, spectral_two_point
@@ -321,20 +322,14 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
         if d == 2:
             rot_defects.append(_rotation_defect(grid, pdoc, masses, weights))
 
-    def diffs(vals):
-        return [abs(b - a) for a, b in zip(vals, vals[1:])]
-
-    def fitted_order(vals):
-        dd = diffs(vals)
-        if any(x == 0.0 for x in dd):
-            return math.inf
-        return min(math.log2(a / b) for a, b in zip(dd, dd[1:]))
-
-    s2_diffs = diffs(s2_vals)
-    monotone = all(b < a for a, b in zip(s2_diffs, s2_diffs[1:]))
-    order = fitted_order(s2_vals)
-    # defects must shrink; a packet the rotation maps onto itself stays at 0
-    rot_ok = all(b < a or a == b == 0.0 for a, b in zip(rot_defects, rot_defects[1:]))
+    # a level difference or defect at or below roundoff of the two-point data has converged: 0
+    floor = ROUNDOFF_FLOOR * max(map(abs, s2_vals))
+    s2_diffs = [abs(b - a) for a, b in zip(s2_vals, s2_vals[1:])]
+    dd, rd = ([v if v > floor else 0.0 for v in vals] for vals in (s2_diffs, rot_defects))
+    # each value shrinks, or both are 0 (converged, or a packet the rotation maps onto itself)
+    monotone, rot_ok = (all(b < a or a == b == 0.0 for a, b in zip(v, v[1:])) for v in (dd, rd))
+    # a converged difference leaves no finite order: None, written as JSON null
+    order = min(math.log2(a / b) for a, b in zip(dd, dd[1:])) if all(dd) else None
 
     values = {
         "levels": levels,
@@ -344,7 +339,8 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
         "fitted_order": order,
         "rotation_defects": rot_defects,
     }
-    passed = monotone and order >= spec.resolved_tolerances()["min_order"] and rot_ok
+    passed = (monotone and rot_ok
+              and (order is None or order >= spec.resolved_tolerances()["min_order"]))
     notes = () if monotone else ("no convergence trend in the two-point data",)
     return ExperimentReport(spec.experiment_id, bool(passed), spec.digest,
                             values, notes)

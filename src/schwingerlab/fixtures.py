@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Grid, TestFunction, packet_values, positive_time_parts
+from .lattice import Grid, TestFunction, l2_norms, packet_values, positive_time_parts
 
 
 # seeds from outside the program are integers in 0..MAX_SEED, the Philox key
@@ -52,11 +52,10 @@ def random_real_values(grid: Grid, rng: np.random.Generator, count: int) -> np.n
     centers, widths, momenta = zip(*firsts, *seconds)
     vals = packet_values(grid, np.array(centers), widths, np.array(momenta))
     vals[rows] += np.reshape(coeffs, (-1,) + (1,) * grid.d) * vals[count:]
-    # complex, as TestFunction holds them, so the norms are l2_norm's bits
-    real = vals[:count].real.reshape(count, -1).astype(np.complex128)
-    norms = np.sqrt((grid.cell * np.add.reduce(np.conj(real) * real, axis=1)).real)
+    real = vals[:count].real
+    norms = l2_norms(grid, real)
     keep = norms >= 1e-12    # astronomically unlikely cancellation; redraw
-    out = (real[keep].real * (1.0 / norms[keep])[:, None]).reshape((-1,) + grid.shape)
+    out = real[keep] * (1.0 / norms[keep]).reshape((-1,) + (1,) * grid.d)
     return out if len(out) == count else np.concatenate(
         [out, random_real_values(grid, rng, count - len(out))])
 
@@ -90,9 +89,8 @@ def random_positive_time_functions(grid: Grid, rng: np.random.Generator,
         draws.append((center, width, 2.0 * np.pi / L * rng.integers(-2, 3, size=grid.d)))
     centers, widths, momenta = zip(*draws)
     vals = packet_values(grid, np.array(centers), widths, np.array(momenta))
-    real = vals.real.reshape(count, -1).astype(np.complex128)
-    norms = np.sqrt((grid.cell * np.add.reduce(np.conj(real) * real, axis=1)).real)
-    parts = np.where((norms < 1e-12).reshape((-1,) + (1,) * grid.d), vals.imag, vals.real)
+    small = (l2_norms(grid, vals.real) < 1e-12).reshape((-1,) + (1,) * grid.d)
+    parts = np.where(small, vals.imag, vals.real)
     return [TestFunction(grid, v, copy=False)
             for v in positive_time_parts(grid, parts.astype(np.complex128))]
 

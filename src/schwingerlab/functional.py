@@ -40,7 +40,7 @@ from .errors import DomainError, SchemaError
 from .fixtures import MAX_SEED, random_real_values, rng_from_seed
 from .lattice import Grid, TestFunction, half_spectrum_rows
 from .propagator import (SpectralMeasure, half_sobolev_norms, propagator_rows, row_grams,
-                         sobolev_norm, sobolev_norms, two_point_grams, two_point_pairs)
+                         sobolev_norms, two_point_grams, two_point_pairs)
 from .serialize import json_integer, json_number, read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
@@ -65,15 +65,11 @@ NUMERIC_TOLERANCE_SCHEDULE = {1: 1e-7, 2: 1e-7, 3: 1e-4, 4: 1e-5}
 class SchwingerFunctional:
     """Base node of a model tree."""
 
-    def evaluate(self, f: TestFunction, z: complex = 1.0) -> complex:
-        """Gamma(z f): the one-element case of evaluate_many."""
-        return self.evaluate_many([f], z)[0]
-
     def evaluate_many(self, fs: Sequence[TestFunction], z=1.0) -> list[complex] | np.ndarray:
         """Gamma(z f) = sum_l w_l exp(-z^2/2 S2_l(f, f)) for every f in fs: a
         list for a scalar z, a (len(fs), len(z)) array for a 1-D z, empty or not; a z of
         ndim > 1 raises DomainError.  Each -c^2/2 is a Python complex and the leaves add
-        in leaf order, so each value has evaluate(f, c)'s bits."""
+        in leaf order, so each value has the bits of its own call at (f, c)."""
         if np.ndim(z) > 1:
             raise DomainError(f"z must be a scalar or a 1-D array, got shape {np.shape(z)}")
         values = _leaf_sum(self._atom_table[0] * _leaf_exp(self.leaf_two_point(fs, fs), z))
@@ -91,9 +87,9 @@ class SchwingerFunctional:
         union = list(fs) + [p for p in partners if all(p is not f for f in fs)]
         i = np.arange(len(fs))[:, None]
         j = np.array([[next(k for k, g in enumerate(union) if g is p) for p in partners]])
-        weights, grams = _leaf_grams(self, union)
+        grams = two_point_grams(union, *self._atom_table[1:])
         sq = grams[:, i, i] + grams[:, j, j] - grams[:, i, j] - grams[:, j, i]
-        return np.einsum("l,lij->ij", weights, np.exp(-0.5 * sq))
+        return np.einsum("l,lij->ij", self._atom_table[0], np.exp(-0.5 * sq))
 
     def leaves(self) -> tuple[tuple[float, "QuasiFree"], ...]:
         """Flattened (path weight, leaf) pairs, in tree order.
@@ -189,7 +185,7 @@ def _leaf_exp(s2: np.ndarray, z=1.0) -> np.ndarray:
 
 def _leaf_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the last (leaf) axis as a running sum in leaf order, not np.sum's
-    pairwise order: evaluate's bits, and every witness built on them, depend on it."""
+    pairwise order: evaluate_many's bits, and every witness built on them, depend on it."""
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
@@ -221,11 +217,6 @@ def quasi_free_defect(G: SchwingerFunctional, grid: Grid) -> float:
 def _check_moment_args(fs: Sequence[TestFunction], cap: int) -> None:
     if not 1 <= len(fs) <= cap:
         raise DomainError(f"moment order n={len(fs)} outside 1..{cap}")
-
-
-def _leaf_grams(G: SchwingerFunctional, fs: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf path weights (L,) and leaf Grams S2_l(f_i, f_j), shape (L, n, n)."""
-    return G._atom_table[0], two_point_grams(fs, *G._atom_table[1:])
 
 
 @lru_cache(maxsize=None)
@@ -278,8 +269,8 @@ class MomentTable:
 
     def __init__(self, G: SchwingerFunctional, fs: Sequence[TestFunction]):
         _check_moment_args(fs, MAX_MOMENT_ORDER)
-        self.weights, grams = _leaf_grams(G, fs)
-        self.pairs = _pair_table(grams)
+        self.weights = G._atom_table[0]
+        self.pairs = _pair_table(two_point_grams(fs, *G._atom_table[1:]))
 
     @_finite_table
     def moments(self) -> np.ndarray:
@@ -466,7 +457,7 @@ def regularity_certificate(G: SchwingerFunctional,
     """
     if not f.is_real:
         raise DomainError("regularity is certified for real test functions")
-    nu2 = sobolev_norm(f, min_mass_sq(G)) ** 2
+    nu2 = float(sobolev_norms([f], min_mass_sq(G))[0]) ** 2
     if nu2 == 0.0:
         bound = RegularityBound(1e-15, 2.0, 2.0)
         return RegularityCertificate(True, bound, 0j, 0)

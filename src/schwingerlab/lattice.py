@@ -186,7 +186,14 @@ class TestFunction:
         return complex(cell * np.sum(np.conj(self.values) * other.values))
 
     def l2_norm(self) -> float:
-        return math.sqrt(self.inner(self).real)
+        return float(l2_norms(self.grid, self.values[None])[0])
+
+
+def l2_norms(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The discrete L2 norm sqrt(a^d sum_x |v|^2) of every row of a (k, ...) batch, summed as
+    complex rows (as TestFunction holds them), so no bit depends on the stack."""
+    flat = np.asarray(values, dtype=np.complex128).reshape(len(values), -1)
+    return np.sqrt((grid.cell * np.add.reduce(np.conj(flat) * flat, axis=1)).real)
 
 
 def common_grid(fs) -> Grid:
@@ -369,31 +376,25 @@ def apply_isometry(f: TestFunction, iso: Isometry) -> TestFunction:
     return TestFunction(g, out, copy=True)
 
 
+def positive_time_slices(grid: Grid) -> np.ndarray:
+    """Mask of the time slices with signed time >= a/2: with the link-reflection
+    placement, the strictly positive slices t in {a, ..., (N/2-1) a}."""
+    return grid.signed_axis_coordinates() >= grid.spacing / 2
+
+
 def positive_time_support(f: TestFunction) -> bool:
-    """True iff f vanishes (|.| <= REALITY_TOL) on every slice with signed
-    time < a/2.
-
-    With the link-reflection placement this confines the support to the
-    strictly positive time slices t in {a, ..., (N/2-1) a}.
-    """
-    t = f.grid.signed_axis_coordinates()
-    mask = t < f.grid.spacing / 2   # never empty: site 0 sits at t = 0
-    worst = float(np.max(np.abs(f.values[mask])))
-    return worst <= REALITY_TOL
-
-
-def positive_time_part(f: TestFunction) -> TestFunction:
-    """positive_time_parts of f alone."""
-    return TestFunction(f.grid, positive_time_parts(f.grid, f.values[None])[0], copy=False)
+    """True iff f vanishes (|.| <= REALITY_TOL) off the positive_time_slices."""
+    off = ~positive_time_slices(f.grid)   # never empty: site 0 sits at t = 0
+    return float(np.max(np.abs(f.values[off]))) <= REALITY_TOL
 
 
 def positive_time_parts(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Each row of a complex (k, *grid.shape) batch cut to the positive-time slices (a complex
+    """Each row of a complex (k, *grid.shape) batch cut to the positive_time_slices (a complex
     multiply by the mask, which keeps signed zeros) at unit norm, read-only: the gate for
     reflection tests.  A row with no support there raises DomainError."""
-    keep = grid.signed_axis_coordinates() >= grid.spacing / 2
-    flat = (values * keep.reshape((1, -1) + (1,) * (grid.d - 1))).reshape(len(values), -1)
-    norms = np.sqrt((grid.cell * np.add.reduce(np.conj(flat) * flat, axis=1)).real)
+    keep = positive_time_slices(grid).reshape((1, -1) + (1,) * (grid.d - 1))
+    flat = (values * keep).reshape(len(values), -1)
+    norms = l2_norms(grid, flat)
     if not norms.all():
         raise DomainError("function has no support at positive times")
     out = flat * np.array([complex(1.0 / nm) for nm in norms])[:, None]

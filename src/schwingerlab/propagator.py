@@ -28,7 +28,7 @@ The weights tile(mu P_r, 2) of a model on a grid are formed once, read-only, in 
 cache keyed by the grid and the bytes of the masses and atoms (a norm's: ([m2], [[1.0]])).
 The pairs alone take the complex full spectrum, from their own FFT, read at
 -k through the lattice's negation (`lattice.negate_axes`), and stay per mass
-over a full-grid table while the worst_kind argmax rests on evaluate's bits:
+over a full-grid table while the worst_kind argmax rests on evaluate_many's bits:
 numpy divides a complex by a real by Smith's rule, which multiplies both parts
 by 1/d, so their products have the bits of a per-mass division (except that a
 -0 part of the numerator may come out as a zero of the other sign).  Overflow
@@ -156,7 +156,7 @@ def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
         inverse = 1.0 / (np.asarray(masses_sq, dtype=np.float64)[:, None]
                          + lattice_symbol(grid).ravel())
         sums = np.array([np.multiply(prod, inv, out=scaled).sum(axis=1) for inv in inverse]).T
-        # a running sum in atom order, not np.sum's pairwise order: evaluate's
+        # a running sum in atom order, not np.sum's pairwise order: evaluate_many's
         # bits, and every witness built on them, depend on it
         return _finite(np.cumsum(atoms * sums[:, None, :], axis=2)[:, :, -1]
                        / grid.extent ** grid.d)
@@ -197,16 +197,10 @@ def two_point_grams(fs: Sequence, masses_sq: Sequence[float], atoms: np.ndarray)
     return row_grams(x, fs[0].grid, masses_sq, atoms).astype(np.complex128, copy=False)
 
 
-def sobolev_norm(f: TestFunction, m2: float) -> float:
-    """Mass-regularized Sobolev norm  sqrt( L^-d sum_k |f^|^2 / (khat^2+m2) ).
-
-    Equals sqrt(S2(f,f)) of the free mass-m2 two-point function for real f.
-    """
-    return float(sobolev_norms([f], m2)[0])
-
-
 def sobolev_norms(fs: Sequence[TestFunction], m2: float) -> np.ndarray:
-    """The Sobolev norm of every f in fs, from its half-spectrum row; shape (len(fs),)."""
+    """The mass-regularized Sobolev norm sqrt(L^-d sum_k |f^|^2 / (khat^2 + m2)) of every f
+    in fs, from its half-spectrum row, shape (len(fs),): sqrt(S2(f, f)) of the free mass-m2
+    two-point function for real f."""
     return half_sobolev_norms(fs[0].grid, stacked_half_spectra(fs), m2) if fs else np.zeros(0)
 
 
@@ -214,7 +208,7 @@ def half_sobolev_norms(grid: Grid, rows: np.ndarray, m2: float) -> np.ndarray:
     """The norm of every half-spectrum row X: per row a pairwise sum of mu |X|^2 / (khat^2 + m2),
     so no bit depends on the stack; the weights are the cached ([m2], [[1.0]]) table, exact."""
     if not (math.isfinite(m2) and m2 > 0):   # the zero mode diverges at m2 = 0
-        raise DomainError(f"sobolev_norm needs a finite m2 > 0, got {m2}")
+        raise DomainError(f"sobolev_norms needs a finite m2 > 0, got {m2}")
     sq = np.add.reduce((rows * rows.conj()).real * _weights(grid, [m2], [[1.0]])[0], axis=1)
     return np.sqrt(sq / grid.extent ** grid.d)
 

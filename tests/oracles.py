@@ -14,6 +14,11 @@ down), and the momentum negation k -> -k by flipping and rolling each axis
 (the package computes the flat index of -k mod N).  `per_call_pair_exp` is
 the one oracle of bits alone: the hafnian recursion with its layers cut from
 the rooted splits on every call, where the package caches them per order.
+
+`SignedLeaf` is the negative control of reflection positivity: a Gaussian
+leaf over a signed spectral measure (a Pauli-Villars ghost), and
+`slab_leaf_witnesses` reads each leaf's zero-momentum time-slab matrix off
+the position-space kernel.
 """
 
 import math
@@ -21,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from schwingerlab.functional import MomentTable
-from schwingerlab.lattice import gaussian_packet, lattice_symbol
+from schwingerlab.functional import MomentTable, SchwingerFunctional
+from schwingerlab.lattice import TestFunction, gaussian_packet, lattice_symbol
 from schwingerlab.partitions import _exp, _layers
 
 
@@ -164,3 +169,51 @@ def half_row(f):
     real row alone when Im f is all zero."""
     rows = half_rows(f)
     return rows[0] if len(rows) == 1 else rows[0] + 1j * rows[1]
+
+
+class SignedLeaf(SchwingerFunctional):
+    """One Gaussian leaf over the atoms (m2_i, a_i), some a_i < 0.  With atoms
+    (1, a) at (m1, m2), a < 0, its symbol P(k) = 1 / (khat^2 + m1) + a / (khat^2 + m2)
+    stays positive at every k when 1 + a >= 0 and m2 + a m1 > 0, so its law is a
+    valid Gaussian, invariant and clustering.  But its Kallen-Lehmann measure is
+    signed, so it is not reflection positive.  SpectralMeasure refuses negative
+    weights, so the atom table is set by hand: evaluate_many, leaf_two_point and
+    difference_matrix read nothing else."""
+
+    def __init__(self, masses_sq, atom_weights):
+        self._atom_table = (np.array([1.0]), np.array(masses_sq, dtype=float),
+                            np.array([atom_weights], dtype=float))
+
+
+# the signed-measure controls: (1, -0.5) at m2 (1, 4), (1, -0.9) at (1, 1.5), (1, -0.2) at (1, 9)
+SIGNED_CONTROLS = (SignedLeaf((1.0, 4.0), (1.0, -0.5)), SignedLeaf((1.0, 1.5), (1.0, -0.9)),
+                   SignedLeaf((1.0, 9.0), (1.0, -0.2)))
+
+
+def _slab_times(grid):
+    """The slab time slices t = 1..T, T = min(8, N/2 - 1): all strictly positive."""
+    return np.arange(1, min(8, grid.n_per_axis // 2 - 1) + 1)
+
+
+def time_slabs(grid, scale=1.0):
+    """Zero-momentum slabs f_t = scale on each of the _slab_times t."""
+    slabs = []
+    for t in _slab_times(grid):
+        values = np.zeros(grid.shape)
+        values[t] = scale
+        slabs.append(TestFunction(grid, values))
+    return slabs
+
+
+def slab_leaf_witnesses(G, grid):
+    """Per leaf, lambda_min(R) / tr R of the slab matrix R[i, j] = S2(f_i, theta f_j) of
+    time_slabs, up to a positive factor, from the position-space kernel summed over space:
+    theta f_j sits at site N-1-t_j, so R is the Hankel matrix C(t_i + t_j + 1).  A
+    positive measure makes R PSD of rank at most its atom count (a roundoff floor); a
+    signed one makes it indefinite."""
+    n, t = grid.n_per_axis, _slab_times(grid)
+    _, masses, atoms = G._atom_table
+    kernels = np.array([covariance_kernel(grid, m2).reshape(n, -1).sum(axis=1)
+                        for m2 in masses])
+    slabs = (atoms @ kernels)[:, (t[:, None] + t[None, :] + 1) % n]
+    return np.linalg.eigvalsh(slabs)[:, 0] / np.trace(slabs, axis1=1, axis2=2)

@@ -222,8 +222,8 @@ def test_criterion_07_cluster_failure():
     d_inf = complex(*mix_rep.details["delta_infinity"])
     g1 = QuasiFree(SpectralMeasure.delta(1.0))
     g2 = QuasiFree(SpectralMeasure.delta(4.0))
-    want = 0.25 * (g1.evaluate(f) - g2.evaluate(f)) * \
-        (g1.evaluate(g) - g2.evaluate(g))
+    want = 0.25 * (g1.evaluate_many([f])[0] - g2.evaluate_many([f])[0]) * \
+        (g1.evaluate_many([g])[0] - g2.evaluate_many([g])[0])
     assert abs(d_inf - want) <= 1e-10 * abs(want)
     assert abs(d_inf) > 0
 

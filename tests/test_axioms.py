@@ -22,19 +22,20 @@ from schwingerlab.fixtures import (random_model_tree,
 from schwingerlab.functional import (ROUNDOFF_FLOOR, default_z_grid, envelope,
                                      quasi_free_defect, validate_model)
 from schwingerlab.lattice import Grid, TestFunction, gaussian_packet
-from schwingerlab.propagator import spectral_two_point
+from schwingerlab.propagator import propagator_rows, spectral_two_point
 
-from oracles import (fixture_packet, full_grid_quasi_free_defect, probe_quasi_free,
-                     reflect_momentum)
-from test_functional import MODEL_FAMILY
-from test_lattice import _bits_equal, spectrum
+from oracles import (SIGNED_CONTROLS, covariance_kernel, fixture_packet,
+                     full_grid_quasi_free_defect, probe_quasi_free, reflect_momentum,
+                     slab_leaf_witnesses, time_slabs)
+from test_functional import MODEL_FAMILY, _pool_trees
+from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal, spectrum
 
 
 def evaluate_loop(G, fs, partners):
-    """M[i, j] = G.evaluate(f_i - p_j), one evaluation per entry: the
+    """M[i, j] = G.evaluate_many([f_i - p_j])[0], one evaluation per entry: the
     difference matrix of the evaluate-only fakes, and the oracle of the
     leaf-Gram route."""
-    return np.array([[G.evaluate(f - p) for p in partners] for f in fs],
+    return np.array([[G.evaluate_many([f - p])[0] for p in partners] for f in fs],
                     dtype=np.complex128)
 
 
@@ -120,7 +121,7 @@ def test_normalization_fails_on_corrupted_weights(real_set, free_leaf):
 def test_single_function_reflection_value_is_nonnegative(grid_2d, free_leaf):
     rng = rng_from_seed(103)
     f = random_positive_time_functions(grid_2d, rng, 1)[0]
-    val = free_leaf.evaluate(f - apply_isometry(f, Isometry.time_reflection()))
+    val = free_leaf.evaluate_many([f - apply_isometry(f, Isometry.time_reflection())])[0]
     assert abs(val.imag) <= 1e-14
     assert val.real >= 0
 
@@ -252,7 +253,8 @@ def test_evaluate_is_within_4_ulp_of_the_nested_walk(grid_args):
         for f in fs:
             for z in (1.0, 0.3 + 2j, -1.7j):
                 terms = sum(w * abs(_nested_evaluate(leaf, f, z)) for w, leaf in tree.leaves())
-                assert abs(tree.evaluate(f, z) - _nested_evaluate(tree, f, z)) <= 4 * eps * terms
+                got = tree.evaluate_many([f], z)[0]
+                assert abs(got - _nested_evaluate(tree, f, z)) <= 4 * eps * terms
 
 
 @pytest.mark.bits
@@ -267,8 +269,8 @@ def test_evaluate_many_is_bit_identical_to_evaluate(grid_args):
     zs = np.array(default_z_grid() + [1.0, 0.3 + 2j, -1.7j])
     for tree in trees:
         for z in (1.0, 0.3 + 2j):
-            # the oracle: one evaluate per function, each on an uncached copy
-            want = [tree.evaluate(TestFunction(grid, v), z) for v in values]
+            # the oracle: one one-function call per function, each on an uncached copy
+            want = [tree.evaluate_many([TestFunction(grid, v)], z)[0] for v in values]
             for size in (1, 2, 7, 48):
                 fs = [TestFunction(grid, v) for v in values]
                 got = [value for i in range(0, len(fs), size)
@@ -312,6 +314,71 @@ def test_evaluate_many_rejects_functions_on_two_grids(free_leaf, real_set):
     other = random_real_functions(Grid(2, 32, 0.5), rng_from_seed(7), 1)[0]
     with pytest.raises(DomainError, match="one grid"):
         free_leaf.evaluate_many([real_set[0], other])
+
+
+# The signed-measure controls (Pauli-Villars ghosts): valid Gaussians that are not
+# reflection positive, seen by the zero-momentum time slabs
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_signed_controls_pass_every_check_but_reflection(grid_args):
+    # the suite's sets at its default seed: a valid Gaussian law, invariant and clustering
+    grid = Grid(*grid_args)
+    rng = rng_from_seed(7)
+    random_real_functions(grid, rng, 4)
+    random_positive_time_functions(grid, rng, 8)
+    real = random_real_functions(grid, rng, 11)
+    probe = site_indicator(grid, (grid.n_per_axis // 4,) + (grid.n_per_axis // 2,) * (grid.d - 1))
+    seps = tuple(range(4, grid.n_per_axis // 4 + 1, 4)) or (grid.n_per_axis // 4,)
+    for control in SIGNED_CONTROLS:
+        _, masses, atoms = control._atom_table
+        assert atoms.min() < 0 and propagator_rows(grid, masses, atoms).min() > 0
+        assert check_stochastic_positivity(control, real[:8]).passed
+        assert check_euclidean_invariance(control, real[8:], point_group(grid)).passed
+        assert check_cluster_defect(control, probe, probe, seps)[0].passed
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_slab_leaf_witness_is_negative_on_the_signed_controls(grid_args):
+    grid = Grid(*grid_args)
+    slabs = time_slabs(grid)
+    reflected = [apply_isometry(f, Isometry.time_reflection()) for f in slabs]
+    pairs = [(i, j) for i in range(len(slabs)) for j in range(len(slabs))]
+    for control in SIGNED_CONTROLS:
+        assert slab_leaf_witnesses(control, grid)[0] < -1e-4
+        # the oracle's Hankel matrix is S2(f_i, theta f_j) / (a^(2d) N^(d-1))
+        s2 = control.leaf_two_point([slabs[i] for i, _ in pairs],
+                                    [reflected[j] for _, j in pairs])[:, 0].real
+        n, t = grid.n_per_axis, np.arange(1, len(slabs) + 1)
+        _, masses, atoms = control._atom_table
+        kernel = atoms[0] @ [covariance_kernel(grid, m2).reshape(n, -1).sum(axis=1)
+                             for m2 in masses]
+        want = grid.cell ** 2 * n ** (grid.d - 1) * kernel[(t[:, None] + t + 1) % n].ravel()
+        assert np.max(np.abs(s2 - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_slab_leaf_witness_is_roundoff_on_every_pool_leaf(grid_args):
+    # a positive measure makes the slab matrix PSD of low rank: -29 eps at worst in 1-D
+    grid = Grid(*grid_args)
+    eps = np.finfo(float).eps
+    for tree in _pool_trees():
+        assert slab_leaf_witnesses(tree, grid).min() >= -64 * eps
+
+
+@pytest.mark.parametrize("grid_args", [(1, 64, 0.5), (2, 16, 0.5), (2, 32, 0.25), (3, 16, 0.5)],
+                         ids=["1d", "2d_16", "2d_32", "3d"])
+def test_reflection_check_on_scaled_slabs_fails_the_signed_controls(grid_args):
+    # on an 8-site axis the 3 slabs do not expose the ghost at any scale: the leaf witness
+    # does (above), the difference matrix Gamma(f_i - theta f_j) does not
+    grid = Grid(*grid_args)
+    slabs = time_slabs(grid, 0.3)
+    for control in SIGNED_CONTROLS:
+        rep = check_reflection_positivity(control, slabs)
+        assert not rep.passed and rep.witness < rep.tolerance
+    positive = [QuasiFree(SpectralMeasure.delta(1.0)),
+                QuasiFree(SpectralMeasure(((1.0, 1.0), (4.0, 1.0))))] + _pool_trees()[:4]
+    for model in positive:
+        assert check_reflection_positivity(model, slabs).passed
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +472,8 @@ def test_two_mass_mixture_does_not_cluster(cluster_grid, cluster_probes):
     # quarter-product prediction from the two leaves
     g1 = QuasiFree(SpectralMeasure.delta(1.0))
     g2 = QuasiFree(SpectralMeasure.delta(4.0))
-    want = 0.25 * (g1.evaluate(f) - g2.evaluate(f)) \
-        * (g1.evaluate(g) - g2.evaluate(g))
+    want = 0.25 * (g1.evaluate_many([f])[0] - g2.evaluate_many([f])[0]) \
+        * (g1.evaluate_many([g])[0] - g2.evaluate_many([g])[0])
     assert d_inf == pytest.approx(want, rel=1e-10)
     assert abs(d_inf) > 1e-4
     # the curve approaches Delta_inf, not zero
@@ -432,7 +499,7 @@ def test_cluster_leaf_terms_match_the_per_leaf_walk(cluster_grid, tree):
     g = TestFunction(cluster_grid, g.values.real)
     seps = [4, 8, 16]
     rep, curve = check_cluster_defect(tree, f, g, seps)
-    gamma_f, gamma_g = tree.evaluate(f), tree.evaluate(g)
+    gamma_f, gamma_g = tree.evaluate_many([f])[0], tree.evaluate_many([g])[0]
     leaves = tree.leaves()
     delta_inf = sum(w * _nested_evaluate(leaf, f, 1.0) * _nested_evaluate(leaf, g, 1.0)
                     for w, leaf in leaves) - gamma_f * gamma_g
@@ -443,7 +510,7 @@ def test_cluster_leaf_terms_match_the_per_leaf_walk(cluster_grid, tree):
     assert rep.details["tail_budget"] == budget
     for (vec, delta), sep in zip(curve, seps):
         shifted = apply_isometry(g, Isometry.translation((sep, 0)))
-        assert delta == tree.evaluate(f + shifted) - gamma_f * gamma_g
+        assert delta == tree.evaluate_many([f + shifted])[0] - gamma_f * gamma_g
 
 
 @pytest.mark.parametrize("model", [

@@ -545,7 +545,7 @@ def test_moments_table(model_file, recipe_file, tmp_path, capsys):
 
 def test_moments_matches_sobolev_norm_for_free_field(free_model_file,
                                                      recipe_file, tmp_path):
-    from schwingerlab import Grid, gaussian_packet, sobolev_norm
+    from schwingerlab import Grid, gaussian_packet, sobolev_norms
     out = tmp_path / "out"
     assert main(["moments", free_model_file, "--recipe", recipe_file,
                  "--order", "2", "--out", str(out)]) == 0
@@ -553,7 +553,7 @@ def test_moments_matches_sobolev_norm_for_free_field(free_model_file,
     s2 = doc["rows"][1]["moment_analytic"][0]
     grid = Grid(2, 32, 0.25)
     f = gaussian_packet(grid, [4.0, 4.0], 1.0)
-    assert s2 == pytest.approx(sobolev_norm(f, 1.0) ** 2, rel=1e-12)
+    assert s2 == pytest.approx(sobolev_norms([f], 1.0)[0] ** 2, rel=1e-12)
 
 
 def test_moments_bad_recipe_field(model_file, tmp_path):
@@ -704,6 +704,21 @@ def test_refine_writes_curves_csv(tmp_path):
     lines = (out / "curves.csv").read_text().strip().splitlines()
     assert lines[0] == "level,two_point,connected_fourth,rotation_defect"
     assert len(lines) == 4
+
+
+def test_refinement_converged_to_roundoff_writes_a_null_order(tmp_path):
+    # an order that is not finite was an inf the JSON writer refused (exit 2)
+    spec = tmp_path / "ref.json"
+    write_json(spec, {
+        "experiment_id": "refinement",
+        "grid": {"d": 1, "n_per_axis": 16, "spacing": 0.5},
+        "params": {"d": 1, "extent": 8.0, "levels": [16, 32, 64],
+                   "masses_sq": [1e150, 1e150],
+                   "packet": {"center": [4.0], "width": 1.0}},
+    })
+    out = tmp_path / "out"
+    assert main(["experiment", str(spec), "--out", str(out)]) == 0
+    assert '"fitted_order": null' in (out / "experiment.json").read_text()
 
 
 def test_moments_output_carries_config_digest(model_file, recipe_file, tmp_path):

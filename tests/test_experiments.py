@@ -1,5 +1,6 @@
 """Experiment runners: spec validation, oracle agreement, report shape."""
 
+import json
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from schwingerlab.experiments import (ExperimentSpec, run_experiment,
                                       run_iteration, run_refinement_study,
                                       run_two_mass_fourth_cumulant,
                                       two_mass_mixture)
+from schwingerlab.functional import ROUNDOFF_FLOOR
 from schwingerlab.lattice import Grid
 
 GRID_DOC = {"d": 2, "n_per_axis": 32, "spacing": 0.25}
@@ -216,6 +218,65 @@ def test_refinement_rotation_defect_shrinks_2d():
     defects = rep.values["rotation_defects"]
     assert len(defects) == 3
     assert all(b < a for a, b in zip(defects, defects[1:]))
+
+
+# packets of the 1-D reproductions and of the 2-D CI refinement spec
+_PACKET_1D = {"center": [4.0], "width": 1.0}
+_PACKET_2D = {"center": [8.0, 8.0], "width": 2.0,
+              "momentum": [math.pi / 4, math.pi / 8]}
+
+
+def _roundoff_refinement(d, masses):
+    extent, packet = (8.0, _PACKET_1D) if d == 1 else (16.0, _PACKET_2D)
+    return ExperimentSpec.from_dict({
+        "experiment_id": "refinement",
+        "grid": {"d": d, "n_per_axis": 16, "spacing": extent / 16},
+        "params": {"d": d, "extent": extent, "levels": [16, 32, 64],
+                   "masses_sq": list(masses), "packet": packet},
+    })
+
+
+@pytest.mark.parametrize("d, masses", [(1, [1e150, 1e150]), (1, [1e300, 1e300]),
+                                       (2, [1e300, 1e300]), (2, [1e12, 1e12])],
+                         ids=["1d_1e150", "1d_1e300", "2d_1e300", "2d_1e12"])
+def test_refinement_data_converged_to_roundoff_passes_with_no_order(d, masses):
+    # exact zeros (1e150), subnormal differences and defects (1e300) and a last
+    # difference below roundoff (1e12) have converged: they pass, and the order is None
+    rep = run_refinement_study(_roundoff_refinement(d, masses))
+    assert rep.passed and rep.notes == ()
+    assert rep.values["fitted_order"] is None
+    floor = ROUNDOFF_FLOOR * max(map(abs, rep.values["two_point"]))
+    diffs = rep.values["two_point_diffs"]
+    assert diffs == [abs(b - a) for a, b in zip(rep.values["two_point"],
+                                                rep.values["two_point"][1:])]
+    assert min(diffs) <= floor
+    assert all(x <= floor for x in rep.values["rotation_defects"][-1:])
+    # the reported values are the raw ones, not the zeros the rule reads
+    if masses[0] == 1e300:
+        assert all(0.0 < x < 1e-300 for x in diffs[1:] + rep.values["rotation_defects"])
+    json.dumps(rep.as_dict(), allow_nan=False)
+
+
+def test_refinement_differences_above_roundoff_that_stall_fail(monkeypatch):
+    # the roundoff rule does not excuse a difference that stops shrinking
+    import schwingerlab.experiments as experiments
+    spec = refinement_spec([16, 32, 64])
+    rep = run_refinement_study(spec)
+    assert rep.passed and rep.values["fitted_order"] >= 1.8
+    levels = iter(range(3))
+
+    class Stalled(experiments.MomentTable):
+        @property
+        def moments(self):
+            moments = super().moments.copy()
+            if next(levels) == 2:   # the finest level moves back by twice the first difference
+                moments[0b11] += 2 * rep.values["two_point_diffs"][0]
+            return moments
+
+    monkeypatch.setattr(experiments, "MomentTable", Stalled)
+    stalled = run_refinement_study(spec)
+    assert not stalled.passed
+    assert stalled.notes == ("no convergence trend in the two-point data",)
 
 
 def test_refinement_needs_three_levels():

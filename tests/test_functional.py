@@ -18,18 +18,18 @@ from schwingerlab import (DomainError, Mixture, QuasiFree,
                           gaussian_packet, gaussianize, load_model, model_from_dict,
                           model_to_dict, moment_analytic, moment_growth_check,
                           moment_numeric, regularity_certificate, save_model,
-                          sobolev_norm, spectral_two_point)
+                          spectral_two_point)
 from schwingerlab.experiments import two_mass_mixture
 from schwingerlab import fixtures, functional, partitions, propagator
 from schwingerlab.fixtures import (_packet_draw, random_model_tree, random_real_functions,
                                    rng_from_seed)
 from schwingerlab.lattice import Grid
-from schwingerlab.propagator import sobolev_norms
+from schwingerlab.propagator import sobolev_norms, two_point_grams
 from schwingerlab.functional import (GROWTH_K_CEILING, GROWTH_TRIALS_CAP, MAX_MOMENT_ORDER,
                                      MAX_TREE_DEPTH, NUMERIC_TOLERANCE_SCHEDULE,
                                      REGULARITY_C_CEILING, ROUNDOFF_FLOOR,
                                      MomentTable,
-                                     NumericMoment, _growth_probes, _leaf_grams, _pair_table,
+                                     NumericMoment, _growth_probes, _pair_table,
                                      default_z_grid, min_mass_sq, validate_model)
 
 from oracles import insertion_partitions, own_pairings, per_call_pair_exp
@@ -58,34 +58,35 @@ MODEL_FAMILY = [
 
 
 # ---------------------------------------------------------------------------
-# evaluate
+# evaluate_many
 # ---------------------------------------------------------------------------
 
 def test_normalization(grid_2d):
     zero = TestFunction.zeros(grid_2d)
     for model in MODEL_FAMILY:
-        assert model.evaluate(zero) == 1.0
+        assert model.evaluate_many([zero])[0] == 1.0
 
 
 def test_neutrality(grid_2d):
     # equality up to the roundoff imaginary residue of the momentum sum
     f = random_real_functions(grid_2d, rng_from_seed(7), 1)[0]
     for model in MODEL_FAMILY:
-        assert abs(model.evaluate(-f) - model.evaluate(f).conjugate()) <= 1e-15
+        minus, plus = model.evaluate_many([-f, f])
+        assert abs(minus - plus.conjugate()) <= 1e-15
 
 
 def test_two_atom_mass_mixture_formula(grid_2d, packet):
     model = two_mass_mixture(1.0, 4.0)
-    want = 0.5 * math.exp(-0.5 * sobolev_norm(packet, 1.0) ** 2) \
-        + 0.5 * math.exp(-0.5 * sobolev_norm(packet, 4.0) ** 2)
-    assert model.evaluate(packet) == pytest.approx(want, rel=1e-14)
+    want = 0.5 * math.exp(-0.5 * sobolev_norms([packet], 1.0)[0] ** 2) \
+        + 0.5 * math.exp(-0.5 * sobolev_norms([packet], 4.0)[0] ** 2)
+    assert model.evaluate_many([packet])[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_quasifree_gaussian_in_z(packet, free_leaf):
     s2 = free_two_point(packet, packet, 1.0)
     for z in (0.5, 2.0, 1.5j, 1.0 + 0.5j):
         want = np.exp(-0.5 * z * z * s2)
-        assert free_leaf.evaluate(packet, z) == pytest.approx(want, rel=1e-13)
+        assert free_leaf.evaluate_many([packet], z)[0] == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +264,10 @@ def test_numeric_steps_and_stencils_outside_float64_raise():
 
 
 def _numeric_loop(G, fs):
-    """moment_numeric with one evaluate per stencil combination: its oracle."""
+    """moment_numeric with one evaluation per stencil combination: its oracle."""
     n = len(fs)
     floor = min_mass_sq(G)
-    norms = [sobolev_norm(f, floor) for f in fs]
+    norms = sobolev_norms(fs, floor).tolist()
     h0 = np.finfo(float).eps ** (1.0 / (n + 4))
 
     def stencil(scale):
@@ -276,7 +277,7 @@ def _numeric_loop(G, fs):
             combo = TestFunction.zeros(fs[0].grid)
             for s, h, f in zip(signs, steps, fs):
                 combo = combo + (s * h) * f
-            acc += math.prod(signs) * G.evaluate(combo, 1.0)
+            acc += math.prod(signs) * G.evaluate_many([combo], 1.0)[0]
         return acc / math.prod(2.0 * h for h in steps)
 
     d_2h, d_h, d_h2 = stencil(2.0 * h0), stencil(h0), stencil(h0 / 2.0)
@@ -432,7 +433,7 @@ def test_single_child_envelope_is_transparent(grid_2d, packet):
     leaf = QuasiFree(SpectralMeasure.delta(2.0))
     wrapped = envelope([(1.0, leaf)])
     g = random_real_functions(grid_2d, rng_from_seed(37), 1)[0]
-    assert wrapped.evaluate(packet) == leaf.evaluate(packet)
+    assert wrapped.evaluate_many([packet])[0] == leaf.evaluate_many([packet])[0]
     for n in (2, 4):
         assert moment_analytic(wrapped, [packet, g] * (n // 2)) == \
             moment_analytic(leaf, [packet, g] * (n // 2))
@@ -516,15 +517,15 @@ def test_regularity_certificate_on_the_family(packet):
 
 
 def test_regularity_certificate_matches_the_per_z_loop(grid_2d, packet):
-    # the oracle: one evaluate per point of the z grid
+    # the oracle: one one-function evaluate_many call per point of the z grid
     rng = rng_from_seed(233)
     models = MODEL_FAMILY + [random_model_tree(rng, max_depth=3) for _ in range(4)]
     for model in models:
         for f in (packet, random_real_functions(grid_2d, rng, 1)[0]):
-            nu2 = sobolev_norm(f, min_mass_sq(model)) ** 2
+            nu2 = float(sobolev_norms([f], min_mass_sq(model))[0]) ** 2
             cs = []
             for z in default_z_grid():
-                val = abs(model.evaluate(f, z))
+                val = abs(model.evaluate_many([f], z)[0])
                 cs.append(math.log(val) / (abs(z) * abs(z) * nu2) if val > 0 else -math.inf)
             best = max(cs)
             # the first z in grid order within the roundoff floor of the best C
@@ -547,7 +548,7 @@ def test_regularity_worst_z_is_not_a_roundoff_argmax(packet, m2):
 def test_imaginary_axis_saturates_the_gaussian_bound(packet, free_leaf):
     s2 = free_two_point(packet, packet, 1.0).real
     for r in (0.5, 2.0, 4.0):
-        val = abs(free_leaf.evaluate(packet, 1j * r))
+        val = abs(free_leaf.evaluate_many([packet], 1j * r)[0])
         assert val == pytest.approx(math.exp(0.5 * r * r * s2), rel=1e-12)
 
 
@@ -606,7 +607,7 @@ def test_growth_probes_stay_below_the_proven_bound(grid_args):
 @pytest.mark.parametrize("total", [1e-3, 1.0, 7.5])
 def test_a_one_atom_floor_leaf_attains_the_proven_moment_bound(packet, total):
     leaf = QuasiFree(SpectralMeasure(((2.0, total),)))
-    f = (1.0 / sobolev_norm(packet, min_mass_sq(leaf))) * packet
+    f = (1.0 / sobolev_norms([packet], min_mass_sq(leaf))[0]) * packet
     for n in range(2, MAX_MOMENT_ORDER + 1):
         bound = _double_factorial(n - 1) * total ** (n / 2) if n % 2 == 0 else 0.0
         assert abs(moment_analytic(leaf, [f] * n) - bound) <= 1e-12 * bound
@@ -624,7 +625,7 @@ def test_regularity_constant_stays_below_half_the_heaviest_live_leaf(grid_2d, pa
         for f in probes:
             # log|Gamma| is good to a few ulps of max(|log|Gamma||, 1), so C = log|Gamma| /
             # (|z|^2 nu^2) is good to ROUNDOFF_FLOOR of max(C, 1 / (|z|^2 nu^2)), |z| >= 1/2
-            nu2 = sobolev_norm(f, min_mass_sq(model)) ** 2
+            nu2 = sobolev_norms([f], min_mass_sq(model))[0] ** 2
             slack = ROUNDOFF_FLOOR * max(half_max, 1.0 / (abs(default_z_grid()[0]) ** 2 * nu2))
             constant = regularity_certificate(model, f).bound.constant
             assert constant <= half_max + slack
@@ -640,8 +641,8 @@ def _growth_loop(G, grid, n_max, trials, seed):
     for n in range(1, n_max + 1):
         k_n = 0.0
         for _ in range(trials):
-            fs = [(1.0 / sobolev_norm(f, floor)) * f
-                  for f in random_real_functions(grid, rng, n)]
+            probes = random_real_functions(grid, rng, n)
+            fs = [(1.0 / nu) * f for f, nu in zip(probes, sobolev_norms(probes, floor))]
             mag = abs(moment_analytic(G, fs))
             if mag > 0:
                 k_n = max(k_n, (mag / math.sqrt(math.factorial(n))) ** (1.0 / (n + 1)))
@@ -677,7 +678,7 @@ def _growth_drawing_every_order(G, grid, n_max, trials, seed):
         probes = random_real_functions(grid, rng, trials * n)
         mags = []
         if n % 2 == 0:
-            grams = np.array([_leaf_grams(G, probes[t:t + n])[1]
+            grams = np.array([two_point_grams(probes[t:t + n], *G._atom_table[1:])
                               for t in range(0, trials * n, n)])
             norms = sobolev_norms(probes, floor).reshape(trials, 1, n)
             pairs = _pair_table(grams / (norms[..., None] * norms[..., None, :]))
@@ -1016,7 +1017,7 @@ def test_cumulant_agrees_with_log_derivative_definition(packet, mixture_14):
 
     import numpy as np
 
-    norms = [sobolev_norm(packet, min_mass_sq(mixture_14))] * 4
+    norms = [sobolev_norms([packet], min_mass_sq(mixture_14))[0]] * 4
 
     def stencil(scale):
         acc = 0.0
@@ -1025,7 +1026,7 @@ def test_cumulant_agrees_with_log_derivative_definition(packet, mixture_14):
             for s, nu in zip(signs, norms):
                 combo = combo + (s * scale / nu) * packet
             acc += float(np.prod(signs)) * math.log(
-                mixture_14.evaluate(combo).real)
+                mixture_14.evaluate_many([combo])[0].real)
         denom = 1.0
         for nu in norms:
             denom *= 2.0 * scale / nu
@@ -1195,7 +1196,7 @@ def test_batched_grams_match_the_two_point_kernel():
     # spectral_two_point (divide, then row-sum, one pair) is the oracle for
     # the per-mass matmul
     model, fs = conditioning_cases()[4].values
-    weights, grams = _leaf_grams(model, fs)
+    weights, grams = model._atom_table[0], two_point_grams(fs, *model._atom_table[1:])
     for l, (w, leaf) in enumerate(model.leaves()):
         assert weights[l] == w
         for i, f in enumerate(fs):

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schwingerlab import (DomainError, Grid, Isometry, SpectralMeasure, TestFunction,
-                          apply_isometry, gaussian_packet,
-                          positive_time_part, positive_time_support,
+                          apply_isometry, gaussian_packet, positive_time_support,
                           site_indicator)
 from schwingerlab import fixtures, free_two_point, lattice
 from schwingerlab.axioms import check_cluster_defect
 from schwingerlab.functional import MomentTable, QuasiFree, cumulant, envelope, moment_numeric
 from schwingerlab.fixtures import (random_positive_time_functions, random_real_functions,
                                    random_real_values, rng_from_seed)
-from schwingerlab.lattice import (REALITY_TOL, half_spectrum, lattice_symbol, packet_values,
-                                  positive_time_part, stacked_half_spectra)
-from schwingerlab.propagator import (_spectra, _weight_table, sobolev_norm, sobolev_norms,
+from schwingerlab.lattice import (REALITY_TOL, half_spectrum, l2_norms, lattice_symbol,
+                                  packet_values, positive_time_parts, positive_time_slices,
+                                  stacked_half_spectra)
+from schwingerlab.propagator import (_spectra, _weight_table, half_sobolev_norms, sobolev_norms,
                                      two_point_pairs)
 from oracles import half_multiplicity, half_row, half_rows, reflect_momentum
 
@@ -275,6 +275,11 @@ def test_no_positive_time_functions_draw_nothing():
     assert rng.random() == rng_from_seed(3).random()
 
 
+def _gate(f):
+    """positive_time_parts of f alone."""
+    return TestFunction(f.grid, positive_time_parts(f.grid, f.values[None])[0])
+
+
 def _positive_time_recipe(grid, rng):
     """One probe at a time: the oracle of random_positive_time_functions'
     bits and draws."""
@@ -289,7 +294,7 @@ def _positive_time_recipe(grid, rng):
     real = TestFunction(grid, packet.values.real)
     if real.l2_norm() < 1e-12:
         real = TestFunction(grid, packet.values.imag)
-    return positive_time_part(real)
+    return _gate(real)
 
 
 @pytest.mark.bits
@@ -446,22 +451,22 @@ def test_fourier_intertwines_translation_with_phase(grid_1d):
 # ---------------------------------------------------------------------------
 
 def test_sobolev_monotone_in_mass(packet):
-    norms = [sobolev_norm(packet, m2) for m2 in (0.5, 1.0, 2.0, 4.0)]
+    norms = [sobolev_norms([packet], m2)[0] for m2 in (0.5, 1.0, 2.0, 4.0)]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
 def test_sobolev_equals_free_two_point_for_real_f(grid_2d):
     f = random_real_functions(grid_2d, rng_from_seed(23), 1)[0]
     for m2 in (1.0, 4.0):
-        assert sobolev_norm(f, m2) == pytest.approx(
+        assert sobolev_norms([f], m2)[0] == pytest.approx(
             math.sqrt(free_two_point(f, f, m2).real), rel=1e-12)
 
 
 def test_sobolev_homogeneity_and_mass_bound(packet):
-    assert sobolev_norm(3.0 * packet, 2.0) == pytest.approx(
-        3.0 * sobolev_norm(packet, 2.0), rel=1e-12)
+    assert sobolev_norms([3.0 * packet], 2.0)[0] == pytest.approx(
+        3.0 * sobolev_norms([packet], 2.0)[0], rel=1e-12)
     m2 = 2.0
-    assert sobolev_norm(packet, m2) <= packet.l2_norm() / math.sqrt(m2) + 1e-12
+    assert sobolev_norms([packet], m2)[0] <= packet.l2_norm() / math.sqrt(m2) + 1e-12
 
 
 @pytest.mark.bits
@@ -477,7 +482,7 @@ def test_sobolev_norms_are_the_per_function_bits(grid_args):
         want = [math.sqrt(float(np.sum((x * x.conj()).real * w)) / grid.extent ** grid.d)
                 for x in map(half_row, fs)]
         assert _bits_equal(sobolev_norms(fs, m2), want)
-        assert _bits_equal([sobolev_norm(f, m2) for f in fs], want)
+        assert _bits_equal([sobolev_norms([f], m2)[0] for f in fs], want)
 
 
 @pytest.mark.bits
@@ -497,9 +502,11 @@ def test_sobolev_rejects_nonpositive_mass(packet):
     # and a non-finite one, before the weight cache is read
     before = _weight_table.cache_info()
     for m2 in (0.0, -1.0, math.nan, math.inf, -math.inf):
-        for norm in (sobolev_norm, lambda f, m: sobolev_norms([f], m)):
-            with pytest.raises(DomainError, match="finite m2 > 0"):
-                norm(packet, m2)
+        # the message names the public entry point, whichever route raised it
+        with pytest.raises(DomainError, match="^sobolev_norms needs a finite m2 > 0"):
+            sobolev_norms([packet], m2)
+        with pytest.raises(DomainError, match="^sobolev_norms needs a finite m2 > 0"):
+            half_sobolev_norms(packet.grid, half_row(packet)[None], m2)
     assert _weight_table.cache_info() == before
 
 
@@ -590,7 +597,7 @@ def test_positive_time_support_cases(grid_2d):
     L = grid_2d.extent
     # a raw Gaussian tail never reaches 1e-14 at these widths, so the
     # positive-time constructions gate the packet explicitly
-    gated = positive_time_part(gaussian_packet(grid_2d, [L / 4, L / 2], L / 16))
+    gated = _gate(gaussian_packet(grid_2d, [L / 4, L / 2], L / 16))
     assert positive_time_support(gated)
     straddling = gaussian_packet(grid_2d, [0.0, L / 2], L / 16)
     assert not positive_time_support(straddling)
@@ -599,10 +606,61 @@ def test_positive_time_support_cases(grid_2d):
 
 def test_positive_time_part_zeroes_the_gated_slices(grid_2d):
     f = gaussian_packet(grid_2d, [2.0, 4.0], 1.0)
-    gated = positive_time_part(f)
+    gated = _gate(f)
     t = grid_2d.signed_axis_coordinates()
     assert np.all(gated.values[t < grid_2d.spacing / 2] == 0)
     assert gated.l2_norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_positive_time_support_is_vanishing_off_the_gate_slices(grid_args):
+    grid = Grid(*grid_args)
+    n, rest = grid.n_per_axis, (0,) * (grid.d - 1)
+    slices = positive_time_slices(grid)
+    # the strictly positive slices t = a .. (N/2 - 1) a, by site index
+    assert np.array_equal(np.flatnonzero(slices), np.arange(1, n // 2))
+    # a single site is supported at positive times exactly on a gate slice:
+    # t = 0 is not, t = a is
+    assert not positive_time_support(site_indicator(grid, (0,) + rest))
+    assert positive_time_support(site_indicator(grid, (1,) + rest))
+    for i in range(n):
+        assert positive_time_support(site_indicator(grid, (i,) + rest)) == slices[i]
+    # every gated function passes; one value just above the tolerance off the slices fails
+    rng = rng_from_seed(41)
+    for f in random_positive_time_functions(grid, rng, 4) + [
+            _gate(g) for g in random_real_functions(grid, rng, 4)]:
+        assert np.all(f.values[~slices] == 0)
+        assert positive_time_support(f)
+        for i in (0, n // 2, n - 1):
+            vals = f.values.copy()
+            vals[(i,) + rest] = 2 * REALITY_TOL
+            assert not positive_time_support(TestFunction(grid, vals))
+            vals[(i,) + rest] = REALITY_TOL
+            assert positive_time_support(TestFunction(grid, vals))
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_batch_l2_norms_are_the_per_function_bits(grid_args):
+    grid = Grid(*grid_args)
+    fs = random_real_functions(grid, rng_from_seed(43), 6) + [
+        random_complex_function(grid, 44), site_indicator(grid, (3,) * grid.d),
+        gaussian_packet(grid, [grid.extent / 3] * grid.d, 2 * grid.spacing),
+        TestFunction.zeros(grid)]
+    if grid.d > 1:   # its values keep the swapped axes' memory layout
+        fs += [apply_isometry(f, Isometry.rotation(0, 1)) for f in fs[:6]]
+    values = np.array([f.values for f in fs])
+    want = [f.l2_norm() for f in fs]
+    assert _bits_equal(l2_norms(grid, values), want)
+    assert _bits_equal(l2_norms(grid, values.reshape(len(fs), -1)), want)
+    assert _bits_equal(l2_norms(grid, values[::-1]), want[::-1])
+    # the former l2_norm, sqrt(Re <f, f>), keeps its bits on C-ordered values; its np.sum
+    # ran in memory order, so on a rotated function's it could differ in the last bit
+    assert _bits_equal(want[:10], [math.sqrt(f.inner(f).real) for f in fs[:10]])
+    # a real batch is summed as complex, as TestFunction holds it
+    real = values[:6].real
+    assert _bits_equal(l2_norms(grid, real), want[:6])
 
 
 def test_positive_time_part_needs_some_support(grid_2d):
@@ -610,7 +668,7 @@ def test_positive_time_part_needs_some_support(grid_2d):
     vals = np.zeros(grid_2d.shape, dtype=complex)
     vals[grid_2d.n_per_axis - 2, 0] = 1.0
     with pytest.raises(DomainError, match="no support"):
-        positive_time_part(TestFunction(grid_2d, vals))
+        _gate(TestFunction(grid_2d, vals))
 
 
 def test_test_function_values_are_immutable(grid_1d):

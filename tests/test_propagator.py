@@ -7,7 +7,7 @@ from schwingerlab import (DomainError, Grid, SpectralMeasure, TestFunction,
                           apply_isometry, free_two_point, spectral_two_point)
 from schwingerlab.axioms import point_group
 from schwingerlab.fixtures import random_real_functions, random_real_values, rng_from_seed
-from schwingerlab.functional import MomentTable, QuasiFree, _leaf_grams, envelope
+from schwingerlab.functional import MomentTable, QuasiFree, envelope
 from schwingerlab.lattice import half_spectrum_rows, lattice_symbol
 from schwingerlab.propagator import (MASS_FLOOR_SQ, _spectra, _weight_table, _weights,
                                      row_grams, sobolev_norms, two_point_grams,
@@ -399,7 +399,7 @@ def test_warm_tables_are_read_only_and_bounded(grid_args):
     for i in range(10):
         model = envelope([(0.5, QuasiFree(SpectralMeasure.delta(1.0 + i))),
                           (0.5, QuasiFree(SpectralMeasure.delta(0.5)))])
-        _leaf_grams(model, fs)
+        two_point_grams(fs, *model._atom_table[1:])
         assert _weight_table.cache_info().currsize <= 4
     assert _weight_table.cache_info()[:2] == (0, 10)
     table = _weights(grid, model._atom_table[1], model._atom_table[2])
@@ -425,7 +425,7 @@ def test_leaf_grams_of_leaves_that_share_masses(grid_2d_small):
     rng = rng_from_seed(91)
     fs = random_real_functions(grid_2d_small, rng, 3) + [
         random_complex_function(grid_2d_small, 92)]
-    grams = _leaf_grams(model, fs)[1]
+    grams = two_point_grams(fs, *model._atom_table[1:])
     assert grams.shape == (5, 4, 4)
     _assert_near_per_mass(grams, fs, masses_sq, atoms)
     for row, leaf in zip(grams, leaves):
