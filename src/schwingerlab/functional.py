@@ -352,16 +352,15 @@ def moment_numeric(G: SchwingerFunctional,
     detector: when the two extrapolants disagree beyond the documented
     schedule, the result carries a precision warning.
 
-    The 2^n combinations are built once, at step h, and one evaluate_many
-    call reads all three stencils as Gamma(z c) at z = 2, 1, 1/2.  Scaling
-    by a power of two is exact in binary while nothing over- or underflows:
-    the combinations at 2h and h/2, their transforms and their S2 (times 4
-    and 1/4) are exactly those at h scaled, and -z^2/2 is exactly -2, -1/2
-    and -1/8, so every exponent, and so every stencil, has the bits of its
-    own combinations built and evaluated at that step.  A step product
-    prod(2 h_i) that is not a finite normal float64 (it under- or
-    overflows), or a stencil or extrapolant that is not finite, raises
-    DomainError.
+    The 2^(n-1) combinations c with s_1 = +1 are built once, at step h, and one evaluate_many
+    call reads all three stencils as Gamma(z c) at z = 2, 1, 1/2; their mirrors -c, built term
+    by term, are exact negations (rounding is odd), with negated transforms, so the same S2
+    and Gamma bits.  Scaling by a power of two is exact in binary while nothing over- or
+    underflows: the combinations at 2h and h/2, their transforms and their S2 (times 4 and
+    1/4) are exactly those at h scaled, and -z^2/2 is exactly -2, -1/2 and -1/8, so every
+    exponent, and so every stencil, has the bits of its own combinations built and evaluated
+    at that step.  A step product prod(2 h_i) that is not a finite normal float64 (it under-
+    or overflows), or a stencil or extrapolant that is not finite, raises DomainError.
     """
     _check_moment_args(fs, NUMERIC_MOMENT_CAP)
     n = len(fs)
@@ -378,13 +377,15 @@ def moment_numeric(G: SchwingerFunctional,
                               f"a finite normal float64; the arguments are too {size} "
                               f"in the model's floor norm")
     signs = list(itertools.product((1.0, -1.0), repeat=n))
-    # every combination sum_i s_i h_i f_i, built as (s h) * f added in order
-    combos = np.zeros((len(signs),) + fs[0].grid.shape, dtype=np.complex128)
+    half = signs[:len(signs) // 2]   # s_1 = +1; signs[-1 - k] is -signs[k]
+    # each combination sum_i s_i h_i f_i, built as (s h) * f added in order
+    combos = np.zeros((len(half),) + fs[0].grid.shape, dtype=np.complex128)
     for i, (nu, f) in enumerate(zip(norms, fs)):
-        combos = combos + np.multiply.outer([s[i] * (h0 / nu) for s in signs], f.values)
+        combos = combos + np.multiply.outer([s[i] * (h0 / nu) for s in half], f.values)
     combos.setflags(write=False)   # so its rows are wrapped without a copy
     values = G.evaluate_many([TestFunction(fs[0].grid, c, copy=False) for c in combos],
                              [2.0, 1.0, 0.5])
+    values = np.concatenate([values, values[::-1]])   # row -1 - k mirrors row k
     # per step: the signed sum of its values over its prod_i 2 h_i
     d_2h, d_h, d_h2 = (sum((math.prod(s) * v for s, v in zip(signs, column)), 0j) / step
                        for step, column in zip(steps, values.T.tolist()))

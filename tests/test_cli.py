@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -782,3 +783,49 @@ def test_experiment_tolerance_file_merges_and_validates(tmp_path):
     write_json(bad, {"closed_form_relly": 1e-8})
     assert main(["experiment", str(spec), "--out", str(tmp_path / "b"),
                  "--tolerance-file", str(bad)]) == 2
+
+
+# ROADMAP item 20: every valid input, however extreme, gets a finite answer or a named exit 2
+_SWEEP_VALUES = [1e-6, 1e-3, 1.0, 1e3, 1e12, 1e150, 1e300]
+_NAMED_EXIT_2 = re.compile(r"error: (\w+ of order \d+ leave float64|two-point values overflow "
+                           r"float64|moment_numeric (steps|stencils) )")
+
+
+@pytest.mark.parametrize("grid", ["2,16,0.5", "1,16,0.5"])
+def test_extreme_masses_and_weights_exit_zero_two_or_three(tmp_path, capsys, grid):
+    d = int(grid.split(",")[0])
+    packet = {"center": [4.0] * d, "width": 1.0}
+    write_json(tmp_path / "recipe.json", {"functions": [packet]})
+    spec_grid = {"d": d, "n_per_axis": 16, "spacing": 0.5}
+    runs = []
+    for v in _SWEEP_VALUES:
+        # the value on the second leaf of a two-leaf mixture, as its m2 or its atom weight
+        for kind, atom in (("m2", [v, 1.0]), ("weight", [1.0, v])):
+            model = tmp_path / f"{kind}-{v}.json"
+            write_json(model, {"format": "schwinger-model", "version": 1, "model": {
+                "kind": "mixture", "children": [
+                    {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [[1.0, 1.0]]}},
+                    {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [atom]}}]}})
+            runs += [["verify", str(model), "--grid", grid, "--seed", "7"],
+                     ["sample", str(model), "--grid", grid, "--seed", "7", "--count", "4"]]
+            runs += [["moments", str(model), "--grid", grid, "--recipe",
+                      str(tmp_path / "recipe.json"), "--order", order] for order in ("4", "8")]
+        # the experiments take the value as the second m2: their leaf and family weights
+        # are mixture weights, which sum to 1
+        specs = [("two_mass_fourth_cumulant", {"masses_sq": [1.0, v], "packet": packet,
+                                               "mc_samples": 2000}),
+                 ("iteration", {"families": [[[1.0, 1.0]], [[v, 1.0]]],
+                                "lambda_weights": [0.5, 0.5], "packet": packet}),
+                 ("refinement", {"d": d, "extent": 8.0, "levels": [16, 32, 64],
+                                 "masses_sq": [1.0, v], "packet": packet})]
+        for exp_id, params in specs:
+            spec = tmp_path / f"{exp_id}-{v}.json"
+            write_json(spec, {"experiment_id": exp_id, "grid": spec_grid, "seed": 7,
+                              "params": params})
+            runs.append(["experiment", str(spec)])
+    for i, argv in enumerate(runs):
+        code = main(argv + ["--out", str(tmp_path / f"out{i}")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and "Traceback" not in err, (argv, code, err)
+        assert code != 3 or argv[0] == "moments", (argv, err)
+        assert code != 2 or _NAMED_EXIT_2.match(err), (argv, err)

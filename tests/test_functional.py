@@ -293,10 +293,11 @@ def _numeric_loop(G, fs):
 
 
 def _numeric_outcome(route, G, fs):
-    """The bits of a numeric moment, or the type of the error its route raised."""
+    """The bits of a numeric moment, or the type of the error its route raised (a numpy
+    overflow warning counts: the test suite raises warnings as errors)."""
     try:
         r = route(G, fs)
-    except (ArithmeticError, DomainError) as exc:
+    except (ArithmeticError, DomainError, RuntimeWarning) as exc:
         return type(exc)
     return (np.array([r.value, *r.stencils, r.disagreement]).view(np.uint64).tolist(),
             r.precision_warning)
@@ -311,6 +312,15 @@ SPREAD_WEIGHTS = envelope([
 HEAVY_LEAF = QuasiFree(SpectralMeasure(((1e-6, 1e306),)))
 
 
+def _moving_packets(grid):
+    """Four packets of distinct nonzero lattice momenta: complex values, so no sign
+    combination of them is a multiple of one function."""
+    return [gaussian_packet(grid, [grid.extent / 3 + j * grid.spacing] * grid.d,
+                            max(1.0, 2 * grid.spacing),
+                            2 * np.pi / grid.extent * np.array([j + 1, -j, 0][:grid.d]))
+            for j in range(4)]
+
+
 @pytest.mark.bits
 @pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 4))
 def test_numeric_is_bit_identical_to_the_combination_loop(grid_1d, grid_2d, grid_3d, model_idx):
@@ -319,11 +329,33 @@ def test_numeric_is_bit_identical_to_the_combination_loop(grid_1d, grid_2d, grid
                              envelope([(0.5, HEAVY_LEAF), (0.5, MODEL_FAMILY[2])])])[model_idx]
     for grid in (grid_2d, grid_1d, grid_3d):
         packet = gaussian_packet(grid, [4.0] * grid.d, 1.0)
-        fs = random_real_functions(grid, rng, 4)
+        fs, moving = random_real_functions(grid, rng, 4), _moving_packets(grid)
         for n in range(1, 5):
-            for args in (fs[:n], [packet] * n):
+            for args in (fs[:n], [packet] * n, moving[:n]):
                 assert (_numeric_outcome(moment_numeric, model, args)
                         == _numeric_outcome(_numeric_loop, model, args))
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_a_mirrored_sign_combination_has_the_gamma_bits_of_its_partner(grid_args):
+    """moment_numeric evaluates only the combinations with s_1 = +1: the combination of
+    -s, built term by term as moment_numeric builds it, is the exact negation of that of
+    s (round-to-nearest is odd), so its transform is negated and its S2 and Gamma keep
+    their bits."""
+    grid = Grid(*grid_args)
+    h0 = np.finfo(float).eps ** (1.0 / 8)
+    for fs in (random_real_functions(grid, rng_from_seed(139), 4), _moving_packets(grid)):
+        steps = [h0 / nu for nu in sobolev_norms(fs, 1.0).tolist()]
+        for signs in itertools.product((1.0, -1.0), repeat=4):
+            plus = minus = np.zeros(grid.shape, dtype=np.complex128)
+            for s, h, f in zip(signs, steps, fs):
+                plus, minus = plus + (s * h) * f.values, minus + (-s * h) * f.values
+            assert np.array_equal(minus, -plus)   # signed zeros aside
+            pair = [TestFunction(grid, plus), TestFunction(grid, minus)]
+            for model in MODEL_FAMILY + [SPREAD_WEIGHTS]:
+                rows = model.evaluate_many(pair, [2.0, 1.0, 0.5])
+                assert _bits_equal(rows[0], rows[1])
 
 
 # ---------------------------------------------------------------------------
