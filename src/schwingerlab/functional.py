@@ -256,15 +256,17 @@ class MomentTable:
     Given its leaf l the field is centered Gaussian, so the leaf's moments
     are the Wick sums exp(Q_l), with Q_l[{i,j}] = S2_l(f_i, f_j) on pairs
     and 0 elsewhere.  The moments are M = sum_l w_l exp(Q_l), the scales
-    -log(1 - |M|), and the cumulants log M, conditioned on the leaf (law of
-    total cumulance, Brillinger 1969):
+    -log(1 - |M|) = -subset_log(-|M|), and the cumulants log M, conditioned on
+    the leaf (law of total cumulance, Brillinger 1969):
 
         K = Qbar + log( sum_l w_l exp(Q_l - Qbar) + (1 - W) exp(-Qbar) ),
 
-    Qbar = sum_l w_l Q_l, W = sum_l w_l.  On a single leaf Q_l - Qbar is
-    exactly 0, and so is every cumulant above order two.  The (1 - W) term
-    keeps M[empty] = 1 for raw trees whose weights do not sum to 1.  Each
-    table is computed on first use; one that leaves float64 raises DomainError.
+    Qbar = sum_l w_l Q_l, W = sum_l w_l.  One pair_exp of the 2L + 1 rows
+    [Q_l; Q_l - Qbar; -Qbar] and one subset_log of [inner; -|M|] give all
+    three.  On a single leaf Q_l - Qbar is exactly 0, and so is every cumulant
+    above order two.  The (1 - W) term keeps M[empty] = 1 for raw trees whose
+    weights do not sum to 1.  A table that leaves float64 raises DomainError
+    on its first read; the scales read the moments first.
     """
 
     def __init__(self, G: SchwingerFunctional, fs: Sequence[TestFunction]):
@@ -272,20 +274,28 @@ class MomentTable:
         self.weights = G._atom_table[0]
         self.pairs = _pair_table(two_point_grams(fs, *G._atom_table[1:]))
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the unchecked moments, cumulants and scales, first read under a guard's np.errstate
+        w, mean = self.weights, self.weights @ self.pairs
+        exps = partitions.pair_exp(np.concatenate([self.pairs, self.pairs - mean, -mean[None]]))
+        moments = w @ exps[:len(w)]
+        inner = w @ exps[len(w):-1] + (1.0 - w.sum()) * exps[-1]
+        logs = partitions.subset_log(np.stack([inner, -np.abs(moments)]))
+        return moments, mean + logs[0], 0.0 - logs[1].real   # 0 - x is never -0.0
+
     @_finite_table
     def moments(self) -> np.ndarray:
-        return self.weights @ partitions.pair_exp(self.pairs)
+        return self._tables[0]
 
     @_finite_table
     def cumulants(self) -> np.ndarray:
-        mean = self.weights @ self.pairs
-        inner = (self.weights @ partitions.pair_exp(self.pairs - mean)
-                 + (1.0 - self.weights.sum()) * partitions.pair_exp(-mean))
-        return mean + partitions.subset_log(inner)
+        return self._tables[1]
 
     @_finite_table
     def scales(self) -> np.ndarray:
-        return partitions.subset_neglog1m(np.abs(self.moments))
+        self.moments   # moments that leave float64 raise as themselves
+        return self._tables[2]
 
 
 _shared = (None, (), None)   # (G, tuple(fs), MomentTable) of the last reader call
@@ -383,8 +393,9 @@ def moment_numeric(G: SchwingerFunctional,
     for i, (nu, f) in enumerate(zip(norms, fs)):
         combos = combos + np.multiply.outer([s[i] * (h0 / nu) for s in half], f.values)
     combos.setflags(write=False)   # so its rows are wrapped without a copy
-    values = G.evaluate_many([TestFunction(fs[0].grid, c, copy=False) for c in combos],
-                             [2.0, 1.0, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite stencil raises below
+        values = G.evaluate_many([TestFunction(fs[0].grid, c, copy=False) for c in combos],
+                                 [2.0, 1.0, 0.5])
     values = np.concatenate([values, values[::-1]])   # row -1 - k mirrors row k
     # per step: the signed sum of its values over its prod_i 2 h_i
     d_2h, d_h, d_h2 = (sum((math.prod(s) * v for s, v in zip(signs, column)), 0j) / step

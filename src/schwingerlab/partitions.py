@@ -11,9 +11,10 @@ the lattice of set partitions:
 where B runs over the blocks of pi.  By the exponential formula (Stanley,
 Enumerative Combinatorics 2, 5.1) these sums are exp and log of set
 functions on the subsets of {1..n} under the subset product, and the
-condition scale sum_pi (|pi|-1)! prod_B |moment(B)| is -log(1 - |moment|).
-The package computes them that way, for every subset at once, and never
-enumerates a partition.
+condition scale sum_pi (|pi|-1)! prod_B |moment(B)| is -log(1 - |moment|)
+= -subset_log(-|moment|).  The package computes them that way, for every
+subset at once, and never enumerates a partition; a `functional.MomentTable`
+is one pair_exp and one subset_log, each over rows stacked on a batch axis.
 """
 
 from __future__ import annotations
@@ -95,16 +96,4 @@ def subset_log(f: np.ndarray) -> np.ndarray:
     for masks, blocks, rests in _layers(f):
         out[..., masks] = f[..., masks] - (out[..., blocks[:, :-1]]
                                            * f[..., rests[:, :-1]]).sum(-1)
-    return out
-
-
-def subset_neglog1m(t: np.ndarray) -> np.ndarray:
-    """-log(1 - t), t[0] unread: entry S != 0 is the sum over the set
-    partitions pi of S of (|pi|-1)! prod_B t[B]."""
-    layers = _layers(t)
-    out, inv = np.zeros_like(t), np.zeros_like(t)   # inv = 1/(1 - t) = exp(out)
-    inv[..., 0] = 1.0
-    for masks, blocks, rests in layers:
-        out[..., masks] = (t[..., blocks] * inv[..., rests]).sum(-1)
-        inv[..., masks] = (out[..., blocks] * inv[..., rests]).sum(-1)
     return out

@@ -14,6 +14,9 @@ down), and the momentum negation k -> -k by flipping and rolling each axis
 (the package computes the flat index of -k mod N).  `per_call_pair_exp` is
 the one oracle of bits alone: the hafnian recursion with its layers cut from
 the rooted splits on every call, where the package caches them per order.
+`two_table_neglog1m` is the condition scale -log(1 - t) by two coupled
+recursions, for -log(1 - t) and 1/(1 - t) (the package reads it off one
+subset_log of -t).
 
 `SignedLeaf` is the negative control of reflection positivity: a Gaussian
 leaf over a signed spectral measure (a Pauli-Villars ghost), and
@@ -90,6 +93,17 @@ def per_call_pair_exp(a):
         pairs = 1 << np.arange(s - 1)
         layers.append((masks, blocks[:, pairs], rests[:, pairs]))
     return _exp(a, layers)
+
+
+def two_table_neglog1m(t):
+    """-log(1 - t), t[0] unread: out = sum_T t[T] inv[S - T] and inv = 1/(1 - t) =
+    exp(out) = sum_T out[T] inv[S - T], over the blocks T that hold min S."""
+    out, inv = np.zeros_like(t), np.zeros_like(t)
+    inv[..., 0] = 1.0
+    for masks, blocks, rests in _layers(t):
+        out[..., masks] = (t[..., blocks] * inv[..., rests]).sum(-1)
+        inv[..., masks] = (out[..., blocks] * inv[..., rests]).sum(-1)
+    return out
 
 
 def own_pairings(items):

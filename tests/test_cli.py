@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,28 @@ def test_moments_that_leave_float64_exit_two_naming_them(recipe_file, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: moments of order 4 leave float64") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_numeric_stencils_that_leave_float64_exit_two_without_a_warning(tmp_path, capsys):
+    # a combination of moving packets has a complex S2 whose real part is hugely negative
+    # on the heavy leaf, so Gamma's exp overflows; numpy must not warn before the error line
+    model, recipe = tmp_path / "heavy.json", tmp_path / "recipe.json"
+    write_json(model, {"format": "schwinger-model", "version": 1, "model": {
+        "kind": "mixture", "children": [
+            {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [[1.0, 1.0]]}},
+            {"weight": 0.5, "model": {"kind": "quasifree", "atoms": [[1e-6, 1e300]]}}]}})
+    q = 0.7853981633974483
+    write_json(recipe, {"functions": [{"center": [4.0, 4.0], "width": 1.0, "momentum": k}
+                                      for k in ([q, 0.0], [0.0, q], [0.0, -q], [q, q])]})
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["moments", str(model), "--recipe", str(recipe), "--order", "2",
+                     "--grid", "2,16,0.5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not seen and "RuntimeWarning" not in err
+    assert err.startswith("error: moment_numeric stencils leave float64")
+    assert len(err.splitlines()) == 1 and not (out / "moments.json").exists()
 
 
 @pytest.mark.parametrize("name,doc,argv,ctx", [

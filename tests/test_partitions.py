@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schwingerlab import DomainError, partitions
-from schwingerlab.partitions import (MAX_PARTITION_N, pair_exp, subset_exp, subset_log,
-                                     subset_neglog1m)
+from schwingerlab.partitions import MAX_PARTITION_N, pair_exp, subset_exp, subset_log
 
 from conftest import random_complex
 from oracles import (bell_triangle, insertion_partitions, oracle_cumulant,
-                     oracle_moment, own_pairings, per_call_pair_exp)
+                     oracle_moment, own_pairings, per_call_pair_exp, two_table_neglog1m)
 from schwingerlab.fixtures import rng_from_seed
 from test_lattice import _bits_equal
 
@@ -206,7 +205,8 @@ def test_subset_transforms_match_the_partition_lattice(n):
     rng = rng_from_seed(700 + n)
     routes = [(subset_exp, lambda k: 1),
               (subset_log, lambda k: (-1) ** (k - 1) * math.factorial(k - 1)),
-              (subset_neglog1m, lambda k: math.factorial(k - 1))]
+              (lambda t: -subset_log(-t), lambda k: math.factorial(k - 1)),
+              (two_table_neglog1m, lambda k: math.factorial(k - 1))]
     for transform, coefficient in routes:
         table = random_set_function(rng, n)
         got = transform(table)
@@ -269,7 +269,7 @@ def test_pair_exp_warm_tables_are_the_per_call_layer_bits(n):
 def test_set_function_length_must_be_a_power_of_two():
     with pytest.raises(DomainError, match="2\\^n"):
         subset_exp(np.zeros(6))
-    for transform in (subset_exp, pair_exp, subset_log, subset_neglog1m):
+    for transform in (subset_exp, pair_exp, subset_log):
         with pytest.raises(DomainError, match="2\\^n entries, got 0"):
             transform(np.zeros(0))
     with pytest.raises(DomainError, match="n=0 outside 1..10"):
