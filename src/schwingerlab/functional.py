@@ -38,7 +38,7 @@ import numpy as np
 from . import partitions
 from .errors import DomainError, SchemaError
 from .fixtures import MAX_SEED, random_real_values, rng_from_seed
-from .lattice import Grid, TestFunction, half_spectrum_rows
+from .lattice import Grid, TestFunction, half_spectrum_rows, stacked_half_spectra
 from .propagator import (SpectralMeasure, half_sobolev_norms, propagator_rows, row_grams,
                          sobolev_norms, two_point_grams, two_point_pairs)
 from .serialize import json_integer, json_number, read_json, require_keys, write_json
@@ -362,19 +362,20 @@ def moment_numeric(G: SchwingerFunctional,
     detector: when the two extrapolants disagree beyond the documented
     schedule, the result carries a precision warning.
 
-    The 2^(n-1) combinations c with s_1 = +1 are built once, at step h, and one evaluate_many
-    call reads all three stencils as Gamma(z c) at z = 2, 1, 1/2; their mirrors -c, built term
-    by term, are exact negations (rounding is odd), with negated transforms, so the same S2
-    and Gamma bits.  Scaling by a power of two is exact in binary while nothing over- or
-    underflows: the combinations at 2h and h/2, their transforms and their S2 (times 4 and
-    1/4) are exactly those at h scaled, and -z^2/2 is exactly -2, -1/2 and -1/8, so every
-    exponent, and so every stencil, has the bits of its own combinations built and evaluated
-    at that step.  A step product prod(2 h_i) that is not a finite normal float64 (it under-
-    or overflows), or a stencil or extrapolant that is not finite, raises DomainError.
+    S2 is bilinear, so each sign combination c_s = sum_i s_i h_i f_i has S2_l(c_s) =
+    s^T H G_l H s, H = diag(h_i), over all 2^n sign vectors s: one row_grams call gives the
+    per-mass Grams of the scaled half-spectrum rows h_i X_i, and the atom weights multiply
+    their quadratic forms after the momentum sum, as in two_point_pairs (a leaf Gram would
+    fold a heavy atom weight into the symbol first, and overflow).  Every stencil is then
+    Gamma(z c_s) = sum_l w_l exp(-z^2/2 S2_l(c_s)) at z = 2, 1, 1/2, summed in leaf order
+    as evaluate_many sums.  A step product prod(2 h_i) that is not a finite normal float64
+    (it under- or overflows), or a stencil or extrapolant that is not finite, raises
+    DomainError.
     """
     _check_moment_args(fs, NUMERIC_MOMENT_CAP)
-    n = len(fs)
-    norms = sobolev_norms(fs, min_mass_sq(G)).tolist()
+    n, grid = len(fs), fs[0].grid
+    x = stacked_half_spectra(fs)
+    norms = half_sobolev_norms(grid, x, min_mass_sq(G)).tolist()
     if any(nu == 0.0 for nu in norms):
         return NumericMoment(0j, (0j, 0j, 0j), 0.0, False)
     h0 = float(np.finfo(float).eps ** (1.0 / (n + 4)))
@@ -386,17 +387,13 @@ def moment_numeric(G: SchwingerFunctional,
             raise DomainError(f"moment_numeric steps {what}: prod(2 h_i) = {step:.3g} is not "
                               f"a finite normal float64; the arguments are too {size} "
                               f"in the model's floor norm")
+    weights, masses, atoms = G._atom_table
     signs = list(itertools.product((1.0, -1.0), repeat=n))
-    half = signs[:len(signs) // 2]   # s_1 = +1; signs[-1 - k] is -signs[k]
-    # each combination sum_i s_i h_i f_i, built as (s h) * f added in order
-    combos = np.zeros((len(half),) + fs[0].grid.shape, dtype=np.complex128)
-    for i, (nu, f) in enumerate(zip(norms, fs)):
-        combos = combos + np.multiply.outer([s[i] * (h0 / nu) for s in half], f.values)
-    combos.setflags(write=False)   # so its rows are wrapped without a copy
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite stencil raises below
-        values = G.evaluate_many([TestFunction(fs[0].grid, c, copy=False) for c in combos],
-                                 [2.0, 1.0, 0.5])
-    values = np.concatenate([values, values[::-1]])   # row -1 - k mirrors row k
+        grams = row_grams(np.array([h0 / nu for nu in norms])[:, None] * x, grid, masses,
+                          np.eye(len(masses)))
+        forms = np.einsum("si,mij,sj->sm", signs, grams, signs) @ atoms.T   # S2_l(c_s), (2^n, L)
+        values = _leaf_sum(weights * _leaf_exp(forms, [2.0, 1.0, 0.5]))
     # per step: the signed sum of its values over its prod_i 2 h_i
     d_2h, d_h, d_h2 = (sum((math.prod(s) * v for s, v in zip(signs, column)), 0j) / step
                        for step, column in zip(steps, values.T.tolist()))

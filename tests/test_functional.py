@@ -297,14 +297,26 @@ def _numeric_loop(G, fs):
 
 
 def _numeric_outcome(route, G, fs):
-    """The bits of a numeric moment, or the type of the error its route raised (a numpy
-    warning fails the test: the test suite raises warnings as errors)."""
+    """A route's NumericMoment, or the type and the message head of the error it raised (a
+    numpy warning fails the test: the test suite raises warnings as errors)."""
     try:
-        r = route(G, fs)
+        return route(G, fs)
     except (ArithmeticError, DomainError) as exc:
-        return type(exc)
-    return (np.array([r.value, *r.stencils, r.disagreement]).view(np.uint64).tolist(),
-            r.precision_warning)
+        return type(exc), re.match(r"(?:moment_numeric )?([\w -]*)", str(exc)).group(1)
+
+
+def _moment_reference(G, fs) -> float:
+    """max(cumulant scale, prod_i sqrt(max_l |S2_l(f_i, f_i)|)), the leaf values summed per
+    mass; inf where either leaves float64 (the heavy leaf's two-point values do)."""
+    _, masses, atoms = G._atom_table
+    diag = np.diagonal(two_point_grams(fs, masses, np.eye(len(masses))), axis1=1, axis2=2)
+    with np.errstate(over="ignore"):
+        s2 = np.hypot(atoms @ diag.real, atoms @ diag.imag).max(axis=0)
+    try:
+        scale = cumulant_scale(G, fs)
+    except DomainError:
+        scale = math.inf
+    return max(scale, math.prod(np.sqrt(s2).tolist()))
 
 
 # leaf atom weights from 1e-6 to 1e6, and the leaf whose two-point values overflow
@@ -325,9 +337,17 @@ def _moving_packets(grid):
             for j in range(4)]
 
 
+# |moment_numeric - _numeric_loop| / _moment_reference of the (value, stencils) per order:
+# about 10x the worst gaps over the cases below, 4.5e-16, 3.3e-14 and 1.4e-8 of the value
+# and 3.2e-16, 2.5e-14 and 4.7e-7 of the stencils at n = 2, 3, 4 (n = 1 gives 0 gaps)
+NUMERIC_AGREEMENT = {1: (1e-16, 1e-16), 2: (5e-15, 5e-15), 3: (5e-13, 5e-13), 4: (2e-7, 5e-6)}
+
+
 @pytest.mark.bits
 @pytest.mark.parametrize("model_idx", range(len(MODEL_FAMILY) + 4))
-def test_numeric_is_bit_identical_to_the_combination_loop(grid_1d, grid_2d, grid_3d, model_idx):
+def test_numeric_agrees_with_the_combination_loop(grid_1d, grid_2d, grid_3d, model_idx):
+    # the same outcome, warning flag and, within NUMERIC_AGREEMENT, value and stencils; on
+    # the heavy leaf the reference is inf, so its cases compare outcome and flag alone
     rng = rng_from_seed(137)
     model = (MODEL_FAMILY + [random_model_tree(rng, max_depth=3), SPREAD_WEIGHTS, HEAVY_LEAF,
                              envelope([(0.5, HEAVY_LEAF), (0.5, MODEL_FAMILY[2])])])[model_idx]
@@ -336,16 +356,43 @@ def test_numeric_is_bit_identical_to_the_combination_loop(grid_1d, grid_2d, grid
         fs, moving = random_real_functions(grid, rng, 4), _moving_packets(grid)
         for n in range(1, 5):
             for args in (fs[:n], [packet] * n, moving[:n]):
-                assert (_numeric_outcome(moment_numeric, model, args)
-                        == _numeric_outcome(_numeric_loop, model, args))
+                got, want = (_numeric_outcome(route, model, args)
+                             for route in (moment_numeric, _numeric_loop))
+                if not isinstance(want, NumericMoment):
+                    assert got == want
+                    continue
+                assert got.precision_warning == want.precision_warning
+                value_bound, stencil_bound = NUMERIC_AGREEMENT[n]
+                reference = _moment_reference(model, args)
+                assert abs(got.value - want.value) <= value_bound * reference
+                assert (max(abs(a - b) for a, b in zip(got.stencils, want.stencils))
+                        <= stencil_bound * reference)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_numeric_reads_one_gram_call_and_evaluates_nothing(grid_2d, monkeypatch, n):
+    model, calls = nested_mixture(), []
+    fs = random_real_functions(grid_2d, rng_from_seed(43), n)
+    moment_numeric(model, fs)   # caches the arguments' rows and the model's weights
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+    for owner, name in ((functional, "row_grams"), (propagator, "row_grams"),
+                        (functional, "two_point_pairs"), (propagator, "two_point_pairs"),
+                        (functional.SchwingerFunctional, "evaluate_many"),
+                        (TestFunction, "__init__")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    moment_numeric(model, fs)
+    assert calls == ["row_grams"]
 
 
 @pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_a_mirrored_sign_combination_has_the_gamma_bits_of_its_partner(grid_args):
-    """moment_numeric evaluates only the combinations with s_1 = +1: the combination of
-    -s, built term by term as moment_numeric builds it, is the exact negation of that of
-    s (round-to-nearest is odd), so its transform is negated and its S2 and Gamma keep
+    """The combination of -s, built term by term, is the exact negation of that of s
+    (round-to-nearest is odd), so its transform is negated and its S2 and Gamma keep
     their bits."""
     grid = Grid(*grid_args)
     h0 = np.finfo(float).eps ** (1.0 / 8)

@@ -736,7 +736,7 @@ def test_copy_false_over_an_owned_writable_array_keeps_its_values():
     assert not np.shares_memory(TestFunction(grid, view, copy=False).values, owner)
 
 
-def test_copy_false_wraps_read_only_values_without_a_copy(monkeypatch):
+def test_copy_false_wraps_read_only_values_without_a_copy():
     grid = Grid(2, 16, 0.5)
     packet = gaussian_packet(grid, [4.0, 4.0], 1.0, [0.0, 0.0])
     # another function's values, a row of a read-only batch or an owned array
@@ -745,17 +745,11 @@ def test_copy_false_wraps_read_only_values_without_a_copy(monkeypatch):
     owned = np.array(packet.values)
     owned.setflags(write=False)
     assert np.shares_memory(TestFunction(grid, owned, copy=False).values, owned)
-    # moment_numeric wraps the rows of its read-only batch of sign combinations: the
-    # 2^(n-1) with s_1 = +1, as each mirror -c reads the Gamma bits of its partner c
-    seen, evaluate_many = [], QuasiFree.evaluate_many
-
-    def spy(self, fs, z=1.0):
-        seen.extend(fs)
-        return evaluate_many(self, fs, z)
-    monkeypatch.setattr(QuasiFree, "evaluate_many", spy)
-    moment_numeric(QuasiFree(SpectralMeasure.delta(1.0)), [packet, packet])
-    assert len(seen) == 2
-    assert all(np.shares_memory(f.values, seen[0].values.base) for f in seen)
+    # random_positive_time_functions wraps the rows of positive_time_parts' read-only batch
+    batch = random_positive_time_functions(grid, rng_from_seed(11), 3)
+    base = batch[0].values.base
+    assert base is not None and not base.flags.writeable
+    assert all(f.values.base is base for f in batch)
 
 
 def test_nonfinite_values_rejected(grid_1d):
