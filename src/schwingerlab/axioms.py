@@ -37,10 +37,10 @@ import numpy as np
 from .errors import DomainError
 from .fixtures import (random_positive_time_functions, random_real_functions,
                        rng_from_seed)
-from .functional import (ROUNDOFF_FLOOR, SchwingerFunctional, _leaf_exp, _leaf_sum,
-                         model_to_dict, quasi_free_defect)
+from .functional import ROUNDOFF_FLOOR, SchwingerFunctional, model_to_dict, quasi_free_defect
 from .lattice import (Grid, Isometry, TestFunction, apply_isometry, common_grid,
                       positive_time_support, site_indicator)
+from .propagator import running_sum
 from .serialize import canonical_digest, complex_pair, overrides
 
 # Error budget behind the PSD floor of -1e-9 (relative to trace): the
@@ -232,11 +232,11 @@ def check_cluster_defect(G: SchwingerFunctional, f: TestFunction,
     sums = [f + s for s in shifted]
     # one kernel call: (f, f), (g, g), every (f + s, f + s), and (f, g^a_max) last
     s2 = G.leaf_two_point([f, g, *sums, f], [f, g, *sums, shifted[-1]])
-    leaf = _leaf_exp(s2[:-1])[:, 0]
-    gamma_f, gamma_g, *values = _leaf_sum(weights * leaf).tolist()
+    gamma_f, gamma_g, *values = G.mix(s2[:-1]).tolist()
     curve = [(vec, complex(v - gamma_f * gamma_g)) for vec, v in zip(seps, values)]
-    delta_inf = _leaf_sum(weights * leaf[0] * leaf[1]) - gamma_f * gamma_g
-    budget = 2.0 * _leaf_sum(np.abs(weights) * np.abs(s2[-1]))
+    leaf_f, leaf_g = np.exp((-0.5 + 0j) * s2[:2])   # mix's leaf terms at z = 1, bit for bit
+    delta_inf = running_sum(weights * leaf_f * leaf_g) - gamma_f * gamma_g
+    budget = 2.0 * running_sum(np.abs(weights) * np.abs(s2[-1]))
     tol = max(DEFAULT_TOLERANCES["cluster"], budget) if tolerance is None else tolerance
 
     witness = abs(curve[-1][1] - delta_inf)

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +45,7 @@ from .errors import DomainError, SchemaError
 from .fixtures import MAX_SEED
 from .functional import (ROUNDOFF_FLOOR, MomentTable, QuasiFree, SchwingerFunctional, envelope,
                          gaussianize)
-from .lattice import Grid, TestFunction, gaussian_packet, packet_from_doc
+from .lattice import Grid, TestFunction, l2_norms, packet_from_doc, packet_values
 from .montecarlo import MAX_SAMPLE_COUNT, estimate_fourth_cumulant, pair_values
 from .propagator import SpectralMeasure, free_two_point, spectral_two_point
 from .serialize import canonical_digest, json_integer, json_number, overrides, require_keys
@@ -312,6 +311,7 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
     pdoc = spec.params["packet"]
 
     model = point_mass_mixture(zip(masses, weights))
+    gaussian = gaussianize(model)
     s2_vals, s4t_vals, rot_defects = [], [], []
     for n in levels:
         grid = Grid(d, n, extent / n)
@@ -320,7 +320,7 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
         s2_vals.append(float(table.moments[0b11].real))
         s4t_vals.append(float(table.cumulants[-1].real))
         if d == 2:
-            rot_defects.append(_rotation_defect(grid, pdoc, masses, weights))
+            rot_defects.append(_rotation_defect(grid, pdoc, gaussian))
 
     # a level difference or defect at or below roundoff of the two-point data has converged: 0
     floor = ROUNDOFF_FLOOR * max(map(abs, s2_vals))
@@ -346,30 +346,23 @@ def run_refinement_study(spec: ExperimentSpec) -> ExperimentReport:
                             values, notes)
 
 
-def _rotation_defect(grid: Grid, pdoc: dict, masses: Sequence[float],
-                     weights: Sequence[float]) -> float:
+def _rotation_defect(grid: Grid, pdoc: dict, G: QuasiFree) -> float:
     # Compare S2(f,f) for a cosine-modulated packet against the same packet
     # with its defining parameters rotated by 30 degrees about the box
     # center: an off-lattice rotation, so the defect measures the distance
     # to continuum invariance.  Real packets put |f^|^2 weight at +-p, where
-    # the lattice symbol's anisotropy actually shows.
+    # the lattice symbol's anisotropy actually shows.  The packet document
+    # was checked on this grid, and G is the study's model gaussianized.
     theta = math.pi / 6.0
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     center = np.asarray(pdoc["center"], dtype=float)
     mid = np.full(2, grid.extent / 2.0)
     momentum = np.asarray(pdoc.get("momentum") or [0.0, 0.0], dtype=float)
-
-    def real_packet(c, p):
-        raw = gaussian_packet(grid, c, float(pdoc["width"]), p)
-        real = TestFunction(grid, raw.values.real)
-        return (1.0 / real.l2_norm()) * real
-
-    f = real_packet(center, momentum)
-    f_rot = real_packet(mid + rot @ (center - mid), rot @ momentum)
-    rho = SpectralMeasure(tuple((m, w) for m, w in zip(masses, weights)))
-    base = spectral_two_point(f, f, rho).real
-    moved = spectral_two_point(f_rot, f_rot, rho).real
+    real = packet_values(grid, np.array([center, mid + rot @ (center - mid)]),
+                         [float(pdoc["width"])] * 2, np.array([momentum, rot @ momentum])).real
+    fs = [TestFunction(grid, v) for v in real * (1.0 / l2_norms(grid, real))[:, None, None]]
+    base, moved = G.leaf_two_point(fs, fs)[:, 0].real.tolist()
     return abs(moved - base)
 
 

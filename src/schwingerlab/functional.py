@@ -12,15 +12,15 @@ moments beyond order two stop vanishing.  A tree's leaves are the rows of
 one atom table (leaf path weights w_l, leaf x mass weights), over which the
 `propagator` kernels give every leaf's two-point values and Grams.  The
 model is the flat sum Gamma(z f) = sum_l w_l exp(-z^2/2 S2_l(f, f)) over
-that table; the tree is for building, validation and files.  This module
-provides evaluation of a stack of test functions at one z or at a 1-D
-array of z in one pass, the positivity checks' matrices Gamma(f_i - p_j),
-finite-difference moments, one table of the analytic moments, cumulants
-and cumulant scales of every sub-collection of the arguments (subset exp
-and log of the leaf Grams, the cumulants conditioned on the leaf),
-gaussianization (the quasi-free functional with the same two-point
-function), the quasi-free defect of the leaves' covariance symbols,
-regularity and moment-growth certificates, and the model file format.
+that table, formed from leaf values in one place (`mix`); the tree is for
+building, validation and files.  This module provides evaluation of a stack
+of test functions at one z or at a 1-D array of z in one pass, the positivity
+checks' matrices Gamma(f_i - p_j), finite-difference moments, one table of
+the analytic moments, cumulants and cumulant scales of every sub-collection
+of the arguments (subset exp and log of the leaf Grams, the cumulants
+conditioned on the leaf), gaussianization (the quasi-free functional with the
+same two-point function), the quasi-free defect of the leaves' covariance
+symbols, regularity and moment-growth certificates, and the model file format.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import DomainError, SchemaError
 from .fixtures import MAX_SEED, random_real_values, rng_from_seed
 from .lattice import Grid, TestFunction, half_spectrum_rows, stacked_half_spectra
 from .propagator import (SpectralMeasure, half_sobolev_norms, propagator_rows, row_grams,
-                         sobolev_norms, two_point_grams, two_point_pairs)
+                         running_sum, sobolev_norms, two_point_grams, two_point_pairs)
 from .serialize import json_integer, json_number, read_json, require_keys, write_json
 
 MAX_TREE_DEPTH = 4
@@ -72,8 +72,18 @@ class SchwingerFunctional:
         in leaf order, so each value has the bits of its own call at (f, c)."""
         if np.ndim(z) > 1:
             raise DomainError(f"z must be a scalar or a 1-D array, got shape {np.shape(z)}")
-        values = _leaf_sum(self._atom_table[0] * _leaf_exp(self.leaf_two_point(fs, fs), z))
-        return values if np.ndim(z) else values[:, 0].tolist()
+        values = self.mix(self.leaf_two_point(fs, fs), z)
+        return values if np.ndim(z) else values.tolist()
+
+    def mix(self, s2: np.ndarray, z=1.0) -> np.ndarray:
+        """Gamma = sum_l w_l exp(-z^2/2 s2_l) of leaf values s2 (..., L), the one place the
+        model is formed from them: shape s2.shape[:-1] for a scalar z, (..., len(z)) for a 1-D
+        z.  Each -c^2/2 is a Python complex and the leaves add in leaf order (running_sum)."""
+        terms = [-0.5 * c * c * s2 for c in map(complex, np.ravel(z))]
+        exps = np.exp(np.stack(terms, axis=-2) if terms
+                      else np.zeros(s2.shape[:-1] + (0,) + s2.shape[-1:], complex))
+        values = running_sum(self._atom_table[0] * exps)
+        return values if np.ndim(z) else values[..., 0]
 
     def leaf_two_point(self, fs: Sequence[TestFunction],
                        gs: Sequence[TestFunction]) -> np.ndarray:
@@ -87,9 +97,8 @@ class SchwingerFunctional:
         union = list(fs) + [p for p in partners if all(p is not f for f in fs)]
         i = np.arange(len(fs))[:, None]
         j = np.array([[next(k for k, g in enumerate(union) if g is p) for p in partners]])
-        grams = two_point_grams(union, *self._atom_table[1:])
-        sq = grams[:, i, i] + grams[:, j, j] - grams[:, i, j] - grams[:, j, i]
-        return np.einsum("l,lij->ij", self._atom_table[0], np.exp(-0.5 * sq))
+        grams = np.moveaxis(two_point_grams(union, *self._atom_table[1:]), 0, -1)
+        return self.mix(grams[i, i] + grams[j, j] - grams[i, j] - grams[j, i])
 
     def leaves(self) -> tuple[tuple[float, "QuasiFree"], ...]:
         """Flattened (path weight, leaf) pairs, in tree order.
@@ -174,19 +183,6 @@ def validate_model(G: SchwingerFunctional) -> None:
             raise DomainError(f"tree depth {G.depth()} exceeds bound {MAX_TREE_DEPTH}")
         return
     raise DomainError(f"unknown node type {type(G).__name__}")
-
-
-def _leaf_exp(s2: np.ndarray, z=1.0) -> np.ndarray:
-    """exp(-z^2/2 s2) of leaf rows s2 (n, L) at every z in np.ravel(z), shape (n, len(z), L)."""
-    terms = [-0.5 * c * c * s2 for c in map(complex, np.ravel(z))]
-    return np.exp(np.stack(terms, axis=1) if terms
-                  else np.zeros((len(s2), 0) + s2.shape[1:], complex))
-
-
-def _leaf_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last (leaf) axis as a running sum in leaf order, not np.sum's
-    pairwise order: evaluate_many's bits, and every witness built on them, depend on it."""
-    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def min_mass_sq(G: SchwingerFunctional) -> float:
@@ -367,8 +363,8 @@ def moment_numeric(G: SchwingerFunctional,
     per-mass Grams of the scaled half-spectrum rows h_i X_i, and the atom weights multiply
     their quadratic forms after the momentum sum, as in two_point_pairs (a leaf Gram would
     fold a heavy atom weight into the symbol first, and overflow).  Every stencil is then
-    Gamma(z c_s) = sum_l w_l exp(-z^2/2 S2_l(c_s)) at z = 2, 1, 1/2, summed in leaf order
-    as evaluate_many sums.  A step product prod(2 h_i) that is not a finite normal float64
+    Gamma(z c_s) = sum_l w_l exp(-z^2/2 S2_l(c_s)) at z = 2, 1, 1/2, formed by `mix` as
+    evaluate_many forms it.  A step product prod(2 h_i) that is not a finite normal float64
     (it under- or overflows), or a stencil or extrapolant that is not finite, raises
     DomainError.
     """
@@ -387,13 +383,13 @@ def moment_numeric(G: SchwingerFunctional,
             raise DomainError(f"moment_numeric steps {what}: prod(2 h_i) = {step:.3g} is not "
                               f"a finite normal float64; the arguments are too {size} "
                               f"in the model's floor norm")
-    weights, masses, atoms = G._atom_table
+    masses, atoms = G._atom_table[1:]
     signs = list(itertools.product((1.0, -1.0), repeat=n))
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite stencil raises below
         grams = row_grams(np.array([h0 / nu for nu in norms])[:, None] * x, grid, masses,
                           np.eye(len(masses)))
         forms = np.einsum("si,mij,sj->sm", signs, grams, signs) @ atoms.T   # S2_l(c_s), (2^n, L)
-        values = _leaf_sum(weights * _leaf_exp(forms, [2.0, 1.0, 0.5]))
+        values = G.mix(forms, [2.0, 1.0, 0.5])
     # per step: the signed sum of its values over its prod_i 2 h_i
     d_2h, d_h, d_h2 = (sum((math.prod(s) * v for s, v in zip(signs, column)), 0j) / step
                        for step, column in zip(steps, values.T.tolist()))
@@ -426,7 +422,7 @@ def gaussianize(G: SchwingerFunctional) -> QuasiFree:
     if isinstance(G, QuasiFree):
         return G
     weights, masses, atoms = G._atom_table
-    pushed = _leaf_sum(weights * atoms.T)
+    pushed = running_sum(weights * atoms.T)
     return QuasiFree(SpectralMeasure(tuple(zip(masses.tolist(), pushed.tolist()))))
 
 

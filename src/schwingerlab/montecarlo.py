@@ -68,7 +68,7 @@ class _Stream:
     Built once per stream from the atom table: the cumulative leaf weights,
     each leaf's amplitude rows amp_j on the half grid, one per atom of
     positive weight in mass order, the shape of its white-noise block, and
-    the Philox state of stream 0.
+    the Philox state of stream 0.  Amplitudes that leave float64 raise DomainError.
     """
 
     def __init__(self, G: SchwingerFunctional, grid: Grid, seed: int):
@@ -76,8 +76,11 @@ class _Stream:
         table = inverse_propagators(grid, masses)
         half = grid.shape[:-1] + (grid.n_per_axis // 2 + 1,)
         self.cum_weights = list(itertools.accumulate(weights.tolist()))
-        self.amps = [np.sqrt(a[a > 0, None] * table[a > 0] / grid.cell).reshape((-1,) + half)
-                     for a in atoms]
+        with np.errstate(over="ignore", invalid="ignore"):   # non-finite amplitudes raise below
+            self.amps = [np.sqrt(a[a > 0, None] * table[a > 0] / grid.cell).reshape((-1,) + half)
+                         for a in atoms]
+        if not all(np.isfinite(amps).all() for amps in self.amps):
+            raise DomainError("sampler amplitudes leave float64: the atom weights are too large")
         self.shapes = [(len(amps),) + grid.shape for amps in self.amps]
         self.rng = rng_from_seed(seed)
         self.state = self.rng.bit_generator.state   # a fresh dict: its key is ours
@@ -97,14 +100,14 @@ class _Stream:
 
 def sample_stream(G: SchwingerFunctional, grid: Grid, seed: int,
                   count: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(component, values) for samples 0..count-1: the picked leaf and its
-    real field irfftn(sum_j amp_j rfftn(white_j)), summed in atom order."""
+    """(component, values) for samples 0..count-1, drawn lazily: the picked leaf and its real
+    field irfftn(sum_j amp_j rfftn(white_j)), summed in atom order.  The stream is built
+    by this call, so a model it refuses raises here, before the first sample."""
     stream = _Stream(G, grid, seed)
     batch, field = tuple(range(1, grid.d + 1)), tuple(range(grid.d))
-    for index in range(count):
-        component, white = stream.draw(index)
-        spectra = stream.amps[component] * np.fft.rfftn(white, axes=batch)
-        yield component, np.fft.irfftn(spectra.sum(axis=0), s=grid.shape, axes=field)
+    draws = map(stream.draw, range(count))
+    return ((c, np.fft.irfftn((stream.amps[c] * np.fft.rfftn(white, axes=batch)).sum(axis=0),
+                              s=grid.shape, axes=field)) for c, white in draws)
 
 
 def estimate_fourth_cumulant(pairings: np.ndarray) -> tuple[float, float]:
@@ -152,15 +155,17 @@ def pair_values(G: SchwingerFunctional, grid: Grid, f: TestFunction,
 
 def write_samples(path, G: SchwingerFunctional, grid: Grid, seed: int,
                   count: int) -> None:
-    """Dump `count` samples of the stream, each written as it is drawn."""
+    """Dump `count` samples of the stream, each written as it is drawn; the
+    stream is built before the file is opened."""
     if count < 1:
         raise DomainError("nothing to write")
+    samples = sample_stream(G, grid, seed, count)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("fieldsamples v1\n")
         fh.write(f"model_digest={model_digest(G, grid)} d={grid.d} "
                  f"n_per_axis={grid.n_per_axis} spacing={float(grid.spacing)!r} "
                  f"seed={seed} count={count}\n")
-        for index, (component, values) in enumerate(sample_stream(G, grid, seed, count)):
+        for index, (component, values) in enumerate(samples):
             fh.write(f"sample index={index} component={component}\n")
             fh.write(" ".join(map(repr, values.ravel().tolist())))
             fh.write("\n")

@@ -156,10 +156,13 @@ def two_point_pairs(fs: Sequence[TestFunction], gs: Sequence[TestFunction],
         inverse = 1.0 / (np.asarray(masses_sq, dtype=np.float64)[:, None]
                          + lattice_symbol(grid).ravel())
         sums = np.array([np.multiply(prod, inv, out=scaled).sum(axis=1) for inv in inverse]).T
-        # a running sum in atom order, not np.sum's pairwise order: evaluate_many's
-        # bits, and every witness built on them, depend on it
-        return _finite(np.cumsum(atoms * sums[:, None, :], axis=2)[:, :, -1]
-                       / grid.extent ** grid.d)
+        return _finite(running_sum(atoms * sums[:, None, :]) / grid.extent ** grid.d)
+
+
+def running_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis (atoms, or leaves) as a running sum in order, not np.sum's
+    pairwise order: evaluate_many's bits, and every witness built on them, depend on it."""
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def _weights(grid: Grid, masses_sq: Sequence[float], atoms) -> np.ndarray:

@@ -22,6 +22,11 @@ subset_log of -t).
 leaf over a signed spectral measure (a Pauli-Villars ghost), and
 `slab_leaf_witnesses` reads each leaf's zero-momentum time-slab matrix off
 the position-space kernel.
+
+`kappa4_sigma_and_bias` is the delta-method spread and bias of the Monte
+Carlo kappa4 estimate from the exact moments up to order 8, and
+`spectral_rotation_defects` the refinement study's rotation defects by the
+spectral-measure route (the package reads the gaussianized study model).
 """
 
 import math
@@ -30,7 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 from schwingerlab.functional import MomentTable, SchwingerFunctional
-from schwingerlab.lattice import TestFunction, gaussian_packet, lattice_symbol
+from schwingerlab.lattice import Grid, TestFunction, gaussian_packet, lattice_symbol
+from schwingerlab.propagator import SpectralMeasure, spectral_two_point
 from schwingerlab.partitions import _exp, _layers
 
 
@@ -231,3 +237,42 @@ def slab_leaf_witnesses(G, grid):
                         for m2 in masses])
     slabs = (atoms @ kernels)[:, (t[:, None] + t[None, :] + 1) % n]
     return np.linalg.eigvalsh(slabs)[:, 0] / np.trace(slabs, axis1=1, axis2=2)
+
+
+def kappa4_sigma_and_bias(G, f, n):
+    """The standard deviation and the bias of estimate_fourth_cumulant's kappa4 = m4 - 3 m2^2
+    over n samples of the centered x = phi(f), by the delta method (Kendall & Stuart, vol. 1),
+    from mu_k = entry (1 << k) - 1 of one MomentTable(G, [f] * 8):
+    n Var = mu8 - mu4^2 - 12 mu2 (mu6 - mu2 mu4) + 36 mu2^2 (mu4 - mu2^2), and
+    bias = -3 (mu4 - mu2^2) / n."""
+    moments = MomentTable(G, [f] * 8).moments.real
+    mu2, mu4, mu6, mu8 = (float(moments[(1 << k) - 1]) for k in (2, 4, 6, 8))
+    var = mu8 - mu4 ** 2 - 12 * mu2 * (mu6 - mu2 * mu4) + 36 * mu2 ** 2 * (mu4 - mu2 ** 2)
+    return math.sqrt(var / n), -3 * (mu4 - mu2 ** 2) / n
+
+
+def spectral_rotation_defects(spec):
+    """A 2-D refinement spec's rotation defects by the spectral-measure route: a
+    SpectralMeasure of the spec's masses and weights, each real packet built and
+    renormalized on its own, and one spectral_two_point call per packet."""
+    params = spec.params
+    masses = [float(m) for m in params["masses_sq"]]
+    weights = [float(w) for w in params.get("weights") or [1.0 / len(masses)] * len(masses)]
+    rho = SpectralMeasure(tuple(zip(masses, weights)))
+    pdoc, theta = params["packet"], math.pi / 6.0
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    center = np.asarray(pdoc["center"], dtype=float)
+    momentum = np.asarray(pdoc.get("momentum") or [0.0, 0.0], dtype=float)
+    defects = []
+    for n in params["levels"]:
+        grid = Grid(2, n, float(params["extent"]) / n)
+        mid = np.full(2, grid.extent / 2.0)
+        s2 = []
+        for c, p in ((center, momentum), (mid + rot @ (center - mid), rot @ momentum)):
+            packet = gaussian_packet(grid, c, float(pdoc["width"]), p)
+            real = TestFunction(grid, packet.values.real)
+            f = (1.0 / real.l2_norm()) * real
+            s2.append(spectral_two_point(f, f, rho).real)
+        defects.append(abs(s2[1] - s2[0]))
+    return defects

@@ -22,12 +22,12 @@ from schwingerlab.fixtures import (random_model_tree,
 from schwingerlab.functional import (ROUNDOFF_FLOOR, default_z_grid, envelope,
                                      quasi_free_defect, validate_model)
 from schwingerlab.lattice import Grid, TestFunction, gaussian_packet
-from schwingerlab.propagator import propagator_rows, spectral_two_point
+from schwingerlab.propagator import propagator_rows, spectral_two_point, two_point_grams
 
 from oracles import (SIGNED_CONTROLS, covariance_kernel, fixture_packet,
                      full_grid_quasi_free_defect, probe_quasi_free, reflect_momentum,
                      slab_leaf_witnesses, time_slabs)
-from test_functional import MODEL_FAMILY, _pool_trees
+from test_functional import MODEL_FAMILY, RAW_TREES, _eight_leaf_trees, _pool_trees
 from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal, spectrum
 
 
@@ -220,6 +220,24 @@ def test_difference_matrix_matches_the_evaluate_loop(grid_args, tree):
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         assert abs(_psd_witness(got, {}) - _psd_witness(want, {})) <= 1e-13
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_difference_matrix_is_the_written_out_running_sum(grid_args):
+    """M[i, j] = sum_l w_l exp(-1/2 sq_l[i, j]), sq_l[i, j] = S2_l(f_i - p_j, f_i - p_j)
+    expanded over the leaf Grams of fs and the partners not among them, summed by np.cumsum
+    in leaf order."""
+    grid = Grid(*grid_args)
+    fs = random_real_functions(grid, rng_from_seed(231), 5)
+    partners = fs[3:] + random_real_functions(grid, rng_from_seed(232), 3)
+    i, j = np.arange(5)[:, None], np.arange(3, 8)[None, :]   # partners in fs + partners[2:]
+    for tree in RAW_TREES + _eight_leaf_trees():
+        weights, masses, atoms = tree._atom_table
+        grams = two_point_grams(fs + partners[2:], masses, atoms)
+        sq = grams[:, i, i] + grams[:, j, j] - grams[:, i, j] - grams[:, j, i]
+        want = np.cumsum(weights * np.exp(-0.5 * np.moveaxis(sq, 0, -1)), axis=-1)[..., -1]
+        assert np.array_equal(tree.difference_matrix(fs, partners), want)
 
 
 def test_difference_matrix_rejects_functions_on_two_grids(free_leaf, real_set):

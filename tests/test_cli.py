@@ -336,6 +336,23 @@ def test_two_point_overflow_exits_two_without_output(recipe_file, tmp_path, caps
     assert not out.exists()
 
 
+def test_sampler_amplitudes_that_leave_float64_exit_two_without_a_warning(tmp_path, capsys):
+    # the light atom's amplitude sqrt(1e306 / (1e-6 a^d)) is past the largest float: the
+    # stream refuses it before samples.txt is opened, and numpy must not warn first
+    path = tmp_path / "heavy.json"
+    write_json(path, {"format": "schwinger-model", "version": 1,
+                      "model": _OVERFLOWING_MIXTURE})
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["sample", str(path), "--grid", "2,16,0.5", "--count", "3",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not seen and "RuntimeWarning" not in err
+    assert err.startswith("error: sampler amplitudes leave float64") and len(err.splitlines()) == 1
+    assert not (out / "samples.txt").exists()
+
+
 @pytest.mark.parametrize("order", [4, 8])
 def test_moments_that_leave_float64_exit_two_naming_them(recipe_file, tmp_path, capsys, order):
     # the heavy leaf's S2(f, f) is about 1e288, so its order-4 Wick sums overflow; a

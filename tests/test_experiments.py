@@ -15,6 +15,8 @@ from schwingerlab.experiments import (ExperimentSpec, run_experiment,
 from schwingerlab.functional import ROUNDOFF_FLOOR
 from schwingerlab.lattice import Grid
 
+from oracles import spectral_rotation_defects
+
 GRID_DOC = {"d": 2, "n_per_axis": 32, "spacing": 0.25}
 PACKET_DOC = {"center": [4.0, 4.0], "width": 1.0}
 
@@ -218,6 +220,33 @@ def test_refinement_rotation_defect_shrinks_2d():
     defects = rep.values["rotation_defects"]
     assert len(defects) == 3
     assert all(b < a for a, b in zip(defects, defects[1:]))
+
+
+# 2-D refinement packets with and without momentum, over masses and weights with a
+# duplicate mass and a zero weight
+_ROTATION_PACKETS = [{"center": [8.0, 8.0], "width": 2.0},
+                     {"center": [8.0, 8.0], "width": 2.0, "momentum": [math.pi / 4, math.pi / 8]},
+                     {"center": [6.0, 9.5], "width": 2.25},
+                     {"center": [5.0, 7.0], "width": 2.5, "momentum": [0.3, -0.7]},
+                     {"center": [9.0, 4.0], "width": 2.0, "momentum": [0.0, math.pi / 2]},
+                     {"center": [7.25, 8.5], "width": 3.0, "momentum": [-1.1, 0.2]},
+                     {"center": [10.0, 10.0], "width": 2.0, "momentum": [0.5, 0.5]}]
+_ROTATION_MASSES = [([1.0, 4.0], None), ([2.0, 2.0, 9.0], [0.25, 0.5, 0.25]),
+                    ([1.0, 3.0, 0.5], [0.0, 0.7, 0.3])]
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("masses, weights", _ROTATION_MASSES, ids=["two", "duplicate", "zero"])
+@pytest.mark.parametrize("packet", _ROTATION_PACKETS, ids=[f"p{k}" for k in range(7)])
+def test_rotation_defects_are_the_spectral_route_bits(packet, masses, weights):
+    params = {"d": 2, "extent": 16.0, "levels": [16, 32, 64], "masses_sq": masses,
+              "packet": packet, **({"weights": weights} if weights else {})}
+    spec = ExperimentSpec.from_dict({"experiment_id": "refinement",
+                                     "grid": {"d": 2, "n_per_axis": 16, "spacing": 1.0},
+                                     "params": params})
+    defects = run_refinement_study(spec).values["rotation_defects"]
+    assert all(type(x) is float for x in defects)   # a numpy float would change the text
+    assert defects == spectral_rotation_defects(spec)
 
 
 # packets of the 1-D reproductions and of the 2-D CI refinement spec

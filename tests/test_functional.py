@@ -868,6 +868,42 @@ RAW_TREES = [Mixture(((0.5, nested_mixture()), (0.9, QuasiFree(SpectralMeasure.d
              Mixture(((0.5, QuasiFree(SpectralMeasure.delta(2.0))),))]
 
 
+def _eight_leaf_trees():
+    """The pool trees of at least 8 leaves: over a contiguous leaf axis np.sum's pairwise
+    order differs there from a running sum."""
+    return [tree for tree in _pool_trees() if len(tree.leaves()) >= 8]
+
+
+def _written_out_mix(model, s2, z):
+    """sum_l w_l exp(-z^2/2 s2_l) as the composition mix replaced: per complex c of z the
+    coefficient -0.5 * c * c, np.exp, then np.cumsum(w * ., axis=-1)[..., -1]."""
+    w = model._atom_table[0]
+    columns = [np.cumsum(w * np.exp(-0.5 * c * c * s2), axis=-1)[..., -1]
+               for c in map(complex, np.ravel(z))]
+    if np.ndim(z) == 0:
+        return columns[0]
+    return np.stack(columns, axis=-1) if columns else np.zeros(s2.shape[:-1] + (0,), complex)
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_mix_is_the_written_out_running_sum(grid_args):
+    """On the kernel's leaf values and on a C-ordered copy (a contiguous leaf axis), at
+    scalar, 1-D and empty z; evaluate_many reads it."""
+    grid = Grid(*grid_args)
+    fs = random_real_functions(grid, rng_from_seed(971), 3) + [
+        (0.5 - 2j) * random_real_functions(grid, rng_from_seed(972), 1)[0]]
+    trees = RAW_TREES + _eight_leaf_trees()
+    assert max(len(tree.leaves()) for tree in trees) >= 8
+    for model in trees:
+        s2 = model.leaf_two_point(fs, fs)
+        for values in (s2, np.ascontiguousarray(s2)):
+            for z in (1.0, 0.3 + 2j, [2.0, 1.0, 0.5], np.array([1j, -0.7]), [], np.array([])):
+                got, want = model.mix(values, z), _written_out_mix(model, values, z)
+                assert got.shape == want.shape and np.array_equal(got, want)
+        assert model.evaluate_many(fs) == _written_out_mix(model, s2, 1.0).tolist()
+
+
 def _stacked_route(table):
     """Moments, cumulants and scales by one pair_exp of [Q_l; Q_l - Qbar; -Qbar], its layers
     cut on every call, and one subset_log of [inner; -|M|]."""
