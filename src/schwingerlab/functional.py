@@ -39,7 +39,7 @@ from . import partitions
 from .errors import DomainError, SchemaError
 from .fixtures import MAX_SEED, random_real_values, rng_from_seed
 from .lattice import Grid, TestFunction, half_spectrum_rows, stacked_half_spectra
-from .propagator import (SpectralMeasure, half_sobolev_norms, propagator_rows, row_grams,
+from .propagator import (SpectralMeasure, half_sobolev_norms, propagator_rows, row_forms, row_grams,
                          running_sum, sobolev_norms, two_point_grams, two_point_pairs)
 from .serialize import json_integer, json_number, read_json, require_keys, write_json
 
@@ -358,15 +358,15 @@ def moment_numeric(G: SchwingerFunctional,
     detector: when the two extrapolants disagree beyond the documented
     schedule, the result carries a precision warning.
 
-    S2 is bilinear, so each sign combination c_s = sum_i s_i h_i f_i has S2_l(c_s) =
-    s^T H G_l H s, H = diag(h_i), over all 2^n sign vectors s: one row_grams call gives the
-    per-mass Grams of the scaled half-spectrum rows h_i X_i, and the atom weights multiply
-    their quadratic forms after the momentum sum, as in two_point_pairs (a leaf Gram would
-    fold a heavy atom weight into the symbol first, and overflow).  Every stencil is then
+    The half-spectrum rows are linear in f, so each combination c_s = sum_i s_i h_i f_i has
+    the row sum_i s_i h_i X_i: one product of the sign matrix with the scaled rows builds the
+    2^(n-1) rows with s_1 = +1, and one row_forms call gives their per-mass forms S2_m(c_s).
+    The atom weights multiply them after the momentum sum, as in two_point_pairs (a leaf form
+    would fold a heavy atom weight into the symbol first, and overflow).  Every stencil is
     Gamma(z c_s) = sum_l w_l exp(-z^2/2 S2_l(c_s)) at z = 2, 1, 1/2, formed by `mix` as
-    evaluate_many forms it.  A step product prod(2 h_i) that is not a finite normal float64
-    (it under- or overflows), or a stencil or extrapolant that is not finite, raises
-    DomainError.
+    evaluate_many forms it; S2 is even, so -s copies the values of s bit for bit.  A step
+    product prod(2 h_i) that is not a finite normal float64 (it under- or overflows), or a
+    stencil or extrapolant that is not finite, raises DomainError.
     """
     _check_moment_args(fs, NUMERIC_MOMENT_CAP)
     n, grid = len(fs), fs[0].grid
@@ -384,12 +384,12 @@ def moment_numeric(G: SchwingerFunctional,
                               f"a finite normal float64; the arguments are too {size} "
                               f"in the model's floor norm")
     masses, atoms = G._atom_table[1:]
-    signs = list(itertools.product((1.0, -1.0), repeat=n))
+    signs = list(itertools.product((1.0, -1.0), repeat=n))   # s_i = -1 where bit n-i is set
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite stencil raises below
-        grams = row_grams(np.array([h0 / nu for nu in norms])[:, None] * x, grid, masses,
-                          np.eye(len(masses)))
-        forms = np.einsum("si,mij,sj->sm", signs, grams, signs) @ atoms.T   # S2_l(c_s), (2^n, L)
+        rows = np.array(signs[:2 ** (n - 1)]) @ (np.array([h0 / nu for nu in norms])[:, None] * x)
+        forms = row_forms(rows, grid, masses, np.eye(len(masses))) @ atoms.T   # S2_l(c_s)
         values = G.mix(forms, [2.0, 1.0, 0.5])
+    values = np.concatenate([values, values[::-1]])   # -s sits at 2^n - 1 - (index of s)
     # per step: the signed sum of its values over its prod_i 2 h_i
     d_2h, d_h, d_h2 = (sum((math.prod(s) * v for s, v in zip(signs, column)), 0j) / step
                        for step, column in zip(steps, values.T.tolist()))

@@ -20,9 +20,10 @@ real-field transform (the Grams, the Sobolev norms, the sampler's amplitudes
 in `montecarlo`) reads one table, `inverse_propagators`: 1 / (khat^2 + m^2)
 of every mass on the rfftn half grid, where a mode k_last in (0, N/2) stands
 for itself and its -k, so it counts with multiplicity mu = 2.  The Grams
-contract it into one propagator P_r per row, and pay one matmul X diag(mu P_r) X^T
-per row (`row_grams`) over the rows X_f = rows(Re f) + i rows(Im f) of the functions
-(`lattice.stacked_half_spectra`), real for real f.  The form is bilinear, so a row gives
+contract it into one propagator P_r per row: `row_grams` pays one matmul X diag(mu P_r) X^T
+per row, and `row_forms` one (X * X) [mu P_r]^T for the diagonals alone, over the rows
+X_f = rows(Re f) + i rows(Im f) of the functions (`lattice.stacked_half_spectra`), real
+for real f.  The form is bilinear, so a row gives
 S2(u + i v, u' + i v') = S2(u, u') - S2(v, v') + i (S2(u, v') + S2(v, u')) at once.
 The weights tile(mu P_r, 2) of a model on a grid are formed once, read-only, in a 4-entry
 cache keyed by the grid and the bytes of the masses and atoms (a norm's: ([m2], [[1.0]])).
@@ -188,6 +189,13 @@ def row_grams(x: np.ndarray, grid: Grid, masses_sq: Sequence, atoms: np.ndarray)
         return _finite(np.stack([np.multiply(x, w, out=scaled) @ np.swapaxes(x, -1, -2)
                                  for w in _weights(grid, masses_sq, atoms)], axis=-3)
                        / grid.extent ** grid.d)
+
+
+def row_forms(x: np.ndarray, grid: Grid, masses_sq: Sequence, atoms: np.ndarray) -> np.ndarray:
+    """The diagonal of row_grams, shape (..., n, rows): X_i diag(mu P_r) X_i^T / L^d of every
+    row X_i in x under every row r of atoms, one matmul of x * x with the same cached weights."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite((x * x) @ _weights(grid, masses_sq, atoms).T / grid.extent ** grid.d)
 
 
 def two_point_grams(fs: Sequence, masses_sq: Sequence[float], atoms: np.ndarray) -> np.ndarray:

@@ -27,6 +27,13 @@ the position-space kernel.
 Carlo kappa4 estimate from the exact moments up to order 8, and
 `spectral_rotation_defects` the refinement study's rotation defects by the
 spectral-measure route (the package reads the gaussianized study model).
+
+`laplace_envelope` is a convex envelope with closed forms: the leaf lambda rho
+mixed over lambda ~ Exp(theta) is the symmetric multivariate Laplace field
+(Kotz, Kozubowski & Podgorski, The Laplace Distribution and Generalizations,
+2001), with Gamma(z f) = 1 / (1 + theta z^2 S2_rho(f, f) / 2), S_2k = k!
+theta^k haf(G) and kappa_2k = (k - 1)! theta^k haf(G), G = S2_rho(f_i, f_j),
+and `hafnian` sums over `own_pairings`.
 """
 
 import math
@@ -34,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from schwingerlab.functional import MomentTable, SchwingerFunctional
+from schwingerlab.functional import MomentTable, QuasiFree, SchwingerFunctional, envelope
 from schwingerlab.lattice import Grid, TestFunction, gaussian_packet, lattice_symbol
 from schwingerlab.propagator import SpectralMeasure, spectral_two_point
 from schwingerlab.partitions import _exp, _layers
@@ -121,6 +128,23 @@ def own_pairings(items):
     for j, other in enumerate(rest):
         for tail in own_pairings(rest[:j] + rest[j + 1:]):
             yield ((first, other),) + tail
+
+
+def hafnian(G, items):
+    """haf of G on items: the sum over perfect matchings of the products of G's entries."""
+    return sum(math.prod(G[i, j] for i, j in pairing) for pairing in own_pairings(tuple(items)))
+
+
+def laplace_envelope(rho, theta, q):
+    """The q-leaf Gauss-Laguerre envelope of the Laplace field over rho: leaf lambda_j rho
+    of weight w_j, (x_j, w_j) the nodes and weights of `laggauss(q)` for the integral
+    of exp(-x) g(x) over x > 0 and lambda_j = theta x_j.  It has E lambda^k = k! theta^k
+    exactly for k <= 2q - 1, so every moment and cumulant up to order 4q - 2, while its
+    Gamma only tends to the closed form as q grows."""
+    nodes, weights = np.polynomial.laguerre.laggauss(q)
+    leaf = [QuasiFree(SpectralMeasure(tuple((m2, theta * x * a) for m2, a in rho.atoms)))
+            for x in nodes.tolist()]
+    return envelope(list(zip(weights.tolist(), leaf)))
 
 
 def covariance_kernel(grid, m2):

@@ -32,7 +32,8 @@ from schwingerlab.functional import (GROWTH_K_CEILING, GROWTH_TRIALS_CAP, MAX_MO
                                      NumericMoment, _growth_probes, _pair_table,
                                      default_z_grid, min_mass_sq, validate_model)
 
-from oracles import insertion_partitions, own_pairings, per_call_pair_exp, two_table_neglog1m
+from oracles import (hafnian, insertion_partitions, laplace_envelope, own_pairings,
+                     per_call_pair_exp, two_table_neglog1m)
 from schwingerlab.propagator import _weight_table
 from test_lattice import _BIT_GRIDS, _BIT_IDS, _bits_equal
 
@@ -370,14 +371,15 @@ def test_numeric_agrees_with_the_combination_loop(grid_1d, grid_2d, grid_3d, mod
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_numeric_reads_one_gram_call_and_evaluates_nothing(grid_2d, monkeypatch, n):
+def test_numeric_reads_one_forms_call_and_evaluates_nothing(grid_2d, monkeypatch, n):
     model, calls = nested_mixture(), []
     fs = random_real_functions(grid_2d, rng_from_seed(43), n)
     moment_numeric(model, fs)   # caches the arguments' rows and the model's weights
 
     def counted(name, fn):
         return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
-    for owner, name in ((functional, "row_grams"), (propagator, "row_grams"),
+    for owner, name in ((functional, "row_forms"), (propagator, "row_forms"),
+                        (functional, "row_grams"), (propagator, "row_grams"),
                         (functional, "two_point_pairs"), (propagator, "two_point_pairs"),
                         (functional.SchwingerFunctional, "evaluate_many"),
                         (TestFunction, "__init__")):
@@ -385,7 +387,21 @@ def test_numeric_reads_one_gram_call_and_evaluates_nothing(grid_2d, monkeypatch,
     for name in np.fft.__all__:
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     moment_numeric(model, fs)
-    assert calls == ["row_grams"]
+    assert calls == ["row_forms"]
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_numeric_odd_orders_are_exact_zeros(grid_args):
+    """Odd n: prod(-s) = -prod(s), and -s takes the value bits of s, so the signed sum is
+    exactly 0 at n = 1 and, in its index order, on distinct real arguments at n = 3
+    (repeated or complex arguments leave roundoff there)."""
+    grid = Grid(*grid_args)
+    fs = random_real_functions(grid, rng_from_seed(5), 3)
+    for model in MODEL_FAMILY:
+        for args in (fs[:1], fs, _moving_packets(grid)[:1]):
+            got = moment_numeric(model, args)
+            assert got.value == 0 and got.stencils == (0j, 0j, 0j)
 
 
 @pytest.mark.bits
@@ -977,6 +993,61 @@ def test_a_table_makes_one_pair_exp_and_one_subset_log_call(packet, monkeypatch,
     table = MomentTable(nested_mixture(), [packet] * n)
     table.moments, table.cumulants, table.scales
     assert sorted(calls) == ["pair_exp", "subset_log"]
+
+
+LAPLACE_RHO = SpectralMeasure(((1.0, 0.6), (4.0, 0.4)))
+# |table - closed form| over eps * k! theta^k (2k - 1)!! prod_i nu_i at order 2k: about
+# 3.5x the worst measured, 14.2 (q = 8, order 2; 3.2 at q = 3, 1.9 at q = 4)
+LAPLACE_BOUND = 50.0 * np.finfo(float).eps
+
+
+def _laplace_args(grid):
+    """Eight distinct packets, spread over the box, five with a nonzero momentum (complex);
+    their Gram G = S2_rho(f_i, f_j) from the full-spectrum kernel, and nu_i =
+    sqrt(S2_rho(conj f_i, f_i)), so |G_ij| <= nu_i nu_j."""
+    width, step, rest = max(1.0, 2 * grid.spacing), grid.extent / 8, grid.d - 1
+    fs = [gaussian_packet(grid, [(j + 0.5) * step] + [((3 * j) % 8 + 0.5) * step] * rest,
+                          width, 2 * np.pi / grid.extent * np.array([j % 3 - 1] + [0] * rest))
+          for j in range(8)]
+    gram = np.array([[spectral_two_point(f, g, LAPLACE_RHO) for g in fs] for f in fs])
+    nu = np.sqrt([spectral_two_point(TestFunction(grid, f.values.conj()), f, LAPLACE_RHO).real
+                  for f in fs])
+    return fs, gram, nu
+
+
+@pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
+def test_laplace_envelope_tables_are_the_hafnian_closed_forms(grid_args):
+    """On the q-leaf Laplace envelope (q >= 3 integrates lambda^4 exactly) every entry of
+    order 2k is S = k! theta^k haf(G) and K = (k - 1)! theta^k haf(G), and every odd entry is
+    an exact zero; at q = 2 order 8 misses its closed form (E lambda^4 is not integrated)."""
+    fs, gram, nu = _laplace_args(Grid(*grid_args))
+    for theta, q in itertools.product((1.0, 0.25), (2, 3, 4, 8)):
+        table = MomentTable(laplace_envelope(LAPLACE_RHO, theta, q), fs)
+        moments, cumulants = table.moments, table.cumulants
+        for mask in range(1, 1 << len(fs)):
+            items = [i for i in range(len(fs)) if mask >> i & 1]
+            k = len(items) // 2
+            if len(items) % 2:
+                assert moments[mask] == 0 and cumulants[mask] == 0
+                continue
+            haf = theta ** k * hafnian(gram, items)
+            bound = LAPLACE_BOUND * math.factorial(k) * theta ** k * math.prod(
+                range(1, 2 * k, 2)) * math.prod(nu[items].tolist())
+            if q == 2 and k == 4:
+                assert abs(moments[mask] - math.factorial(k) * haf) > 1e6 * bound
+                continue
+            assert abs(moments[mask] - math.factorial(k) * haf) <= bound
+            assert abs(cumulants[mask] - math.factorial(k - 1) * haf) <= bound
+
+
+def test_laplace_envelope_gamma_tends_to_its_closed_form():
+    grid = Grid(2, 32, 0.25)
+    f = random_real_functions(grid, rng_from_seed(971), 1)[0]
+    s2, zs = spectral_two_point(f, f, LAPLACE_RHO).real, np.linspace(0.0, 3.0, 61)
+    closed = 1.0 / (1.0 + zs ** 2 * s2 / 2.0)
+    errors = [np.max(np.abs(laplace_envelope(LAPLACE_RHO, 1.0, q).evaluate_many([f], zs)[0]
+                            - closed)) for q in (2, 3, 4, 6, 8, 12)]
+    assert all(later < earlier for earlier, later in zip(errors, errors[1:])), errors
 
 
 def _shared_args(grid):
