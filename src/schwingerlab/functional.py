@@ -364,9 +364,10 @@ def moment_numeric(G: SchwingerFunctional,
     The atom weights multiply them after the momentum sum, as in two_point_pairs (a leaf form
     would fold a heavy atom weight into the symbol first, and overflow).  Every stencil is
     Gamma(z c_s) = sum_l w_l exp(-z^2/2 S2_l(c_s)) at z = 2, 1, 1/2, formed by `mix` as
-    evaluate_many forms it; S2 is even, so -s copies the values of s bit for bit.  A step
-    product prod(2 h_i) that is not a finite normal float64 (it under- or overflows), or a
-    stencil or extrapolant that is not finite, raises DomainError.
+    evaluate_many forms it.  The forms of -s are those of s bit for bit ((-c)^2 = c^2), so
+    a step's signed sum over all 2^n sign vectors is t + (-1)^n t, t the sum over these in
+    index order: +0 at odd n.  A step product prod(2 h_i) that is not a finite normal float64
+    (it under- or overflows), or a stencil or extrapolant that is not finite, raises DomainError.
     """
     _check_moment_args(fs, NUMERIC_MOMENT_CAP)
     n, grid = len(fs), fs[0].grid
@@ -384,15 +385,13 @@ def moment_numeric(G: SchwingerFunctional,
                               f"a finite normal float64; the arguments are too {size} "
                               f"in the model's floor norm")
     masses, atoms = G._atom_table[1:]
-    signs = list(itertools.product((1.0, -1.0), repeat=n))   # s_i = -1 where bit n-i is set
+    signs = [(1.0, *s) for s in itertools.product((1.0, -1.0), repeat=n - 1)]
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite stencil raises below
-        rows = np.array(signs[:2 ** (n - 1)]) @ (np.array([h0 / nu for nu in norms])[:, None] * x)
+        rows = np.array(signs) @ (np.array([h0 / nu for nu in norms])[:, None] * x)
         forms = row_forms(rows, grid, masses, np.eye(len(masses))) @ atoms.T   # S2_l(c_s)
         values = G.mix(forms, [2.0, 1.0, 0.5])
-    values = np.concatenate([values, values[::-1]])   # -s sits at 2^n - 1 - (index of s)
-    # per step: the signed sum of its values over its prod_i 2 h_i
-    d_2h, d_h, d_h2 = (sum((math.prod(s) * v for s, v in zip(signs, column)), 0j) / step
-                       for step, column in zip(steps, values.T.tolist()))
+    sums = (sum((math.prod(s) * v for s, v in zip(signs, col)), 0j) for col in values.T.tolist())
+    d_2h, d_h, d_h2 = ((t + (-1) ** n * t) / step for t, step in zip(sums, steps))
     extrap_coarse = (4.0 * d_h - d_2h) / 3.0
     extrap_fine = (4.0 * d_h2 - d_h) / 3.0
     if not all(map(cmath.isfinite, (d_2h, d_h, d_h2, extrap_coarse, extrap_fine))):
@@ -401,10 +400,10 @@ def moment_numeric(G: SchwingerFunctional,
     disagreement = abs(extrap_fine - extrap_coarse)
     tol = NUMERIC_TOLERANCE_SCHEDULE[n]
     warn = disagreement > tol * max(abs(extrap_fine), 1e-3 * math.prod(norms))
-    phase = 1j ** n
-    return NumericMoment(complex(extrap_fine / phase),
-                         (complex(d_2h / phase), complex(d_h / phase),
-                          complex(d_h2 / phase)),
+    phase = (-1j) ** n   # 1 / i^n; times +0 it gives +0, where / i^3 gives -0
+    return NumericMoment(complex(extrap_fine * phase),
+                         (complex(d_2h * phase), complex(d_h * phase),
+                          complex(d_h2 * phase)),
                          float(disagreement), bool(warn))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from schwingerlab import (DomainError, QuasiFree, SchemaError, SpectralMeasure,
                           cumulant, envelope, free_two_point, gaussian_packet,
-                          moment_analytic)
+                          moment_analytic, spectral_two_point)
 from schwingerlab.experiments import (ExperimentSpec, run_experiment,
                                       run_iteration, run_refinement_study,
                                       run_two_mass_fourth_cumulant,
@@ -176,6 +176,29 @@ def test_iteration_matches_direct_tree_construction():
     ])
     assert rep.values["fourth_moment_iterated"] == pytest.approx(
         moment_analytic(direct, [f] * 4).real, rel=1e-13)
+
+
+@pytest.mark.bits
+def test_closed_form_inputs_are_the_one_measure_two_point_bits():
+    # the runners read S2 off the leaves of the models they build: each is the bits of its
+    # own one-measure call, with masses in either order, equal, far apart or of weight 0
+    grid = Grid(**GRID_DOC)
+    f = gaussian_packet(grid, PACKET_DOC["center"], PACKET_DOC["width"])
+    for masses, w in (([1.0, 4.0], 0.5), ([4.0, 1.0], 0.3), ([2.0, 2.0], 0.5),
+                      ([1.0, 1e150], 0.0), ([1e150, 1.0], 1.0)):
+        rep = run_two_mass_fourth_cumulant(two_mass_spec(masses_sq=masses, weight=w))
+        want = (free_two_point(f, f, masses[0]) - free_two_point(f, f, masses[1])).real
+        assert rep.values["delta_s2"].hex() == want.hex()
+    for families, lam in (([[[1.0, 0.5], [4.0, 0.5]], [[4.0, 0.5], [9.0, 0.5]]], (0.3, 0.7)),
+                          ([[[9.0, 1.0]], [[1.0, 0.25], [4.0, 0.75]], [[2.0, 1.0]]],
+                           (0.2, 0.0, 0.8))):
+        rep = run_iteration(iteration_spec(families, lam))
+        measures = [SpectralMeasure.from_pairs(pairs) for pairs in families]
+        conv = SpectralMeasure(tuple((m2, lw * pw) for lw, rho in zip(lam, measures)
+                                     for m2, pw in rho.atoms))
+        assert ([s.hex() for s in rep.values["family_two_points"]]
+                == [spectral_two_point(f, f, rho).real.hex() for rho in measures])
+        assert rep.values["two_point_convolved"].hex() == spectral_two_point(f, f, conv).real.hex()
 
 
 def test_iteration_needs_two_families():

@@ -265,7 +265,8 @@ def test_numeric_steps_and_stencils_outside_float64_raise():
 
 
 def _numeric_loop(G, fs):
-    """moment_numeric with one evaluation per stencil combination: its oracle."""
+    """moment_numeric with one evaluation per stencil combination: its oracle.  Each s with
+    s_1 = +1 is paired with -s, in index order, as prod(s) (Gamma(c_s) + (-1)^n Gamma(c_-s))."""
     n = len(fs)
     floor = min_mass_sq(G)
     norms = sobolev_norms(fs, floor).tolist()
@@ -274,12 +275,15 @@ def _numeric_loop(G, fs):
     def stencil(scale):
         steps = [scale / nu for nu in norms]
         acc = 0j
-        for signs in itertools.product((1.0, -1.0), repeat=n):
-            combo = TestFunction.zeros(fs[0].grid)
-            for s, h, f in zip(signs, steps, fs):
-                combo = combo + (s * h) * f
-            with np.errstate(over="ignore", invalid="ignore"):
-                acc += math.prod(signs) * G.evaluate_many([combo], 1.0)[0]
+        for signs in itertools.product((1.0, -1.0), repeat=n - 1):
+            pair = []
+            for mirror in (1.0, -1.0):
+                combo = TestFunction.zeros(fs[0].grid)
+                for s, h, f in zip((mirror, *(mirror * t for t in signs)), steps, fs):
+                    combo = combo + (s * h) * f
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pair.append(G.evaluate_many([combo], 1.0)[0])
+            acc += math.prod(signs) * (pair[0] + (-1) ** n * pair[1])
         return acc / math.prod(2.0 * h for h in steps)
 
     d_2h, d_h, d_h2 = stencil(2.0 * h0), stencil(h0), stencil(h0 / 2.0)
@@ -393,15 +397,21 @@ def test_numeric_reads_one_forms_call_and_evaluates_nothing(grid_2d, monkeypatch
 @pytest.mark.bits
 @pytest.mark.parametrize("grid_args", _BIT_GRIDS, ids=_BIT_IDS)
 def test_numeric_odd_orders_are_exact_zeros(grid_args):
-    """Odd n: prod(-s) = -prod(s), and -s takes the value bits of s, so the signed sum is
-    exactly 0 at n = 1 and, in its index order, on distinct real arguments at n = 3
-    (repeated or complex arguments leave roundoff there)."""
+    """Odd n: prod(-s) = -prod(s), and -s has the forms of s bit for bit, so each pair's
+    stencil values cancel exactly: value, stencils and disagreement are +0 at n = 1 and 3,
+    on real and complex, distinct and repeated arguments."""
     grid = Grid(*grid_args)
     fs = random_real_functions(grid, rng_from_seed(5), 3)
+    packet = gaussian_packet(grid, [4.0] * grid.d, max(1.0, 2 * grid.spacing))
+    moving = _moving_packets(grid)
     for model in MODEL_FAMILY:
-        for args in (fs[:1], fs, _moving_packets(grid)[:1]):
+        for args in (fs[:1], fs, moving[:1], [fs[0]] * 3, [packet] * 3, [moving[0]] * 3,
+                     moving[:3]):
             got = moment_numeric(model, args)
-            assert got.value == 0 and got.stencils == (0j, 0j, 0j)
+            parts = [p for z in (got.value, *got.stencils) for p in (z.real, z.imag)]
+            assert all(p == 0 and math.copysign(1.0, p) == 1.0   # +0, never -0.0
+                       for p in parts + [got.disagreement])
+            assert not got.precision_warning
 
 
 @pytest.mark.bits
