@@ -18,15 +18,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .axioms import SuiteConfig, run_axiom_suite, summary_lines
 from .errors import SchemaError, SchwingerLabError
-from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment
 from .fixtures import MAX_SEED
-from .functional import (MAX_MOMENT_ORDER, NUMERIC_MOMENT_CAP,
-                         NUMERIC_TOLERANCE_SCHEDULE, MomentTable, load_model,
-                         model_to_dict, moment_numeric)
+from .functional import (MAX_MOMENT_ORDER, NUMERIC_MOMENT_CAP, NUMERIC_TOLERANCE_SCHEDULE,
+                         MomentTable, load_model, model_to_dict, moment_numeric)
 from .lattice import Grid, packet_from_doc
-from .montecarlo import MAX_SAMPLE_COUNT, write_samples
 from .serialize import (canonical_digest, json_integer, overrides, read_json,
                         require_keys, write_json)
 
@@ -66,6 +62,7 @@ def _emit(out_dir: Path, stem: str, machine: dict, human: list[str]) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .axioms import SuiteConfig, run_axiom_suite, summary_lines  # loaded by this command only
     grid = _parse_grid(args.grid)
     model = load_model(args.model)
     tols = _load_tolerances(args.tolerance_file)
@@ -156,6 +153,7 @@ def _write_refinement_csv(out_dir: Path, report) -> None:
 
 
 def cmd_experiment(args) -> int:
+    from .experiments import ExperimentSpec, run_experiment
     doc = read_json(args.spec)
     tols = _load_tolerances(args.tolerance_file)
     if tols and isinstance(doc, dict) and isinstance(doc.get("tolerances", {}), dict):
@@ -176,6 +174,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .montecarlo import MAX_SAMPLE_COUNT, write_samples
     grid = _parse_grid(args.grid)
     model = load_model(args.model)
     if not 1 <= args.count <= MAX_SAMPLE_COUNT:
@@ -222,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recipe", required=True,
                    help="JSON recipe of packet test functions")
     p.add_argument("--order", type=int, default=4)
-    command("experiment", f"run a spec ({', '.join(EXPERIMENT_IDS)})", "spec",
-            cmd_experiment, "--out", "--tolerance-file")
+    command("experiment", "run an experiment", "spec", cmd_experiment, "--out", "--tolerance-file")
     p = command("sample", "dump Monte Carlo field samples", "model", cmd_sample,
                 "--grid", "--seed", "--out")
     p.add_argument("--count", type=int, default=16)

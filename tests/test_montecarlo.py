@@ -330,6 +330,28 @@ def test_sample_dump_holds_the_stream_bit_for_bit(tmp_path, grid):
         assert np.array_equal(row, values.ravel())
 
 
+@pytest.mark.bits
+@pytest.mark.parametrize("grid_args", [(1, 16, 0.5), (2, 16, 0.5), (3, 8, 0.5)])
+def test_dump_numbers_read_back_to_the_stream_fields_bit_for_bit(tmp_path, grid_args):
+    # atom weights over twelve decades give fields whose values span many exponents
+    g = Grid(*grid_args)
+    wide = envelope([(0.25, QuasiFree(SpectralMeasure(((1.0, 1e-6), (4.0, 1e6))))),
+                     (0.75, QuasiFree(SpectralMeasure(((0.5, 1e-3), (9.0, 1e3)))))])
+    path = tmp_path / "samples.txt"
+    write_samples(path, wide, g, seed=23, count=4)
+    lines = path.read_text(encoding="ascii").split("\n")
+    d, n, a = grid_args
+    assert lines[:2] == ["fieldsamples v1", f"model_digest={model_digest(wide, g)} d={d} "
+                         f"n_per_axis={n} spacing={a!r} seed=23 count=4"]
+    assert len(lines) == 2 + 2 * 4 + 1 and lines[-1] == ""
+    for i, (component, values) in enumerate(sample_stream(wide, g, seed=23, count=4)):
+        assert lines[2 + 2 * i] == f"sample index={i} component={component}"
+        tokens = lines[3 + 2 * i].split(" ")
+        assert len(tokens) == g.volume
+        row = np.array([float(token) for token in tokens])
+        assert np.array_equal(row.view(np.int64), values.ravel().view(np.int64))
+
+
 def test_sampler_reproduces_the_covariance_kernel():
     # volume-averaged E[phi(x) phi(x+d)] against the analytic kernel
     small = Grid(2, 16, 0.5)
